@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 from . import __version__
 from .errors import (
@@ -42,6 +42,7 @@ from .surfaces import (
     find_photon_spheres,
     integrate_profile,
     ode_residuals,
+    turning_points,
 )
 
 EXIT_OK = 0
@@ -131,6 +132,18 @@ def _sec_floats(sec, key):
     return vals
 
 
+def _sec_sign(sec):
+    sign = _sec_float(sec, "sign", 1.0)
+    if sign not in (-1.0, 0.0, 1.0):
+        raise SystemExitWith(EXIT_CONFIG,
+                             f"[{sec.name}] sign = {sign!r} must be -1, 0 or 1")
+    return int(sign)
+
+
+def _stats_json(solve_stats):
+    return {half: asdict(stats) for half, stats in solve_stats.items()}
+
+
 def _spacetime_summary(st):
     return {
         "family": st.family,
@@ -202,12 +215,13 @@ def _profile_spec(cp, section="profile"):
     if section not in cp:
         raise SystemExitWith(EXIT_CONFIG, f"config is missing a [{section}] section")
     sec = cp[section]
-    return PhotonSurfaceSpec(
-        alpha=_sec_float(sec, "alpha"),
-        r0=_sec_float(sec, "r0"),
-        t0=_sec_float(sec, "t0", 0.0),
-        sign=int(_sec_float(sec, "sign", 1.0)),
-        span=(_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0)))
+    alpha, r0 = _sec_float(sec, "alpha"), _sec_float(sec, "r0")
+    t0, sign = _sec_float(sec, "t0", 0.0), _sec_sign(sec)
+    span = (_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0))
+    try:
+        return PhotonSurfaceSpec(alpha=alpha, r0=r0, t0=t0, sign=sign, span=span)
+    except ValueError as e:
+        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: {e}")
 
 
 def _step_control(cp, section):
@@ -240,6 +254,7 @@ def cmd_profile(args, cp):
         "termination": curve.termination,
         "termination_start": curve.termination_start,
         "samples": len(curve.s),
+        "solve_stats": _stats_json(curve.solve_stats),
         "residuals": {"tddot": res.tddot_residual, "rddot": res.rddot_residual,
                       "unit": res.unit_residual},
         "outputs": ["profile.csv"],
@@ -275,7 +290,7 @@ def cmd_geodesic(args, cp):
     charges = ConservedCharges(energy=_sec_float(sec, "energy"),
                                angular_momentum=_sec_float(sec, "ell"))
     r0 = _sec_float(sec, "r0")
-    sign = int(_sec_float(sec, "sign", 1.0))
+    sign = _sec_sign(sec)
     span = (_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0))
     step = _step_control(cp, "geodesic")
     traj = integrate_null_geodesic(st, charges, r0, sign=sign, span=span, step=step)
@@ -293,6 +308,7 @@ def cmd_geodesic(args, cp):
         "termination": traj.termination,
         "termination_start": traj.termination_start,
         "samples": len(traj.s),
+        "solve_stats": _stats_json(traj.solve_stats),
         "max_null_residual": float(traj.null_residual.max()),
         "outputs": ["geodesic.csv"],
     }
@@ -300,13 +316,6 @@ def cmd_geodesic(args, cp):
     print(f"termination: {traj.termination}  samples: {len(traj.s)}  "
           f"max null residual: {fmt(traj.null_residual.max())}")
     return EXIT_OK
-
-
-def _sweep_cell(st, spheres, alpha, r0, span, step):
-    spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=span)
-    curve = integrate_profile(st, spec, step, spheres=spheres)
-    cls = classify(st, alpha, r0, spheres=spheres)
-    return curve, cls
 
 
 def cmd_sweep(args, cp):
@@ -326,28 +335,27 @@ def cmd_sweep(args, cp):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
-    cells = [(ia, ir, a, r0) for ia, a in enumerate(alphas)
-             for ir, r0 in enumerate(r0s)]
-
-    def run(cell):
-        ia, ir, a, r0 = cell
-        try:
-            curve, cls = _sweep_cell(st, spheres, a, r0, span, step)
-        except (ForbiddenRadiusError, PhotonSurfError) as e:
-            return (ia, ir, a, r0, None, None, str(e))
-        return (ia, ir, a, r0, curve, cls, None)
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(run, cells))
-
     items = []
     outputs = []
-    produced = 0
-    for ia, ir, a, r0, curve, cls, err in results:
-        name = f"sweep_a{ia}_r{ir}.csv"
-        item = {"alpha": a, "r0": r0, "file": None, "status": "skipped",
-                "reason": err}
-        if curve is not None:
+    turning = {}  # alpha -> turning radii, shared by the alpha's row of cells
+    for ia, a in enumerate(alphas):
+        for ir, r0 in enumerate(r0s):
+            item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
+            items.append(item)
+            try:
+                spec = PhotonSurfaceSpec(alpha=a, r0=r0, sign=1, span=span)
+            except ValueError as e:
+                item["reason"] = f"invalid spec: {e}"
+                continue
+            try:
+                curve = integrate_profile(st, spec, step, spheres=spheres)
+            except PhotonSurfError as e:
+                item["reason"] = str(e)
+                continue
+            if a not in turning:
+                turning[a] = turning_points(st, a)
+            cls = classify(st, a, r0, spheres=spheres, turning_radii=turning[a])
+            name = f"sweep_a{ia}_r{ir}.csv"
             _write_profile_csv(os.path.join(out, name), curve)
             outputs.append(name)
             item.update(file=name, status="ok", reason=None,
@@ -355,9 +363,9 @@ def cmd_sweep(args, cp):
                         turning_radii=list(cls.turning_radii),
                         termination=curve.termination,
                         termination_start=curve.termination_start,
-                        samples=len(curve.s))
-            produced += 1
-        items.append(item)
+                        samples=len(curve.s),
+                        solve_stats=_stats_json(curve.solve_stats))
+    produced = len(outputs)
 
     if produced == 0:
         print("sweep produced no curves", file=sys.stderr)
@@ -393,7 +401,7 @@ def cmd_sweep(args, cp):
         "cells": items,
         "outputs": outputs,
     })
-    print(f"sweep: {produced}/{len(cells)} cells produced curves; "
+    print(f"sweep: {produced}/{len(items)} cells produced curves; "
           f"groups: {', '.join(groups)}")
     return EXIT_OK
 
@@ -485,7 +493,8 @@ def _parser():
     ap.add_argument("--config", required=True, help="INI config file")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--workers", type=int, default=None,
-                    help="sweep worker count (env PHOTONSURF_WORKERS overrides)")
+                    help="accepted and validated for compatibility; sweeps "
+                         "run serially (env PHOTONSURF_WORKERS overrides)")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     ap.add_argument("--tol", type=float, default=1.0,
                     help="verification tolerance scale factor")
@@ -513,9 +522,9 @@ def main(argv=None) -> int:
             print(f"PHOTONSURF_WORKERS = {env_workers!r} is not an integer",
                   file=sys.stderr)
             return EXIT_CONFIG
-    if args.workers is None:
-        args.workers = min(4, os.cpu_count() or 1)
-    if args.workers < 1:
+    # the worker count no longer changes anything (sweeps run serially), but
+    # it is still validated so existing invocations keep their exit codes
+    if args.workers is not None and args.workers < 1:
         print("worker count must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -22,12 +22,14 @@ import numpy as np
 from .errors import ForbiddenRadiusError, PrincipalNullError
 from .spacetime import ClassSSpacetime
 from .surfaces import (
-    ASYMPTOTE_EPS,
     CRITICAL_RTOL,
     PhotonSphere,
     ProfileCurve,
     StepControl,
-    _integrate_halfline,
+    _dense_eval,
+    _integrate_radial,
+    _solve_stats,
+    _stitch,
     find_photon_spheres,
 )
 
@@ -73,6 +75,8 @@ class NullGeodesicTrajectory:
     termination: str = "span"
     termination_start: str = "span"
     null_residual: np.ndarray = field(default=None, repr=False)
+    solve_stats: dict = field(default_factory=dict)
+    # (forward, backward) half-lines of the solve; None for a circular orbit
     _dense: object = field(default=None, repr=False)
 
 
@@ -145,72 +149,51 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     if sign == 0 and disc > 1e-12 * E ** 2:
         raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
 
-    def rhs(s, y):
-        _, r, v, _, _ = y
-        fv, dfv = st.metric(r)
-        return (E / fv, v, (ell ** 2 / r ** 3) * (fv - 0.5 * r * dfv),
+    metric = st.metric.evaluate
+    ell2 = ell ** 2
+
+    def rhs(y):
+        r, v = y[1], y[2]
+        fv, dfv = metric(r)
+        return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
                 ell / r ** 2, ell / r)
-
-    events = []
-    r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
-
-    def ev_low(s, y):
-        return y[1] - r_stop_lo
-    ev_low.terminal = True
-    events.append((ev_low, "boundary"))
-    if math.isfinite(st.r_hi):
-        def ev_high(s, y):
-            return st.r_hi * (1 - 1e-9) - y[1]
-        ev_high.terminal = True
-        events.append((ev_high, "boundary"))
-
-    if ell > 0:
-        alpha = E / ell
-        for sp in spheres:
-            if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star:
-                def ev_asym(s, y, r_star=sp.r_star):
-                    return (y[1] - r_star) ** 2 + y[2] ** 2 - ASYMPTOTE_EPS ** 2
-                ev_asym.terminal = True
-                events.append((ev_asym, "asymptotic-to-photon-sphere"))
 
     v0 = sign * math.sqrt(max(disc, 0.0))
     y0 = (0.0, r0, v0, 0.0, 0.0)
-    s_lo, s_hi = span
-
-    parts = []
-    denses = []
-    reason_fwd = reason_bwd = "span"
-    if s_hi > 0:
-        sol, reason_fwd = _integrate_halfline(rhs, y0, s_hi, step, events)
-        denses.append(sol)
-        s_samp = np.arange(0.0, sol.t[-1] + 0.5 * step.sample_spacing,
-                           step.sample_spacing)
-        s_samp = s_samp[s_samp <= sol.t[-1] + 1e-15]
-        parts.append((s_samp, sol.sol(s_samp)))
-    if s_lo < 0:
-        sol, reason_bwd = _integrate_halfline(rhs, y0, s_lo, step, events)
-        denses.append(sol)
-        start = step.sample_spacing if parts else 0.0
-        s_samp = -np.arange(start, -sol.t[-1] + 0.5 * step.sample_spacing,
-                            step.sample_spacing)
-        s_samp = s_samp[s_samp >= sol.t[-1] - 1e-15]
-        parts.insert(0, (s_samp[::-1], sol.sol(s_samp[::-1])))
-
-    if len(parts) == 2:
-        (sb, yb), (sf, yf) = parts
-        s = np.concatenate([sb, sf])
-        y = np.concatenate([yb, yf], axis=1)
-    else:
-        s, y = parts[0]
-
-    t, r, v, phi, sigma = y
-    f = np.array([st.f(rr) for rr in r])
+    s, (t, r, v, phi, sigma), fwd, bwd = _integrate_radial(
+        st, rhs, y0, span, step, E / ell if ell > 0 else None, spheres)
+    f = st.f(r)
     # null residual: -f tdot^2 + rdot^2/f + r^2 phidot^2 with the reductions
     residual = np.abs((v ** 2 - (E ** 2 - ell ** 2 * f / r ** 2)) / f)
     return NullGeodesicTrajectory(
         s=s, t=t, r=r, phi=phi, rdot=v, arclength=sigma, charges=charges,
-        termination=reason_fwd, termination_start=reason_bwd,
-        null_residual=residual, _dense=denses)
+        termination=fwd.reason if fwd else "span",
+        termination_start=bwd.reason if bwd else "span",
+        null_residual=residual, solve_stats=_solve_stats(fwd, bwd),
+        _dense=(fwd, bwd))
+
+
+def _s_of_sigma(half, sigma, ell):
+    """Affine parameters where the induced arclength (y[4]) takes the values
+    ``sigma`` on one half-line, by Newton with d(sigma)/ds = ell / r.
+
+    sigma is strictly monotone in s, so the starting guess interpolates it
+    linearly between the step nodes.
+    """
+    T, _, Y, _ = half.dense
+    s_nodes = np.append(T, half.s_end)
+    sig_nodes = np.append(Y[:, 4], _dense_eval(half.dense, s_nodes[-1:])[4])
+    d = 1.0 if half.s_end > 0 else -1.0
+    s = np.interp(d * sigma, d * sig_nodes, s_nodes)
+    lo, hi = min(0.0, half.s_end), max(0.0, half.s_end)
+    for _ in range(80):
+        y = _dense_eval(half.dense, s)
+        s_new = np.clip(s - (y[4] - sigma) * y[1] / ell, lo, hi)
+        moved = np.abs(s_new - s)
+        s = s_new
+        if np.all(moved <= 1e-14 * np.maximum(1.0, np.abs(s))):
+            break
+    return s
 
 
 def generated_surface_profile(traj: NullGeodesicTrajectory,
@@ -232,7 +215,7 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
 
     def f_along(r, v):
         if st is not None:
-            return np.array([st.f(rr) for rr in np.atleast_1d(r)])
+            return st.f(r)
         return (E ** 2 - np.asarray(v) ** 2) * np.asarray(r) ** 2 / ell ** 2
 
     if traj._dense is None:
@@ -248,40 +231,11 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
             alpha=alpha, termination=traj.termination,
             unit_residual=np.abs(np.full_like(s, f0 * tdot ** 2 - 1.0)))
 
-    # invert sigma(s) on each dense piece via Newton (d sigma/ds = ell/r)
-    samples_s = []
-    samples_y = []
-    for sol in traj._dense:
-        s_end = sol.t[-1]
-        sig_end = sol.sol(s_end)[4]
-        direction = 1.0 if s_end >= 0 else -1.0
-        sig_grid = np.arange(0.0, abs(sig_end) + 0.5 * spacing, spacing)
-        sig_grid = direction * sig_grid[sig_grid <= abs(sig_end) + 1e-15]
-        s_guess = 0.0
-        ss = []
-        for sig in sig_grid:
-            s_cur = s_guess
-            for _ in range(80):
-                y = sol.sol(s_cur)
-                resid = y[4] - sig
-                stp = -resid * y[1] / ell
-                # keep inside the integrated range
-                s_new = min(max(s_cur + stp, min(0.0, s_end)), max(0.0, s_end))
-                moved = abs(s_new - s_cur)
-                s_cur = s_new
-                if moved <= 1e-14 * max(1.0, abs(s_cur)):
-                    break
-            ss.append(s_cur)
-            s_guess = s_cur
-        ys = sol.sol(np.array(ss)) if ss else np.empty((5, 0))
-        samples_s.append(np.array(sig_grid))
-        samples_y.append(ys)
-
-    if len(samples_s) == 2:
-        sig = np.concatenate([samples_s[1][::-1][:-1], samples_s[0]])
-        y = np.concatenate([samples_y[1][:, ::-1][:, :-1], samples_y[0]], axis=1)
-    else:
-        sig, y = samples_s[0], samples_y[0]
+    fwd, bwd = traj._dense
+    sig, y = _stitch(
+        fwd, bwd, spacing,
+        lambda half: float(_dense_eval(half.dense, np.array([half.s_end]))[4, 0]),
+        lambda half, sig: _dense_eval(half.dense, _s_of_sigma(half, sig, ell)))
 
     t, r, v = y[0], y[1], y[2]
     # dt/dsigma = alpha r / f and dr/dsigma = (dr/ds) r / ell

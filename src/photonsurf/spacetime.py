@@ -40,7 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """Radial metric profile: maps r to (f(r), f'(r))."""
+    """Radial metric profile: maps r to (f(r), f'(r)).
+
+    ``evaluate`` takes a float or a 1-D array of radii and returns values of
+    the same shape.
+    """
 
     evaluate: Callable[[float], tuple[float, float]]
     description: str = ""
@@ -60,7 +64,7 @@ class MetricProfile:
         """Profile from f alone; f' from a 5-point central difference."""
 
         def evaluate(r):
-            step = h * max(1.0, abs(r))
+            step = h * np.maximum(1.0, abs(r))
             d = (f(r - 2 * step) - 8 * f(r - step)
                  + 8 * f(r + step) - f(r + 2 * step)) / (12 * step)
             return f(r), d
@@ -125,7 +129,7 @@ class ClassSSpacetime:
 def _check_positive_f(st: ClassSSpacetime, samples: int = 256) -> None:
     lo, hi = st.default_bracket()
     rs = np.geomspace(lo, hi, samples)
-    fs = np.array([st.f(r) for r in rs])
+    fs = st.f(rs)
     if np.any(fs <= 0):
         bad = rs[np.argmin(fs)]
         raise InvalidFamilyParamsError(
@@ -152,7 +156,8 @@ def build_family(family: str, n: int = 3, m: float | None = None,
 
     if family == "minkowski":
         lo = 0.0 if r_lo is None else float(r_lo)
-        metric = MetricProfile(lambda r: (1.0, 0.0), "flat: f = 1")
+        # 0 * r keeps the shape of array arguments
+        metric = MetricProfile(lambda r: (1.0 + 0.0 * r, 0.0 * r), "flat: f = 1")
         st = ClassSSpacetime(n, lo, r_hi, metric, "minkowski", {})
     elif family == "schwarzschild":
         if m is None:
@@ -228,15 +233,41 @@ def custom_spacetime(f, n: int, r_lo: float, r_hi: float,
     """Spacetime with a user-supplied profile; n = 2 is permitted here."""
     if n < 2:
         raise InvalidFamilyParamsError("need n >= 2")
+    r_lo, r_hi = float(r_lo), float(r_hi)
     if isinstance(f, MetricProfile):
         metric = f
-    elif fprime is not None:
-        metric = MetricProfile(lambda r: (f(r), fprime(r)), description)
     else:
-        metric = MetricProfile.from_f(f, description)
-    st = ClassSSpacetime(n, float(r_lo), float(r_hi), metric, "custom")
+        probe = np.geomspace(*ClassSSpacetime(n, r_lo, r_hi, None).default_bracket(), 4)
+        f = _array_callable(f, probe)
+        if fprime is not None:
+            fprime = _array_callable(fprime, probe)
+            metric = MetricProfile(lambda r: (f(r), fprime(r)), description)
+        else:
+            metric = MetricProfile.from_f(f, description)
+    st = ClassSSpacetime(n, r_lo, r_hi, metric, "custom")
     _check_positive_f(st)
     return st
+
+
+def _pointwise(fn):
+    """A scalar function ``fn`` extended to 1-D arrays entry by entry; a
+    tuple-valued ``fn`` gives one array per tuple member."""
+    def wrapped(r):
+        if isinstance(r, np.ndarray) and r.ndim:
+            return np.array([fn(x) for x in r.tolist()]).T
+        return fn(r)
+
+    return wrapped
+
+
+def _array_callable(fn, probe):
+    """``fn`` if it maps the 1-D array ``probe`` to an array of its shape,
+    otherwise its pointwise extension."""
+    try:
+        ok = np.shape(fn(probe)) == probe.shape
+    except (TypeError, ValueError):  # e.g. math functions, `if r < x` tests
+        ok = False
+    return fn if ok else _pointwise(fn)
 
 
 def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
@@ -258,7 +289,7 @@ def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
         raise DomainError("profile table needs >= 4 rows with strictly increasing r")
     interp = PchipInterpolator(rs, fs)
     dinterp = interp.derivative()
-    metric = MetricProfile(lambda r: (float(interp(r)), float(dinterp(r))),
+    metric = MetricProfile(lambda r: (interp(r), dinterp(r)),
                            f"table profile ({path})")
     lo = rs[0] if r_lo is None else float(r_lo)
     hi = rs[-1] if r_hi is None else float(r_hi)
@@ -539,7 +570,8 @@ def from_isotropic(iso: IsotropicForm, samples: int = 512,
         nn, dnn = iso.lapse(s)
         return nn * nn, 2 * nn * dnn / (p + s * dp)
 
-    metric = MetricProfile(evaluate, "from isotropic data")
+    # the inverse map s_of_r is a scalar Newton solve
+    metric = MetricProfile(_pointwise(evaluate), "from isotropic data")
     r_lo = float(rs[0]) * (1 - 1e-9)
     r_hi = math.inf if math.isinf(iso.s_hi) else float(rs[-1]) * (1 + 1e-9)
     n = iso.source.n if iso.source is not None else 3

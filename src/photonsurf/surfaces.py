@@ -17,9 +17,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import ForbiddenRadiusError, StepUnderflowError
@@ -32,6 +32,7 @@ __all__ = [
     "SurfaceKind",
     "SurfaceClass",
     "StepControl",
+    "SolveStats",
     "find_photon_spheres",
     "profile_slope_squared",
     "turning_points",
@@ -78,9 +79,22 @@ class StepControl:
     max_step: float = math.inf
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """Work of one adaptive half-line solve: steps and right-hand side calls."""
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+
+
 @dataclass
 class ProfileCurve:
-    """Sampled radial profile (s, t, r, dt/ds, dr/ds) of one surface."""
+    """Sampled radial profile (s, t, r, dt/ds, dr/ds) of one surface.
+
+    ``solve_stats`` maps "forward"/"backward" to the work of each integrated
+    half-line; it is empty for the exact photon-sphere cylinder.
+    """
 
     s: np.ndarray
     t: np.ndarray
@@ -91,17 +105,17 @@ class ProfileCurve:
     termination: str = "span"
     termination_start: str = "span"
     unit_residual: np.ndarray = field(default=None, repr=False)
+    solve_stats: dict = field(default_factory=dict)
 
     @property
     def monotone_t(self) -> bool:
         return bool(np.all(np.diff(self.t) > 0))
 
     def umbilicity_residual(self, st: ClassSSpacetime) -> np.ndarray:
-        f = np.array([st.f(r) for r in self.r])
-        return np.abs(f * self.tdot / self.r - self.alpha)
+        return np.abs(st.f(self.r) * self.tdot / self.r - self.alpha)
 
     def compute_unit_residual(self, st: ClassSSpacetime) -> np.ndarray:
-        f = np.array([st.f(r) for r in self.r])
+        f = st.f(self.r)
         return np.abs(f * self.tdot ** 2 - self.rdot ** 2 / f - 1.0)
 
 
@@ -131,9 +145,12 @@ class SurfaceClass:
 
 
 def _scan_roots(g, lo, hi, grid):
-    """Bracketed roots of g on a log-spaced grid, refined by brentq."""
+    """Bracketed roots of g on a log-spaced grid, refined by brentq.
+
+    g is evaluated on the whole grid in one call, then on scalars by brentq.
+    """
     rs = np.geomspace(lo, hi, grid)
-    vals = np.array([g(r) for r in rs])
+    vals = g(rs)
     roots = []
     for i in range(len(rs) - 1):
         a, b = vals[i], vals[i + 1]
@@ -202,22 +219,227 @@ def _sample_grid(span, spacing):
     return np.concatenate([bwd[::-1], fwd])
 
 
-def _integrate_halfline(rhs, y0, s_end, step, events):
-    """One solve_ivp run over [0, s_end] (s_end may be negative)."""
-    sol = solve_ivp(rhs, (0.0, s_end), y0, method="RK45", dense_output=True,
-                    rtol=step.rtol, atol=step.atol, max_step=step.max_step,
-                    events=[ev for ev, _ in events])
-    if sol.status == -1:
-        raise StepUnderflowError(
-            f"step-size underflow at s = {sol.t[-1]:.6g}: {sol.message}",
-            last_state=(sol.t[-1], tuple(sol.y[:, -1])))
+# Dormand-Prince 5(4) tableau with the continuous extension of scipy's RK45
+# (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6).
+# Stage 2 enters only stages 3-6: B, E and _P skip it.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([  # rows: stages 1, 3, 4, 5, 6, 7
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# step controller of scipy's RK45
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
+_EVENT_TOL = 4 * np.finfo(float).eps
+
+
+class _HalfLine(NamedTuple):
+    """One solve from s = 0 to s_end: dense output (T, H, Y, Q) per step."""
+
+    dense: tuple
+    s_end: float
+    reason: str
+    stats: SolveStats
+
+
+def _dense_arrays(ts, hs, ys, ks):
+    """(T, H, Y, Q): step starts, signed steps, start states, interpolant
+    coefficients Q[i, component, power - 1]. ``ks`` holds each step's stages
+    1, 3, 4, 5, 6 and 7, concatenated."""
+    K = np.array(ks).reshape(len(ks), 6, -1)
+    # explicit sums in a fixed order keep every step's bits independent of
+    # the number of steps
+    Q = K[:, 0, :, None] * _P[0]
+    for i in range(1, 6):
+        Q = Q + K[:, i, :, None] * _P[i]
+    return np.array(ts), np.array(hs), np.array(ys), Q
+
+
+def _dense_eval(dense, s):
+    """States (n, len(s)) of a dense output at the points s.
+
+    A point on a step boundary is taken from the step that ends there, as
+    scipy's OdeSolution does.
+    """
+    T, H, Y, Q = dense
+    direction = 1.0 if H[0] > 0 else -1.0
+    i = np.clip(np.searchsorted(direction * T, direction * s) - 1, 0, len(T) - 1)
+    x = ((s - T[i]) / H[i])[:, None]
+    q = Q[i]
+    poly = x * (q[:, :, 0] + x * (q[:, :, 1] + x * (q[:, :, 2] + x * q[:, :, 3])))
+    return (Y[i] + H[i, None] * poly).T
+
+
+def _rms(xs, scale):
+    return math.sqrt(sum((x / sc) ** 2 for x, sc in zip(xs, scale))) / len(xs) ** 0.5
+
+
+def _dopri5(rhs, y0, s_end, step, events):
+    """Adaptive Dormand-Prince 5(4) solve of y' = rhs(y) from s = 0 to s_end.
+
+    Replays scipy's RK45 on Python floats: the same initial step selection,
+    step controller and 10-ulp underflow test. ``events`` are (g(y), tag)
+    pairs; the solve stops at the first root of any g bracketed by a sign
+    change between accepted steps, located by brentq on the dense output.
+    """
+    rtol, atol = step.rtol, step.atol
+    direction = 1.0 if s_end > 0 else -1.0
+    length = abs(s_end)
+    t, y = 0.0, [float(v) for v in y0]
+    f = rhs(y)
+
+    # initial step (Hairer, Norsett & Wanner II.4; scipy select_initial_step)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms(y, scale), _rms(f, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    f1 = rhs([v + h0 * direction * fv for v, fv in zip(y, f)])
+    d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, length, step.max_step)
+
+    nfev, rejected = 2, 0
+    g = [ev(y) for ev, _ in events]
+    ts, hs, ys, ks = [], [], [], []
     reason = "span"
-    if sol.status == 1:
-        for (_, tag), hits in zip(events, sol.t_events):
-            if len(hits):
-                reason = tag
+    while direction * (t - s_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), step.max_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflowError(
+                    f"step-size underflow at s = {t:.6g}: required step size "
+                    "is less than spacing between numbers",
+                    last_state=(t, tuple(y)))
+            t_new = t + h_abs * direction
+            if direction * (t_new - s_end) > 0:
+                t_new = s_end
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = f
+            k2 = rhs([v + (_A21 * a) * h for v, a in zip(y, k1)])
+            k3 = rhs([v + (_A31 * a + _A32 * b) * h
+                      for v, a, b in zip(y, k1, k2)])
+            k4 = rhs([v + (_A41 * a + _A42 * b + _A43 * c) * h
+                      for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = rhs([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                      for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = rhs([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                      for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
+                     for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(y_new)
+            nfev += 6
+            error_norm = _rms(
+                [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h
+                 for a, c, d, e, p, q in zip(k1, k3, k4, k5, k6, k7)],
+                [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)])
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
                 break
-    return sol, reason
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
+            step_rejected = True
+            rejected += 1
+
+        ts.append(t)
+        hs.append(h)
+        ys.append(y)
+        ks.append((*k1, *k3, *k4, *k5, *k6, *k7))
+        t_old, t, y, f = t, t_new, y_new, k7
+        if events:
+            g_new = [ev(y) for ev, _ in events]
+            active = [i for i, (a, b) in enumerate(zip(g, g_new))
+                      if (a <= 0 <= b) or (b <= 0 <= a)]
+            if active:
+                last = _dense_arrays(ts[-1:], hs[-1:], ys[-1:], ks[-1:])
+                hits = []
+                for i in active:
+                    ev = events[i][0]
+                    hits.append((brentq(
+                        lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
+                        t_old, t, xtol=_EVENT_TOL, rtol=_EVENT_TOL), i))
+                t, i = min(hits, key=lambda hit: direction * hit[0])
+                reason = events[i][1]
+                break
+            g = g_new
+
+    stats = SolveStats(accepted=len(ts), rejected=rejected, rhs_evals=nfev)
+    return _HalfLine(_dense_arrays(ts, hs, ys, ks), t, reason, stats)
+
+
+def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
+    """Integrate an autonomous radial system over both half-lines of span.
+
+    The state has r = y[1] and dr/ds = y[2]. Each half-line, started at
+    s = 0, stops at its span end, at the radial interval boundary, or when
+    it comes within ASYMPTOTE_EPS of a photon sphere whose factor matches
+    ``alpha`` (None: no such test). Returns the output samples (s, y) and
+    the (forward, backward) half-lines; a half-line of zero length is None.
+    """
+    r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
+    events = [(lambda y: y[1] - r_stop_lo, "boundary")]
+    if math.isfinite(st.r_hi):
+        r_stop_hi = st.r_hi * (1 - 1e-9)
+        events.append((lambda y: r_stop_hi - y[1], "boundary"))
+    if alpha is not None:
+        for sp in spheres:
+            if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star:
+                events.append((lambda y, r_star=sp.r_star: (y[1] - r_star) ** 2
+                               + y[2] ** 2 - ASYMPTOTE_EPS ** 2,
+                               "asymptotic-to-photon-sphere"))
+
+    s_lo, s_hi = span
+    fwd = _dopri5(rhs, y0, s_hi, step, events) if s_hi > 0 else None
+    bwd = _dopri5(rhs, y0, s_lo, step, events) if s_lo < 0 else None
+    s, y = _stitch(fwd, bwd, step.sample_spacing, lambda half: half.s_end,
+                   lambda half, s: _dense_eval(half.dense, s))
+    return s, y, fwd, bwd
+
+
+def _stitch(fwd, bwd, spacing, u_end, states):
+    """Output grid in a variable u that grows with s from u(0) = 0, and the
+    states there, stitched from the two half-lines.
+
+    ``u_end(half)`` is a half-line's end in u and ``states(half, u)`` its
+    states at u; u = 0 is taken from the forward half-line when there is one.
+    """
+    lo = u_end(bwd) if bwd is not None else 0.0
+    hi = u_end(fwd) if fwd is not None else 0.0
+    u = _sample_grid((lo, hi), spacing)
+    split = int(np.searchsorted(u, 0.0)) if fwd is not None else len(u)
+    parts = []
+    if bwd is not None:
+        parts.append(states(bwd, u[:split]))
+    if fwd is not None:
+        parts.append(states(fwd, u[split:]))
+    return u, np.concatenate(parts, axis=1)
+
+
+def _solve_stats(fwd, bwd):
+    return {name: half.stats for name, half in (("forward", fwd), ("backward", bwd))
+            if half is not None}
 
 
 def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
@@ -227,14 +449,15 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
 
     The exact cylinder solution is returned when the initial data sits on a
     photon sphere.  Otherwise the regularized second-order radial equation is
-    integrated with adaptive 4/5-order stepping; the curve terminates at the
-    span end, at the radial interval boundary, or when it is asymptotic to a
-    photon sphere (|r - r_*| and |dr/ds| jointly below ASYMPTOTE_EPS).
+    integrated with adaptive Dormand-Prince 5(4) stepping; the curve
+    terminates at the span end, at the radial interval boundary, or when it
+    is asymptotic to a photon sphere (|r - r_*| and |dr/ds| jointly below
+    ASYMPTOTE_EPS).
     """
     alpha = spec.alpha
-    f0, df0 = st.metric(spec.r0)
     if not st.contains(spec.r0):
         raise ForbiddenRadiusError(f"r0 = {spec.r0:.6g} outside radial interval")
+    f0, df0 = st.metric(spec.r0)
     disc = alpha ** 2 * spec.r0 ** 2 - f0
     scale = max(1.0, alpha ** 2 * spec.r0 ** 2)
     if disc < -1e-12 * scale:
@@ -258,65 +481,26 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
     if spec.sign == 0 and disc > 1e-12 * scale:
         raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
 
-    def rhs(s, y):
-        _, r, v = y
-        fv, dfv = st.metric(r)
-        return (alpha * r / fv, v, alpha ** 2 * r - 0.5 * dfv)
+    metric = st.metric.evaluate
+    a2 = alpha ** 2
 
-    events = []
-    r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
-
-    def ev_low(s, y):
-        return y[1] - r_stop_lo
-    ev_low.terminal = True
-    events.append((ev_low, "boundary"))
-    if math.isfinite(st.r_hi):
-        def ev_high(s, y):
-            return st.r_hi * (1 - 1e-9) - y[1]
-        ev_high.terminal = True
-        events.append((ev_high, "boundary"))
-
-    for sp in spheres:
-        if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star:
-            def ev_asym(s, y, r_star=sp.r_star):
-                return (y[1] - r_star) ** 2 + y[2] ** 2 - ASYMPTOTE_EPS ** 2
-            ev_asym.terminal = True
-            events.append((ev_asym, "asymptotic-to-photon-sphere"))
+    def rhs(y):
+        r, v = y[1], y[2]
+        fv, dfv = metric(r)
+        return (alpha * r / fv, v, a2 * r - 0.5 * dfv)
 
     v0 = spec.sign * math.sqrt(max(disc, 0.0))
     y0 = (spec.t0, spec.r0, v0)
-    s_lo, s_hi = spec.span
-
-    parts = []
-    reason_fwd = reason_bwd = "span"
-    if s_hi > 0:
-        sol, reason_fwd = _integrate_halfline(rhs, y0, s_hi, step, events)
-        s_samp = np.arange(0.0, sol.t[-1] + 0.5 * step.sample_spacing,
-                           step.sample_spacing)
-        s_samp = s_samp[s_samp <= sol.t[-1] + 1e-15]
-        parts.append((s_samp, sol.sol(s_samp)))
-    if s_lo < 0:
-        sol, reason_bwd = _integrate_halfline(rhs, y0, s_lo, step, events)
-        start = step.sample_spacing if parts else 0.0
-        s_samp = -np.arange(start, -sol.t[-1] + 0.5 * step.sample_spacing,
-                            step.sample_spacing)
-        s_samp = s_samp[s_samp >= sol.t[-1] - 1e-15]
-        parts.insert(0, (s_samp[::-1], sol.sol(s_samp[::-1])))
-
-    if len(parts) == 2:
-        (sb, yb), (sf, yf) = parts
-        s = np.concatenate([sb, sf])
-        y = np.concatenate([yb, yf], axis=1)
-    else:
-        s, y = parts[0]
-
-    t, r, v = y
-    f = np.array([st.f(rr) for rr in r])
+    s, (t, r, v), fwd, bwd = _integrate_radial(st, rhs, y0, spec.span, step,
+                                               alpha, spheres)
+    f = st.f(r)
     tdot = alpha * r / f
-    curve = ProfileCurve(s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
-                         termination=reason_fwd, termination_start=reason_bwd)
-    curve.unit_residual = np.abs(f * tdot ** 2 - v ** 2 / f - 1.0)
-    return curve
+    return ProfileCurve(
+        s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
+        termination=fwd.reason if fwd else "span",
+        termination_start=bwd.reason if bwd else "span",
+        unit_residual=np.abs(f * tdot ** 2 - v ** 2 / f - 1.0),
+        solve_stats=_solve_stats(fwd, bwd))
 
 
 @dataclass(frozen=True)
@@ -340,8 +524,7 @@ def ode_residuals(st: ClassSSpacetime, curve: ProfileCurve) -> ResidualReport:
     tdot, rdot = curve.tdot, curve.rdot
     tddot = np.gradient(tdot, s)
     rddot = np.gradient(rdot, s)
-    f = np.array([st.f(rr) for rr in r])
-    df = np.array([st.fprime(rr) for rr in r])
+    f, df = st.metric(r)
     res_t = tddot + (df / f) * rdot * tdot - (rdot / r) * tdot
     res_r = rddot + 0.5 * f * df * tdot ** 2 - 0.5 * (df / f) * rdot ** 2 \
         - (f * tdot) ** 2 / r
@@ -354,13 +537,20 @@ def ode_residuals(st: ClassSSpacetime, curve: ProfileCurve) -> ResidualReport:
 
 
 def classify(st: ClassSSpacetime, alpha: float, r0: float,
-             spheres: list[PhotonSphere] | None = None) -> SurfaceClass:
-    """Group a surface by its umbilicity factor relative to the photon spheres."""
+             spheres: list[PhotonSphere] | None = None,
+             turning_radii: list[float] | None = None) -> SurfaceClass:
+    """Group a surface by its umbilicity factor relative to the photon spheres.
+
+    ``spheres`` and ``turning_radii`` (the turning points of ``alpha``) are
+    computed when not given.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if spheres is None:
         spheres = find_photon_spheres(st)
-    tps = tuple(turning_points(st, alpha))
+    if turning_radii is None:
+        turning_radii = turning_points(st, alpha)
+    tps = tuple(turning_radii)
     regions = tuple("below" if r0 < sp.r_star else "above" for sp in spheres)
 
     if not spheres:

@@ -94,6 +94,37 @@ r0 = 1.9
     assert main(["--config", cfg, "profile"]) == 3
 
 
+def test_profile_r0_at_singularity_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", SCHW + """
+[profile]
+alpha = 0.5
+r0 = 0
+""")
+    assert main(["--config", cfg, "profile"]) == 3
+    assert "outside radial interval" in capsys.readouterr().err
+
+
+def test_profile_nonpositive_alpha_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", SCHW + """
+[profile]
+alpha = 0
+r0 = 6
+""")
+    assert main(["--config", cfg, "profile"]) == 3
+    assert "alpha must be positive" in capsys.readouterr().err
+
+
+def test_fractional_sign_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", SCHW + """
+[profile]
+alpha = 0.15
+r0 = 6
+sign = 0.5
+""")
+    assert main(["--config", cfg, "profile"]) == 2
+    assert "sign" in capsys.readouterr().err
+
+
 def test_profile_forbidden_band_message(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.ini", SCHW + """
 [profile]
@@ -134,6 +165,10 @@ span_hi = 5
     assert header == "s,t,r,phi,null_residual"
     manifest = json.loads((out / "geodesic_manifest.json").read_text())
     assert manifest["lambda"] == pytest.approx(0.3)
+    for half in ("forward", "backward"):
+        stats = manifest["solve_stats"][half]
+        assert stats["accepted"] > 0
+        assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
     assert manifest["max_null_residual"] < 1e-9
 
 
@@ -159,6 +194,12 @@ def test_sweep_groups_and_skips(tmp_path):
     assert skipped and all(c["reason"] for c in skipped)
     for cell in manifest["cells"]:
         if cell["status"] == "ok":
+            halves = cell["solve_stats"]
+            if cell["classification"] == "PhotonSphere":
+                assert halves == {}  # the exact cylinder needs no solve
+            else:
+                assert sorted(halves) == ["backward", "forward"]
+                assert all(h["accepted"] > 0 for h in halves.values())
             path = out / cell["file"]
             rows = path.read_text().splitlines()
             assert rows[0] == "s,t,r,dt_ds,dr_ds,unit_residual"
@@ -191,6 +232,23 @@ span_hi = 2
     assert by_r0[4.0]["status"] == "ok"
 
 
+def test_sweep_nonpositive_alpha_cell_skipped(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", SCHW + """
+[sweep]
+alphas = -0.1, 0.25
+r0s = 3, 6
+span_lo = -1
+span_hi = 1
+""")
+    out = tmp_path / "sw"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == 0
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    status = [(c["alpha"], c["status"]) for c in manifest["cells"]]
+    assert status == [(-0.1, "skipped"), (-0.1, "skipped"),
+                      (0.25, "ok"), (0.25, "ok")]
+    assert "alpha must be positive" in manifest["cells"][0]["reason"]
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = write_config(tmp_path / "c.ini", SWEEP)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -200,6 +258,27 @@ def test_sweep_deterministic(tmp_path):
     assert names == sorted(os.listdir(out2))
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sweep_cell_bytes_independent_of_grid(tmp_path):
+    # the same (alpha, r0) cell, once in a 3x3 grid and once alone in a
+    # reversed 2x2 grid, must give the same bytes
+    big = write_config(tmp_path / "big.ini", SWEEP)
+    small = write_config(tmp_path / "small.ini", SCHW + """
+[sweep]
+alphas = 0.21169509870086, 0.17320508075389044
+r0s = 6, 3
+span_lo = -2
+span_hi = 2
+""")
+    assert main(["--config", big, "--out", str(tmp_path / "big"), "sweep"]) == 0
+    assert main(["--config", small, "--out", str(tmp_path / "small"), "sweep"]) == 0
+    pairs = [("sweep_a0_r2.csv", "sweep_a1_r0.csv"),   # alpha 0.173, r0 6
+             ("sweep_a2_r2.csv", "sweep_a0_r0.csv"),   # alpha 0.212, r0 6
+             ("sweep_a2_r1.csv", "sweep_a0_r1.csv")]   # alpha 0.212, r0 3
+    for in_big, in_small in pairs:
+        assert (tmp_path / "big" / in_big).read_bytes() == \
+            (tmp_path / "small" / in_small).read_bytes()
 
 
 def test_workers_env_override(tmp_path, monkeypatch):

@@ -1,0 +1,138 @@
+"""The Dormand-Prince stepper against scipy's RK45, which it replays.
+
+scipy's solve_ivp(method="RK45", dense_output=True) is the reference: the
+same tableau, step controller and event rule, so dense output, step counts
+and event locations must agree up to rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from photonsurf import (
+    StepControl,
+    StepUnderflowError,
+    build_family,
+    find_photon_spheres,
+)
+from photonsurf.surfaces import ASYMPTOTE_EPS, _dense_eval, _dopri5
+
+STEP = StepControl()
+
+
+def profile_rhs(st, alpha):
+    def rhs(y):
+        fv, dfv = st.metric(y[1])
+        return (alpha * y[1] / fv, y[2], alpha ** 2 * y[1] - 0.5 * dfv)
+    return rhs
+
+
+def geodesic_rhs(st, energy, ell):
+    def rhs(y):
+        r, v = y[1], y[2]
+        fv, dfv = st.metric(r)
+        return (energy / fv, v, (ell ** 2 / r ** 3) * (fv - 0.5 * r * dfv),
+                ell / r ** 2, ell / r)
+    return rhs
+
+
+def radial_events(st, alpha, spheres):
+    events = [(lambda y: y[1] - st.r_lo * (1 + 1e-9), "boundary")]
+    for sp in spheres:
+        if alpha == sp.alpha_star:
+            events.append((lambda y, rs=sp.r_star: (y[1] - rs) ** 2 + y[2] ** 2
+                           - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
+    return events
+
+
+SPACETIMES = {
+    "schwarzschild-n3": dict(family="schwarzschild", n=3, m=1),
+    "schwarzschild-n5": dict(family="schwarzschild", n=5, m=1),
+    "rn-q0.6": dict(family="reissner-nordstrom", m=1, q=0.6),
+    "minkowski": dict(family="minkowski"),
+}
+
+
+def cases(name):
+    """(system, alpha, y0, s_end, expected termination) runs for one spacetime."""
+    st = build_family(**SPACETIMES[name])
+    spheres = find_photon_spheres(st)
+    if not spheres:  # Minkowski: hyperboloid from its waist, both directions
+        alpha = 0.5
+        y0 = (0.0, 1 / alpha, 0.0)
+        return st, spheres, [("profile", alpha, y0, 6.0, "span"),
+                             ("profile", alpha, y0, -6.0, "span"),
+                             ("geodesic", alpha, (0.0, 2.0, 0.0, 0.0, 0.0), 8.0,
+                              "span")]
+    sp = spheres[0]
+    runs = []
+    for alpha, r0, sign, s_end, reason in (
+            (1.5 * sp.alpha_star, 1.5 * sp.r_star, 1, 6.0, "span"),
+            (1.5 * sp.alpha_star, 1.5 * sp.r_star, -1, 50.0, "boundary"),
+            (sp.alpha_star, 0.5 * (st.r_lo + sp.r_star), 1, 200.0,
+             "asymptotic-to-photon-sphere")):
+        fv = st.f(r0)
+        v0 = sign * math.sqrt(alpha ** 2 * r0 ** 2 - fv)
+        runs.append(("profile", alpha, (0.0, r0, v0), s_end, reason))
+        # the geodesic with E/ell = alpha through the same radius, ell = 1
+        vg = sign * math.sqrt(alpha ** 2 - fv / r0 ** 2)
+        runs.append(("geodesic", alpha, (0.0, r0, vg, 0.0, 0.0), s_end * r0,
+                     reason))
+    return st, spheres, runs
+
+
+@pytest.mark.parametrize("name", sorted(SPACETIMES))
+def test_dopri5_matches_scipy_rk45(name):
+    st, spheres, runs = cases(name)
+    for system, alpha, y0, s_end, reason in runs:
+        rhs = profile_rhs(st, alpha) if system == "profile" \
+            else geodesic_rhs(st, alpha, 1.0)
+        events = radial_events(st, alpha, spheres)
+        half = _dopri5(rhs, y0, s_end, STEP, events)
+
+        scipy_events = []
+        for g, _ in events:
+            def ev(s, y, g=g):
+                return g(y)
+            ev.terminal = True
+            scipy_events.append(ev)
+        sol = solve_ivp(lambda s, y: rhs(y), (0.0, s_end), y0, method="RK45",
+                        dense_output=True, rtol=STEP.rtol, atol=STEP.atol,
+                        events=scipy_events)
+        label = f"{name} {system} alpha={alpha:.6g} s_end={s_end}"
+        assert half.reason == reason, label
+
+        s = np.linspace(0.0, half.s_end, 2001)
+        r_new = _dense_eval(half.dense, s)[1]
+        assert np.max(np.abs(r_new - sol.sol(s)[1])) <= 1e-10, label
+
+        # Near a horizon tdot = alpha r / f diverges and the accept/reject
+        # decisions there follow rounding, so infalling runs get 5 %.
+        work_tol = 0.05 if reason == "boundary" else 0.02
+        steps = len(sol.t) - 1
+        assert abs(half.stats.accepted - steps) <= work_tol * steps, label
+        assert abs(half.stats.rhs_evals - sol.nfev) <= work_tol * sol.nfev, label
+        assert half.stats.rhs_evals == 2 + 6 * (half.stats.accepted
+                                                + half.stats.rejected), label
+        if reason == "boundary":
+            assert half.stats.rejected > 0, label
+
+        y_end = _dense_eval(half.dense, np.array([half.s_end]))[:, 0]
+        assert np.max(np.abs(y_end[1:3] - sol.y[1:3, -1])) <= 1e-9, label
+        if reason == "asymptotic-to-photon-sphere":
+            # the orbit creeps onto the sphere at a speed ~ ASYMPTOTE_EPS, so
+            # a 1e-12 difference in r moves the crossing by up to ~1e-5 in s
+            assert abs(half.s_end - sol.t[-1]) <= 1e-4, label
+        else:
+            assert abs(half.s_end - sol.t[-1]) <= 1e-9, label
+
+
+def test_dopri5_blowup_raises_step_underflow():
+    # y' = y^2, y(0) = 1 blows up at s = 1
+    with pytest.raises(StepUnderflowError) as info:
+        _dopri5(lambda y: (y[0] ** 2,), (1.0,), 2.0, STEP, [])
+    s_last, y_last = info.value.last_state
+    assert 0.999 < s_last < 1.0
+    assert y_last[0] > 1e6

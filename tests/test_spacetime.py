@@ -89,6 +89,45 @@ def test_custom_numeric_derivative():
     assert st.fprime(5.0) == pytest.approx(2 / 25, rel=1e-9)
 
 
+def test_metric_profiles_accept_arrays(tmp_path):
+    rs = np.geomspace(2.5, 40.0, 7)
+    table = tmp_path / "prof.csv"
+    table.write_text("r,f\n" + "".join(
+        f"{float(r)!r},{float(1 - 2 / r)!r}\n" for r in np.geomspace(2.2, 60.0, 50)))
+    spacetimes = [
+        build_family("minkowski"),
+        build_family("schwarzschild", n=4, m=1),
+        build_family("reissner-nordstrom", m=1, q=0.6),
+        build_family("schwarzschild-ads", m=1, L=10.0),
+        spacetime_from_table(table),
+        custom_spacetime(lambda r: 1 - 2 / r, n=3, r_lo=2.0, r_hi=100.0),
+        custom_spacetime(lambda r: 1 - 2 * math.exp(-math.log(r)), n=3,
+                         r_lo=2.0, r_hi=100.0,
+                         fprime=lambda r: 2 * math.exp(-2 * math.log(r))),
+        custom_spacetime(lambda r: 1.0, n=2, r_lo=0.0, r_hi=10.0),
+    ]
+    for st in spacetimes:
+        f, df = st.metric(rs)
+        assert np.shape(f) == rs.shape and np.shape(df) == rs.shape
+        scalar = np.array([st.metric(float(r)) for r in rs]).T
+        np.testing.assert_allclose(f, scalar[0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(df, scalar[1], rtol=1e-12, atol=1e-15)
+
+
+def test_math_module_profile_integrates(schw3):
+    from photonsurf import PhotonSurfaceSpec, integrate_profile
+    # Schwarzschild written with scalar-only math functions: the profile is
+    # applied point by point to arrays and gives the built-in curve
+    st = custom_spacetime(lambda r: 1 - 2 * math.exp(-math.log(r)), n=3,
+                          r_lo=2.0, r_hi=math.inf)
+    spec = PhotonSurfaceSpec(alpha=0.15, r0=6.0, sign=1, span=(-2.0, 2.0))
+    curve = integrate_profile(st, spec)
+    reference = integrate_profile(schw3, spec)
+    assert len(curve.s) == len(reference.s)
+    assert np.max(np.abs(curve.r - reference.r)) < 1e-8
+    assert np.max(curve.unit_residual) < 1e-9
+
+
 def test_negative_f_rejected():
     with pytest.raises(InvalidFamilyParamsError):
         custom_spacetime(lambda r: 1 - r, n=3, r_lo=0.5, r_hi=10.0)
@@ -146,6 +185,10 @@ def test_isotropic_round_trip(schw3, schw3_iso):
     for r in (2.5, 3.0, 7.0, 40.0):
         assert back.f(r) == pytest.approx(schw3.f(r), abs=1e-8)
         assert back.fprime(r) == pytest.approx(schw3.fprime(r), abs=1e-6)
+    rs = np.array([2.5, 7.0])
+    f, df = back.metric(rs)
+    assert np.array_equal(f, [back.f(2.5), back.f(7.0)])
+    assert np.array_equal(df, [back.fprime(2.5), back.fprime(7.0)])
 
 
 def test_from_isotropic_incompatible_data():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy.optimize import brentq
 
 from photonsurf import (
     ForbiddenRadiusError,
@@ -40,6 +41,38 @@ def test_reissner_nordstrom_photon_sphere():
     spheres = find_photon_spheres(st)
     assert len(spheres) == 1
     assert spheres[0].r_star == pytest.approx((3 + math.sqrt(7)) / 2, abs=1e-11)
+
+
+def scalar_scan_roots(g, lo, hi, grid=512):
+    """Root scan with g evaluated point by point: the loop the array scan
+    replaced, kept as its reference."""
+    rs = np.geomspace(lo, hi, grid)
+    vals = [g(float(r)) for r in rs]
+    roots = [float(brentq(g, rs[i], rs[i + 1], xtol=1e-13, rtol=8.9e-16))
+             for i in range(grid - 1) if vals[i] * vals[i + 1] < 0]
+    return roots + [float(r) for r, v in zip(rs, vals) if v == 0.0]
+
+
+@pytest.mark.parametrize("family", [
+    dict(family="schwarzschild", n=3, m=1), dict(family="schwarzschild", n=4, m=1),
+    dict(family="schwarzschild", n=5, m=1), dict(family="schwarzschild", n=6, m=1),
+    dict(family="schwarzschild", n=7, m=1),
+    dict(family="reissner-nordstrom", m=1, q=0.6)])
+def test_array_root_scans_match_scalar_loop(family):
+    st = build_family(**family)
+    lo, hi = st.default_bracket()
+    spheres = find_photon_spheres(st)
+    expected = scalar_scan_roots(
+        lambda r: st.fprime(r) * r - 2 * st.f(r), lo, hi)
+    assert len(spheres) == len(expected) == 1
+    assert abs(spheres[0].r_star - expected[0]) <= 1e-12
+    for factor in (0.6, 0.9, 1.3):
+        alpha = factor * spheres[0].alpha_star
+        expected = sorted(scalar_scan_roots(
+            lambda r: alpha ** 2 * r ** 2 - st.f(r), lo, hi))
+        got = turning_points(st, alpha)
+        assert len(got) == len(expected)
+        assert np.max(np.abs(np.array(got) - expected), initial=0.0) <= 1e-12
 
 
 def test_turning_points_subcritical(schw3):
