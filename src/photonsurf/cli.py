@@ -33,11 +33,12 @@ from .geodesics import (
     integrate_null_geodesic,
 )
 from .geometry import verification_suite
-from .spacetime import build_family, conformal_flatness_scan, \
+from .spacetime import _iso_grid, build_family, conformal_flatness_scan, \
     spacetime_from_table, to_isotropic
 from .surfaces import (
     PhotonSurfaceSpec,
     StepControl,
+    _check_span,
     classify,
     find_photon_spheres,
     integrate_profile,
@@ -116,9 +117,12 @@ def _sec_float(sec, key, default=None):
             raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} is required")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} = {raw!r} is not a number")
+    if not math.isfinite(value):
+        raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _sec_floats(sec, key):
@@ -130,6 +134,15 @@ def _sec_floats(sec, key):
         except ValueError:
             raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key}: bad value {tok!r}")
     return vals
+
+
+def _sec_span(sec):
+    span = (_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0))
+    try:
+        _check_span(span)
+    except ValueError as e:
+        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: [{sec.name}] {e}")
+    return span
 
 
 def _sec_sign(sec):
@@ -204,6 +217,7 @@ def cmd_spheres(args, cp):
             for row in rows:
                 print(",".join(fmt(row[k]) for k in ("r_star", "alpha_star", "b_star")))
     if args.out:
+        os.makedirs(args.out, exist_ok=True)
         _write_manifest(args.out, "spheres_manifest.json",
                         {"operation": "spheres",
                          "spacetime": _spacetime_summary(st),
@@ -217,7 +231,7 @@ def _profile_spec(cp, section="profile"):
     sec = cp[section]
     alpha, r0 = _sec_float(sec, "alpha"), _sec_float(sec, "r0")
     t0, sign = _sec_float(sec, "t0", 0.0), _sec_sign(sec)
-    span = (_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0))
+    span = _sec_span(sec)
     try:
         return PhotonSurfaceSpec(alpha=alpha, r0=r0, t0=t0, sign=sign, span=span)
     except ValueError as e:
@@ -287,11 +301,14 @@ def cmd_geodesic(args, cp):
     if "geodesic" not in cp:
         raise SystemExitWith(EXIT_CONFIG, "config is missing a [geodesic] section")
     sec = cp["geodesic"]
-    charges = ConservedCharges(energy=_sec_float(sec, "energy"),
-                               angular_momentum=_sec_float(sec, "ell"))
+    try:
+        charges = ConservedCharges(energy=_sec_float(sec, "energy"),
+                                   angular_momentum=_sec_float(sec, "ell"))
+    except ValueError as e:
+        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: {e}")
     r0 = _sec_float(sec, "r0")
     sign = _sec_sign(sec)
-    span = (_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0))
+    span = _sec_span(sec)
     step = _step_control(cp, "geodesic")
     traj = integrate_null_geodesic(st, charges, r0, sign=sign, span=span, step=step)
 
@@ -328,7 +345,7 @@ def cmd_sweep(args, cp):
     if not alphas or not r0s:
         print("empty sweep grid", file=sys.stderr)
         return EXIT_EMPTY_SWEEP
-    span = (_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0))
+    span = _sec_span(sec)
     step = _step_control(cp, "sweep")
     spheres = find_photon_spheres(st)
 
@@ -441,21 +458,17 @@ def cmd_isotropic(args, cp):
     samples = int(_sec_float(sec, "samples", 256.0)) if sec else 256
     iso = to_isotropic(st, r0=r0)
 
-    import numpy as np
-    s_lo = iso.s_lo if iso.s_lo > 0 else 1e-6
-    s_hi = iso.s_hi if math.isfinite(iso.s_hi) else 100 * max(1.0, s_lo)
-    ss = np.geomspace(s_lo * (1 + 1e-7), s_hi * (1 - 1e-7), samples)
+    ss = _iso_grid(iso, samples)
+    p, dp = iso.psi(ss)
+    nn, dnn = iso.lapse(ss)
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "isotropic.csv")
     with open(csv_path, "w") as fh:
         fh.write("s,r,psi,dpsi_ds,N,dN_ds,log_gap\n")
-        for s in ss:
-            p, dp = iso.psi(s)
-            nn, dnn = iso.lapse(s)
-            fh.write(",".join(fmt(v) for v in (
-                s, s * p, p, dp, nn, dnn, dnn / nn - dp / p)) + "\n")
+        for row in zip(ss, ss * p, p, dp, nn, dnn, dnn / nn - dp / p):
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
     from .geometry import isotropic_sphere_residual
     spheres = find_photon_spheres(st)
@@ -485,6 +498,13 @@ def cmd_isotropic(args, cp):
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _positive_float(raw):
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a finite positive number")
+    return value
+
+
 def _parser():
     ap = argparse.ArgumentParser(
         prog="photonsurf",
@@ -492,11 +512,8 @@ def _parser():
                     "spherically symmetric spacetimes")
     ap.add_argument("--config", required=True, help="INI config file")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="accepted and validated for compatibility; sweeps "
-                         "run serially (env PHOTONSURF_WORKERS overrides)")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    ap.add_argument("--tol", type=float, default=1.0,
+    ap.add_argument("--tol", type=_positive_float, default=1.0,
                     help="verification tolerance scale factor")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("spheres", help="locate photon spheres")
@@ -513,21 +530,6 @@ def _parser():
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-
-    env_workers = os.environ.get("PHOTONSURF_WORKERS")
-    if env_workers is not None:
-        try:
-            args.workers = int(env_workers)
-        except ValueError:
-            print(f"PHOTONSURF_WORKERS = {env_workers!r} is not an integer",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-    # the worker count no longer changes anything (sweeps run serially), but
-    # it is still validated so existing invocations keep their exit codes
-    if args.workers is not None and args.workers < 1:
-        print("worker count must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
     handlers = {"spheres": cmd_spheres, "profile": cmd_profile,
                 "geodesic": cmd_geodesic, "sweep": cmd_sweep,
                 "verify": cmd_verify, "isotropic": cmd_isotropic}

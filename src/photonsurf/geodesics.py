@@ -20,14 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ForbiddenRadiusError, PrincipalNullError
+from .ode import _dense_eval, _invert
 from .spacetime import ClassSSpacetime
 from .surfaces import (
-    CRITICAL_RTOL,
     PhotonSphere,
     ProfileCurve,
     StepControl,
-    _dense_eval,
+    _check_span,
     _integrate_radial,
+    _sample_grid,
+    _snapped_sphere,
     _solve_stats,
     _stitch,
     find_photon_spheres,
@@ -96,12 +98,7 @@ def critical_impact_parameter(st: ClassSSpacetime, sphere: PhotonSphere) -> floa
 def _circular_trajectory(st, charges, r0, span, step):
     E, ell = charges.energy, charges.angular_momentum
     f0 = st.f(r0)
-    lo, hi = span
-    s = np.arange(0.0, hi + 0.5 * step.sample_spacing, step.sample_spacing)
-    if lo < 0:
-        back = -np.arange(step.sample_spacing, -lo + 0.5 * step.sample_spacing,
-                          step.sample_spacing)
-        s = np.concatenate([back[::-1], s])
+    s = _sample_grid(span, step.sample_spacing)
     return NullGeodesicTrajectory(
         s=s, t=E / f0 * s, r=np.full_like(s, r0), phi=ell / r0 ** 2 * s,
         rdot=np.zeros_like(s), arclength=ell / r0 * s, charges=charges,
@@ -122,6 +119,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     span end, interval boundary, or photon-sphere asymptote.
     """
     E, ell = charges.energy, charges.angular_momentum
+    _check_span(span)
     if not st.contains(r0):
         raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
     f0, df0 = st.metric(r0)
@@ -140,12 +138,9 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     accel0 = (ell ** 2 / r0 ** 3) * (f0 - 0.5 * r0 * df0)
     if abs(disc) <= 1e-12 * E ** 2 and abs(accel0) <= 1e-12 * E ** 2 / r0:
         return _circular_trajectory(st, charges, r0, span, step)
-    if ell > 0:
-        alpha = E / ell
-        for sp in spheres:
-            if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star \
-                    and abs(r0 - sp.r_star) <= 1e-9 * sp.r_star:
-                return _circular_trajectory(st, charges, sp.r_star, span, step)
+    sp = _snapped_sphere(spheres, E / ell, r0) if ell > 0 else None
+    if sp is not None:
+        return _circular_trajectory(st, charges, sp.r_star, span, step)
     if sign == 0 and disc > 1e-12 * E ** 2:
         raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
 
@@ -175,25 +170,8 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
 
 def _s_of_sigma(half, sigma, ell):
     """Affine parameters where the induced arclength (y[4]) takes the values
-    ``sigma`` on one half-line, by Newton with d(sigma)/ds = ell / r.
-
-    sigma is strictly monotone in s, so the starting guess interpolates it
-    linearly between the step nodes.
-    """
-    T, _, Y, _ = half.dense
-    s_nodes = np.append(T, half.s_end)
-    sig_nodes = np.append(Y[:, 4], _dense_eval(half.dense, s_nodes[-1:])[4])
-    d = 1.0 if half.s_end > 0 else -1.0
-    s = np.interp(d * sigma, d * sig_nodes, s_nodes)
-    lo, hi = min(0.0, half.s_end), max(0.0, half.s_end)
-    for _ in range(80):
-        y = _dense_eval(half.dense, s)
-        s_new = np.clip(s - (y[4] - sigma) * y[1] / ell, lo, hi)
-        moved = np.abs(s_new - s)
-        s = s_new
-        if np.all(moved <= 1e-14 * np.maximum(1.0, np.abs(s))):
-            break
-    return s
+    ``sigma`` on one half-line; d(sigma)/ds = ell / r."""
+    return _invert(half, 4, sigma, lambda y: ell / y[1])
 
 
 def generated_surface_profile(traj: NullGeodesicTrajectory,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IdentityNotApplicableError, MinimalSphereError
-from .spacetime import ClassSSpacetime, IsotropicForm
+from .spacetime import ClassSSpacetime, IsotropicForm, _array_callable
 from .surfaces import ProfileCurve
 
 __all__ = [
@@ -263,16 +263,15 @@ def isotropic_surface_residual(iso: IsotropicForm, samples) -> float:
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 1 or samples.shape[1] != 4:
         raise DomainError("need >= 1 sample row of the form (t, S, Sdot, Sddot)")
-    worst = 0.0
-    for _, S, Sdot, Sddot in samples:
-        if not iso.contains(S):
-            raise DomainError(f"S = {S:.6g} outside isotropic interval")
-        p, dp = iso.psi(S)
-        nn, dnn = iso.lapse(S)
-        lhs = (1.0 + dp / p * S) * (nn ** 2 - p ** 2 * Sdot ** 2)
-        rhs = S * dnn * nn + S * p ** 2 * (Sddot + (dp / p - 2 * dnn / nn) * Sdot ** 2)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    _, S, Sdot, Sddot = samples.T
+    outside = ~((iso.s_lo < S) & (S < iso.s_hi))
+    if np.any(outside):
+        raise DomainError(f"S = {S[outside][0]:.6g} outside isotropic interval")
+    p, dp = _array_callable(iso.psi, S[:2])(S)
+    nn, dnn = _array_callable(iso.lapse, S[:2])(S)
+    lhs = (1.0 + dp / p * S) * (nn ** 2 - p ** 2 * Sdot ** 2)
+    rhs = S * dnn * nn + S * p ** 2 * (Sddot + (dp / p - 2 * dnn / nn) * Sdot ** 2)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def isotropic_profile_samples(iso: IsotropicForm, curve: ProfileCurve,

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -24,6 +22,7 @@ from .errors import (
     InvalidFamilyParamsError,
     UnknownFamilyError,
 )
+from .ode import StepControl, _dense_eval, _dopri5, _invert
 
 __all__ = [
     "MetricProfile",
@@ -185,12 +184,20 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         if q ** 2 > m ** 2:
             flags = ("super-extremal",)
             rplus = 0.0
+
+            def fval(r, m=m, q=q):
+                return 1 - 2 * m / r + q ** 2 / r ** 2
         else:
-            rplus = m + math.sqrt(m ** 2 - q ** 2)
+            root = math.sqrt(m ** 2 - q ** 2)
+            rplus = m + root
+
+            def fval(r, rp=rplus, rm=m - root):
+                # factored, f keeps its relative precision next to r_+
+                return (r - rp) * (r - rm) / r ** 2
         lo = rplus if r_lo is None else float(r_lo)
 
         def evaluate(r, m=m, q=q):
-            return 1 - 2 * m / r + q ** 2 / r ** 2, 2 * m / r ** 2 - 2 * q ** 2 / r ** 3
+            return fval(r), 2 * m / r ** 2 - 2 * q ** 2 / r ** 3
 
         metric = MetricProfile(evaluate, "reissner-nordstrom: f = 1 - 2m/r + q^2/r^2")
         st = ClassSSpacetime(n, lo, r_hi, metric, "reissner-nordstrom",
@@ -261,10 +268,12 @@ def _pointwise(fn):
 
 
 def _array_callable(fn, probe):
-    """``fn`` if it maps the 1-D array ``probe`` to an array of its shape,
-    otherwise its pointwise extension."""
+    """``fn`` if it maps the 1-D array ``probe`` to an array of its shape (or
+    to a tuple of such arrays), otherwise its pointwise extension."""
     try:
-        ok = np.shape(fn(probe)) == probe.shape
+        out = fn(probe)
+        ok = all(np.shape(v) == probe.shape
+                 for v in (out if isinstance(out, tuple) else (out,)))
     except (TypeError, ValueError):  # e.g. math functions, `if r < x` tests
         ok = False
     return fn if ok else _pointwise(fn)
@@ -306,9 +315,11 @@ def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
 class IsotropicForm:
     """Conformally flat form -Ntilde^2 dt^2 + psi^2 delta on s in (s_lo, s_hi).
 
-    ``psi`` and ``lapse`` map s to (value, d/ds). When the form was produced
-    by :func:`to_isotropic`, the coordinate maps ``s_of_r``/``r_of_s`` and the
-    source spacetime are attached.
+    ``psi`` and ``lapse`` map s to (value, d/ds); the consumers here call
+    them with 1-D arrays when they accept arrays and point by point
+    otherwise. When the form was produced by :func:`to_isotropic`, the
+    coordinate maps ``s_of_r``/``r_of_s`` and the source spacetime are
+    attached.
     """
 
     s_lo: float
@@ -330,198 +341,114 @@ class IsotropicForm:
         return dnn / nn - dp / p
 
 
-def _quad(func, a, b, **kw):
-    """Adaptive quadrature with roundoff-level accuracy warnings silenced.
-
-    Tolerances are requested near machine precision on purpose; QUADPACK
-    then reports that the extrapolation table is roundoff limited, which is
-    the expected best case, not a failure.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(func, a, b, **kw)
+ISO_R_CAP = 1e16  # where the map stops for r_hi = inf, in units of max(1, r0)
+# the absolute error of u = log(s/C) is the relative error of s
+_ISO_STEP = StepControl(rtol=1e-14, atol=1e-14)
 
 
-def _schwarzschild_iso_radius(r: float, m: float, n: int) -> float:
-    """Solve r = s * (1 + m/(2 s^(n-2)))^(2/(n-2)) for s (m > 0, exterior)."""
-    p = n - 2
-    sm = (m / 2) ** (1 / p)
-
-    def g(s):
-        return s * (1 + m / (2 * s ** p)) ** (2 / p) - r
-
-    hi = max(r, 2 * sm)
-    while g(hi) < 0:
-        hi *= 2
-    return brentq(g, sm * (1 + 1e-14), hi, xtol=1e-15, rtol=8.9e-16)
+def _check_range(name, x, lo, hi):
+    bad = ~((lo <= x) & (x <= hi))
+    if np.any(bad):
+        raise DomainError(f"{name} = {x[bad][0]:.6g} outside the solved range "
+                          f"[{lo:.6g}, {hi:.6g}] of the isotropic map")
 
 
 def to_isotropic(st: ClassSSpacetime, r0: float,
-                 normalization: float | None = None,
-                 quad_tol: float = 1e-12) -> IsotropicForm:
+                 normalization: float | None = None) -> IsotropicForm:
     """Rewrite a class-S spacetime in isotropic form around base radius r0.
 
-    The isotropic radius is s(r) = C exp(int_{r0}^{r} (rho sqrt(f))^{-1} drho)
-    with psi(s) = r(s)/s and lapse sqrt(f(r(s))). The multiplicative constant
-    C is calibrated against the closed-form Schwarzschild transformation when
-    the family is Schwarzschild with m > 0, and defaults to s(r0) = r0
-    otherwise (pass ``normalization`` to override).
+    s(r) = C exp(u), du/dr = 1/(r sqrt(f)), u(r0) = 0; psi(s) = r(s)/s and
+    lapse sqrt(f(r(s))). C is ``normalization``, else the closed-form
+    Schwarzschild s(r0) for Schwarzschild with m > 0, else r0. The four maps
+    take floats or 1-D arrays and raise DomainError outside the solved
+    range; the README describes the solve.
     """
-    if not (st.r_lo <= r0 <= st.r_hi):
-        raise DomainError(f"r0 = {r0:.6g} outside closure of ({st.r_lo:.6g}, {st.r_hi})")
-    if r0 <= st.r_lo:
-        r0 = st.r_lo * (1 + 1e-9)
+    r_lo = st.r_lo
+    r0 = r_lo * (1 + 1e-9) if r0 == r_lo else r0
+    f_lo, df_lo = st.metric(r_lo) if r_lo > 0 else (0.0, 0.0)
+    to_zero = r_lo > 0 and (f_lo > 1e-10 or df_lo > 0)  # else u -> -inf at r_lo
+    # at a simple zero of f, du/dw -> 2/(r_lo sqrt(f'(r_lo))) as w -> 0: the
+    # limit is used below a w scaled by the length r_lo min(1, r_lo f') of f'
+    w_reg, limit = (1e-4 * math.sqrt(r_lo * min(1.0, r_lo * df_lo)),
+                    2 / (r_lo * math.sqrt(df_lo))) \
+        if to_zero and f_lo <= 1e-10 else (0.0, 0.0)
+    r_bot = r_lo if to_zero else st.default_bracket()[0]
+    r_top = st.r_hi * (1 - 1e-12) if math.isfinite(st.r_hi) \
+        else ISO_R_CAP * max(1.0, r0)
+    if not r_bot < r0 < r_top:
+        raise DomainError(f"r0 = {r0:.6g} outside the solved range "
+                          f"({r_bot:.6g}, {r_top:.6g})")
+    w_bot, w0, w_top = (math.sqrt(r - r_lo) for r in (r_bot, r0, r_top))
+    evaluate = st.metric.evaluate
 
-    def integrand(rho):
-        fv = st.f(rho)
-        if fv <= 0:
-            raise DomainError(f"f <= 0 at r = {rho:.6g} in integration range")
-        return 1.0 / (rho * math.sqrt(fv))
+    def rhs(y):  # y = (w, u)
+        w = y[0]
+        r = r_lo + w * w
+        return 1.0, limit if w <= w_reg else 2 * w / (r * math.sqrt(evaluate(r)[0]))
 
-    def u_of_r(r):
-        # log of the unnormalized isotropic radius
-        if r == r0:
-            return 0.0
-        val, _ = _quad(integrand, r0, r, epsabs=1e-14, epsrel=quad_tol, limit=300)
-        return val
+    def slope(y):  # du/dw on arrays
+        w = np.maximum(y[0], w_reg)
+        r = r_lo + w * w
+        return np.where(y[0] <= w_reg, limit, 2 * w / (r * np.sqrt(st.f(r))))
 
+    up = _dopri5(rhs, (w0, 0.0), w_top - w0, _ISO_STEP, [])
+    down = _dopri5(rhs, (w0, 0.0), w_bot - w0, _ISO_STEP, [])
+    u_bot, u_top = (float(_dense_eval(h.dense, np.array([h.s_end]))[1, 0])
+                    for h in (down, up))
     if normalization is not None:
         const = float(normalization)
-    elif st.family == "schwarzschild" and st.params.get("m", 0) > 0:
-        const = _schwarzschild_iso_radius(r0, st.params["m"], st.n)
+    elif st.family == "schwarzschild" and st.params["m"] > 0:
+        p = st.n - 2  # exterior root of r0 = s (1 + m/(2 s^p))^(2/p)
+        const = ((r0 ** (p / 2) + math.sqrt(r0 ** p - 2 * st.params["m"])) / 2) ** (2 / p)
     else:
         const = r0
-    log_const = math.log(const)
 
-    # monotone guide grid for the inverse map
-    lo, hi = st.default_bracket()
-    lo = max(lo, st.r_lo * (1 + 1e-8)) if st.r_lo > 0 else lo
-    hi = min(st.r_hi, max(hi, 10 * r0, 100.0))
-    grid_r = np.geomspace(lo, hi, 240)
-    if not np.any(np.isclose(grid_r, r0)):
-        grid_r = np.sort(np.append(grid_r, r0))
-    # cumulative integral between neighbours (cheap, smooth panels)
-    grid_u = np.empty_like(grid_r)
-    i0 = int(np.argmin(np.abs(grid_r - r0)))
-    grid_u[i0] = u_of_r(grid_r[i0])
-    for i in range(i0 + 1, len(grid_r)):
-        inc, _ = _quad(integrand, grid_r[i - 1], grid_r[i],
-                      epsabs=1e-14, epsrel=quad_tol, limit=200)
-        grid_u[i] = grid_u[i - 1] + inc
-    for i in range(i0 - 1, -1, -1):
-        inc, _ = _quad(integrand, grid_r[i], grid_r[i + 1],
-                      epsabs=1e-14, epsrel=quad_tol, limit=200)
-        grid_u[i] = grid_u[i + 1] - inc
-    guess_r = PchipInterpolator(grid_u, np.log(grid_r))
+    def by_half(x, fn):
+        # fn(half, x) on the half-line holding each x: the upper one for x >= 0
+        out = np.empty_like(x)
+        fwd = x >= 0
+        out[fwd], out[~fwd] = fn(up, x[fwd]), fn(down, x[~fwd])
+        return out
 
     def s_of_r(r):
         r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return const * math.exp(u_of_r(float(r)))
-        order = np.argsort(r)
-        rs = r[order]
-        us = np.empty_like(rs)
-        us[0] = u_of_r(rs[0])
-        for i in range(1, len(rs)):
-            if rs[i] == rs[i - 1]:
-                us[i] = us[i - 1]
-                continue
-            inc, _ = _quad(integrand, rs[i - 1], rs[i],
-                          epsabs=1e-14, epsrel=quad_tol, limit=200)
-            us[i] = us[i - 1] + inc
-        out = np.empty_like(us)
-        out[order] = const * np.exp(us)
-        return out
+        _check_range("r", r, r_bot, r_top)
+        return const * np.exp(by_half(np.sqrt(r - r_lo) - w0,
+                                      lambda h, t: _dense_eval(h.dense, t)[1]))
 
     def r_of_s(s):
-        s_arr = np.asarray(s, dtype=float)
-        scalar = s_arr.ndim == 0
-
-        def solve_one(sv):
-            target = math.log(sv) - log_const
-            r = float(np.exp(guess_r(np.clip(target, grid_u[0], grid_u[-1]))))
-            # Newton on u(r) - target with u' = 1/(r sqrt(f))
-            for _ in range(60):
-                resid = u_of_r(r) - target
-                step = -resid * r * math.sqrt(st.f(r))
-                if r + step <= st.r_lo:
-                    step = (st.r_lo * (1 + 1e-13) - r)
-                r += step
-                if abs(step) <= 1e-15 * max(1.0, abs(r)):
-                    break
-            return r
-
-        if scalar:
-            return solve_one(float(s_arr))
-        return np.array([solve_one(sv) for sv in s_arr.ravel()]).reshape(s_arr.shape)
+        s = np.asarray(s, dtype=float)
+        _check_range("s", s, const * math.exp(u_bot), const * math.exp(u_top))
+        t = by_half(np.log(s / const), lambda h, u: _invert(h, 1, u, slope))
+        return r_lo + (w0 + t) ** 2
 
     def psi(s):
         r = r_of_s(s)
-        fv = st.f(r)
-        sq = math.sqrt(fv)
-        return r / s, r * (sq - 1.0) / s ** 2
+        return r / s, r * (np.sqrt(st.f(r)) - 1.0) / s ** 2
 
     def lapse(s):
         r = r_of_s(s)
         fv, dfv = st.metric(r)
-        return math.sqrt(fv), dfv * r / (2 * s)
+        return np.sqrt(fv), dfv * r / (2 * s)
 
-    # interval endpoints in s
-    if st.r_lo > 0:
-        a = grid_r[0]
-        f_lo, df_lo = st.metric(st.r_lo)
-        if f_lo > 1e-10:
-            # no degeneration at the boundary: plain integral
-            tail, _ = _quad(integrand, st.r_lo, a,
-                           epsabs=1e-13, epsrel=quad_tol, limit=300)
-            s_lo = const * math.exp(grid_u[0] - tail)
-        elif df_lo > 0:
-            # integrable sqrt-singularity at a simple zero of f: substitute
-            # rho = r_lo + w^2 so the integrand is regular at w = 0
-            w_reg = 1e-7 * math.sqrt(a - st.r_lo)
-            limit_val = 2.0 / (st.r_lo * math.sqrt(df_lo))
-
-            def sub_integrand(w):
-                if w <= w_reg:
-                    return limit_val
-                rho = st.r_lo + w * w
-                fv = st.f(rho)
-                return 2 * w / (rho * math.sqrt(fv)) if fv > 0 else limit_val
-
-            try:
-                tail, _ = _quad(sub_integrand, 0.0, math.sqrt(a - st.r_lo),
-                                epsabs=1e-13, epsrel=quad_tol, limit=300)
-                s_lo = const * math.exp(grid_u[0] - tail) \
-                    if math.isfinite(tail) else 0.0
-            except Exception:
-                s_lo = 0.0
-        else:
-            s_lo = 0.0
-    else:
-        s_lo = 0.0
+    s_lo = const * math.exp(u_bot) if to_zero else 0.0
+    s_hi = const * math.exp(u_top)
     if math.isinf(st.r_hi):
-        # s ~ r when f -> const > 0 (integrand ~ 1/rho, divergent tail);
-        # when f grows, the tail converges and s_hi is finite
-        big = 1e8 * grid_r[-1]
-        if big * integrand(big) > 1e-3:
-            s_hi = math.inf
-        else:
-            try:
-                tail, _ = _quad(integrand, grid_r[-1], np.inf,
-                               epsabs=1e-13, epsrel=quad_tol, limit=300)
-                s_hi = const * math.exp(grid_u[-1] + tail) \
-                    if math.isfinite(tail) else math.inf
-            except Exception:
-                s_hi = math.inf
-    else:
-        s_hi = float(s_of_r(st.r_hi * (1 - 1e-12)))
-
+        # the rest of the integral, as for a power law f ~ r^k beyond r_top
+        f_top, df_top = st.metric(r_top)
+        tail = 2 * math.sqrt(f_top) / (r_top * df_top) if df_top > 0 else math.inf
+        s_hi = s_hi * math.exp(tail) if tail < 1e-3 else math.inf
     return IsotropicForm(s_lo, s_hi, psi, lapse, source=st, r0=r0,
                          s_of_r=s_of_r, r_of_s=r_of_s)
 
 
 def _iso_grid(iso: IsotropicForm, num: int) -> np.ndarray:
-    lo = iso.s_lo if iso.s_lo > 0 else 1e-6
+    lo = iso.s_lo
+    if lo <= 0:
+        lo = 1e-6
+        if iso.source is not None and iso.s_of_r is not None:
+            # to_isotropic solves s(r) down to the scan bracket only
+            lo = max(lo, float(iso.s_of_r(iso.source.default_bracket()[0])))
     lo *= 1 + 1e-7
     hi = iso.s_hi if math.isfinite(iso.s_hi) else max(100.0, 100 * lo)
     hi *= 1 - 1e-7
@@ -536,19 +463,16 @@ def from_isotropic(iso: IsotropicForm, samples: int = 512,
     interval; then r(s) = s psi(s) and f(r) = Ntilde(s(r))^2.
     """
     ss = _iso_grid(iso, samples)
-    worst_s, worst_res = None, 0.0
-    rs = np.empty_like(ss)
-    for i, s in enumerate(ss):
-        p, dp = iso.psi(s)
-        nn, _ = iso.lapse(s)
-        res = abs(nn - (1.0 + s * dp / p))
-        if res > worst_res:
-            worst_res, worst_s = res, s
-        rs[i] = s * p
-    if worst_res > tol:
+    p, dp = _array_callable(iso.psi, ss[:2])(ss)
+    nn, _ = _array_callable(iso.lapse, ss[:2])(ss)
+    res = np.abs(nn - (1.0 + ss * dp / p))
+    worst = int(np.argmax(res))
+    if res[worst] > tol:
         raise CompatibilityError(
             f"compatibility condition violated: |Ntilde - (1 + s psi'/psi)| = "
-            f"{worst_res:.3e} at s = {worst_s:.6g}", worst_s, worst_res)
+            f"{res[worst]:.3e} at s = {ss[worst]:.6g}", float(ss[worst]),
+            float(res[worst]))
+    rs = ss * p
     if np.any(np.diff(rs) <= 0):
         raise CompatibilityError("r(s) = s psi(s) is not strictly increasing")
 
@@ -592,7 +516,7 @@ def conformal_flatness_scan(iso: IsotropicForm, grid: int = 512,
     if not (iso.s_lo < iso.s_hi):
         return []
     ss = _iso_grid(iso, grid)
-    flat = np.array([abs(iso.log_derivative_gap(s)) < tol for s in ss])
+    flat = np.abs(_array_callable(iso.log_derivative_gap, ss[:2])(ss)) < tol
     intervals = []
     i = 0
     while i < len(ss):

@@ -17,12 +17,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ForbiddenRadiusError, StepUnderflowError
+from .errors import ForbiddenRadiusError
+from .ode import SolveStats, StepControl, _dense_eval, _dopri5
 from .spacetime import ClassSSpacetime
 
 __all__ = [
@@ -50,6 +50,12 @@ CRITICAL_RTOL = 1e-8
 ASYMPTOTE_EPS = 1e-5
 
 
+def _check_span(span) -> None:
+    """Raise ValueError unless span = (lo, hi) has lo <= 0 <= hi and lo < hi."""
+    if not span[0] <= 0 <= span[1] or span[0] == span[1]:
+        raise ValueError("arclength span must contain 0 and have positive length")
+
+
 @dataclass(frozen=True)
 class PhotonSurfaceSpec:
     """Initial data for one spherically symmetric photon surface."""
@@ -61,31 +67,11 @@ class PhotonSurfaceSpec:
     span: tuple[float, float] = (0.0, 10.0)
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # also rejects nan
             raise ValueError("umbilicity factor alpha must be positive")
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.span[0] > 0 or self.span[1] < 0:
-            raise ValueError("arclength span must contain 0")
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Adaptive step control and output sampling for the integrators."""
-
-    rtol: float = 1e-12
-    atol: float = 1e-13
-    sample_spacing: float = 1e-2
-    max_step: float = math.inf
-
-
-@dataclass(frozen=True)
-class SolveStats:
-    """Work of one adaptive half-line solve: steps and right-hand side calls."""
-
-    accepted: int
-    rejected: int
-    rhs_evals: int
+        _check_span(self.span)
 
 
 @dataclass
@@ -142,6 +128,21 @@ class SurfaceClass:
     turning_radii: tuple[float, ...]
     regions: tuple[str, ...]  # position of r0 relative to each photon sphere
     spheres: tuple[PhotonSphere, ...]
+
+
+def _snapped_sphere(spheres, alpha, r0=None):
+    """The photon sphere whose factor alpha_* matches ``alpha`` within
+    CRITICAL_RTOL and, when ``r0`` is given, whose radius matches ``r0``
+    within 1e-9 relative; None when there is none.
+
+    Data in this band is critical: its surface is asymptotic to the sphere,
+    or is the sphere itself when r0 matches too.
+    """
+    for sp in spheres:
+        if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star and (
+                r0 is None or abs(r0 - sp.r_star) <= 1e-9 * sp.r_star):
+            return sp
+    return None
 
 
 def _scan_roots(g, lo, hi, grid):
@@ -219,174 +220,6 @@ def _sample_grid(span, spacing):
     return np.concatenate([bwd[::-1], fwd])
 
 
-# Dormand-Prince 5(4) tableau with the continuous extension of scipy's RK45
-# (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6).
-# Stage 2 enters only stages 3-6: B, E and _P skip it.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
-_P = np.array([  # rows: stages 1, 3, 4, 5, 6, 7
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
-# step controller of scipy's RK45
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
-_EVENT_TOL = 4 * np.finfo(float).eps
-
-
-class _HalfLine(NamedTuple):
-    """One solve from s = 0 to s_end: dense output (T, H, Y, Q) per step."""
-
-    dense: tuple
-    s_end: float
-    reason: str
-    stats: SolveStats
-
-
-def _dense_arrays(ts, hs, ys, ks):
-    """(T, H, Y, Q): step starts, signed steps, start states, interpolant
-    coefficients Q[i, component, power - 1]. ``ks`` holds each step's stages
-    1, 3, 4, 5, 6 and 7, concatenated."""
-    K = np.array(ks).reshape(len(ks), 6, -1)
-    # explicit sums in a fixed order keep every step's bits independent of
-    # the number of steps
-    Q = K[:, 0, :, None] * _P[0]
-    for i in range(1, 6):
-        Q = Q + K[:, i, :, None] * _P[i]
-    return np.array(ts), np.array(hs), np.array(ys), Q
-
-
-def _dense_eval(dense, s):
-    """States (n, len(s)) of a dense output at the points s.
-
-    A point on a step boundary is taken from the step that ends there, as
-    scipy's OdeSolution does.
-    """
-    T, H, Y, Q = dense
-    direction = 1.0 if H[0] > 0 else -1.0
-    i = np.clip(np.searchsorted(direction * T, direction * s) - 1, 0, len(T) - 1)
-    x = ((s - T[i]) / H[i])[:, None]
-    q = Q[i]
-    poly = x * (q[:, :, 0] + x * (q[:, :, 1] + x * (q[:, :, 2] + x * q[:, :, 3])))
-    return (Y[i] + H[i, None] * poly).T
-
-
-def _rms(xs, scale):
-    return math.sqrt(sum((x / sc) ** 2 for x, sc in zip(xs, scale))) / len(xs) ** 0.5
-
-
-def _dopri5(rhs, y0, s_end, step, events):
-    """Adaptive Dormand-Prince 5(4) solve of y' = rhs(y) from s = 0 to s_end.
-
-    Replays scipy's RK45 on Python floats: the same initial step selection,
-    step controller and 10-ulp underflow test. ``events`` are (g(y), tag)
-    pairs; the solve stops at the first root of any g bracketed by a sign
-    change between accepted steps, located by brentq on the dense output.
-    """
-    rtol, atol = step.rtol, step.atol
-    direction = 1.0 if s_end > 0 else -1.0
-    length = abs(s_end)
-    t, y = 0.0, [float(v) for v in y0]
-    f = rhs(y)
-
-    # initial step (Hairer, Norsett & Wanner II.4; scipy select_initial_step)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0, d1 = _rms(y, scale), _rms(f, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    f1 = rhs([v + h0 * direction * fv for v, fv in zip(y, f)])
-    d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, length, step.max_step)
-
-    nfev, rejected = 2, 0
-    g = [ev(y) for ev, _ in events]
-    ts, hs, ys, ks = [], [], [], []
-    reason = "span"
-    while direction * (t - s_end) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(max(h_abs, min_step), step.max_step)
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                raise StepUnderflowError(
-                    f"step-size underflow at s = {t:.6g}: required step size "
-                    "is less than spacing between numbers",
-                    last_state=(t, tuple(y)))
-            t_new = t + h_abs * direction
-            if direction * (t_new - s_end) > 0:
-                t_new = s_end
-            h = t_new - t
-            h_abs = abs(h)
-            k1 = f
-            k2 = rhs([v + (_A21 * a) * h for v, a in zip(y, k1)])
-            k3 = rhs([v + (_A31 * a + _A32 * b) * h
-                      for v, a, b in zip(y, k1, k2)])
-            k4 = rhs([v + (_A41 * a + _A42 * b + _A43 * c) * h
-                      for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                      for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                      for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
-                     for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(y_new)
-            nfev += 6
-            error_norm = _rms(
-                [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h
-                 for a, c, d, e, p, q in zip(k1, k3, k4, k5, k6, k7)],
-                [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)])
-            if error_norm < 1:
-                factor = _MAX_FACTOR if error_norm == 0 else \
-                    min(_MAX_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
-                if step_rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
-            step_rejected = True
-            rejected += 1
-
-        ts.append(t)
-        hs.append(h)
-        ys.append(y)
-        ks.append((*k1, *k3, *k4, *k5, *k6, *k7))
-        t_old, t, y, f = t, t_new, y_new, k7
-        if events:
-            g_new = [ev(y) for ev, _ in events]
-            active = [i for i, (a, b) in enumerate(zip(g, g_new))
-                      if (a <= 0 <= b) or (b <= 0 <= a)]
-            if active:
-                last = _dense_arrays(ts[-1:], hs[-1:], ys[-1:], ks[-1:])
-                hits = []
-                for i in active:
-                    ev = events[i][0]
-                    hits.append((brentq(
-                        lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
-                        t_old, t, xtol=_EVENT_TOL, rtol=_EVENT_TOL), i))
-                t, i = min(hits, key=lambda hit: direction * hit[0])
-                reason = events[i][1]
-                break
-            g = g_new
-
-    stats = SolveStats(accepted=len(ts), rejected=rejected, rhs_evals=nfev)
-    return _HalfLine(_dense_arrays(ts, hs, ys, ks), t, reason, stats)
 
 
 def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
@@ -403,12 +236,10 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
     if math.isfinite(st.r_hi):
         r_stop_hi = st.r_hi * (1 - 1e-9)
         events.append((lambda y: r_stop_hi - y[1], "boundary"))
-    if alpha is not None:
-        for sp in spheres:
-            if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star:
-                events.append((lambda y, r_star=sp.r_star: (y[1] - r_star) ** 2
-                               + y[2] ** 2 - ASYMPTOTE_EPS ** 2,
-                               "asymptotic-to-photon-sphere"))
+    sp = _snapped_sphere(spheres, alpha) if alpha is not None else None
+    if sp is not None:
+        events.append((lambda y: (y[1] - sp.r_star) ** 2 + y[2] ** 2
+                       - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
 
     s_lo, s_hi = span
     fwd = _dopri5(rhs, y0, s_hi, step, events) if s_hi > 0 else None
@@ -473,10 +304,9 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
     # data cannot be meaningfully integrated over long spans)
     if abs(disc) <= 1e-12 * scale and abs(df0 * spec.r0 - 2 * f0) <= 1e-9:
         return _constant_curve(st, spec, step, spec.r0)
-    for sp in spheres:
-        if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star \
-                and abs(spec.r0 - sp.r_star) <= 1e-9 * sp.r_star:
-            return _constant_curve(st, spec, step, sp.r_star)
+    sp = _snapped_sphere(spheres, alpha, spec.r0)
+    if sp is not None:
+        return _constant_curve(st, spec, step, sp.r_star)
 
     if spec.sign == 0 and disc > 1e-12 * scale:
         raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
@@ -555,14 +385,13 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float,
 
     if not spheres:
         kind = SurfaceKind.NO_SPHERE_REFERENCE
+    elif _snapped_sphere(spheres, alpha, r0) is not None:
+        kind = SurfaceKind.PHOTON_SPHERE
+    elif _snapped_sphere(spheres, alpha) is not None:
+        kind = SurfaceKind.CRITICAL
     else:
         nearest = min(spheres, key=lambda sp: abs(alpha - sp.alpha_star))
-        if abs(alpha - nearest.alpha_star) <= CRITICAL_RTOL * nearest.alpha_star:
-            if abs(r0 - nearest.r_star) <= 1e-9 * nearest.r_star:
-                kind = SurfaceKind.PHOTON_SPHERE
-            else:
-                kind = SurfaceKind.CRITICAL
-        elif alpha < nearest.alpha_star:
+        if alpha < nearest.alpha_star:
             kind = SurfaceKind.SUBCRITICAL
         else:
             kind = SurfaceKind.SUPERCRITICAL

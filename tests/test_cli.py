@@ -281,14 +281,6 @@ span_hi = 2
             (tmp_path / "small" / in_small).read_bytes()
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "c.ini", SWEEP)
-    monkeypatch.setenv("PHOTONSURF_WORKERS", "1")
-    assert main(["--config", cfg, "--out", str(tmp_path / "sw"), "sweep"]) == 0
-    monkeypatch.setenv("PHOTONSURF_WORKERS", "zero")
-    assert main(["--config", cfg, "sweep"]) == 2
-
-
 def test_verify_schwarzschild_n5(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.ini",
                        "[spacetime]\nfamily = schwarzschild\nn = 5\nm = 1\n")
@@ -334,3 +326,78 @@ def test_isotropic_outputs(tmp_path, capsys):
     assert manifest["conformally_flat_intervals"] == []
     header = (out / "isotropic.csv").read_text().splitlines()[0]
     assert header == "s,r,psi,dpsi_ds,N,dN_ds,log_gap"
+
+
+@pytest.mark.parametrize("spacetime, s_hi", [
+    ("family = schwarzschild-ads\nm = 1\nL = 10", 22.957006764602625),
+    ("family = schwarzschild-ads\nm = 0\nL = 10", None),
+    ("family = reissner-nordstrom\nm = 1\nq = 1", None),  # extremal
+    ("family = reissner-nordstrom\nm = 1\nq = 1.2", None),  # super-extremal
+], ids=["sads", "sads-m0", "rn-extremal", "rn-super-extremal"])
+def test_isotropic_csv_finite(tmp_path, spacetime, s_hi):
+    cfg = write_config(tmp_path / "c.ini",
+                       f"[spacetime]\n{spacetime}\n[isotropic]\nr0 = 5\n")
+    out = tmp_path / "iso"
+    assert main(["--config", cfg, "--out", str(out), "isotropic"]) == 0
+    rows = np.loadtxt(out / "isotropic.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (256, 7)
+    assert np.all(np.isfinite(rows))
+    if s_hi is not None:
+        manifest = json.loads((out / "isotropic_manifest.json").read_text())
+        assert manifest["s_hi"] == pytest.approx(s_hi, rel=1e-10)
+
+
+def test_spheres_out_creates_directory(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", SCHW)
+    out = tmp_path / "new" / "dir"
+    assert main(["--config", cfg, "--out", str(out), "spheres"]) == 0
+    manifest = json.loads((out / "spheres_manifest.json").read_text())
+    assert manifest["spheres"][0]["r_star"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("energy, ell", [(-1, 1), (0, 1), (0.3, -1)])
+def test_geodesic_bad_charges_exit_3(tmp_path, capsys, energy, ell):
+    cfg = write_config(tmp_path / "c.ini", SCHW + f"""
+[geodesic]
+energy = {energy}
+ell = {ell}
+r0 = 4
+""")
+    assert main(["--config", cfg, "--out", str(tmp_path / "g"), "geodesic"]) == 3
+    assert "invalid spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, body", [
+    ("profile", "alpha = 0.15\nr0 = 6\n"),
+    ("geodesic", "energy = 0.3\nell = 1\nr0 = 4\n"),
+    ("sweep", "alphas = 0.15\nr0s = 6\n"),
+])
+def test_zero_length_span_exits_3(tmp_path, capsys, section, body):
+    cfg = write_config(tmp_path / "c.ini", SCHW + f"""
+[{section}]
+{body}span_lo = 0
+span_hi = 0
+""")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), section]) == 3
+    assert "positive length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tol_exits_2(tmp_path, tol):
+    cfg = write_config(tmp_path / "c.ini", SCHW)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--tol", tol, "verify"])
+    assert exc.value.code == 2
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", SCHW + "[profile]\nalpha = nan\nr0 = 6\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "p"), "profile"]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_workers_option_removed(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--workers", "2", "sweep"])
+    assert exc.value.code == 2

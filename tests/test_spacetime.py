@@ -218,3 +218,75 @@ def test_isotropic_map_round_trips(schw3_iso, r):
     s = float(schw3_iso.s_of_r(r))
     assert schw3_iso.s_lo < s < 1000.0
     assert float(schw3_iso.r_of_s(s)) == pytest.approx(r, rel=1e-9)
+
+
+# Interval endpoints of the isotropic map against independent references.
+# Schwarzschild: closed form s_lo = (m/2)^(1/(n-2)). The others are mpmath
+# quadratures at 30 digits with s(r0) = r0: s_lo = r0 exp(-int_0^w0 2w/(r
+# sqrt(f)) dw) with r = r_lo + w^2, s_hi = r0 exp(int_r0^inf dr/(r sqrt(f))).
+@pytest.mark.parametrize("params, r0, s_lo, s_hi", [
+    (dict(family="schwarzschild", n=3, m=1), 4.0, 0.5, math.inf),
+    (dict(family="schwarzschild", n=5, m=1), 4.0, 2 ** (-1 / 3), math.inf),
+    (dict(family="reissner-nordstrom", m=1, q=0.6), 5.0,
+     0.50510257216821924, math.inf),
+    (dict(family="schwarzschild-ads", m=1, L=10.0), 5.0,
+     0.71399592517886235, 22.957006764602625),
+], ids=["schwarzschild-n3", "schwarzschild-n5", "rn-q0.6", "sads-L10"])
+def test_isotropic_endpoints_match_references(params, r0, s_lo, s_hi):
+    iso = to_isotropic(build_family(**params), r0=r0)
+    assert iso.s_lo == pytest.approx(s_lo, rel=1e-10, abs=0)
+    if math.isinf(s_hi):
+        assert math.isinf(iso.s_hi)
+    else:
+        assert iso.s_hi == pytest.approx(s_hi, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("params, r0", [
+    (dict(family="schwarzschild", n=3, m=1), 4.0),
+    (dict(family="reissner-nordstrom", m=1, q=0.6), 5.0),
+    (dict(family="schwarzschild-ads", m=1, L=10.0), 5.0),
+], ids=["schwarzschild-n3", "rn-q0.6", "sads-L10"])
+def test_isotropic_maps_accept_arrays(params, r0):
+    iso = to_isotropic(build_family(**params), r0=r0)
+    ss = np.geomspace(iso.s_lo * 1.001, min(iso.s_hi, 1e3) * 0.999, 9)
+    rs = iso.r_of_s(ss)
+    assert rs.shape == ss.shape
+    for fn, x in ((iso.psi, ss), (iso.lapse, ss), (iso.s_of_r, rs),
+                  (iso.r_of_s, ss)):
+        scalar = np.array([fn(float(v)) for v in x])
+        np.testing.assert_array_equal(np.array(fn(x)), scalar.T)
+
+
+def test_isotropic_maps_reject_queries_outside_solved_range(schw3_iso):
+    sads = to_isotropic(build_family("schwarzschild-ads", m=1, L=10.0), r0=5.0)
+    bad = [(schw3_iso.s_of_r, 1.5), (schw3_iso.s_of_r, math.nan),
+           (schw3_iso.r_of_s, 0.4), (schw3_iso.r_of_s, 1e30),
+           (schw3_iso.psi, np.array([1.0, 0.25])), (schw3_iso.lapse, -1.0),
+           (sads.r_of_s, 1.01 * sads.s_hi), (sads.psi, 1.01 * sads.s_hi)]
+    for fn, x in bad:
+        with pytest.raises(DomainError):
+            fn(x)
+
+
+def test_isotropic_minkowski_is_identity(minkowski):
+    iso = to_isotropic(minkowski, r0=1.0)
+    assert iso.s_lo == 0.0 and math.isinf(iso.s_hi)
+    rs = np.array([1e-3, 0.5, 1.0, 7.0, 1e4])
+    np.testing.assert_allclose(iso.s_of_r(rs), rs, rtol=1e-11)
+    np.testing.assert_allclose(iso.psi(rs)[0], 1.0, rtol=1e-11)
+
+
+@pytest.mark.parametrize("q", [0.6, 0.999999])
+def test_isotropic_reissner_nordstrom_closed_form(q):
+    # with r_pm the horizons, int dr/(r sqrt(f)) = 2 log(sqrt(r - r_+) +
+    # sqrt(r - r_-)), so s(r) = r0 (a(r) / a(r0))^2 with s(r0) = r0
+    st = build_family("reissner-nordstrom", m=1, q=q)
+    r_plus, r_minus, r0 = st.r_lo, 2 - st.r_lo, 5.0
+    iso = to_isotropic(st, r0=r0)
+
+    def a(r):
+        return np.sqrt(r - r_plus) + np.sqrt(r - r_minus)
+
+    rs = r_plus + np.array([0.0, 1e-8, 1e-4, 0.1, 1.0, 3.0, 50.0])
+    np.testing.assert_allclose(iso.s_of_r(rs), r0 * (a(rs) / a(r0)) ** 2,
+                               rtol=1e-10, atol=0)

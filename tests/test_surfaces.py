@@ -181,6 +181,10 @@ def test_spec_validation():
         PhotonSurfaceSpec(alpha=1.0, r0=2.0, sign=2)
     with pytest.raises(ValueError):
         PhotonSurfaceSpec(alpha=1.0, r0=2.0, span=(1.0, 2.0))
+    with pytest.raises(ValueError):
+        PhotonSurfaceSpec(alpha=math.nan, r0=2.0)
+    with pytest.raises(ValueError):
+        PhotonSurfaceSpec(alpha=1.0, r0=2.0, span=(0.0, 0.0))
 
 
 @settings(max_examples=20, deadline=None)
