@@ -178,22 +178,19 @@ def _write_manifest(out_dir, name, payload):
     return path
 
 
-def _write_profile_csv(path, curve):
+def _write_csv(path, header, columns):
+    """CSV with the comma-separated ``header`` and one row per entry of the
+    equal-length ``columns``."""
     with open(path, "w") as fh:
-        fh.write("s,t,r,dt_ds,dr_ds,unit_residual\n")
-        for i in range(len(curve.s)):
-            fh.write(",".join(fmt(v) for v in (
-                curve.s[i], curve.t[i], curve.r[i], curve.tdot[i],
-                curve.rdot[i], curve.unit_residual[i])) + "\n")
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _write_geodesic_csv(path, traj):
-    with open(path, "w") as fh:
-        fh.write("s,t,r,phi,null_residual\n")
-        for i in range(len(traj.s)):
-            fh.write(",".join(fmt(v) for v in (
-                traj.s[i], traj.t[i], traj.r[i], traj.phi[i],
-                traj.null_residual[i])) + "\n")
+def _profile_table(curve):
+    """Header and columns of a profile CSV."""
+    return "s,t,r,dt_ds,dr_ds,unit_residual", (
+        curve.s, curve.t, curve.r, curve.tdot, curve.rdot, curve.unit_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +253,7 @@ def cmd_profile(args, cp):
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, "profile.csv")
-    _write_profile_csv(csv_path, curve)
+    _write_csv(os.path.join(out, "profile.csv"), *_profile_table(curve))
     payload = {
         "operation": "profile",
         "spacetime": _spacetime_summary(st),
@@ -314,7 +310,8 @@ def cmd_geodesic(args, cp):
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    _write_geodesic_csv(os.path.join(out, "geodesic.csv"), traj)
+    _write_csv(os.path.join(out, "geodesic.csv"), "s,t,r,phi,null_residual",
+               (traj.s, traj.t, traj.r, traj.phi, traj.null_residual))
     payload = {
         "operation": "geodesic",
         "spacetime": _spacetime_summary(st),
@@ -373,7 +370,7 @@ def cmd_sweep(args, cp):
                 turning[a] = turning_points(st, a)
             cls = classify(st, a, r0, spheres=spheres, turning_radii=turning[a])
             name = f"sweep_a{ia}_r{ir}.csv"
-            _write_profile_csv(os.path.join(out, name), curve)
+            _write_csv(os.path.join(out, name), *_profile_table(curve))
             outputs.append(name)
             item.update(file=name, status="ok", reason=None,
                         classification=cls.kind.value,
@@ -464,11 +461,9 @@ def cmd_isotropic(args, cp):
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, "isotropic.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("s,r,psi,dpsi_ds,N,dN_ds,log_gap\n")
-        for row in zip(ss, ss * p, p, dp, nn, dnn, dnn / nn - dp / p):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    _write_csv(os.path.join(out, "isotropic.csv"),
+               "s,r,psi,dpsi_ds,N,dN_ds,log_gap",
+               (ss, ss * p, p, dp, nn, dnn, dnn / nn - dp / p))
 
     from .geometry import isotropic_sphere_residual
     spheres = find_photon_spheres(st)

@@ -30,8 +30,6 @@ from .surfaces import (
     _integrate_radial,
     _sample_grid,
     _snapped_sphere,
-    _solve_stats,
-    _stitch,
     find_photon_spheres,
 )
 
@@ -78,7 +76,7 @@ class NullGeodesicTrajectory:
     termination_start: str = "span"
     null_residual: np.ndarray = field(default=None, repr=False)
     solve_stats: dict = field(default_factory=dict)
-    # (forward, backward) half-lines of the solve; None for a circular orbit
+    # the ode._Solution of the solve; None for a circular orbit
     _dense: object = field(default=None, repr=False)
 
 
@@ -155,23 +153,16 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
 
     v0 = sign * math.sqrt(max(disc, 0.0))
     y0 = (0.0, r0, v0, 0.0, 0.0)
-    s, (t, r, v, phi, sigma), fwd, bwd = _integrate_radial(
+    s, (t, r, v, phi, sigma), sol = _integrate_radial(
         st, rhs, y0, span, step, E / ell if ell > 0 else None, spheres)
     f = st.f(r)
     # null residual: -f tdot^2 + rdot^2/f + r^2 phidot^2 with the reductions
     residual = np.abs((v ** 2 - (E ** 2 - ell ** 2 * f / r ** 2)) / f)
     return NullGeodesicTrajectory(
         s=s, t=t, r=r, phi=phi, rdot=v, arclength=sigma, charges=charges,
-        termination=fwd.reason if fwd else "span",
-        termination_start=bwd.reason if bwd else "span",
-        null_residual=residual, solve_stats=_solve_stats(fwd, bwd),
-        _dense=(fwd, bwd))
-
-
-def _s_of_sigma(half, sigma, ell):
-    """Affine parameters where the induced arclength (y[4]) takes the values
-    ``sigma`` on one half-line; d(sigma)/ds = ell / r."""
-    return _invert(half, 4, sigma, lambda y: ell / y[1])
+        termination=sol.reasons.get("forward", "span"),
+        termination_start=sol.reasons.get("backward", "span"),
+        null_residual=residual, solve_stats=sol.stats, _dense=sol)
 
 
 def generated_surface_profile(traj: NullGeodesicTrajectory,
@@ -202,20 +193,18 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
         r0 = float(traj.r[0])
         f0 = float(f_along(np.array([r0]), np.array([0.0]))[0])
         tdot = alpha * r0 / f0
-        s = np.arange(sigma[0], sigma[-1] + 0.5 * spacing, spacing)
+        s = _sample_grid((sigma[0], sigma[-1]), spacing)
         return ProfileCurve(
             s=s, t=tdot * s, r=np.full_like(s, r0),
             tdot=np.full_like(s, tdot), rdot=np.zeros_like(s),
             alpha=alpha, termination=traj.termination,
+            termination_start=traj.termination_start,
             unit_residual=np.abs(np.full_like(s, f0 * tdot ** 2 - 1.0)))
 
-    fwd, bwd = traj._dense
-    sig, y = _stitch(
-        fwd, bwd, spacing,
-        lambda half: float(_dense_eval(half.dense, np.array([half.s_end]))[4, 0]),
-        lambda half, sig: _dense_eval(half.dense, _s_of_sigma(half, sig, ell)))
-
-    t, r, v = y[0], y[1], y[2]
+    sol = traj._dense
+    sig = _sample_grid(sol.end_states()[4], spacing)
+    s = _invert(sol, 4, sig, lambda y: ell / y[1])
+    t, r, v = _dense_eval(sol.dense, s)[:3]
     # dt/dsigma = alpha r / f and dr/dsigma = (dr/ds) r / ell
     rdot = v * r / ell
     f = f_along(r, v)

@@ -14,8 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IdentityNotApplicableError, MinimalSphereError
-from .spacetime import ClassSSpacetime, IsotropicForm, _array_callable
-from .surfaces import ProfileCurve
+from .spacetime import ClassSSpacetime, IsotropicForm, _array_callable, to_isotropic
+from .surfaces import (
+    PhotonSurfaceSpec,
+    ProfileCurve,
+    StepControl,
+    find_photon_spheres,
+    integrate_profile,
+)
 
 __all__ = [
     "SliceData",
@@ -311,10 +317,6 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
     an optional skip marker.  Checks whose hypotheses the family does not
     satisfy are reported as skipped, not failed.
     """
-    from .surfaces import PhotonSurfaceSpec, StepControl, find_photon_spheres, \
-        integrate_profile
-    from .spacetime import to_isotropic
-
     checks = []
     lo, hi = st.default_bracket()
     spheres = find_photon_spheres(st)
@@ -323,19 +325,19 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
     radii = np.geomspace(max(lo, 1e-3 * probe), min(hi, 50 * probe), 50)
     radii = radii[[st.contains(r) and st.f(r) > 0 for r in radii]]
 
-    # scalar curvature of an integrated non-constant photon surface
+    # a non-constant photon surface for the scalar curvature and isotropic
+    # surface checks, integrated only when one of them applies
     r0 = float(radii[len(radii) // 2])
-    f0 = st.f(r0)
-    alpha = 1.2 * math.sqrt(f0) / r0
+    alpha = 1.2 * math.sqrt(st.f(r0)) / r0
+    if st.einstein_constant is not None or math.isinf(st.r_hi):
+        spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-1.0, 1.0))
+        curve = integrate_profile(st, spec, StepControl(sample_spacing=1e-3),
+                                  spheres=spheres)
     if st.einstein_constant is None:
         checks.append(_check(
             "surface-scalar-curvature", None, 1e-5 * tol_scale, skipped=True,
             message=f"family {st.family!r}: Einstein constant unknown"))
     else:
-        spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-1.0, 1.0))
-        curve = integrate_profile(st, spec,
-                                  StepControl(sample_spacing=1e-3),
-                                  spheres=spheres)
         rep = surface_scalar_curvature_check(st, curve, alpha)
         checks.append(_check("surface-scalar-curvature", rep.residual,
                              1e-5 * tol_scale,
@@ -381,9 +383,6 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
     else:
         checks.append(_check("isotropic-photon-sphere", None, 1e-8 * tol_scale,
                              skipped=True, message="no photon spheres"))
-    spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-1.0, 1.0))
-    curve = integrate_profile(st, spec, StepControl(sample_spacing=1e-3),
-                              spheres=spheres)
     rows = isotropic_profile_samples(iso, curve)
     checks.append(_check("isotropic-photon-surface",
                          isotropic_surface_residual(iso, rows),

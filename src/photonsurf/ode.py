@@ -2,9 +2,10 @@
 and the isotropic coordinate map.
 
 ``_dopri5`` solves an autonomous system from 0 to an end point and returns
-its dense output as arrays; ``_dense_eval`` samples that output and
-``_invert`` solves for the points where one monotone component takes given
-values.
+its dense output as arrays; ``_solve`` joins the two half-lines of a span
+into one such output, ``_dense_eval`` samples it and ``_invert`` solves for
+the points where one monotone component takes given values, by the batched
+Newton iteration ``_newton``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class StepControl:
     rtol: float = 1e-12
     atol: float = 1e-13
     sample_spacing: float = 1e-2
-    max_step: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,29 @@ _EVENT_TOL = 4 * np.finfo(float).eps
 
 
 class _HalfLine(NamedTuple):
-    """One solve from s = 0 to s_end: dense output (T, H, Y, Q) per step."""
+    """One solve from s = 0 to s_end: dense output (T, H, Y, Q) per step,
+    stored in ascending s. Each step starts at T, its end nearer s = 0."""
 
     dense: tuple
     s_end: float
     reason: str
     stats: SolveStats
+
+
+class _Solution(NamedTuple):
+    """Both half-lines of one solve over (lo, hi) around s = 0: one dense
+    output in ascending s, and the stop reason and work of each half-line,
+    keyed "backward"/"forward"."""
+
+    dense: tuple
+    lo: float
+    hi: float
+    reasons: dict
+    stats: dict
+
+    def end_states(self):
+        """States (n, 2) at lo and hi."""
+        return _dense_eval(self.dense, np.array([self.lo, self.hi]))
 
 
 def _dense_arrays(ts, hs, ys, ks):
@@ -89,18 +106,25 @@ def _dense_arrays(ts, hs, ys, ks):
 
 
 def _dense_eval(dense, s):
-    """States (n, len(s)) of a dense output at the points s.
+    """States (n, *s.shape) of a dense output at the points s.
 
-    A point on a step boundary is taken from the step that ends there, as
-    scipy's OdeSolution does.
+    A point on a step boundary is taken from the step nearer s = 0, as
+    scipy's OdeSolution does on each half-line, and s = 0 from the forward
+    half-line when there is one. Points past an end extrapolate its step.
     """
     T, H, Y, Q = dense
-    direction = 1.0 if H[0] > 0 else -1.0
-    i = np.clip(np.searchsorted(direction * T, direction * s) - 1, 0, len(T) - 1)
-    x = ((s - T[i]) / H[i])[:, None]
-    q = Q[i]
-    poly = x * (q[:, :, 0] + x * (q[:, :, 1] + x * (q[:, :, 2] + x * q[:, :, 3])))
-    return (Y[i] + H[i, None] * poly).T
+    s = np.asarray(s, dtype=float)
+    k = np.count_nonzero(H < 0)  # backward steps come first
+    fwd = ((s >= 0) | (k == 0)) & (k < len(T))
+    i = np.where(fwd, np.maximum(np.searchsorted(T, s) - 1, k),
+                 np.minimum(np.searchsorted(T, s, "right"), k - 1))
+    x = ((s - T[i]) / H[i])[..., None]
+    # Horner's rule, one gathered coefficient at a time: gathering Q[i]
+    # whole would hold an (n_points, n, 4) array on long grids
+    poly = Q[:, :, 3][i]
+    for j in (2, 1, 0):
+        poly = Q[:, :, j][i] + x * poly
+    return np.moveaxis(Y[i] + H[i][..., None] * (x * poly), -1, 0)
 
 
 def _rms(xs, scale):
@@ -132,7 +156,7 @@ def _dopri5(rhs, y0, s_end, step, events):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, length, step.max_step)
+    h_abs = min(100 * h0, h1, length)
 
     nfev, rejected = 2, 0
     g = [ev(y) for ev, _ in events]
@@ -140,7 +164,7 @@ def _dopri5(rhs, y0, s_end, step, events):
     reason = "span"
     while direction * (t - s_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(max(h_abs, min_step), step.max_step)
+        h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
             if h_abs < min_step:
@@ -205,27 +229,60 @@ def _dopri5(rhs, y0, s_end, step, events):
             g = g_new
 
     stats = SolveStats(accepted=len(ts), rejected=rejected, rhs_evals=nfev)
-    return _HalfLine(_dense_arrays(ts, hs, ys, ks), t, reason, stats)
+    order = slice(None, None, 1 if direction > 0 else -1)
+    return _HalfLine(_dense_arrays(ts[order], hs[order], ys[order], ks[order]),
+                     t, reason, stats)
 
 
-def _invert(half, k, targets, slope):
-    """Points s of one half-line where component k, strictly increasing in
-    s, takes the values ``targets``.
+def _solve(rhs, y0, span, step, events):
+    """``_dopri5`` from s = 0 to each nonzero end of span = (lo, hi), joined
+    into one ``_Solution``."""
+    halves = {name: _dopri5(rhs, y0, end, step, events)
+              for name, end in (("backward", span[0]), ("forward", span[1]))
+              if end != 0}
+    dense = tuple(map(np.concatenate, zip(*(h.dense for h in halves.values()))))
+    lo, hi = (halves[name].s_end if name in halves else 0.0
+              for name in ("backward", "forward"))
+    return _Solution(dense, lo, hi, {name: h.reason for name, h in halves.items()},
+                     {name: h.stats for name, h in halves.items()})
+
+
+def _newton(fn, targets, x0, lo, hi):
+    """Points x in [lo, hi] where fn(x)[0] = targets, by Newton's method
+    from x0.
+
+    ``fn`` maps an array x to the arrays (value, derivative). Each point
+    stops once its own step is at most 1e-15 max(1, |x|), so its result
+    does not depend on the other points of the batch.
+    """
+    shape = np.shape(targets)
+    goal, x = np.ravel(targets), np.array(x0, dtype=float).ravel()
+    active = np.arange(x.size)
+    for _ in range(80):
+        value, slope = fn(x[active])
+        x_new = np.clip(x[active] - (value - goal[active]) / slope, lo, hi)
+        moved = np.abs(x_new - x[active])
+        x[active] = x_new
+        active = active[moved > 1e-15 * np.maximum(1.0, np.abs(x_new))]
+        if not active.size:
+            break
+    return x.reshape(shape)
+
+
+def _invert(sol, k, targets, slope):
+    """Points s of a solution where component k, strictly increasing in s,
+    takes the values ``targets``.
 
     Newton with dy_k/ds = slope(y) on the dense output, started from linear
-    interpolation of y_k between the step nodes and kept on the half-line.
+    interpolation of y_k between the step nodes and kept inside (lo, hi).
     """
-    T, _, Y, _ = half.dense
-    s_nodes = np.append(T, half.s_end)
-    k_nodes = np.append(Y[:, k], _dense_eval(half.dense, s_nodes[-1:])[k])
-    d = 1.0 if half.s_end > 0 else -1.0
-    s = np.interp(d * targets, d * k_nodes, s_nodes)
-    lo, hi = min(0.0, half.s_end), max(0.0, half.s_end)
-    for _ in range(80):
-        y = _dense_eval(half.dense, s)
-        s_new = np.clip(s - (y[k] - targets) / slope(y), lo, hi)
-        moved = np.abs(s_new - s)
-        s = s_new
-        if np.all(moved <= 1e-14 * np.maximum(1.0, np.abs(s))):
-            break
-    return s
+    T, _, Y, _ = sol.dense
+    k_lo, k_hi = sol.end_states()[k]
+    x0 = np.interp(targets, np.concatenate(([k_lo], Y[:, k], [k_hi])),
+                   np.concatenate(([sol.lo], T, [sol.hi])))
+
+    def fn(s):
+        y = _dense_eval(sol.dense, s)
+        return y[k], slope(y)
+
+    return _newton(fn, targets, x0, sol.lo, sol.hi)

@@ -22,7 +22,7 @@ from .errors import (
     InvalidFamilyParamsError,
     UnknownFamilyError,
 )
-from .ode import StepControl, _dense_eval, _dopri5, _invert
+from .ode import StepControl, _dense_eval, _invert, _newton, _solve
 
 __all__ = [
     "MetricProfile",
@@ -391,10 +391,8 @@ def to_isotropic(st: ClassSSpacetime, r0: float,
         r = r_lo + w * w
         return np.where(y[0] <= w_reg, limit, 2 * w / (r * np.sqrt(st.f(r))))
 
-    up = _dopri5(rhs, (w0, 0.0), w_top - w0, _ISO_STEP, [])
-    down = _dopri5(rhs, (w0, 0.0), w_bot - w0, _ISO_STEP, [])
-    u_bot, u_top = (float(_dense_eval(h.dense, np.array([h.s_end]))[1, 0])
-                    for h in (down, up))
+    sol = _solve(rhs, (w0, 0.0), (w_bot - w0, w_top - w0), _ISO_STEP, [])
+    u_bot, u_top = sol.end_states()[1].tolist()
     if normalization is not None:
         const = float(normalization)
     elif st.family == "schwarzschild" and st.params["m"] > 0:
@@ -403,24 +401,15 @@ def to_isotropic(st: ClassSSpacetime, r0: float,
     else:
         const = r0
 
-    def by_half(x, fn):
-        # fn(half, x) on the half-line holding each x: the upper one for x >= 0
-        out = np.empty_like(x)
-        fwd = x >= 0
-        out[fwd], out[~fwd] = fn(up, x[fwd]), fn(down, x[~fwd])
-        return out
-
     def s_of_r(r):
         r = np.asarray(r, dtype=float)
         _check_range("r", r, r_bot, r_top)
-        return const * np.exp(by_half(np.sqrt(r - r_lo) - w0,
-                                      lambda h, t: _dense_eval(h.dense, t)[1]))
+        return const * np.exp(_dense_eval(sol.dense, np.sqrt(r - r_lo) - w0)[1])
 
     def r_of_s(s):
         s = np.asarray(s, dtype=float)
         _check_range("s", s, const * math.exp(u_bot), const * math.exp(u_top))
-        t = by_half(np.log(s / const), lambda h, u: _invert(h, 1, u, slope))
-        return r_lo + (w0 + t) ** 2
+        return r_lo + (w0 + _invert(sol, 1, np.log(s / const), slope)) ** 2
 
     def psi(s):
         r = r_of_s(s)
@@ -463,8 +452,10 @@ def from_isotropic(iso: IsotropicForm, samples: int = 512,
     interval; then r(s) = s psi(s) and f(r) = Ntilde(s(r))^2.
     """
     ss = _iso_grid(iso, samples)
-    p, dp = _array_callable(iso.psi, ss[:2])(ss)
-    nn, _ = _array_callable(iso.lapse, ss[:2])(ss)
+    psi = _array_callable(iso.psi, ss[:2])
+    lapse = _array_callable(iso.lapse, ss[:2])
+    p, dp = psi(ss)
+    nn, _ = lapse(ss)
     res = np.abs(nn - (1.0 + ss * dp / p))
     worst = int(np.argmax(res))
     if res[worst] > tol:
@@ -476,26 +467,17 @@ def from_isotropic(iso: IsotropicForm, samples: int = 512,
     if np.any(np.diff(rs) <= 0):
         raise CompatibilityError("r(s) = s psi(s) is not strictly increasing")
 
-    guess_s = PchipInterpolator(rs, ss)
-
-    def s_of_r(r):
-        s = float(guess_s(np.clip(r, rs[0], rs[-1])))
-        for _ in range(60):
-            p, dp = iso.psi(s)
-            step = (r - s * p) / (p + s * dp)
-            s += step
-            if abs(step) <= 1e-15 * max(1.0, abs(s)):
-                break
-        return s
+    def radius(s):  # r = s psi(s) and dr/ds
+        p, dp = psi(s)
+        return s * p, p + s * dp
 
     def evaluate(r):
-        s = s_of_r(r)
-        p, dp = iso.psi(s)
-        nn, dnn = iso.lapse(s)
+        s = _newton(radius, r, np.interp(r, rs, ss), iso.s_lo, iso.s_hi)
+        p, dp = psi(s)
+        nn, dnn = lapse(s)
         return nn * nn, 2 * nn * dnn / (p + s * dp)
 
-    # the inverse map s_of_r is a scalar Newton solve
-    metric = MetricProfile(_pointwise(evaluate), "from isotropic data")
+    metric = MetricProfile(evaluate, "from isotropic data")
     r_lo = float(rs[0]) * (1 - 1e-9)
     r_hi = math.inf if math.isinf(iso.s_hi) else float(rs[-1]) * (1 + 1e-9)
     n = iso.source.n if iso.source is not None else 3

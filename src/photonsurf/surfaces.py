@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ForbiddenRadiusError
-from .ode import SolveStats, StepControl, _dense_eval, _dopri5
+from .ode import SolveStats, StepControl, _dense_eval, _dopri5, _solve
 from .spacetime import ClassSSpacetime
 
 __all__ = [
@@ -229,7 +229,7 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
     s = 0, stops at its span end, at the radial interval boundary, or when
     it comes within ASYMPTOTE_EPS of a photon sphere whose factor matches
     ``alpha`` (None: no such test). Returns the output samples (s, y) and
-    the (forward, backward) half-lines; a half-line of zero length is None.
+    the ``ode._Solution``.
     """
     r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
     events = [(lambda y: y[1] - r_stop_lo, "boundary")]
@@ -241,36 +241,9 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
         events.append((lambda y: (y[1] - sp.r_star) ** 2 + y[2] ** 2
                        - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
 
-    s_lo, s_hi = span
-    fwd = _dopri5(rhs, y0, s_hi, step, events) if s_hi > 0 else None
-    bwd = _dopri5(rhs, y0, s_lo, step, events) if s_lo < 0 else None
-    s, y = _stitch(fwd, bwd, step.sample_spacing, lambda half: half.s_end,
-                   lambda half, s: _dense_eval(half.dense, s))
-    return s, y, fwd, bwd
-
-
-def _stitch(fwd, bwd, spacing, u_end, states):
-    """Output grid in a variable u that grows with s from u(0) = 0, and the
-    states there, stitched from the two half-lines.
-
-    ``u_end(half)`` is a half-line's end in u and ``states(half, u)`` its
-    states at u; u = 0 is taken from the forward half-line when there is one.
-    """
-    lo = u_end(bwd) if bwd is not None else 0.0
-    hi = u_end(fwd) if fwd is not None else 0.0
-    u = _sample_grid((lo, hi), spacing)
-    split = int(np.searchsorted(u, 0.0)) if fwd is not None else len(u)
-    parts = []
-    if bwd is not None:
-        parts.append(states(bwd, u[:split]))
-    if fwd is not None:
-        parts.append(states(fwd, u[split:]))
-    return u, np.concatenate(parts, axis=1)
-
-
-def _solve_stats(fwd, bwd):
-    return {name: half.stats for name, half in (("forward", fwd), ("backward", bwd))
-            if half is not None}
+    sol = _solve(rhs, y0, span, step, events)
+    s = _sample_grid((sol.lo, sol.hi), step.sample_spacing)
+    return s, _dense_eval(sol.dense, s), sol
 
 
 def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
@@ -321,16 +294,16 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
 
     v0 = spec.sign * math.sqrt(max(disc, 0.0))
     y0 = (spec.t0, spec.r0, v0)
-    s, (t, r, v), fwd, bwd = _integrate_radial(st, rhs, y0, spec.span, step,
-                                               alpha, spheres)
+    s, (t, r, v), sol = _integrate_radial(st, rhs, y0, spec.span, step,
+                                          alpha, spheres)
     f = st.f(r)
     tdot = alpha * r / f
     return ProfileCurve(
         s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
-        termination=fwd.reason if fwd else "span",
-        termination_start=bwd.reason if bwd else "span",
+        termination=sol.reasons.get("forward", "span"),
+        termination_start=sol.reasons.get("backward", "span"),
         unit_residual=np.abs(f * tdot ** 2 - v ** 2 / f - 1.0),
-        solve_stats=_solve_stats(fwd, bwd))
+        solve_stats=sol.stats)
 
 
 @dataclass(frozen=True)

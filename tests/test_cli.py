@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photonsurf
 from photonsurf.cli import main
 
 
@@ -401,3 +404,13 @@ def test_workers_option_removed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", cfg, "--workers", "2", "sweep"])
     assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # scipy.integrate costs most of the import time every CLI call pays
+    src = os.path.dirname(os.path.dirname(photonsurf.__file__))
+    code = "import sys, photonsurf.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -124,3 +124,15 @@ def test_asymptotic_geodesic_terminates(schw3, schw3_spheres):
                                    spheres=schw3_spheres)
     assert traj.termination == "asymptotic-to-photon-sphere"
     assert abs(traj.r[-1] - 3.0) < 1e-4
+
+
+def test_generated_surface_from_circular_orbit_samples_its_own_range(schw3):
+    # sigma runs over (-10, 10) on this orbit: the grid must hold sigma = 0,
+    # end inside that range and carry the orbit's start reason
+    ch = ConservedCharges(energy=ALPHA_STAR, angular_momentum=1.0)
+    traj = integrate_null_geodesic(schw3, ch, 3.0, span=(-30.0, 30.0))
+    prof = generated_surface_profile(traj, st=schw3)
+    assert 0.0 in prof.s
+    assert traj.arclength[0] - 1e-12 <= prof.s[0]
+    assert prof.s[-1] <= traj.arclength[-1] + 1e-12
+    assert prof.termination_start == traj.termination_start == "circular"

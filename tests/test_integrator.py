@@ -17,7 +17,8 @@ from photonsurf import (
     build_family,
     find_photon_spheres,
 )
-from photonsurf.surfaces import ASYMPTOTE_EPS, _dense_eval, _dopri5
+from photonsurf.ode import _solve
+from photonsurf.surfaces import ASYMPTOTE_EPS, _dense_eval, _dopri5, _sample_grid
 
 STEP = StepControl()
 
@@ -136,3 +137,34 @@ def test_dopri5_blowup_raises_step_underflow():
     s_last, y_last = info.value.last_state
     assert 0.999 < s_last < 1.0
     assert y_last[0] > 1e6
+
+
+@pytest.mark.parametrize("span", [(-50.0, 6.0), (0.0, 6.0), (-6.0, 0.0)])
+def test_solve_matches_each_half_line(span):
+    # the joined dense output picks each point's step as one half-line would:
+    # a step boundary goes to the step nearer s = 0, s = 0 to the forward
+    # half-line when there is one
+    st, spheres, _ = cases("schwarzschild-n3")
+    sp = spheres[0]
+    alpha, r0 = 1.5 * sp.alpha_star, 1.5 * sp.r_star
+    y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
+    rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
+    sol = _solve(rhs, y0, span, STEP, events)
+    halves = {name: _dopri5(rhs, y0, end, STEP, events)
+              for name, end in (("backward", span[0]), ("forward", span[1]))
+              if end != 0}
+    assert (sol.lo, sol.hi) == (halves["backward"].s_end if span[0] else 0.0,
+                                halves["forward"].s_end if span[1] else 0.0)
+    assert sol.reasons == {name: h.reason for name, h in halves.items()}
+    assert sol.stats == {name: h.stats for name, h in halves.items()}
+    if span[0]:
+        assert sol.reasons["backward"] == "boundary"
+
+    grid = _sample_grid((sol.lo, sol.hi), STEP.sample_spacing)
+    for name, half in halves.items():
+        nodes = np.append(half.dense[0], half.s_end)
+        for s in (nodes, np.array([0.0]), grid):
+            if len(halves) == 2:
+                s = s[s < 0] if name == "backward" else s[s >= 0]
+            np.testing.assert_array_equal(_dense_eval(sol.dense, s),
+                                          _dense_eval(half.dense, s))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,26 @@ def test_isotropic_round_trip(schw3, schw3_iso):
     f, df = back.metric(rs)
     assert np.array_equal(f, [back.f(2.5), back.f(7.0)])
     assert np.array_equal(df, [back.fprime(2.5), back.fprime(7.0)])
+
+
+def test_from_isotropic_evaluates_arrays_in_one_pass(schw3_iso):
+    calls = []
+
+    def psi(s):
+        calls.append(np.size(s))
+        return schw3_iso.psi(s)
+
+    back = from_isotropic(dataclasses.replace(schw3_iso, psi=psi))
+    counts = {}
+    for n in (2, 200):
+        rs = np.geomspace(2.5, 40.0, n)
+        calls.clear()
+        f, df = back.metric(rs)
+        counts[n] = len(calls)
+        scalar = np.array([back.metric(float(r)) for r in rs]).T
+        np.testing.assert_array_equal(f, scalar[0])
+        np.testing.assert_array_equal(df, scalar[1])
+    assert counts[200] <= counts[2] + 2 < 20
 
 
 def test_from_isotropic_incompatible_data():
