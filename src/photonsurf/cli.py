@@ -5,8 +5,9 @@ family (family, n, m, q, L, r_lo, r_hi, or table = CSV path for a custom
 profile); the [profile], [geodesic], [sweep] and [isotropic] sections hold
 the parameters of the matching subcommand.
 
-Exit codes: 0 success, 2 config error, 3 invalid surface/geodesic spec,
-4 empty sweep, 5 verification failure.
+Exit codes: 0 success, 2 config error, 3 invalid surface/geodesic spec or
+a solve that cannot finish (step underflow, step budget spent), 4 empty
+sweep, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from .errors import (
 )
 from .geodesics import (
     ConservedCharges,
+    _radii_at_times,
     critical_impact_parameter,
     integrate_null_geodesic,
 )
-from .geometry import verification_suite
+from .geometry import isotropic_sphere_residual, verification_suite
 from .spacetime import _iso_grid, build_family, conformal_flatness_scan, \
     spacetime_from_table, to_isotropic
 from .surfaces import (
@@ -180,11 +182,12 @@ def _write_manifest(out_dir, name, payload):
 
 def _write_csv(path, header, columns):
     """CSV with the comma-separated ``header`` and one row per entry of the
-    equal-length ``columns``."""
+    equal-length float arrays ``columns``, each value as ``fmt`` writes it
+    (``tolist`` gives Python floats, whose repr is ``fmt``'s)."""
+    rows = zip(*(column.tolist() for column in columns))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _profile_table(curve):
@@ -270,20 +273,16 @@ def cmd_profile(args, cp):
         "outputs": ["profile.csv"],
     }
     if args.oracle:
-        from .geodesics import generated_surface_profile
         charges = ConservedCharges(energy=spec.alpha, angular_momentum=1.0)
         traj = integrate_null_geodesic(
             st, charges, spec.r0, sign=spec.sign,
             span=(2 * spec.span[0] * spec.r0, 2 * spec.span[1] * spec.r0),
             step=step, spheres=spheres)
-        oracle = generated_surface_profile(traj, spacing=step.sample_spacing, st=st)
-        import numpy as np
-        from scipy.interpolate import PchipInterpolator
-        interp = PchipInterpolator(oracle.t, oracle.r)
-        mask = (curve.t >= oracle.t[0]) & (curve.t <= oracle.t[-1])
-        dev = float(np.max(np.abs(interp(curve.t[mask]) - curve.r[mask]))) \
-            if mask.any() else None
-        payload["oracle_max_deviation"] = dev
+        # max |r_geo(t) - r(t)| at the profile's sample times; the geodesic
+        # starts at t = 0, the profile at t0
+        covered, r_geo = _radii_at_times(traj, st, curve.t - spec.t0)
+        payload["oracle_max_deviation"] = \
+            float(abs(r_geo - curve.r[covered]).max()) if covered.any() else None
     _write_manifest(out, "profile_manifest.json", payload)
     print(f"classification: {cls.kind.value}  samples: {len(curve.s)}  "
           f"worst residual: {fmt(res.worst)}")
@@ -465,7 +464,6 @@ def cmd_isotropic(args, cp):
                "s,r,psi,dpsi_ds,N,dN_ds,log_gap",
                (ss, ss * p, p, dp, nn, dnn, dnn / nn - dp / p))
 
-    from .geometry import isotropic_sphere_residual
     spheres = find_photon_spheres(st)
     sphere_rows = []
     for sp in spheres:

@@ -29,6 +29,11 @@ class StepUnderflowError(PhotonSurfError, RuntimeError):
         self.last_state = last_state
 
 
+class StepBudgetError(StepUnderflowError):
+    """Adaptive integrator attempted its step budget on one half-line without
+    reaching the end; carries the last state."""
+
+
 class CompatibilityError(PhotonSurfError, ValueError):
     """Isotropic data cannot be rewritten in area-radius form."""
 

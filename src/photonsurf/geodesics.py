@@ -214,3 +214,23 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
                         termination=traj.termination,
                         termination_start=traj.termination_start,
                         unit_residual=unit)
+
+
+def _radii_at_times(traj: NullGeodesicTrajectory, st: ClassSSpacetime, t):
+    """Which of the coordinate times ``t`` the trajectory covers, and its
+    radius at those times.
+
+    r is read from the dense output at the affine parameter where the
+    geodesic reaches each time, found by ``_invert`` on t, which increases
+    with dt/ds = E/f > 0; no interpolation is involved. On a circular
+    orbit r is constant.
+    """
+    sol = traj._dense
+    if sol is None:
+        covered = (t >= traj.t[0]) & (t <= traj.t[-1])
+        return covered, np.full(np.count_nonzero(covered), traj.r[0])
+    t_lo, t_hi = sol.end_states()[0]
+    covered = (t >= t_lo) & (t <= t_hi)
+    E = traj.charges.energy
+    s = _invert(sol, 0, t[covered], lambda y: E / st.f(y[1]))
+    return covered, _dense_eval(sol.dense, s)[1]

@@ -5,7 +5,8 @@ and the isotropic coordinate map.
 its dense output as arrays; ``_solve`` joins the two half-lines of a span
 into one such output, ``_dense_eval`` samples it and ``_invert`` solves for
 the points where one monotone component takes given values, by the batched
-Newton iteration ``_newton``.
+Newton iteration ``_newton``. ``_brentq``, Brent's bracketed root finder,
+locates stop events and serves the root scans elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import StepUnderflowError
+from .errors import StepBudgetError, StepUnderflowError
 
 @dataclass(frozen=True)
 class StepControl:
@@ -64,6 +64,11 @@ _P = np.array([  # rows: stages 1, 3, 4, 5, 6, 7
 # step controller of scipy's RK45
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
 _EVENT_TOL = 4 * np.finfo(float).eps
+# iterations of _brentq, as scipy's brentq default
+_BRENT_MAXITER = 100
+# attempted steps (accepted and rejected) allowed on one half-line; the
+# largest legitimate solves on record take about 30k
+_STEP_BUDGET = 100_000
 
 
 class _HalfLine(NamedTuple):
@@ -137,7 +142,9 @@ def _dopri5(rhs, y0, s_end, step, events):
     Replays scipy's RK45 on Python floats: the same initial step selection,
     step controller and 10-ulp underflow test. ``events`` are (g(y), tag)
     pairs; the solve stops at the first root of any g bracketed by a sign
-    change between accepted steps, located by brentq on the dense output.
+    change between accepted steps, located by ``_brentq`` on the dense
+    output. Raises ``StepUnderflowError`` when the step underflows and
+    ``StepBudgetError`` after ``_STEP_BUDGET`` attempted steps.
     """
     rtol, atol = step.rtol, step.atol
     direction = 1.0 if s_end > 0 else -1.0
@@ -167,6 +174,11 @@ def _dopri5(rhs, y0, s_end, step, events):
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
+            if len(ts) + rejected >= _STEP_BUDGET:
+                raise StepBudgetError(
+                    f"step budget of {_STEP_BUDGET} attempted steps spent at "
+                    f"s = {t:.6g} before the end of the span",
+                    last_state=(t, tuple(y)))
             if h_abs < min_step:
                 raise StepUnderflowError(
                     f"step-size underflow at s = {t:.6g}: required step size "
@@ -220,9 +232,9 @@ def _dopri5(rhs, y0, s_end, step, events):
                 hits = []
                 for i in active:
                     ev = events[i][0]
-                    hits.append((brentq(
+                    hits.append((_brentq(
                         lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
-                        t_old, t, xtol=_EVENT_TOL, rtol=_EVENT_TOL), i))
+                        t_old, t, _EVENT_TOL, _EVENT_TOL), i))
                 t, i = min(hits, key=lambda hit: direction * hit[0])
                 reason = events[i][1]
                 break
@@ -232,6 +244,71 @@ def _dopri5(rhs, y0, s_end, step, events):
     order = slice(None, None, 1 if direction > 0 else -1)
     return _HalfLine(_dense_arrays(ts[order], hs[order], ys[order], ks[order]),
                      t, reason, stats)
+
+
+def _brentq(f, a, b, xtol, rtol):
+    """Root of f in the bracket [a, b] by Brent's method (R. P. Brent,
+    Algorithms for Minimization Without Derivatives, 1973, ch. 4).
+
+    The iteration of scipy's C ``brentq`` on Python floats, so it returns
+    the same bits: the same bracket bookkeeping, interpolation or
+    extrapolation step taken only when it is short, and stop once the
+    bracket half-width or the step is below delta = (xtol + rtol |x|) / 2.
+    Raises ValueError when
+    f(a) and f(b) have the same sign or f returns NaN, and RuntimeError
+    after ``_BRENT_MAXITER`` iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x = {x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # xcur is the best estimate, xblk the other end of the bracket and xpre
+    # the previous estimate; spre and scur are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(
+        f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
 def _solve(rhs, y0, span, step, events):

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     CompatibilityError,
@@ -22,7 +20,7 @@ from .errors import (
     InvalidFamilyParamsError,
     UnknownFamilyError,
 )
-from .ode import StepControl, _dense_eval, _invert, _newton, _solve
+from .ode import StepControl, _brentq, _dense_eval, _invert, _newton, _solve
 
 __all__ = [
     "MetricProfile",
@@ -219,7 +217,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             hi_guess = max((2 * m) ** (1 / p), L) * 4
             while fval(hi_guess) <= 0:
                 hi_guess *= 2
-            rH = brentq(fval, 1e-12, hi_guess, xtol=1e-14, rtol=8.9e-16)
+            rH = _brentq(fval, 1e-12, hi_guess, 1e-14, 8.9e-16)
         else:
             rH = 0.0
         lo = rH if r_lo is None else float(r_lo)
@@ -282,6 +280,9 @@ def _array_callable(fn, probe):
 def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
                          r_hi: float | None = None) -> ClassSSpacetime:
     """Custom profile from a CSV table with header "r,f" (monotone r)."""
+    # imported here: scipy.interpolate takes over 0.5 s, and only tables need it
+    from scipy.interpolate import PchipInterpolator
+
     rs, fs = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

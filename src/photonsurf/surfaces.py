@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ForbiddenRadiusError
-from .ode import SolveStats, StepControl, _dense_eval, _dopri5, _solve
+from .ode import SolveStats, StepControl, _brentq, _dense_eval, _dopri5, _solve
 from .spacetime import ClassSSpacetime
 
 __all__ = [
@@ -146,9 +145,10 @@ def _snapped_sphere(spheres, alpha, r0=None):
 
 
 def _scan_roots(g, lo, hi, grid):
-    """Bracketed roots of g on a log-spaced grid, refined by brentq.
+    """Bracketed roots of g on a log-spaced grid, refined by ``_brentq``.
 
-    g is evaluated on the whole grid in one call, then on scalars by brentq.
+    g is evaluated on the whole grid in one call, then on scalars by
+    ``_brentq``.
     """
     rs = np.geomspace(lo, hi, grid)
     vals = g(rs)
@@ -158,8 +158,7 @@ def _scan_roots(g, lo, hi, grid):
         if a == 0.0:
             roots.append(float(rs[i]))
         elif a * b < 0:
-            roots.append(float(brentq(g, rs[i], rs[i + 1],
-                                      xtol=PHOTON_SPHERE_XTOL, rtol=8.9e-16)))
+            roots.append(_brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16))
     if vals[-1] == 0.0:
         roots.append(float(rs[-1]))
     return roots

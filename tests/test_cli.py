@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import photonsurf
-from photonsurf.cli import main
+from photonsurf import ode
+from photonsurf.cli import _profile_table, _write_csv, fmt, main
 
 
 def write_config(path, text):
@@ -151,6 +152,60 @@ span_hi = 3
     assert main(["--config", cfg, "--out", str(out), "profile", "--oracle"]) == 0
     manifest = json.loads((out / "profile_manifest.json").read_text())
     assert manifest["oracle_max_deviation"] < 1e-6
+
+
+@pytest.mark.parametrize("alpha, r0, t0", [
+    (27 ** -0.5, 3.0, 0.0),  # critical data: the geodesic is a circular orbit
+    (0.15, 6.0, 5.0),  # the profile starts at t0, the geodesic at t = 0
+])
+def test_profile_oracle_circular_orbit_and_t0(tmp_path, alpha, r0, t0):
+    cfg = write_config(tmp_path / "c.ini", SCHW + f"""
+[profile]
+alpha = {alpha!r}
+r0 = {r0!r}
+t0 = {t0!r}
+span_lo = -3
+span_hi = 3
+""")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "profile", "--oracle"]) == 0
+    manifest = json.loads((out / "profile_manifest.json").read_text())
+    assert manifest["oracle_max_deviation"] < 1e-9
+
+
+def test_step_budget_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ode, "_STEP_BUDGET", 10)
+    cfg = write_config(tmp_path / "c.ini", SCHW + "[profile]\nalpha = 0.15\nr0 = 6\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "p"), "profile"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "step budget of 10 attempted steps" in err
+
+
+def _write_csv_reference(path, header, columns):
+    # the per-value writer that _write_csv replaced, kept as its reference
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def test_write_csv_matches_per_value_fmt(tmp_path, schw3, schw3_spheres):
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                        -5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.0 ** 60])
+    rng = np.random.default_rng(3)
+    tables = [("a,b,c", (special, special[::-1] * 3,
+                         rng.standard_normal(special.size)
+                         * 10.0 ** rng.integers(-300, 300, special.size)))]
+    curve = photonsurf.integrate_profile(
+        schw3, photonsurf.PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(-2.0, 2.0)),
+        spheres=schw3_spheres)
+    tables.append(_profile_table(curve))
+    for header, columns in tables:
+        _write_csv(tmp_path / "new.csv", header, columns)
+        _write_csv_reference(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
 
 def test_geodesic_csv(tmp_path):
@@ -406,11 +461,86 @@ def test_workers_option_removed(tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # scipy.integrate costs most of the import time every CLI call pays
+def run_python(code, cwd=None):
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(photonsurf.__file__))
-    code = "import sys, photonsurf.cli; print('scipy.integrate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          check=True, capture_output=True, text=True).stdout
+
+
+SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # scipy costs most of the import time every CLI call pays; no module of
+    # it may load, neither with the package nor with the CLI
+    out = run_python(f"import sys\nimport photonsurf\nprint({SCIPY_LOADED})\n"
+                     f"import photonsurf.cli\nprint({SCIPY_LOADED})\n")
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_cli_commands_load_no_scipy_but_tables_do(tmp_path):
+    # every subcommand on built-in families runs without scipy; a table
+    # profile still works, and loads scipy.interpolate only then
+    table = tmp_path / "prof.csv"
+    table.write_text("r,f\n" + "".join(
+        f"{r!r},{1 - 2 / r!r}\n" for r in np.geomspace(2.5, 50.0, 200).tolist()))
+    configs = {
+        "schw": SCHW + """
+[profile]
+alpha = 0.15
+r0 = 6
+span_lo = -2
+span_hi = 2
+[geodesic]
+energy = 0.3
+ell = 1
+r0 = 4
+span_lo = -5
+span_hi = 5
+[sweep]
+alphas = 0.15, 0.19245008972987526, 0.25
+r0s = 3, 6
+span_lo = -1
+span_hi = 1
+[isotropic]
+r0 = 4
+""",
+        "rn": "[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 0.6\n",
+        "sads": "[spacetime]\nfamily = schwarzschild-ads\nm = 1\nL = 10\n",
+        "table": f"""[spacetime]
+family = custom
+table = {table}
+[profile]
+alpha = 0.15
+r0 = 6
+span_lo = -1
+span_hi = 1
+""",
+    }
+    for name, text in configs.items():
+        write_config(tmp_path / f"{name}.ini", text)
+    runs = [("schw", "spheres"), ("schw", "profile", "--oracle"),
+            ("schw", "geodesic"), ("schw", "sweep"), ("schw", "verify"),
+            ("schw", "isotropic")]
+    runs += [(name, command) for name in ("rn", "sads")
+             for command in ("spheres", "verify", "isotropic")]
+    code = f"""import contextlib, io, sys
+from photonsurf.cli import main
+
+def run(name, *argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["--config", name + ".ini", "--out", name, *argv])
+
+print([run(*r) for r in {runs!r}])
+print({SCIPY_LOADED})
+print(run("table", "profile"), "scipy.interpolate" in sys.modules)
+"""
+    codes, loaded, table_run = run_python(code, cwd=tmp_path).splitlines()
+    assert codes == str([0] * len(runs))
+    assert loaded == "[]"
+    assert table_run == "0 True"
+    manifest = json.loads((tmp_path / "table" / "profile_manifest.json").read_text())
+    assert manifest["classification"] == "Subcritical"

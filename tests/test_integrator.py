@@ -17,6 +17,8 @@ from photonsurf import (
     build_family,
     find_photon_spheres,
 )
+from photonsurf import ode
+from photonsurf.errors import StepBudgetError
 from photonsurf.ode import _solve
 from photonsurf.surfaces import ASYMPTOTE_EPS, _dense_eval, _dopri5, _sample_grid
 
@@ -137,6 +139,27 @@ def test_dopri5_blowup_raises_step_underflow():
     s_last, y_last = info.value.last_state
     assert 0.999 < s_last < 1.0
     assert y_last[0] > 1e6
+
+
+def test_dopri5_step_budget(monkeypatch):
+    # an ordinary solve, with rejected steps, passes with a budget of exactly
+    # the steps it attempts, and raises, carrying its last state, with one
+    # fewer
+    st, spheres, _ = cases("schwarzschild-n3")
+    alpha, r0 = 0.3, 4.5
+    y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
+    rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
+    half = _dopri5(rhs, y0, -50.0, STEP, events)
+    assert half.reason == "boundary" and half.stats.rejected > 0
+    attempted = half.stats.accepted + half.stats.rejected
+    monkeypatch.setattr(ode, "_STEP_BUDGET", attempted)
+    assert _dopri5(rhs, y0, -50.0, STEP, events).stats == half.stats
+    monkeypatch.setattr(ode, "_STEP_BUDGET", attempted - 1)
+    with pytest.raises(StepBudgetError) as info:
+        _dopri5(rhs, y0, -50.0, STEP, events)
+    s_last, y_last = info.value.last_state
+    assert half.s_end < s_last < 0
+    assert st.r_lo < y_last[1] < r0
 
 
 @pytest.mark.parametrize("span", [(-50.0, 6.0), (0.0, 6.0), (-6.0, 0.0)])
