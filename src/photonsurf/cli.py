@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__
 from .errors import (
@@ -274,15 +274,19 @@ def cmd_profile(args, cp):
     }
     if args.oracle:
         charges = ConservedCharges(energy=spec.alpha, angular_momentum=1.0)
+        # ell = 1 gives ds = r dsigma: an affine span r_max |span| covers the
+        # profile, and samples r_max times sparser keep about its count
+        r_max = float(curve.r.max())
         traj = integrate_null_geodesic(
             st, charges, spec.r0, sign=spec.sign,
-            span=(2 * spec.span[0] * spec.r0, 2 * spec.span[1] * spec.r0),
-            step=step, spheres=spheres)
+            span=(r_max * spec.span[0], r_max * spec.span[1]),
+            step=replace(step, sample_spacing=r_max * step.sample_spacing),
+            spheres=spheres)
         # max |r_geo(t) - r(t)| at the profile's sample times; the geodesic
         # starts at t = 0, the profile at t0
         covered, r_geo = _radii_at_times(traj, st, curve.t - spec.t0)
-        payload["oracle_max_deviation"] = \
-            float(abs(r_geo - curve.r[covered]).max()) if covered.any() else None
+        payload["oracle_max_deviation"] = float(abs(r_geo - curve.r[covered]).max())
+        payload["oracle_compared_samples"] = int(covered.sum())
     _write_manifest(out, "profile_manifest.json", payload)
     print(f"classification: {cls.kind.value}  samples: {len(curve.s)}  "
           f"worst residual: {fmt(res.worst)}")

@@ -20,16 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ForbiddenRadiusError, PrincipalNullError
-from .ode import _dense_eval, _invert
+from .ode import _dense_eval, _invert, _linear
 from .spacetime import ClassSSpacetime
 from .surfaces import (
     PhotonSphere,
     ProfileCurve,
     StepControl,
     _check_span,
+    _fixed_radius,
     _integrate_radial,
     _sample_grid,
-    _snapped_sphere,
+    _samples,
+    _unit_residual,
     find_photon_spheres,
 )
 
@@ -76,7 +78,7 @@ class NullGeodesicTrajectory:
     termination_start: str = "span"
     null_residual: np.ndarray = field(default=None, repr=False)
     solve_stats: dict = field(default_factory=dict)
-    # the ode._Solution of the solve; None for a circular orbit
+    # the ode._Solution the samples were read from
     _dense: object = field(default=None, repr=False)
 
 
@@ -93,17 +95,6 @@ def critical_impact_parameter(st: ClassSSpacetime, sphere: PhotonSphere) -> floa
     return sphere.r_star / math.sqrt(st.f(sphere.r_star))
 
 
-def _circular_trajectory(st, charges, r0, span, step):
-    E, ell = charges.energy, charges.angular_momentum
-    f0 = st.f(r0)
-    s = _sample_grid(span, step.sample_spacing)
-    return NullGeodesicTrajectory(
-        s=s, t=E / f0 * s, r=np.full_like(s, r0), phi=ell / r0 ** 2 * s,
-        rdot=np.zeros_like(s), arclength=ell / r0 * s, charges=charges,
-        termination="circular", termination_start="circular",
-        null_residual=np.zeros_like(s))
-
-
 def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
                             r0: float, sign: int = 1,
                             span: tuple[float, float] = (0.0, 10.0),
@@ -113,48 +104,45 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     """Integrate the reduced null-geodesic system over an affine span.
 
     ``sign`` is the initial sign of dr/ds; 0 is admitted only on a circular
-    orbit or at a turning point.  Termination mirrors the profile integrator:
+    orbit or at a turning point.  Data with ell > 0 held on a photon sphere
+    by the profile's rule (``_fixed_radius`` with lambda = E/ell) gives the
+    exact circular orbit.  Termination mirrors the profile integrator:
     span end, interval boundary, or photon-sphere asymptote.
     """
     E, ell = charges.energy, charges.angular_momentum
     _check_span(span)
     if not st.contains(r0):
         raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
-    f0, df0 = st.metric(r0)
-    disc = E ** 2 - ell ** 2 * f0 / r0 ** 2
-    if disc < -1e-12 * E ** 2:
-        raise ForbiddenRadiusError(
-            f"E^2 = {E**2:.6g} < ell^2 f(r0)/r0^2 = {ell**2*f0/r0**2:.6g}: "
-            "forbidden initial radius")
-
     if ell > 0 and spheres is None:
         spheres = find_photon_spheres(st)
+    r_fix = _fixed_radius(st, spheres, E / ell, r0) if ell > 0 else None
+    if r_fix is not None:
+        sol = _linear((0.0, r_fix, 0.0, 0.0, 0.0),
+                      (E / st.f(r_fix), 0.0, 0.0, ell / r_fix ** 2, ell / r_fix),
+                      span)
+    else:
+        f0 = st.f(r0)
+        disc = E ** 2 - ell ** 2 * f0 / r0 ** 2
+        if disc < -1e-12 * E ** 2:
+            raise ForbiddenRadiusError(
+                f"E^2 = {E**2:.6g} < ell^2 f(r0)/r0^2 = {ell**2*f0/r0**2:.6g}: "
+                "forbidden initial radius")
+        if sign == 0 and disc > 1e-12 * E ** 2:
+            raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
+        metric = st.metric.evaluate
+        ell2 = ell ** 2
 
-    # exact circular orbit: turning point that is also a critical point;
-    # data within the classification band of a photon sphere snaps to the
-    # circular solution because the orbit is an unstable fixed point
-    accel0 = (ell ** 2 / r0 ** 3) * (f0 - 0.5 * r0 * df0)
-    if abs(disc) <= 1e-12 * E ** 2 and abs(accel0) <= 1e-12 * E ** 2 / r0:
-        return _circular_trajectory(st, charges, r0, span, step)
-    sp = _snapped_sphere(spheres, E / ell, r0) if ell > 0 else None
-    if sp is not None:
-        return _circular_trajectory(st, charges, sp.r_star, span, step)
-    if sign == 0 and disc > 1e-12 * E ** 2:
-        raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
+        def rhs(y):
+            r, v = y[1], y[2]
+            fv, dfv = metric(r)
+            return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
+                    ell / r ** 2, ell / r)
 
-    metric = st.metric.evaluate
-    ell2 = ell ** 2
+        y0 = (0.0, r0, sign * math.sqrt(max(disc, 0.0)), 0.0, 0.0)
+        sol = _integrate_radial(st, rhs, y0, span, step,
+                                E / ell if ell > 0 else None, spheres)
 
-    def rhs(y):
-        r, v = y[1], y[2]
-        fv, dfv = metric(r)
-        return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
-                ell / r ** 2, ell / r)
-
-    v0 = sign * math.sqrt(max(disc, 0.0))
-    y0 = (0.0, r0, v0, 0.0, 0.0)
-    s, (t, r, v, phi, sigma), sol = _integrate_radial(
-        st, rhs, y0, span, step, E / ell if ell > 0 else None, spheres)
+    s, (t, r, v, phi, sigma) = _samples(sol, step.sample_spacing)
     f = st.f(r)
     # null residual: -f tdot^2 + rdot^2/f + r^2 phidot^2 with the reductions
     residual = np.abs((v ** 2 - (E ** 2 - ell ** 2 * f / r ** 2)) / f)
@@ -187,33 +175,19 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
             return st.f(r)
         return (E ** 2 - np.asarray(v) ** 2) * np.asarray(r) ** 2 / ell ** 2
 
-    if traj._dense is None:
-        # analytic circular orbit: constant profile at the photon sphere
-        sigma = traj.arclength
-        r0 = float(traj.r[0])
-        f0 = float(f_along(np.array([r0]), np.array([0.0]))[0])
-        tdot = alpha * r0 / f0
-        s = _sample_grid((sigma[0], sigma[-1]), spacing)
-        return ProfileCurve(
-            s=s, t=tdot * s, r=np.full_like(s, r0),
-            tdot=np.full_like(s, tdot), rdot=np.zeros_like(s),
-            alpha=alpha, termination=traj.termination,
-            termination_start=traj.termination_start,
-            unit_residual=np.abs(np.full_like(s, f0 * tdot ** 2 - 1.0)))
-
+    # sample only the arclength the trajectory's own samples cover
     sol = traj._dense
-    sig = _sample_grid(sol.end_states()[4], spacing)
+    sig = _sample_grid((traj.arclength[0], traj.arclength[-1]), spacing)
     s = _invert(sol, 4, sig, lambda y: ell / y[1])
     t, r, v = _dense_eval(sol.dense, s)[:3]
     # dt/dsigma = alpha r / f and dr/dsigma = (dr/ds) r / ell
     rdot = v * r / ell
     f = f_along(r, v)
     tdot = alpha * r / f
-    unit = np.abs(f * tdot ** 2 - rdot ** 2 / f - 1.0)
     return ProfileCurve(s=sig, t=t, r=r, tdot=tdot, rdot=rdot, alpha=alpha,
                         termination=traj.termination,
                         termination_start=traj.termination_start,
-                        unit_residual=unit)
+                        unit_residual=_unit_residual(f, tdot, rdot))
 
 
 def _radii_at_times(traj: NullGeodesicTrajectory, st: ClassSSpacetime, t):
@@ -222,13 +196,9 @@ def _radii_at_times(traj: NullGeodesicTrajectory, st: ClassSSpacetime, t):
 
     r is read from the dense output at the affine parameter where the
     geodesic reaches each time, found by ``_invert`` on t, which increases
-    with dt/ds = E/f > 0; no interpolation is involved. On a circular
-    orbit r is constant.
+    with dt/ds = E/f > 0; no interpolation is involved.
     """
     sol = traj._dense
-    if sol is None:
-        covered = (t >= traj.t[0]) & (t <= traj.t[-1])
-        return covered, np.full(np.count_nonzero(covered), traj.r[0])
     t_lo, t_hi = sol.end_states()[0]
     covered = (t >= t_lo) & (t <= t_hi)
     E = traj.charges.energy

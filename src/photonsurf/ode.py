@@ -3,10 +3,11 @@ and the isotropic coordinate map.
 
 ``_dopri5`` solves an autonomous system from 0 to an end point and returns
 its dense output as arrays; ``_solve`` joins the two half-lines of a span
-into one such output, ``_dense_eval`` samples it and ``_invert`` solves for
-the points where one monotone component takes given values, by the batched
-Newton iteration ``_newton``. ``_brentq``, Brent's bracketed root finder,
-locates stop events and serves the root scans elsewhere in the package.
+into one such output and ``_linear`` builds one of constant rates.
+``_dense_eval`` samples it and ``_invert`` solves for the points where one
+monotone component takes given values, by the batched Newton iteration
+``_newton``. ``_brentq``, Brent's bracketed root finder, locates stop
+events and serves the root scans elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -322,6 +323,18 @@ def _solve(rhs, y0, span, step, events):
               for name in ("backward", "forward"))
     return _Solution(dense, lo, hi, {name: h.reason for name, h in halves.items()},
                      {name: h.stats for name, h in halves.items()})
+
+
+def _linear(y0, rates, span):
+    """y0 + s rates over span = (lo, hi), exact to the bit under
+    ``_dense_eval``: one unit step from s = 0 with Q[:, :, 0] = rates. It
+    holds data on a photon sphere: no work, "photon-sphere-snap" as reason."""
+    Q = np.zeros((1, len(y0), 4))
+    Q[0, :, 0] = rates
+    dense = (np.zeros(1), np.ones(1), np.array([y0], dtype=float), Q)
+    ends = {"backward": span[0], "forward": span[1]}
+    return _Solution(dense, span[0], span[1], {
+        name: "photon-sphere-snap" for name, end in ends.items() if end != 0}, {})
 
 
 def _newton(fn, targets, x0, lo, hi):

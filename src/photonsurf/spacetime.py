@@ -142,20 +142,28 @@ def build_family(family: str, n: int = 3, m: float | None = None,
 
     Families: "minkowski"; "schwarzschild" (any n >= 3, mass m);
     "reissner-nordstrom" (n = 3, mass m, charge q); "schwarzschild-ads"
-    (any n >= 3, mass m, curvature radius L > 0).
+    (any n >= 3, mass m, curvature radius L > 0).  Parameters must be
+    finite (r_hi may be inf); a negative r_lo, given or computed, becomes 0.
     """
     family = family.lower().replace("_", "-")
+    family = {"rn": "reissner-nordstrom",
+              "sads": "schwarzschild-ads"}.get(family, family)
     if n < 3:
         raise InvalidFamilyParamsError(
             "built-in families require n >= 3; use custom_spacetime for n = 2")
+    for name, value in (("m", m), ("q", q), ("L", L), ("r_lo", r_lo),
+                        ("r_hi", r_hi)):
+        if value is not None and not (math.isfinite(value)
+                                      or name == "r_hi" and value > 0):
+            raise InvalidFamilyParamsError(f"{name} = {value!r} is not finite")
     r_hi = math.inf if r_hi is None else float(r_hi)
     flags: tuple = ()
+    params: dict = {}
 
     if family == "minkowski":
         lo = 0.0 if r_lo is None else float(r_lo)
         # 0 * r keeps the shape of array arguments
         metric = MetricProfile(lambda r: (1.0 + 0.0 * r, 0.0 * r), "flat: f = 1")
-        st = ClassSSpacetime(n, lo, r_hi, metric, "minkowski", {})
     elif family == "schwarzschild":
         if m is None:
             raise InvalidFamilyParamsError("schwarzschild requires mass m")
@@ -171,8 +179,8 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             return 1 - 2 * m / r ** p, 2 * p * m / r ** (p + 1)
 
         metric = MetricProfile(evaluate, f"schwarzschild: f = 1 - 2m/r^{p}")
-        st = ClassSSpacetime(n, lo, r_hi, metric, "schwarzschild", {"m": m})
-    elif family in ("reissner-nordstrom", "rn"):
+        params = {"m": m}
+    elif family == "reissner-nordstrom":
         if m is None or q is None:
             raise InvalidFamilyParamsError("reissner-nordstrom requires m and q")
         if n != 3:
@@ -198,9 +206,8 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             return fval(r), 2 * m / r ** 2 - 2 * q ** 2 / r ** 3
 
         metric = MetricProfile(evaluate, "reissner-nordstrom: f = 1 - 2m/r + q^2/r^2")
-        st = ClassSSpacetime(n, lo, r_hi, metric, "reissner-nordstrom",
-                             {"m": m, "q": q}, flags)
-    elif family in ("schwarzschild-ads", "sads"):
+        params = {"m": m, "q": q}
+    elif family == "schwarzschild-ads":
         if m is None or L is None or L <= 0:
             raise InvalidFamilyParamsError("schwarzschild-ads requires m and L > 0")
         m, L = float(m), float(L)
@@ -213,20 +220,24 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             return fval(r), 2 * p * m / r ** (p + 1) + 2 * r / L ** 2
 
         if m > 0:
-            # f is increasing from -inf with a single positive root r_H
-            hi_guess = max((2 * m) ** (1 / p), L) * 4
-            while fval(hi_guess) <= 0:
-                hi_guess *= 2
-            rH = _brentq(fval, 1e-12, hi_guess, 1e-14, 8.9e-16)
+            # f is increasing from -inf with a single positive root r_H; if
+            # r_H < 1e-12, halving brackets it to a factor 2, to rtol alone
+            lo_end, hi_end, xtol = 1e-12, max((2 * m) ** (1 / p), L) * 4, 1e-14
+            while fval(lo_end) >= 0:
+                lo_end, hi_end, xtol = lo_end / 2, lo_end, 0.0
+            while fval(hi_end) <= 0:
+                hi_end *= 2
+            rH = _brentq(fval, lo_end, hi_end, xtol, 8.9e-16)
         else:
             rH = 0.0
         lo = rH if r_lo is None else float(r_lo)
         metric = MetricProfile(evaluate, f"schwarzschild-ads: f = 1 - 2m/r^{p} + r^2/L^2")
-        st = ClassSSpacetime(n, lo, r_hi, metric, "schwarzschild-ads",
-                             {"m": m, "L": L})
+        params = {"m": m, "L": L}
     else:
         raise UnknownFamilyError(f"unknown family {family!r}")
 
+    st = ClassSSpacetime(n, lo if lo > 0 else 0.0, r_hi, metric, family, params,
+                         flags)
     if st.r_lo >= st.r_hi:
         raise InvalidFamilyParamsError("empty radial interval")
     _check_positive_f(st)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ForbiddenRadiusError
-from .ode import SolveStats, StepControl, _brentq, _dense_eval, _dopri5, _solve
+from .ode import SolveStats, StepControl, _brentq, _dense_eval, _dopri5, _linear, _solve
 from .spacetime import ClassSSpacetime
 
 __all__ = [
@@ -99,9 +99,10 @@ class ProfileCurve:
     def umbilicity_residual(self, st: ClassSSpacetime) -> np.ndarray:
         return np.abs(st.f(self.r) * self.tdot / self.r - self.alpha)
 
-    def compute_unit_residual(self, st: ClassSSpacetime) -> np.ndarray:
-        f = st.f(self.r)
-        return np.abs(f * self.tdot ** 2 - self.rdot ** 2 / f - 1.0)
+
+def _unit_residual(f, tdot, rdot):
+    """|f (dt/ds)^2 - (dr/ds)^2 / f - 1|: the unit-speed residual."""
+    return np.abs(f * tdot ** 2 - rdot ** 2 / f - 1.0)
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,21 @@ def _snapped_sphere(spheres, alpha, r0=None):
                 r0 is None or abs(r0 - sp.r_star) <= 1e-9 * sp.r_star):
             return sp
     return None
+
+
+def _fixed_radius(st, spheres, lam, r0):
+    """The radius at which data of factor ``lam`` (alpha, or E/ell) at r0
+    is held on a photon sphere, or None: r0 at an exact fixed point
+    (|lam^2 r0^2 - f| <= 1e-12 max(1, lam^2 r0^2) and |r0 f' - 2 f| <= 1e-9),
+    else r_* of the sphere whose band holds the data (``_snapped_sphere``).
+    The fixed point is unstable: such data cannot be integrated for long.
+    """
+    f0, df0 = st.metric(r0)
+    a2r2 = lam ** 2 * r0 ** 2
+    if abs(a2r2 - f0) <= 1e-12 * max(1.0, a2r2) and abs(df0 * r0 - 2 * f0) <= 1e-9:
+        return r0
+    sp = _snapped_sphere(spheres, lam, r0)
+    return None if sp is None else sp.r_star
 
 
 def _scan_roots(g, lo, hi, grid):
@@ -198,18 +214,6 @@ def turning_points(st: ClassSSpacetime, alpha: float, grid: int = 512,
     return _scan_roots(lambda r: alpha ** 2 * r ** 2 - st.f(r), lo, hi, grid)
 
 
-def _constant_curve(st, spec, step, r_star):
-    fv = st.f(r_star)
-    tdot = 1.0 / math.sqrt(fv)
-    s = _sample_grid(spec.span, step.sample_spacing)
-    t = spec.t0 + tdot * s
-    return ProfileCurve(
-        s=s, t=t, r=np.full_like(s, r_star),
-        tdot=np.full_like(s, tdot), rdot=np.zeros_like(s),
-        alpha=spec.alpha, termination="span",
-        unit_residual=np.zeros_like(s))
-
-
 def _sample_grid(span, spacing):
     lo, hi = span
     fwd = np.arange(0.0, hi + 0.5 * spacing, spacing)
@@ -219,6 +223,10 @@ def _sample_grid(span, spacing):
     return np.concatenate([bwd[::-1], fwd])
 
 
+def _samples(sol, spacing):
+    """The output grid of a solution over its (lo, hi) and its states there."""
+    s = _sample_grid((sol.lo, sol.hi), spacing)
+    return s, _dense_eval(sol.dense, s)
 
 
 def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
@@ -227,8 +235,7 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
     The state has r = y[1] and dr/ds = y[2]. Each half-line, started at
     s = 0, stops at its span end, at the radial interval boundary, or when
     it comes within ASYMPTOTE_EPS of a photon sphere whose factor matches
-    ``alpha`` (None: no such test). Returns the output samples (s, y) and
-    the ``ode._Solution``.
+    ``alpha`` (None: no such test). Returns the ``ode._Solution``.
     """
     r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
     events = [(lambda y: y[1] - r_stop_lo, "boundary")]
@@ -240,9 +247,7 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
         events.append((lambda y: (y[1] - sp.r_star) ** 2 + y[2] ** 2
                        - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
 
-    sol = _solve(rhs, y0, span, step, events)
-    s = _sample_grid((sol.lo, sol.hi), step.sample_spacing)
-    return s, _dense_eval(sol.dense, s), sol
+    return _solve(rhs, y0, span, step, events)
 
 
 def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
@@ -250,59 +255,53 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
                       spheres: list[PhotonSphere] | None = None) -> ProfileCurve:
     """Integrate the radial profile of one photon surface over its span.
 
-    The exact cylinder solution is returned when the initial data sits on a
-    photon sphere.  Otherwise the regularized second-order radial equation is
-    integrated with adaptive Dormand-Prince 5(4) stepping; the curve
-    terminates at the span end, at the radial interval boundary, or when it
-    is asymptotic to a photon sphere (|r - r_*| and |dr/ds| jointly below
-    ASYMPTOTE_EPS).
+    Data held on a photon sphere (``_fixed_radius``) gives the exact
+    cylinder r = r_*, dt/ds = 1/sqrt(f(r_*)).  Otherwise the regularized
+    second-order radial equation is integrated with adaptive Dormand-Prince
+    5(4) stepping; the curve terminates at the span end, at the radial
+    interval boundary, or when it is asymptotic to a photon sphere
+    (|r - r_*| and |dr/ds| jointly below ASYMPTOTE_EPS).
     """
     alpha = spec.alpha
     if not st.contains(spec.r0):
         raise ForbiddenRadiusError(f"r0 = {spec.r0:.6g} outside radial interval")
-    f0, df0 = st.metric(spec.r0)
-    disc = alpha ** 2 * spec.r0 ** 2 - f0
-    scale = max(1.0, alpha ** 2 * spec.r0 ** 2)
-    if disc < -1e-12 * scale:
-        raise ForbiddenRadiusError(
-            f"alpha^2 r0^2 = {alpha**2*spec.r0**2:.6g} < f(r0) = {f0:.6g}: "
-            "no real initial dr/ds")
-
     if spheres is None:
         spheres = find_photon_spheres(st)
+    r_fix = _fixed_radius(st, spheres, alpha, spec.r0)
+    if r_fix is not None:
+        tdot0 = 1.0 / math.sqrt(st.f(r_fix))
+        sol = _linear((spec.t0, r_fix, 0.0), (tdot0, 0.0, 0.0), spec.span)
+    else:
+        f0 = st.f(spec.r0)
+        disc = alpha ** 2 * spec.r0 ** 2 - f0
+        scale = max(1.0, alpha ** 2 * spec.r0 ** 2)
+        if disc < -1e-12 * scale:
+            raise ForbiddenRadiusError(
+                f"alpha^2 r0^2 = {alpha**2*spec.r0**2:.6g} < f(r0) = {f0:.6g}: "
+                "no real initial dr/ds")
+        if spec.sign == 0 and disc > 1e-12 * scale:
+            raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
+        metric = st.metric.evaluate
+        a2 = alpha ** 2
 
-    # exact fixed point: photon sphere initial data (within the
-    # classification band, since the fixed point is unstable and nearby
-    # data cannot be meaningfully integrated over long spans)
-    if abs(disc) <= 1e-12 * scale and abs(df0 * spec.r0 - 2 * f0) <= 1e-9:
-        return _constant_curve(st, spec, step, spec.r0)
-    sp = _snapped_sphere(spheres, alpha, spec.r0)
-    if sp is not None:
-        return _constant_curve(st, spec, step, sp.r_star)
+        def rhs(y):
+            r, v = y[1], y[2]
+            fv, dfv = metric(r)
+            return (alpha * r / fv, v, a2 * r - 0.5 * dfv)
 
-    if spec.sign == 0 and disc > 1e-12 * scale:
-        raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
+        y0 = (spec.t0, spec.r0, spec.sign * math.sqrt(max(disc, 0.0)))
+        sol = _integrate_radial(st, rhs, y0, spec.span, step, alpha, spheres)
 
-    metric = st.metric.evaluate
-    a2 = alpha ** 2
-
-    def rhs(y):
-        r, v = y[1], y[2]
-        fv, dfv = metric(r)
-        return (alpha * r / fv, v, a2 * r - 0.5 * dfv)
-
-    v0 = spec.sign * math.sqrt(max(disc, 0.0))
-    y0 = (spec.t0, spec.r0, v0)
-    s, (t, r, v), sol = _integrate_radial(st, rhs, y0, spec.span, step,
-                                          alpha, spheres)
+    s, (t, r, v) = _samples(sol, step.sample_spacing)
     f = st.f(r)
-    tdot = alpha * r / f
+    tdot = alpha * r / f if r_fix is None else np.full_like(s, tdot0)
+    # the cylinder has unit speed by construction
+    unit = _unit_residual(f, tdot, v) if r_fix is None else np.zeros_like(s)
     return ProfileCurve(
         s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
         termination=sol.reasons.get("forward", "span"),
         termination_start=sol.reasons.get("backward", "span"),
-        unit_residual=np.abs(f * tdot ** 2 - v ** 2 / f - 1.0),
-        solve_stats=sol.stats)
+        unit_residual=unit, solve_stats=sol.stats)
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,7 @@ def ode_residuals(st: ClassSSpacetime, curve: ProfileCurve) -> ResidualReport:
     res_t = tddot + (df / f) * rdot * tdot - (rdot / r) * tdot
     res_r = rddot + 0.5 * f * df * tdot ** 2 - 0.5 * (df / f) * rdot ** 2 \
         - (f * tdot) ** 2 / r
-    unit = np.abs(f * tdot ** 2 - rdot ** 2 / f - 1.0)
+    unit = _unit_residual(f, tdot, rdot)
     interior = slice(1, -1)
     return ResidualReport(
         tddot_residual=float(np.max(np.abs(res_t[interior]))),
@@ -343,8 +342,9 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float,
              turning_radii: list[float] | None = None) -> SurfaceClass:
     """Group a surface by its umbilicity factor relative to the photon spheres.
 
-    ``spheres`` and ``turning_radii`` (the turning points of ``alpha``) are
-    computed when not given.
+    Data held on a photon sphere (``_fixed_radius``) is PhotonSphere, even
+    when ``spheres`` misses that sphere. ``spheres`` and ``turning_radii``
+    (the turning points of ``alpha``) are computed when not given.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -355,10 +355,10 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float,
     tps = tuple(turning_radii)
     regions = tuple("below" if r0 < sp.r_star else "above" for sp in spheres)
 
-    if not spheres:
-        kind = SurfaceKind.NO_SPHERE_REFERENCE
-    elif _snapped_sphere(spheres, alpha, r0) is not None:
+    if _fixed_radius(st, spheres, alpha, r0) is not None:
         kind = SurfaceKind.PHOTON_SPHERE
+    elif not spheres:
+        kind = SurfaceKind.NO_SPHERE_REFERENCE
     elif _snapped_sphere(spheres, alpha) is not None:
         kind = SurfaceKind.CRITICAL
     else:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st_
 
 import photonsurf
 from photonsurf import ode
@@ -138,6 +142,23 @@ r0 = 3
     assert main(["--config", cfg, "profile"]) == 3
     err = capsys.readouterr().err
     assert "alpha^2 r0^2" in err
+
+
+def test_profile_oracle_compares_every_sample(tmp_path):
+    # r grows from 4 to about 20 over the span: a geodesic span of 2 r0
+    # |span| stops short of the profile's end, r_max |span| does not
+    cfg = write_config(tmp_path / "c.ini", SCHW + """
+[profile]
+alpha = 0.4
+r0 = 4
+span_lo = -4
+span_hi = 4
+""")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "profile", "--oracle"]) == 0
+    manifest = json.loads((out / "profile_manifest.json").read_text())
+    assert manifest["oracle_compared_samples"] == manifest["samples"]
+    assert manifest["oracle_max_deviation"] < 1e-6
 
 
 def test_profile_oracle_flag(tmp_path, capsys):
@@ -544,3 +565,57 @@ print(run("table", "profile"), "scipy.interpolate" in sys.modules)
     assert table_run == "0 True"
     manifest = json.loads((tmp_path / "table" / "profile_manifest.json").read_text())
     assert manifest["classification"] == "Subcritical"
+
+
+@pytest.mark.parametrize("body, code", [
+    ("family = schwarzschild-ads\nm = 1\nL = inf", 2),
+    ("family = schwarzschild-ads\nm = 1\nL = nan", 2),
+    ("family = schwarzschild\nm = nan", 2),
+    ("family = minkowski\nr_lo = -1\nr_hi = 0", 2),
+    ("family = reissner-nordstrom\nm = -5\nq = 1", 0),  # r_+ < 0: r_lo = 0
+    ("family = schwarzschild-ads\nm = 1e-40\nL = 10", 0),  # r_H ~ 2e-40
+])
+def test_family_params_contract(tmp_path, capsys, body, code):
+    cfg = write_config(tmp_path / "c.ini", f"[spacetime]\n{body}\n"
+                       "[profile]\nalpha = 0.2\nr0 = 5\nspan_lo = -1\nspan_hi = 1\n")
+    for command in ("spheres", "profile") if code else ("spheres",):
+        assert main(["--config", cfg, "--format", "json", "--out",
+                     str(tmp_path / command), command]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+    if code == 0:
+        spacetime = json.loads(
+            (tmp_path / "spheres" / "spheres_manifest.json").read_text())["spacetime"]
+        if spacetime["family"] == "reissner-nordstrom":
+            assert spacetime["r_lo"] == 0.0
+        else:  # the horizon 1 - 2m/r_H + r_H^2/L^2 = 0
+            assert spacetime["r_lo"] == pytest.approx(2e-40, rel=1e-12)
+
+
+def _config_value():
+    """A [spacetime] value: absent (None), empty, 0, non-finite, or of
+    magnitude 1e-6 to 1e6 with either sign."""
+    magnitude = st_.builds(lambda sign, e: repr(sign * 10.0 ** e),
+                           st_.sampled_from((1, -1)), st_.floats(-6.0, 6.0))
+    return st_.one_of(st_.none(), st_.sampled_from(("", "0", "nan", "inf", "-inf")),
+                      magnitude)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st_.sampled_from(("minkowski", "schwarzschild",
+                                "reissner-nordstrom", "schwarzschild-ads")),
+       n=st_.integers(3, 6),
+       values=st_.fixed_dictionaries(
+           {key: _config_value() for key in ("m", "q", "L", "r_lo", "r_hi")}))
+def test_spheres_exit_codes_fuzz(tmp_path, family, n, values):
+    # any [spacetime] section ends in an exit code of the contract, never
+    # in an exception
+    lines = ["[spacetime]", f"family = {family}", f"n = {n}"]
+    lines += [f"{key} = {value}" for key, value in values.items()
+              if value is not None]
+    cfg = write_config(tmp_path / "fuzz.ini", "\n".join(lines) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--config", cfg, "spheres"]) in (0, 2, 3, 4, 5)

@@ -8,6 +8,8 @@ from photonsurf import (
     ForbiddenRadiusError,
     PhotonSurfaceSpec,
     PrincipalNullError,
+    SurfaceKind,
+    classify,
     critical_impact_parameter,
     generated_surface_profile,
     integrate_null_geodesic,
@@ -71,7 +73,7 @@ def test_forbidden_initial_radius(schw3):
 def test_circular_orbit_snaps(schw3):
     ch = ConservedCharges(energy=ALPHA_STAR, angular_momentum=1.0)
     traj = integrate_null_geodesic(schw3, ch, 3.0, span=(-30.0, 30.0))
-    assert traj.termination == "circular"
+    assert traj.termination == "photon-sphere-snap"
     assert np.max(np.abs(traj.r - 3.0)) == 0.0
     # affine rates: dt/ds = E/f, dphi/ds = ell/r^2
     f = 1 / 3
@@ -135,4 +137,58 @@ def test_generated_surface_from_circular_orbit_samples_its_own_range(schw3):
     assert 0.0 in prof.s
     assert traj.arclength[0] - 1e-12 <= prof.s[0]
     assert prof.s[-1] <= traj.arclength[-1] + 1e-12
-    assert prof.termination_start == traj.termination_start == "circular"
+    assert prof.termination_start == traj.termination_start == "photon-sphere-snap"
+
+
+def _verdicts(st, lam, r0, spheres, span):
+    """Whether integrate_profile, integrate_null_geodesic (E = lam, ell = 1)
+    and classify each hold (lam, r0) on a photon sphere, and the held curves."""
+    try:
+        curve = integrate_profile(
+            st, PhotonSurfaceSpec(alpha=lam, r0=r0, span=span), spheres=spheres)
+    except ForbiddenRadiusError:
+        curve = None
+    try:
+        traj = integrate_null_geodesic(
+            st, ConservedCharges(energy=lam, angular_momentum=1.0), r0,
+            span=span, spheres=spheres)
+    except ForbiddenRadiusError:
+        traj = None
+    held = [c is not None and c.termination == "photon-sphere-snap"
+            for c in (curve, traj)]
+    held.append(classify(st, lam, r0, spheres=spheres).kind
+                is SurfaceKind.PHOTON_SPHERE)
+    return held, curve, traj
+
+
+def _off_sphere_data():
+    """(lam, r0, spheres given?, expected held) at the edges of the band."""
+    f3 = 1.0 - 2.0 / 3.0
+    cases = []
+    for r0 in (3.0 + 1e-11, 3.0 + 1e-9):  # exact fixed point, sphere missed
+        lam = math.sqrt(1.0 - 2.0 / r0) / r0
+        cases.append((lam, r0, False, True))
+    alpha_star = math.sqrt(f3) / 3.0
+    for rel, held in ((0.5e-8, True), (2e-8, False)):
+        for sgn in (1, -1):
+            cases.append((alpha_star * (1 + sgn * rel), 3.0, True, held))
+    for rel, held in ((0.5e-9, True), (2e-9, False)):
+        for sgn in (1, -1):
+            cases.append((alpha_star, 3.0 * (1 + sgn * rel), True, held))
+    return cases
+
+
+@pytest.mark.parametrize("lam, r0, with_spheres, expected", _off_sphere_data())
+def test_one_fixed_point_rule(schw3, schw3_spheres, lam, r0, with_spheres, expected):
+    # profile, geodesic and classify decide "held on a photon sphere" by
+    # one rule, also when the sphere scan missed the sphere
+    spheres = schw3_spheres if with_spheres else []
+    span = (-60.0, 60.0) if not with_spheres else (-10.0, 10.0)
+    held, curve, traj = _verdicts(schw3, lam, r0, spheres, span)
+    assert held == [expected] * 3
+    if expected:
+        for c in (curve, traj):
+            assert np.all(c.r == c.r[0])
+            assert c.termination == c.termination_start == "photon-sphere-snap"
+            assert c.solve_stats == {}
+        assert curve.r[0] == traj.r[0]
