@@ -41,6 +41,7 @@ from .surfaces import (
     PhotonSurfaceSpec,
     StepControl,
     _check_span,
+    _sweep_row,
     classify,
     find_photon_spheres,
     integrate_profile,
@@ -157,6 +158,14 @@ def _sec_sign(sec):
 
 def _stats_json(solve_stats):
     return {half: asdict(stats) for half, stats in solve_stats.items()}
+
+
+def _orbit_json(orbit):
+    """Manifest entry of one sweep orbit: its anchor and the work and stop
+    reason of each half-line."""
+    return {"alpha": orbit.alpha, "anchor_r": orbit.anchor,
+            "anchor_kind": orbit.kind, "solve_stats": _stats_json(orbit.sol.stats),
+            "stop_reasons": orbit.sol.reasons}
 
 
 def _spacetime_summary(st):
@@ -354,8 +363,10 @@ def cmd_sweep(args, cp):
 
     items = []
     outputs = []
+    orbits = []  # one solve per (alpha, component), shared by its cells
     turning = {}  # alpha -> turning radii, shared by the alpha's row of cells
     for ia, a in enumerate(alphas):
+        row = None
         for ir, r0 in enumerate(r0s):
             item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
             items.append(item)
@@ -364,13 +375,23 @@ def cmd_sweep(args, cp):
             except ValueError as e:
                 item["reason"] = f"invalid spec: {e}"
                 continue
-            try:
-                curve = integrate_profile(st, spec, step, spheres=spheres)
-            except PhotonSurfError as e:
-                item["reason"] = str(e)
-                continue
             if a not in turning:
                 turning[a] = turning_points(st, a)
+            if row is None:
+                row, row_orbits = _sweep_row(st, a, r0s, span, step, spheres,
+                                             turning[a])
+                first = len(orbits)
+                orbits += [_orbit_json(orbit) for orbit in row_orbits]
+            if row[ir] is not None:
+                curve, k, s0 = row[ir]
+                work = {"orbit": first + k, "s0": s0}
+            else:
+                try:
+                    curve = integrate_profile(st, spec, step, spheres=spheres)
+                except PhotonSurfError as e:
+                    item["reason"] = str(e)
+                    continue
+                work = {"solve_stats": _stats_json(curve.solve_stats)}
             cls = classify(st, a, r0, spheres=spheres, turning_radii=turning[a])
             name = f"sweep_a{ia}_r{ir}.csv"
             _write_csv(os.path.join(out, name), *_profile_table(curve))
@@ -380,8 +401,7 @@ def cmd_sweep(args, cp):
                         turning_radii=list(cls.turning_radii),
                         termination=curve.termination,
                         termination_start=curve.termination_start,
-                        samples=len(curve.s),
-                        solve_stats=_stats_json(curve.solve_stats))
+                        samples=len(curve.s), **work)
     produced = len(outputs)
 
     if produced == 0:
@@ -415,6 +435,7 @@ def cmd_sweep(args, cp):
         "spacetime": _spacetime_summary(st),
         "span": list(span),
         "classification_groups": groups,
+        "orbits": orbits,
         "cells": items,
         "outputs": outputs,
     })

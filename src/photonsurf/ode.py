@@ -137,7 +137,7 @@ def _rms(xs, scale):
     return math.sqrt(sum((x / sc) ** 2 for x, sc in zip(xs, scale))) / len(xs) ** 0.5
 
 
-def _dopri5(rhs, y0, s_end, step, events):
+def _dopri5(rhs, y0, s_end, step, events, stop=None):
     """Adaptive Dormand-Prince 5(4) solve of y' = rhs(y) from s = 0 to s_end.
 
     Replays scipy's RK45 on Python floats: the same initial step selection,
@@ -146,9 +146,17 @@ def _dopri5(rhs, y0, s_end, step, events):
     change between accepted steps, located by ``_brentq`` on the dense
     output. Raises ``StepUnderflowError`` when the step underflows and
     ``StepBudgetError`` after ``_STEP_BUDGET`` attempted steps.
+
+    With a ``stop`` rule the solve is open-ended: s_end gives only the
+    direction, and the solve ends after the first accepted step at whose end
+    stop(s, y) returns a reason rather than None. No step is clipped and the
+    initial step ignores the extent, so a solve whose rule stops later
+    extends one that stops earlier bit for bit.
     """
     rtol, atol = step.rtol, step.atol
     direction = 1.0 if s_end > 0 else -1.0
+    if stop is not None:
+        s_end = direction * math.inf
     length = abs(s_end)
     t, y = 0.0, [float(v) for v in y0]
     f = rhs(y)
@@ -240,6 +248,10 @@ def _dopri5(rhs, y0, s_end, step, events):
                 reason = events[i][1]
                 break
             g = g_new
+        if stop is not None:
+            reason = stop(t, y)
+            if reason is not None:
+                break
 
     stats = SolveStats(accepted=len(ts), rejected=rejected, rhs_evals=nfev)
     order = slice(None, None, 1 if direction > 0 else -1)
@@ -312,11 +324,12 @@ def _brentq(f, a, b, xtol, rtol):
         f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
-def _solve(rhs, y0, span, step, events):
+def _solve(rhs, y0, span, step, events, stops=(None, None)):
     """``_dopri5`` from s = 0 to each nonzero end of span = (lo, hi), joined
-    into one ``_Solution``."""
-    halves = {name: _dopri5(rhs, y0, end, step, events)
-              for name, end in (("backward", span[0]), ("forward", span[1]))
+    into one ``_Solution``; ``stops`` are the backward and forward stop rules
+    of an open-ended solve, whose span ends give only the directions."""
+    halves = {name: _dopri5(rhs, y0, end, step, events, stop)
+              for name, end, stop in zip(("backward", "forward"), span, stops)
               if end != 0}
     dense = tuple(map(np.concatenate, zip(*(h.dense for h in halves.values()))))
     lo, hi = (halves[name].s_end if name in halves else 0.0

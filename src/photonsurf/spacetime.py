@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -212,21 +213,42 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             raise InvalidFamilyParamsError("schwarzschild-ads requires m and L > 0")
         m, L = float(m), float(L)
         p = n - 2
+        try:
+            L2 = L ** 2
+        except OverflowError:
+            L2 = math.inf
+        if not sys.float_info.min <= L2 < math.inf:
+            raise InvalidFamilyParamsError(
+                f"schwarzschild-ads: L^2 = {L2!r} is outside the normal float range")
 
-        def fval(r, m=m, L=L, p=p):
-            return 1 - 2 * m / r ** p + r ** 2 / L ** 2
+        def fval(r, m=m, L2=L2, p=p):
+            return 1 - 2 * m / r ** p + r ** 2 / L2
 
-        def evaluate(r, m=m, L=L, p=p):
-            return fval(r), 2 * p * m / r ** (p + 1) + 2 * r / L ** 2
+        def evaluate(r, m=m, L2=L2, p=p):
+            return fval(r), 2 * p * m / r ** (p + 1) + 2 * r / L2
 
         if m > 0:
             # f is increasing from -inf with a single positive root r_H; if
             # r_H < 1e-12, halving brackets it to a factor 2, to rtol alone
             lo_end, hi_end, xtol = 1e-12, max((2 * m) ** (1 / p), L) * 4, 1e-14
-            while fval(lo_end) >= 0:
-                lo_end, hi_end, xtol = lo_end / 2, lo_end, 0.0
-            while fval(hi_end) <= 0:
-                hi_end *= 2
+            try:
+                while fval(lo_end) >= 0:
+                    lo_end, hi_end, xtol = lo_end / 2, lo_end, 0.0
+                while fval(hi_end) <= 0:
+                    hi_end *= 2
+            except (OverflowError, ZeroDivisionError):  # r ** p out of range
+                hi_end = math.inf
+            if not sys.float_info.min <= lo_end < hi_end < math.inf:
+                raise InvalidFamilyParamsError(
+                    "schwarzschild-ads: the horizon radius is outside the float range")
+            # Brent falls back on bisection, which halves a bracket: one
+            # wider than 2^60 tolerances is first cut at geometric means
+            while hi_end - lo_end > 2.0 ** 60 * (xtol + 8.9e-16 * lo_end):
+                mid = math.sqrt(lo_end) * math.sqrt(hi_end)
+                if fval(mid) < 0:
+                    lo_end = mid
+                else:
+                    hi_end = mid
             rH = _brentq(fval, lo_end, hi_end, xtol, 8.9e-16)
         else:
             rH = 0.0

@@ -14,14 +14,25 @@ at the level of the continuous flow.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ForbiddenRadiusError
-from .ode import SolveStats, StepControl, _brentq, _dense_eval, _dopri5, _linear, _solve
+from .errors import ForbiddenRadiusError, StepUnderflowError
+from .ode import (
+    SolveStats,
+    StepControl,
+    _brentq,
+    _dense_eval,
+    _dopri5,
+    _linear,
+    _newton,
+    _solve,
+)
 from .spacetime import ClassSSpacetime
 
 __all__ = [
@@ -229,13 +240,15 @@ def _samples(sol, spacing):
     return s, _dense_eval(sol.dense, s)
 
 
-def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
+def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
+                      stops=(None, None)):
     """Integrate an autonomous radial system over both half-lines of span.
 
     The state has r = y[1] and dr/ds = y[2]. Each half-line, started at
-    s = 0, stops at its span end, at the radial interval boundary, or when
-    it comes within ASYMPTOTE_EPS of a photon sphere whose factor matches
-    ``alpha`` (None: no such test). Returns the ``ode._Solution``.
+    s = 0, stops at its span end (or by its rule in ``stops``, see
+    ``ode._solve``), at the radial interval boundary, or when it comes
+    within ASYMPTOTE_EPS of a photon sphere whose factor matches ``alpha``
+    (None: no such test). Returns the ``ode._Solution``.
     """
     r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
     events = [(lambda y: y[1] - r_stop_lo, "boundary")]
@@ -247,7 +260,20 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres):
         events.append((lambda y: (y[1] - sp.r_star) ** 2 + y[2] ** 2
                        - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
 
-    return _solve(rhs, y0, span, step, events)
+    return _solve(rhs, y0, span, step, events, stops)
+
+
+def _profile_rhs(st, alpha):
+    """Right-hand side of the profile state (t, r, dr/ds) on Python floats."""
+    metric = st.metric.evaluate
+    a2 = alpha ** 2
+
+    def rhs(y):
+        r, v = y[1], y[2]
+        fv, dfv = metric(r)
+        return (alpha * r / fv, v, a2 * r - 0.5 * dfv)
+
+    return rhs
 
 
 def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
@@ -281,16 +307,9 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
                 "no real initial dr/ds")
         if spec.sign == 0 and disc > 1e-12 * scale:
             raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
-        metric = st.metric.evaluate
-        a2 = alpha ** 2
-
-        def rhs(y):
-            r, v = y[1], y[2]
-            fv, dfv = metric(r)
-            return (alpha * r / fv, v, a2 * r - 0.5 * dfv)
-
         y0 = (spec.t0, spec.r0, spec.sign * math.sqrt(max(disc, 0.0)))
-        sol = _integrate_radial(st, rhs, y0, spec.span, step, alpha, spheres)
+        sol = _integrate_radial(st, _profile_rhs(st, alpha), y0, spec.span,
+                                step, alpha, spheres)
 
     s, (t, r, v) = _samples(sol, step.sample_spacing)
     f = st.f(r)
@@ -302,6 +321,183 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
         termination=sol.reasons.get("forward", "span"),
         termination_start=sol.reasons.get("backward", "span"),
         unit_residual=unit, solve_stats=sol.stats)
+
+
+# stop reasons of an orbit half-line: it covered the windows of its cells,
+# or its r turned back where no turning point was scanned
+_ORBIT_SPAN, _TURNED_BACK = "span", "turned-back"
+
+
+class _Orbit(NamedTuple):
+    """One open-ended solve through the sweep cells of one (alpha, component):
+    the anchor radius, its kind and the ``ode._Solution``."""
+
+    alpha: float
+    anchor: float
+    kind: str
+    sol: object
+
+
+def _orbit_anchor(st, alpha, below, above, spheres, bracket):
+    """(radius, kind) of the canonical anchor of the component of
+    {alpha^2 r^2 >= f} between the turning points ``below`` and ``above``
+    (None: open to that side), or None when there is none.
+
+    The anchor is the component's turning point, polished by Newton so that
+    dr/ds = 0 holds there to rounding; else the first root of r'' = 0, that
+    is alpha^2 r = f'/2, in ``bracket``; else r_* of the first photon sphere.
+    """
+    a2 = alpha ** 2
+    if below is not None or above is not None:
+        def g(r):
+            fv, dfv = st.metric(r)
+            return a2 * r ** 2 - fv, 2 * a2 * r - dfv
+
+        r_tp = below if below is not None else above
+        return float(_newton(g, 0.0, r_tp, *bracket)), "turning-point"
+    roots = _scan_roots(lambda r: a2 * r - 0.5 * st.metric(r)[1], *bracket, 512)
+    if roots:
+        return roots[0], "inflection"
+    if spheres:
+        return spheres[0].r_star, "photon-sphere"
+    return None
+
+
+def _half_stop(direction, r_far, extent, monotone):
+    """Stop rule of the orbit half-line in ``direction``: "span" at the first
+    step end more than ``extent`` past the step end where r passed ``r_far``
+    (s = 0 when None), so a cell's window is covered and its r0 lies before
+    the last node; on a ``monotone`` half, whose dr/ds stays positive,
+    "turned-back" at a step end where it does not."""
+    passed = 0.0 if r_far is None else None
+
+    def stop(s, y):
+        nonlocal passed
+        if monotone and not y[2] > 0:
+            return _TURNED_BACK
+        if passed is None and direction * (y[1] - r_far) >= 0:
+            passed = s
+        if passed is not None and direction * (s - passed) > extent:
+            return _ORBIT_SPAN
+        return None
+
+    return stop
+
+
+def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
+    """Sign +1 profiles of the sweep cells (alpha, r0), r0 in ``r0s``, from
+    one open-ended solve per orbit.
+
+    In a static spacetime every such cell on one component of
+    {alpha^2 r^2 >= f} lies on the orbit through the component's anchor
+    (``_orbit_anchor``), shifted in s and t. Its s0 solves r(s0) = r0 by
+    ``ode._newton`` on the half where r increases; it is sampled at
+    s0 + ``_sample_grid`` of its window, with t shifted to t(s0) = 0. Each
+    half runs past its farthest r0 by its span end (``_half_stop``), so a
+    cell's bytes do not depend on the other cells.
+
+    Returns (cells, orbits): cells[i] is (curve, orbit index, s0), or None
+    for a cell that ``integrate_profile`` must take: a critical row, r0
+    outside the scan bracket of ``turning`` (the row's turning points), a
+    cell that is forbidden, held on a sphere or at a turning point, a
+    component between two turning points, and a cell whose orbit failed or
+    does not reach r0 or cover its window before a stop other than an event.
+    """
+    cells = [None] * len(r0s)
+    orbits = []
+    if _snapped_sphere(spheres, alpha) is not None:
+        return cells, orbits
+    bracket = st.default_bracket()
+    groups = {}
+    for i, r0 in enumerate(r0s):
+        if not bracket[0] < r0 < bracket[1] or \
+                _fixed_radius(st, spheres, alpha, r0) is not None or \
+                not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
+            continue
+        j = bisect.bisect(turning, r0)
+        ends = (turning[j - 1] if j else None,
+                turning[j] if j < len(turning) else None)
+        if None in ends:
+            groups.setdefault(ends, []).append(i)
+
+    rhs = _profile_rhs(st, alpha)
+    for (below, above), members in groups.items():
+        anchor = _orbit_anchor(st, alpha, below, above, spheres, bracket)
+        if anchor is None:
+            continue
+        r_a, kind = anchor
+        # the halves on which r increases with s: both, without turning point
+        monotone = {-1: kind != "turning-point" or above is not None,
+                    1: kind != "turning-point" or below is not None}
+        sides = {d: [i for i in members if monotone[d] and d * (r0s[i] - r_a) > 0]
+                 for d in (-1, 1)}
+        far = {d: (d * max(d * r0s[i] for i in idx) if idx else None)
+               for d, idx in sides.items()}
+        stops = (_half_stop(-1, far[-1], -span[0], monotone[-1]),
+                 _half_stop(1, far[1], span[1], monotone[1]))
+        y0 = (0.0, r_a, math.sqrt(max(alpha ** 2 * r_a ** 2 - st.f(r_a), 0.0)))
+        try:
+            sol = _integrate_radial(st, rhs, y0, (-math.inf, math.inf), step,
+                                    alpha, spheres, stops)
+        except StepUnderflowError:
+            continue
+        orbits.append(_Orbit(alpha, r_a, kind, sol))
+        for d, idx in sides.items():
+            for i, s0 in zip(idx, _orbit_starts(sol, d, [r0s[i] for i in idx])):
+                curve = None if s0 is None else \
+                    _orbit_cell(st, alpha, sol, s0, span, step.sample_spacing)
+                if curve is not None:
+                    cells[i] = (curve, len(orbits) - 1, s0)
+    return cells, orbits
+
+
+def _orbit_starts(sol, d, r0s):
+    """Points s0 with r(s0) = r0 on the half-line of ``sol`` in direction d,
+    along which r increases with s: one per r0 of ``r0s``, None where the
+    half does not reach r0. Newton starts from r interpolated between the
+    half's nodes, its end included unless r turned back in the last step."""
+    T, H, Y, _ = sol.dense
+    k = np.count_nonzero(H < 0)  # backward steps come first
+    r_end = sol.end_states()[1, int(d > 0)]
+    if d > 0:
+        s_nodes, r_nodes = np.append(T[k:], sol.hi), np.append(Y[k:, 1], r_end)
+    else:
+        s_nodes, r_nodes = np.append(sol.lo, T[:k]), np.append(r_end, Y[:k, 1])
+    if sol.reasons["forward" if d > 0 else "backward"] == _TURNED_BACK:
+        keep = slice(None, -1) if d > 0 else slice(1, None)
+        s_nodes, r_nodes = s_nodes[keep], r_nodes[keep]
+    targets = np.array(r0s, dtype=float)
+    reached = (r_nodes[0] < targets) & (targets < r_nodes[-1])
+
+    def fn(s):
+        y = _dense_eval(sol.dense, s)
+        return y[1], y[2]
+
+    starts = iter(_newton(fn, targets[reached],
+                          np.interp(targets[reached], r_nodes, s_nodes),
+                          s_nodes[0], s_nodes[-1]).tolist())
+    return [next(starts) if ok else None for ok in reached]
+
+
+def _orbit_cell(st, alpha, sol, s0, span, spacing):
+    """The profile of the cell at s0 of an orbit solution over its window
+    s0 + span, or None when the window passes an end that is not an event."""
+    lo, hi = max(span[0], sol.lo - s0), min(span[1], sol.hi - s0)
+    ends = {"backward": lo > span[0], "forward": hi < span[1]}
+    if any(cut and sol.reasons[name] in (_ORBIT_SPAN, _TURNED_BACK)
+           for name, cut in ends.items()):
+        return None
+    s = _sample_grid((lo, hi), spacing)
+    t, r, v = _dense_eval(sol.dense, s0 + s)
+    t = t - t[np.searchsorted(s, 0.0)]
+    f = st.f(r)
+    tdot = alpha * r / f
+    reasons = {name: sol.reasons[name] if cut else "span"
+               for name, cut in ends.items()}
+    return ProfileCurve(
+        s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
+        termination=reasons["forward"], termination_start=reasons["backward"],
+        unit_residual=_unit_residual(f, tdot, v))
 
 
 @dataclass(frozen=True)

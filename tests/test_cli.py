@@ -271,12 +271,22 @@ def test_sweep_groups_and_skips(tmp_path):
     assert "PhotonSphere" in kinds
     skipped = [c for c in manifest["cells"] if c["status"] == "skipped"]
     assert skipped and all(c["reason"] for c in skipped)
+    orbits = manifest["orbits"]
+    assert orbits
+    for orbit in orbits:
+        assert sorted(orbit["solve_stats"]) == ["backward", "forward"]
+        assert all(h["accepted"] > 0 for h in orbit["solve_stats"].values())
     for cell in manifest["cells"]:
         if cell["status"] == "ok":
-            halves = cell["solve_stats"]
             if cell["classification"] == "PhotonSphere":
-                assert halves == {}  # the exact cylinder needs no solve
+                assert cell["solve_stats"] == {}  # the exact cylinder needs no solve
+            elif "orbit" in cell:  # a window of a shared orbit solve
+                assert "solve_stats" not in cell
+                assert 0 <= cell["orbit"] < len(orbits)
+                assert orbits[cell["orbit"]]["alpha"] == cell["alpha"]
+                assert isinstance(cell["s0"], float)
             else:
+                halves = cell["solve_stats"]
                 assert sorted(halves) == ["backward", "forward"]
                 assert all(h["accepted"] > 0 for h in halves.values())
             path = out / cell["file"]
@@ -574,6 +584,11 @@ print(run("table", "profile"), "scipy.interpolate" in sys.modules)
     ("family = minkowski\nr_lo = -1\nr_hi = 0", 2),
     ("family = reissner-nordstrom\nm = -5\nq = 1", 0),  # r_+ < 0: r_lo = 0
     ("family = schwarzschild-ads\nm = 1e-40\nL = 10", 0),  # r_H ~ 2e-40
+    ("family = schwarzschild-ads\nm = 1e300\nL = 1e300", 2),  # L^2 overflows
+    ("family = schwarzschild-ads\nm = 1\nL = 1e-300", 2),  # L^2 underflows
+    # r_H ~ 4.5e75 bracketed across ~540 binary orders; f < 0 at r_lo = 2
+    ("family = schwarzschild-ads\nn = 4\nm = 1e300\nL = 10\nr_lo = 2", 2),
+    ("family = schwarzschild-ads\nm = 1e308\nL = 10", 2),  # 2m overflows
 ])
 def test_family_params_contract(tmp_path, capsys, body, code):
     cfg = write_config(tmp_path / "c.ini", f"[spacetime]\n{body}\n"

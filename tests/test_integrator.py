@@ -191,3 +191,33 @@ def test_solve_matches_each_half_line(span):
                 s = s[s < 0] if name == "backward" else s[s >= 0]
             np.testing.assert_array_equal(_dense_eval(sol.dense, s),
                                           _dense_eval(half.dense, s))
+
+
+def test_open_solve_extends_shorter_one_bit_for_bit():
+    # with a stop rule no step is clipped and the initial step ignores the
+    # extent, so the steps of a solve that stops earlier are a prefix of
+    # those of one that stops later; an event ends both at the same point
+    st, spheres, _ = cases("schwarzschild-n3")
+    alpha, r0 = 0.3, 4.5
+    y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
+    rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
+
+    def open_solve(direction, extent):
+        return _dopri5(rhs, y0, direction, STEP, events,
+                       stop=lambda s, y: "far" if abs(s) > extent else None)
+
+    for direction, extents in ((1.0, (2.0, 7.5)), (-1.0, (0.5, 1.5))):
+        short, long_ = (open_solve(direction, e) for e in extents)
+        assert short.reason == long_.reason == "far"
+        assert extents[0] < abs(short.s_end) < extents[1] < abs(long_.s_end)
+        n = short.stats.accepted
+        assert 0 < n < long_.stats.accepted
+        rows = slice(None, n) if direction > 0 else slice(-n, None)
+        for a, b in zip(short.dense, long_.dense):
+            np.testing.assert_array_equal(a, b[rows])
+        # the step that ends the short solve is a node of the long one
+        assert short.s_end in long_.dense[0]
+    # inward, a solve runs into the horizon whatever its extent
+    first, second = open_solve(-1.0, 50.0), open_solve(-1.0, 500.0)
+    assert first.reason == second.reason == "boundary"
+    assert first.s_end == second.s_end and first.stats == second.stats

@@ -311,3 +311,12 @@ def test_isotropic_reissner_nordstrom_closed_form(q):
     rs = r_plus + np.array([0.0, 1e-8, 1e-4, 0.1, 1.0, 3.0, 50.0])
     np.testing.assert_allclose(iso.s_of_r(rs), r0 * (a(rs) / a(r0)) ** 2,
                                rtol=1e-10, atol=0)
+
+
+def test_sads_horizon_across_hundreds_of_binary_orders():
+    # the first bracket [1e-12, ~5.7e150] is cut at geometric means before
+    # Brent's method, whose bisection steps would need ~540 halvings
+    st = build_family("schwarzschild-ads", n=4, m=1e300, L=10)
+    r_h = st.r_lo
+    assert 1e75 < r_h < 1e76
+    assert st.f(r_h * (1 - 1e-12)) < 0 < st.f(r_h * (1 + 1e-12))
