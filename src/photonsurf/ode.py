@@ -1,9 +1,10 @@
 """Plain-float Dormand-Prince 5(4) stepper shared by the radial integrators
 and the isotropic coordinate map.
 
-``_dopri5`` solves an autonomous system from 0 to an end point and returns
-its dense output as arrays; ``_solve`` joins the two half-lines of a span
-into one such output and ``_linear`` builds one of constant rates.
+``_dopri5`` solves an autonomous system from 0 to an end point, one step
+attempt at a time in a kernel compiled per state size by ``_kernel``, and
+returns its dense output as arrays; ``_solve`` joins the two half-lines of
+a span into one such output and ``_linear`` builds one of constant rates.
 ``_dense_eval`` samples it and ``_invert`` solves for the points where one
 monotone component takes given values, by the batched Newton iteration
 ``_newton``. ``_brentq``, Brent's bracketed root finder, locates stop
@@ -13,6 +14,7 @@ events and serves the root scans elsewhere in the package.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -137,15 +139,62 @@ def _rms(xs, scale):
     return math.sqrt(sum((x / sc) ** 2 for x, sc in zip(xs, scale))) / len(xs) ** 0.5
 
 
+# One step attempt from (s, y) with step h: the stages k2-k7 (k1 is the
+# first-same-as-last stage of the previous step), y_new and the RMS error
+# norm of RK45. ``_kernel`` writes each <...> out once per component i, with
+# the one-letter names v, a, ..., x renamed v{i}, a{i}, ..., x{i} and each
+# copy followed by ", ", so every component keeps the arithmetic of RK45's
+# per-component formulas in the same order.
+_STEP_TEMPLATE = """\
+def step(rhs, y, k1, h, atol, rtol):
+    <v> = y
+    <a> = k1
+    <b> = rhs([<v + (_A21 * a) * h>])
+    <c> = rhs([<v + (_A31 * a + _A32 * b) * h>])
+    <d> = rhs([<v + (_A41 * a + _A42 * b + _A43 * c) * h>])
+    <e> = rhs([<v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h>])
+    <p> = rhs([<v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h>])
+    <w> = <v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)>
+    y_new = [<w>]
+    k7 = rhs(y_new)
+    <q> = k7
+    <x> = <(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h>
+    error_norm = math.sqrt(
+        sum((<(x / (atol + max(abs(v), abs(w)) * rtol)) ** 2>))) / {n} ** 0.5
+    return y_new, k7, (<a><c><d><e><p><q>), error_norm
+"""
+_KERNELS = {}
+
+
+def _kernel(n):
+    """The step attempt of ``_STEP_TEMPLATE`` for states of n components,
+    compiled on first use and cached in ``_KERNELS``."""
+    if n not in _KERNELS:
+        def unroll(match):
+            return "".join(re.sub(r"\b([vabcdepqwx])\b", rf"\g<1>{i}", match[1])
+                           + ", " for i in range(n))
+
+        source = re.sub(r"<([^<>]*)>", unroll, _STEP_TEMPLATE.format(n=n))
+        namespace = {}
+        exec(compile(source, f"<dopri5 step, n = {n}>", "exec"), globals(), namespace)
+        _KERNELS[n] = namespace["step"]
+    return _KERNELS[n]
+
+
 def _dopri5(rhs, y0, s_end, step, events, stop=None):
     """Adaptive Dormand-Prince 5(4) solve of y' = rhs(y) from s = 0 to s_end.
 
     Replays scipy's RK45 on Python floats: the same initial step selection,
-    step controller and 10-ulp underflow test. ``events`` are (g(y), tag)
-    pairs; the solve stops at the first root of any g bracketed by a sign
-    change between accepted steps, located by ``_brentq`` on the dense
-    output. Raises ``StepUnderflowError`` when the step underflows and
-    ``StepBudgetError`` after ``_STEP_BUDGET`` attempted steps.
+    step controller and 10-ulp underflow test. Each step attempt runs the
+    kernel that ``_kernel`` compiles for the state size: RK45's formulas
+    written out per component. ``events`` are (g(y), tag) pairs; the solve
+    stops at the first root of any g bracketed by a sign change between
+    accepted steps, located by ``_brentq`` on the dense output. Raises
+    ``StepUnderflowError`` when the step underflows and ``StepBudgetError``
+    after ``_STEP_BUDGET`` attempted steps. An ``OverflowError`` in a step
+    attempt, a right-hand side leaving the float range, ends the solve at
+    its last accepted step with reason "float-range", not counting that
+    attempt; before the first accepted step it raises ``StepUnderflowError``.
 
     With a ``stop`` rule the solve is open-ended: s_end gives only the
     direction, and the solve ends after the first accepted step at whose end
@@ -159,15 +208,19 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
         s_end = direction * math.inf
     length = abs(s_end)
     t, y = 0.0, [float(v) for v in y0]
-    f = rhs(y)
+    kernel = _kernel(len(y))
 
     # initial step (Hairer, Norsett & Wanner II.4; scipy select_initial_step)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0, d1 = _rms(y, scale), _rms(f, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    f1 = rhs([v + h0 * direction * fv for v, fv in zip(y, f)])
-    d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
+    try:
+        f = rhs(y)
+        scale = [atol + abs(v) * rtol for v in y]
+        d0, d1 = _rms(y, scale), _rms(f, scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, length)
+        f1 = rhs([v + h0 * direction * fv for v, fv in zip(y, f)])
+        d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
+    except OverflowError:
+        raise _float_range_error(t, y) from None
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -198,24 +251,14 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
                 t_new = s_end
             h = t_new - t
             h_abs = abs(h)
-            k1 = f
-            k2 = rhs([v + (_A21 * a) * h for v, a in zip(y, k1)])
-            k3 = rhs([v + (_A31 * a + _A32 * b) * h
-                      for v, a, b in zip(y, k1, k2)])
-            k4 = rhs([v + (_A41 * a + _A42 * b + _A43 * c) * h
-                      for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                      for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                      for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
-                     for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(y_new)
+            try:
+                y_new, k7, stages, error_norm = kernel(rhs, y, f, h, atol, rtol)
+            except OverflowError:
+                if not ts:
+                    raise _float_range_error(t, y) from None
+                reason = "float-range"
+                break
             nfev += 6
-            error_norm = _rms(
-                [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h
-                 for a, c, d, e, p, q in zip(k1, k3, k4, k5, k6, k7)],
-                [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)])
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
@@ -226,11 +269,13 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
             step_rejected = True
             rejected += 1
+        if reason == "float-range":
+            break
 
         ts.append(t)
         hs.append(h)
         ys.append(y)
-        ks.append((*k1, *k3, *k4, *k5, *k6, *k7))
+        ks.append(stages)
         t_old, t, y, f = t, t_new, y_new, k7
         if events:
             g_new = [ev(y) for ev, _ in events]
@@ -257,6 +302,12 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
     order = slice(None, None, 1 if direction > 0 else -1)
     return _HalfLine(_dense_arrays(ts[order], hs[order], ys[order], ks[order]),
                      t, reason, stats)
+
+
+def _float_range_error(t, y):
+    return StepUnderflowError(
+        f"the right-hand side left the float range at s = {t:.6g}, before "
+        "the first accepted step", last_state=(t, tuple(y)))
 
 
 def _brentq(f, a, b, xtol, rtol):

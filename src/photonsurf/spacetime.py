@@ -257,6 +257,14 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         params = {"m": m, "L": L}
     else:
         raise UnknownFamilyError(f"unknown family {family!r}")
+    # f' divides by the highest power of r it uses, which must stay a
+    # normal float at the inner end of the interval (the horizon unless
+    # r_lo is given)
+    power = {"schwarzschild": n - 1, "schwarzschild-ads": n - 1,
+             "reissner-nordstrom": 3}.get(family)
+    if power and 0 < lo < 1 and lo ** power < sys.float_info.min:
+        raise InvalidFamilyParamsError(
+            f"{family}: r^{power} at r_lo = {lo!r} is below the normal float range")
 
     st = ClassSSpacetime(n, lo if lo > 0 else 0.0, r_hi, metric, family, params,
                          flags)

@@ -28,7 +28,6 @@ from .ode import (
     StepControl,
     _brentq,
     _dense_eval,
-    _dopri5,
     _linear,
     _newton,
     _solve,
@@ -401,7 +400,7 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
     outside the scan bracket of ``turning`` (the row's turning points), a
     cell that is forbidden, held on a sphere or at a turning point, a
     component between two turning points, and a cell whose orbit failed or
-    does not reach r0 or cover its window before a stop other than an event.
+    does not reach r0 or cover its window before its stop rule ends it.
     """
     cells = [None] * len(r0s)
     orbits = []
@@ -481,7 +480,8 @@ def _orbit_starts(sol, d, r0s):
 
 def _orbit_cell(st, alpha, sol, s0, span, spacing):
     """The profile of the cell at s0 of an orbit solution over its window
-    s0 + span, or None when the window passes an end that is not an event."""
+    s0 + span, or None when the window passes an end set by the orbit's stop
+    rule ("span" or "turned-back")."""
     lo, hi = max(span[0], sol.lo - s0), min(span[1], sol.hi - s0)
     ends = {"backward": lo > span[0], "forward": hi < span[1]}
     if any(cut and sol.reasons[name] in (_ORBIT_SPAN, _TURNED_BACK)

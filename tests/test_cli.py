@@ -589,6 +589,10 @@ print(run("table", "profile"), "scipy.interpolate" in sys.modules)
     # r_H ~ 4.5e75 bracketed across ~540 binary orders; f < 0 at r_lo = 2
     ("family = schwarzschild-ads\nn = 4\nm = 1e300\nL = 10\nr_lo = 2", 2),
     ("family = schwarzschild-ads\nm = 1e308\nL = 10", 2),  # 2m overflows
+    # r_H ~ 2e-300: r_H^2 in f' underflows to 0
+    ("family = schwarzschild-ads\nm = 1e-300\nL = 10", 2),
+    ("family = schwarzschild\nm = 1e-300", 2),
+    ("family = reissner-nordstrom\nm = 1e-300\nq = 0", 2),  # r_+^3 underflows
 ])
 def test_family_params_contract(tmp_path, capsys, body, code):
     cfg = write_config(tmp_path / "c.ini", f"[spacetime]\n{body}\n"
@@ -606,6 +610,21 @@ def test_family_params_contract(tmp_path, capsys, body, code):
             assert spacetime["r_lo"] == 0.0
         else:  # the horizon 1 - 2m/r_H + r_H^2/L^2 = 0
             assert spacetime["r_lo"] == pytest.approx(2e-40, rel=1e-12)
+
+
+def test_profile_past_the_float_range_ends_with_reason(tmp_path, capsys):
+    # r grows like exp(alpha s), so r^2 in f overflows near s = 1180, long
+    # before span_hi: the curve ends at its last accepted step
+    cfg = write_config(tmp_path / "c.ini", SCHW + "[profile]\nalpha = 0.3\n"
+                       "r0 = 6\nspan_lo = -1\nspan_hi = 3000\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--format", "json", "--out", str(out),
+                 "profile"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((out / "profile_manifest.json").read_text())
+    assert manifest["termination"] == "float-range"
+    assert manifest["termination_start"] == "span"
+    assert manifest["solve_stats"]["forward"]["accepted"] > 0
 
 
 def _config_value():

@@ -6,6 +6,9 @@ and event locations must agree up to rounding.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,11 +19,17 @@ from photonsurf import (
     StepUnderflowError,
     build_family,
     find_photon_spheres,
+    to_isotropic,
 )
 from photonsurf import ode
 from photonsurf.errors import StepBudgetError
-from photonsurf.ode import _solve
-from photonsurf.surfaces import ASYMPTOTE_EPS, _dense_eval, _dopri5, _sample_grid
+from photonsurf.ode import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _E1, _E3, _E4, _E5, _E6, _E7,
+    _dense_eval, _dopri5, _rms, _solve,
+)
+from photonsurf.surfaces import ASYMPTOTE_EPS, _sample_grid
 
 STEP = StepControl()
 
@@ -221,3 +230,133 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
     first, second = open_solve(-1.0, 50.0), open_solve(-1.0, 500.0)
     assert first.reason == second.reason == "boundary"
     assert first.s_end == second.s_end and first.stats == second.stats
+
+
+def _reference_step(rhs, y, k1, h, atol, rtol):
+    """One step attempt written as comprehensions over zipped components, the
+    form that the unrolled kernels of ``ode._kernel`` replace: stages k2-k7,
+    y_new and the RMS error norm."""
+    k2 = rhs([v + (_A21 * a) * h for v, a in zip(y, k1)])
+    k3 = rhs([v + (_A31 * a + _A32 * b) * h
+              for v, a, b in zip(y, k1, k2)])
+    k4 = rhs([v + (_A41 * a + _A42 * b + _A43 * c) * h
+              for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+              for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+              for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
+             for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(y_new)
+    error_norm = _rms(
+        [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h
+         for a, c, d, e, p, q in zip(k1, k3, k4, k5, k6, k7)],
+        [atol + max(abs(u), abs(v)) * rtol for u, v in zip(y, y_new)])
+    return y_new, k7, (*k1, *k3, *k4, *k5, *k6, *k7), error_norm
+
+
+def _kernel_cases():
+    """name -> solve() returning the half-lines of one run, for state sizes
+    2 (the isotropic map), 3 (profiles) and 5 (a null geodesic)."""
+    st, spheres, runs = cases("schwarzschild-n3")
+    alpha, r0 = 0.3, 4.5
+    y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
+    rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
+    # the infalling geodesic, which ends at the boundary after rejected steps
+    _, g_alpha, g_y0, g_end, _ = next(run for run in runs
+                                      if run[0] == "geodesic" and run[4] == "boundary")
+
+    def isotropic_halves():
+        halves, solve = [], ode._dopri5
+
+        def recording(*args, **kwargs):
+            halves.append(solve(*args, **kwargs))
+            return halves[-1]
+
+        ode._dopri5 = recording
+        try:
+            to_isotropic(build_family("reissner-nordstrom", m=1, q=0.6), 4.0)
+        finally:
+            ode._dopri5 = solve
+        return halves
+
+    return {
+        "isotropic-rn": isotropic_halves,
+        "profile-boundary": lambda: [_dopri5(rhs, y0, -50.0, STEP, events)],
+        "profile-open": lambda: [_dopri5(
+            rhs, y0, 1.0, STEP, events,
+            stop=lambda s, y: "far" if s > 7.5 else None)],
+        "geodesic": lambda: [_dopri5(geodesic_rhs(st, g_alpha, 1.0), g_y0,
+                                     g_end, STEP, radial_events(st, g_alpha, spheres))],
+    }
+
+
+@pytest.mark.parametrize("name, n, reason", [
+    ("isotropic-rn", 2, "span"), ("profile-boundary", 3, "boundary"),
+    ("profile-open", 3, "far"), ("geodesic", 5, "boundary")])
+def test_kernel_matches_reference_stepper_bit_for_bit(monkeypatch, name, n, reason):
+    solve = _kernel_cases()[name]
+    halves = solve()
+    monkeypatch.setattr(ode, "_kernel", lambda size: _reference_step)
+    reference = solve()
+    assert len(halves) == len(reference) >= 1
+    for half, ref in zip(halves, reference):
+        assert half.dense[2].shape[1] == n
+        assert half.reason == ref.reason == reason
+        assert half.stats == ref.stats
+        assert half.s_end.hex() == ref.s_end.hex()
+        for a, b in zip(half.dense, ref.dense):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if name == "profile-boundary":
+        assert halves[0].stats.rejected > 0
+
+
+def test_kernel_matches_reference_stepper_on_blowup(monkeypatch):
+    # n = 1: both step forms underflow at the same point of y' = y^2
+    def last_state():
+        with pytest.raises(StepUnderflowError) as info:
+            _dopri5(lambda y: (y[0] ** 2,), (1.0,), 2.0, STEP, [])
+        return str(info.value), info.value.last_state
+
+    kernel = last_state()
+    monkeypatch.setattr(ode, "_kernel", lambda size: _reference_step)
+    assert kernel == last_state()
+
+
+def test_kernel_compiled_once_per_state_size(monkeypatch):
+    monkeypatch.setattr(ode, "_KERNELS", {})
+    solve = _kernel_cases()["profile-boundary"]
+    solve()
+    first = ode._KERNELS[3]
+    solve()
+    assert ode._KERNELS == {3: first}
+    # and none is built on import
+    src = os.path.dirname(os.path.dirname(ode.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import photonsurf.cli, photonsurf.ode as o; "
+         "print(o._KERNELS)"], env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "{}"
+
+
+def test_dopri5_float_range_ends_at_last_accepted_step():
+    def rhs(y):  # y = s leaves the float range of this rhs past s = 10
+        if y[0] > 10:
+            raise OverflowError("math range error")
+        return (1.0,)
+
+    half = _dopri5(rhs, (0.0,), 100.0, STEP, [])
+    assert half.reason == "float-range"
+    assert half.stats.accepted > 0
+    # the attempt that overflowed is not counted
+    assert half.stats.rhs_evals == 2 + 6 * (half.stats.accepted
+                                            + half.stats.rejected)
+    assert 0 < half.s_end <= 10
+    T, H, _, _ = half.dense
+    assert half.s_end == pytest.approx(T[-1] + H[-1], rel=1e-15)
+    assert _dense_eval(half.dense, np.array([half.s_end]))[0, 0] == \
+        pytest.approx(half.s_end, rel=1e-12)
+    # before the first accepted step it is an underflow of the solve
+    with pytest.raises(StepUnderflowError) as info:
+        _dopri5(rhs, (11.0,), 100.0, STEP, [])
+    assert info.value.last_state == (0.0, (11.0,))
