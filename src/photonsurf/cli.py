@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     DomainError,
@@ -251,6 +253,9 @@ def _step_control(cp, section):
     spacing = 1e-2
     if section in cp:
         spacing = _sec_float(cp[section], "spacing", 1e-2)
+    if not spacing > 0:
+        raise SystemExitWith(EXIT_CONFIG,
+                             f"[{section}] spacing = {spacing!r} is not positive")
     return StepControl(sample_spacing=spacing)
 
 
@@ -261,7 +266,10 @@ def cmd_profile(args, cp):
     spheres = find_photon_spheres(st)
     curve = integrate_profile(st, spec, step, spheres=spheres)
     cls = classify(st, spec.alpha, spec.r0, spheres=spheres)
-    res = ode_residuals(st, curve)
+    try:
+        res = ode_residuals(st, curve)
+    except ValueError as e:  # a curve of fewer samples than differencing needs
+        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: [profile] {e}")
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -447,6 +455,9 @@ def cmd_sweep(args, cp):
 def cmd_verify(args, cp):
     st = _build_spacetime(cp)
     checks = verification_suite(st, tol_scale=args.tol)
+    for c in checks:
+        c["solve_stats"] = {solve: _stats_json(stats)
+                            for solve, stats in c["solve_stats"].items()}
     report = {"operation": "verify", "spacetime": _spacetime_summary(st),
               "checks": checks,
               "passed": all(c["passed"] for c in checks)}
@@ -489,12 +500,11 @@ def cmd_isotropic(args, cp):
                "s,r,psi,dpsi_ds,N,dN_ds,log_gap",
                (ss, ss * p, p, dp, nn, dnn, dnn / nn - dp / p))
 
-    spheres = find_photon_spheres(st)
-    sphere_rows = []
-    for sp in spheres:
-        s_star = float(iso.s_of_r(sp.r_star))
-        sphere_rows.append({"r_star": sp.r_star, "s_star": s_star,
-                            "residual": isotropic_sphere_residual(iso, s_star)})
+    r_stars = np.array([sp.r_star for sp in find_photon_spheres(st)])
+    s_stars = iso.s_of_r(r_stars)
+    residuals = isotropic_sphere_residual(iso, s_stars)
+    sphere_rows = [{"r_star": r, "s_star": s, "residual": res} for r, s, res
+                   in zip(r_stars.tolist(), s_stars.tolist(), residuals.tolist())]
     flat = conformal_flatness_scan(iso)
     _write_manifest(out, "isotropic_manifest.json", {
         "operation": "isotropic",
@@ -504,6 +514,7 @@ def cmd_isotropic(args, cp):
         "s_hi": None if math.isinf(iso.s_hi) else iso.s_hi,
         "photon_spheres": sphere_rows,
         "conformally_flat_intervals": [list(iv) for iv in flat],
+        "solve_stats": _stats_json(iso.solve_stats),
         "outputs": ["isotropic.csv"],
     })
     print(f"isotropic interval: ({fmt(iso.s_lo)}, "

@@ -8,13 +8,14 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DomainError, IdentityNotApplicableError, MinimalSphereError
-from .spacetime import ClassSSpacetime, IsotropicForm, _array_callable, to_isotropic
+from .spacetime import ClassSSpacetime, IsotropicForm, to_isotropic
 from .surfaces import (
     PhotonSurfaceSpec,
     ProfileCurve,
@@ -43,7 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SliceData:
-    """Geometry of the round sphere of area-radius r in a canonical time slice."""
+    """Geometry of the round sphere of area-radius r in a canonical time slice;
+    each field has the shape of r."""
 
     r: float
     lapse: float                 # N = sqrt(f)
@@ -52,12 +54,32 @@ class SliceData:
     sphere_scalar_curvature: float  # R_sigma = (n-1)(n-2)/r^2
 
 
-def slice_data(st: ClassSSpacetime, r: float) -> SliceData:
+def _radiuswise(check):
+    """``check(domain, x)``, written for a 1-D array x, on a float or a 1-D
+    array. A float runs as a one-element array, so it gets the bits it would
+    get inside an array (numpy's scalar and array powers can differ in the
+    last bit), and each value of the result takes the shape of x."""
+
+    @functools.wraps(check)
+    def wrapped(domain, x):
+        out = check(domain, np.atleast_1d(np.asarray(x, dtype=float)))
+        shape = np.shape(x)
+        if isinstance(out, np.ndarray):
+            return out.reshape(shape)[()]
+        return replace(out, **{f.name: getattr(out, f.name).reshape(shape)[()]
+                               for f in fields(out)})
+
+    return wrapped
+
+
+@_radiuswise
+def slice_data(st: ClassSSpacetime, r) -> SliceData:
+    """Slice geometry at a float or a 1-D array of radii, where f > 0."""
     fv, dfv = st.metric(r)
-    if fv <= 0:
-        raise DomainError(f"f(r) <= 0 at r = {r:.6g}")
+    if np.any(fv <= 0):
+        raise DomainError(f"f(r) <= 0 at r = {r[fv <= 0][0]:.6g}")
     n = st.n
-    sq = math.sqrt(fv)
+    sq = np.sqrt(fv)
     return SliceData(
         r=r,
         lapse=sq,
@@ -198,11 +220,13 @@ def surface_scalar_curvature_check(st: ClassSSpacetime, curve: ProfileCurve,
     return ScalarCurvatureReport(residual=residual, expected=expected)
 
 
-def slice_identity_residual(st: ClassSSpacetime, r: float) -> float:
+@_radiuswise
+def slice_identity_residual(st: ClassSSpacetime, r):
     """Residual of R_sigma = 2 H nu(N)/N + ((n-2)/(n-1)) H^2 at radius r.
 
     Holds on round slices of static vacuum spacetimes; raises for non-vacuum
-    families where the identity is not expected to hold.
+    families where the identity is not expected to hold. r is a float or a
+    1-D array, and the residual has its shape.
     """
     if not st.vacuum:
         raise IdentityNotApplicableError(
@@ -216,18 +240,21 @@ def slice_identity_residual(st: ClassSSpacetime, r: float) -> float:
 
 @dataclass(frozen=True)
 class CConstant:
-    c: float
+    c: float  # each field has the shape of the radii
     sphere_constraint_residual: float  # |R_sigma - c H^2|
     lapse_constraint_residual: float   # |2 nu(N) - (c - (n-2)/(n-1)) H N|
 
 
-def c_constant(st: ClassSSpacetime, r: float) -> CConstant:
-    """The constraint constant c = (n-2)/(n-1) + 2 nu(N)/(N H) with residuals."""
+@_radiuswise
+def c_constant(st: ClassSSpacetime, r) -> CConstant:
+    """The constraint constant c = (n-2)/(n-1) + 2 nu(N)/(N H) with residuals,
+    at a float or a 1-D array of radii."""
     d = slice_data(st, r)
     n = st.n
-    if abs(d.mean_curvature) < 1e-14:
-        raise MinimalSphereError(
-            f"H = 0 at r = {r:.6g}: semi-static horizon case (detected only)")
+    minimal = np.abs(d.mean_curvature) < 1e-14
+    if np.any(minimal):
+        raise MinimalSphereError(f"H = 0 at r = {r[minimal][0]:.6g}: "
+                                 "semi-static horizon case (detected only)")
     c = (n - 2) / (n - 1) + 2 * d.normal_lapse_derivative / (d.lapse * d.mean_curvature)
     res1 = abs(d.sphere_scalar_curvature - c * d.mean_curvature ** 2)
     res2 = abs(2 * d.normal_lapse_derivative
@@ -236,14 +263,17 @@ def c_constant(st: ClassSSpacetime, r: float) -> CConstant:
                      lapse_constraint_residual=res2)
 
 
-def mass_flux(st: ClassSSpacetime, r: float) -> float:
+@_radiuswise
+def mass_flux(st: ClassSSpacetime, r):
     """Normalized lapse flux f'(r) r^(n-1) / 2 through the sphere at r.
 
     Constant in r when the lapse is harmonic; equals the mass m for
-    Schwarzschild at n = 3 and (n-2) m in higher dimensions.
+    Schwarzschild at n = 3 and (n-2) m in higher dimensions. r is a float
+    or a 1-D array, and the flux has its shape.
     """
-    if not st.contains(r):
-        raise DomainError(f"r = {r:.6g} outside radial interval")
+    outside = ~st.contains(r)
+    if np.any(outside):
+        raise DomainError(f"r = {r[outside][0]:.6g} outside radial interval")
     return 0.5 * st.fprime(r) * r ** (st.n - 1)
 
 
@@ -251,10 +281,13 @@ def mass_flux(st: ClassSSpacetime, r: float) -> float:
 # Isotropic residuals
 # ---------------------------------------------------------------------------
 
-def isotropic_sphere_residual(iso: IsotropicForm, S: float) -> float:
-    """|1 + (psi'/psi - Ntilde'/Ntilde) S|: zero at an isotropic photon sphere."""
-    if not iso.contains(S):
-        raise DomainError(f"S = {S:.6g} outside isotropic interval")
+@_radiuswise
+def isotropic_sphere_residual(iso: IsotropicForm, S):
+    """|1 + (psi'/psi - Ntilde'/Ntilde) S|: zero at an isotropic photon sphere.
+    S is a float or a 1-D array, and the residual has its shape."""
+    outside = ~iso.contains(S)
+    if np.any(outside):
+        raise DomainError(f"S = {S[outside][0]:.6g} outside isotropic interval")
     p, dp = iso.psi(S)
     nn, dnn = iso.lapse(S)
     return abs(1.0 + (dp / p - dnn / nn) * S)
@@ -270,11 +303,11 @@ def isotropic_surface_residual(iso: IsotropicForm, samples) -> float:
     if samples.shape[0] < 1 or samples.shape[1] != 4:
         raise DomainError("need >= 1 sample row of the form (t, S, Sdot, Sddot)")
     _, S, Sdot, Sddot = samples.T
-    outside = ~((iso.s_lo < S) & (S < iso.s_hi))
+    outside = ~iso.contains(S)
     if np.any(outside):
         raise DomainError(f"S = {S[outside][0]:.6g} outside isotropic interval")
-    p, dp = _array_callable(iso.psi, S[:2])(S)
-    nn, dnn = _array_callable(iso.lapse, S[:2])(S)
+    p, dp = iso.psi(S)
+    nn, dnn = iso.lapse(S)
     lhs = (1.0 + dp / p * S) * (nn ** 2 - p ** 2 * Sdot ** 2)
     rhs = S * dnn * nn + S * p ** 2 * (Sddot + (dp / p - 2 * dnn / nn) * Sdot ** 2)
     return float(np.max(np.abs(lhs - rhs)))
@@ -304,18 +337,21 @@ def isotropic_profile_samples(iso: IsotropicForm, curve: ProfileCurve,
 # Aggregate verification suite
 # ---------------------------------------------------------------------------
 
-def _check(name, residual, tol, skipped=False, message=""):
+def _check(name, residual, tol, skipped=False, message="", solve_stats=None):
     passed = bool(skipped or (residual is not None and residual <= tol))
     return {"name": name, "residual": residual, "tol": tol,
-            "passed": passed, "skipped": skipped, "message": message}
+            "passed": passed, "skipped": skipped, "message": message,
+            "solve_stats": solve_stats or {}}
 
 
 def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict]:
     """Run every curvature/isotropic check applicable to a spacetime.
 
-    Returns one dict per check with name, residual, tolerance, pass/fail and
-    an optional skip marker.  Checks whose hypotheses the family does not
-    satisfy are reported as skipped, not failed.
+    Returns one dict per check with name, residual, tolerance, pass/fail,
+    an optional skip marker and ``solve_stats``: the per-half-line work of
+    the solves the residual reads, keyed "profile" and "isotropic_map"
+    (empty for closed-form and skipped checks).  Checks whose hypotheses the
+    family does not satisfy are reported as skipped, not failed.
     """
     checks = []
     lo, hi = st.default_bracket()
@@ -323,7 +359,7 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
     probe = math.sqrt(lo * hi) if st.r_lo > 0 or math.isfinite(st.r_hi) \
         else max(2.0, 2.0 * lo)
     radii = np.geomspace(max(lo, 1e-3 * probe), min(hi, 50 * probe), 50)
-    radii = radii[[st.contains(r) and st.f(r) > 0 for r in radii]]
+    radii = radii[st.contains(radii) & (st.f(radii) > 0)]
 
     # a non-constant photon surface for the scalar curvature and isotropic
     # surface checks, integrated only when one of them applies
@@ -341,20 +377,18 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
         rep = surface_scalar_curvature_check(st, curve, alpha)
         checks.append(_check("surface-scalar-curvature", rep.residual,
                              1e-5 * tol_scale,
-                             skipped=rep.skipped, message=rep.message))
+                             skipped=rep.skipped, message=rep.message,
+                             solve_stats={"profile": curve.solve_stats}))
 
     # slice identity, constraint constant, mass flux (vacuum only)
     if st.vacuum:
-        worst = max(slice_identity_residual(st, float(r)) for r in radii)
+        worst = float(np.max(slice_identity_residual(st, radii)))
         checks.append(_check("slice-identity", worst, 1e-10 * tol_scale))
-        worst1 = worst2 = 0.0
-        for r in radii:
-            cc = c_constant(st, float(r))
-            worst1 = max(worst1, cc.sphere_constraint_residual)
-            worst2 = max(worst2, cc.lapse_constraint_residual)
-        checks.append(_check("c-constraint-sphere", worst1, 1e-10 * tol_scale))
-        checks.append(_check("c-constraint-lapse", worst2, 1e-10 * tol_scale))
-        fluxes = np.array([mass_flux(st, float(r)) for r in radii])
+        cc = c_constant(st, radii)
+        for name, res in (("c-constraint-sphere", cc.sphere_constraint_residual),
+                          ("c-constraint-lapse", cc.lapse_constraint_residual)):
+            checks.append(_check(name, float(np.max(res)), 1e-10 * tol_scale))
+        fluxes = mass_flux(st, radii)
         checks.append(_check("mass-flux-constancy", float(np.std(fluxes)),
                              1e-10 * tol_scale,
                              message=f"mean flux {float(np.mean(fluxes)):.6g}"))
@@ -377,14 +411,17 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
 
     iso = to_isotropic(st, r0=probe)
     if spheres:
-        worst = max(isotropic_sphere_residual(iso, float(iso.s_of_r(sp.r_star)))
-                    for sp in spheres)
-        checks.append(_check("isotropic-photon-sphere", worst, 1e-8 * tol_scale))
+        r_stars = np.array([sp.r_star for sp in spheres])
+        worst = float(np.max(isotropic_sphere_residual(iso, iso.s_of_r(r_stars))))
+        checks.append(_check("isotropic-photon-sphere", worst, 1e-8 * tol_scale,
+                             solve_stats={"isotropic_map": iso.solve_stats}))
     else:
         checks.append(_check("isotropic-photon-sphere", None, 1e-8 * tol_scale,
                              skipped=True, message="no photon spheres"))
     rows = isotropic_profile_samples(iso, curve)
     checks.append(_check("isotropic-photon-surface",
                          isotropic_surface_residual(iso, rows),
-                         1e-5 * tol_scale))
+                         1e-5 * tol_scale,
+                         solve_stats={"profile": curve.solve_stats,
+                                      "isotropic_map": iso.solve_stats}))
     return checks

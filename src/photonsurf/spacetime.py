@@ -92,8 +92,9 @@ class ClassSSpacetime:
     def fprime(self, r):
         return self.metric.fprime(r)
 
-    def contains(self, r) -> bool:
-        return self.r_lo < r < self.r_hi
+    def contains(self, r):
+        """Whether r lies in (r_lo, r_hi); a float or a 1-D array of radii."""
+        return np.logical_and(self.r_lo < r, r < self.r_hi)
 
     @property
     def vacuum(self) -> bool:
@@ -116,12 +117,6 @@ class ClassSSpacetime:
         else:
             hi = max(10 * lo, 100.0)
         return lo, hi
-
-    @property
-    def unit_sphere_area(self) -> float:
-        """Area of the unit (n-1)-sphere."""
-        n = self.n
-        return 2 * math.pi ** (n / 2) / math.gamma(n / 2)
 
 
 def _check_positive_f(st: ClassSSpacetime, samples: int = 256) -> None:
@@ -276,7 +271,12 @@ def build_family(family: str, n: int = 3, m: float | None = None,
 
 def custom_spacetime(f, n: int, r_lo: float, r_hi: float,
                      fprime=None, description: str = "custom") -> ClassSSpacetime:
-    """Spacetime with a user-supplied profile; n = 2 is permitted here."""
+    """Spacetime with a user-supplied profile; n = 2 is permitted here.
+
+    ``f`` and ``fprime`` that take floats alone are extended to arrays point
+    by point: the one place where the package adapts a function to the
+    array contract of ``MetricProfile.evaluate``.
+    """
     if n < 2:
         raise InvalidFamilyParamsError("need n >= 2")
     r_lo, r_hi = float(r_lo), float(r_hi)
@@ -357,11 +357,13 @@ def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
 class IsotropicForm:
     """Conformally flat form -Ntilde^2 dt^2 + psi^2 delta on s in (s_lo, s_hi).
 
-    ``psi`` and ``lapse`` map s to (value, d/ds); the consumers here call
-    them with 1-D arrays when they accept arrays and point by point
-    otherwise. When the form was produced by :func:`to_isotropic`, the
-    coordinate maps ``s_of_r``/``r_of_s`` and the source spacetime are
-    attached.
+    ``psi`` and ``lapse`` map s to (value, d/ds). Like
+    ``MetricProfile.evaluate`` they take a float or a 1-D array and return
+    values of the same shape; only :func:`custom_spacetime` adapts functions
+    that take floats alone. When the form was produced by
+    :func:`to_isotropic`, the coordinate maps ``s_of_r``/``r_of_s``, the
+    source spacetime and the work of the map's solve per half-line
+    (``solve_stats``, empty for a form built by hand) are attached.
     """
 
     s_lo: float
@@ -372,9 +374,11 @@ class IsotropicForm:
     r0: Optional[float] = None
     s_of_r: Optional[Callable] = None
     r_of_s: Optional[Callable] = None
+    solve_stats: dict = field(default_factory=dict)
 
-    def contains(self, s) -> bool:
-        return self.s_lo < s < self.s_hi
+    def contains(self, s):
+        """Whether s lies in (s_lo, s_hi); a float or a 1-D array."""
+        return np.logical_and(self.s_lo < s, s < self.s_hi)
 
     def log_derivative_gap(self, s) -> float:
         """Ntilde'/Ntilde - psi'/psi at s; zero signals local conformal flatness."""
@@ -470,7 +474,7 @@ def to_isotropic(st: ClassSSpacetime, r0: float,
         tail = 2 * math.sqrt(f_top) / (r_top * df_top) if df_top > 0 else math.inf
         s_hi = s_hi * math.exp(tail) if tail < 1e-3 else math.inf
     return IsotropicForm(s_lo, s_hi, psi, lapse, source=st, r0=r0,
-                         s_of_r=s_of_r, r_of_s=r_of_s)
+                         s_of_r=s_of_r, r_of_s=r_of_s, solve_stats=sol.stats)
 
 
 def _iso_grid(iso: IsotropicForm, num: int) -> np.ndarray:
@@ -494,10 +498,8 @@ def from_isotropic(iso: IsotropicForm, samples: int = 512,
     interval; then r(s) = s psi(s) and f(r) = Ntilde(s(r))^2.
     """
     ss = _iso_grid(iso, samples)
-    psi = _array_callable(iso.psi, ss[:2])
-    lapse = _array_callable(iso.lapse, ss[:2])
-    p, dp = psi(ss)
-    nn, _ = lapse(ss)
+    p, dp = iso.psi(ss)
+    nn, _ = iso.lapse(ss)
     res = np.abs(nn - (1.0 + ss * dp / p))
     worst = int(np.argmax(res))
     if res[worst] > tol:
@@ -510,13 +512,13 @@ def from_isotropic(iso: IsotropicForm, samples: int = 512,
         raise CompatibilityError("r(s) = s psi(s) is not strictly increasing")
 
     def radius(s):  # r = s psi(s) and dr/ds
-        p, dp = psi(s)
+        p, dp = iso.psi(s)
         return s * p, p + s * dp
 
     def evaluate(r):
         s = _newton(radius, r, np.interp(r, rs, ss), iso.s_lo, iso.s_hi)
-        p, dp = psi(s)
-        nn, dnn = lapse(s)
+        p, dp = iso.psi(s)
+        nn, dnn = iso.lapse(s)
         return nn * nn, 2 * nn * dnn / (p + s * dp)
 
     metric = MetricProfile(evaluate, "from isotropic data")
@@ -540,16 +542,8 @@ def conformal_flatness_scan(iso: IsotropicForm, grid: int = 512,
     if not (iso.s_lo < iso.s_hi):
         return []
     ss = _iso_grid(iso, grid)
-    flat = np.abs(_array_callable(iso.log_derivative_gap, ss[:2])(ss)) < tol
-    intervals = []
-    i = 0
-    while i < len(ss):
-        if flat[i]:
-            j = i
-            while j + 1 < len(ss) and flat[j + 1]:
-                j += 1
-            intervals.append((float(ss[i]), float(ss[j])))
-            i = j + 1
-        else:
-            i += 1
-    return intervals
+    flat = np.abs(iso.log_derivative_gap(ss)) < tol
+    # each run of flat points starts where the padded mask rises and ends
+    # just before it falls
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], flat, [0]])))
+    return [(float(ss[i]), float(ss[j - 1])) for i, j in edges.reshape(-1, 2)]

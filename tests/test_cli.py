@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -653,3 +654,159 @@ def test_spheres_exit_codes_fuzz(tmp_path, family, n, values):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(["--config", cfg, "spheres"]) in (0, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("text, argv, code", [
+    ("[profile]\nalpha = 0.2\nr0 = 6\n", ["spheres"], 2),
+    ("[spacetime]\nfamily =\n", ["spheres"], 2),
+    ("[spacetime]\nfamily = schwarzschild\nm = abc\n", ["spheres"], 2),
+    ("[spacetime]\nfamily = schwarzschild\nn = 3.5\nm = 1\n", ["spheres"], 2),
+    ("[spacetime]\nfamily = custom\n", ["spheres"], 2),
+    (SCHW + "[profile]\nr0 = 6\n", ["profile"], 2),
+    (SCHW + "[profile]\nalpha = abc\nr0 = 6\n", ["profile"], 2),
+    (SCHW + "[sweep]\nalphas = 0.1, x\nr0s = 6\n", ["sweep"], 2),
+    (SCHW, ["profile"], 2),
+    (SCHW, ["geodesic"], 2),
+    (SCHW, ["sweep"], 2),
+    (SCHW + "[sweep]\nalphas = 0.2\nr0s = 6\nspacing = -1\n", ["sweep"], 2),
+    (SCHW + "[profile]\nalpha = 0.2\nr0 = 6\nspacing = 0\n", ["profile"], 2),
+    # three samples: too few for the residuals' differences
+    (SCHW + "[profile]\nalpha = 0.2\nr0 = 6\nspan_lo = -1\nspan_hi = 1\n"
+     "spacing = 1\n", ["profile"], 3),
+    (SCHW + "[sweep]\nalphas = -0.1\nr0s = 6\n", ["sweep"], 4),
+    (SCHW, ["--tol", "1e-30", "verify"], 5),
+], ids=["no-spacetime", "empty-family", "m-not-a-number", "n-not-an-integer",
+        "custom-without-table", "profile-without-alpha", "alpha-not-a-number",
+        "alphas-not-numbers", "no-profile-section", "no-geodesic-section",
+        "no-sweep-section", "negative-spacing", "zero-spacing", "too-few-samples",
+        "every-cell-skipped", "verify-fails"])
+def test_exit_code_contract(tmp_path, capsys, text, argv, code):
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code in (2, 4):
+        assert len(err.splitlines()) == 1, err
+    if code == 4:
+        assert err == "sweep produced no curves\n"
+
+
+def _number(lo, hi, signs=(1, 1, 1, -1), unit=1.0):
+    """A config number of magnitude unit 10^lo to unit 10^hi, its sign drawn
+    from ``signs``."""
+    return st_.builds(lambda sign, e: repr(sign * unit * 10.0 ** e),
+                      st_.sampled_from(signs), st_.floats(lo, hi))
+
+
+def _numbers(lo, hi, unit=1.0):
+    return st_.lists(_number(lo, hi, unit=unit), min_size=1, max_size=3).map(", ".join)
+
+
+# radii around 3, the simplest example, lie outside the horizons of the
+# fuzzed spacetimes (r_lo < 2)
+_radius = _number(-6.0, 6.0, unit=3.0)
+
+
+# spans of at most 10^0.5 and sample spacings of at least 10^-2 keep every
+# example to a few thousand samples
+_SPAN = {"span_lo": _number(-3.0, 0.5, (-1,)), "span_hi": _number(-3.0, 0.5, (1,)),
+         "spacing": _number(-2.0, 0.0)}
+_SECTIONS = {
+    "profile": {"alpha": _number(-6.0, 6.0), "r0": _radius,
+                "t0": _number(-6.0, 6.0), "sign": st_.sampled_from(("-1", "0", "1")),
+                **_SPAN},
+    "geodesic": {"energy": _number(-6.0, 6.0), "ell": _number(-6.0, 6.0),
+                 "r0": _radius, "sign": st_.sampled_from(("-1", "0", "1")),
+                 **_SPAN},
+    "sweep": {"alphas": _numbers(-6.0, 6.0), "r0s": _numbers(-6.0, 6.0, unit=3.0),
+              **_SPAN},
+}
+# absent, empty, zero, negative, non-finite, not a number, not a sign
+_ODD = st_.sampled_from((None, "", "0", "-1", "nan", "inf", "x", "0.5"))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spacetime=st_.sampled_from((
+           "family = minkowski", "family = schwarzschild\nm = 1",
+           "family = schwarzschild\nn = 5\nm = 1",
+           "family = reissner-nordstrom\nm = 1\nq = 0.6",
+           "family = schwarzschild-ads\nm = 1\nL = 10")),
+       section=st_.sampled_from(sorted(_SECTIONS)), data=st_.data())
+def test_section_exit_codes_fuzz(tmp_path, spacetime, section, data):
+    # any [profile], [geodesic] or [sweep] section, with numbers of
+    # magnitude 1e-6 to 1e6 and at most one odd value, ends in an exit code
+    # of the contract, never in an exception
+    values = data.draw(st_.fixed_dictionaries(_SECTIONS[section]))
+    odd_key = data.draw(st_.sampled_from((None, None, *sorted(values))))
+    if odd_key is not None:
+        values[odd_key] = data.draw(_ODD)
+    lines = ["[spacetime]", spacetime, f"[{section}]"]
+    lines += [f"{key} = {value}" for key, value in values.items()
+              if value is not None]
+    cfg = write_config(tmp_path / "fuzz.ini", "\n".join(lines) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                     section]) in (0, 2, 3, 4, 5)
+
+
+def test_isotropic_manifest_records_the_map_solve(tmp_path):
+    rn = "[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 0.6\n"
+    cfg = write_config(tmp_path / "c.ini", rn + "[isotropic]\nr0 = 4\n")
+    out = tmp_path / "iso"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", cfg, "--out", str(out), "isotropic"]) == 0
+    manifest = json.loads((out / "isotropic_manifest.json").read_text())
+    direct = photonsurf.to_isotropic(
+        photonsurf.build_family("reissner-nordstrom", m=1, q=0.6), r0=4.0)
+    assert manifest["solve_stats"] == {
+        half: dataclasses.asdict(stats) for half, stats in direct.solve_stats.items()}
+    assert manifest["solve_stats"]["forward"]["accepted"] > 0
+
+
+# the solves whose output each check's residual reads
+CHECK_SOLVES = {"surface-scalar-curvature": ["profile"],
+                "isotropic-photon-sphere": ["isotropic_map"],
+                "isotropic-photon-surface": ["isotropic_map", "profile"]}
+
+
+@pytest.mark.parametrize("spacetime", [
+    SCHW,
+    "[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 0.6\n",
+    SCHW + "r_hi = 50\n",  # finite interval: the isotropic checks are skipped
+])
+def test_verify_report_records_the_solves_each_check_reads(tmp_path, monkeypatch,
+                                                           spacetime):
+    from photonsurf import geometry
+
+    solves = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            solves[name] = (fn, args, kwargs, result)
+            return result
+        return wrapped
+
+    monkeypatch.setattr(geometry, "integrate_profile",
+                        recording("profile", geometry.integrate_profile))
+    monkeypatch.setattr(geometry, "to_isotropic",
+                        recording("isotropic_map", geometry.to_isotropic))
+    cfg = write_config(tmp_path / "c.ini", spacetime)
+    out = tmp_path / "v"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", cfg, "--out", str(out), "verify"]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+
+    # each recorded solve, run again directly, does the same work
+    direct = {}
+    for name, (fn, args, kwargs, result) in solves.items():
+        assert fn(*args, **kwargs).solve_stats == result.solve_stats
+        direct[name] = {half: dataclasses.asdict(stats)
+                        for half, stats in result.solve_stats.items()}
+    for check in report["checks"]:
+        names = [] if check["skipped"] else CHECK_SOLVES.get(check["name"], [])
+        assert check["solve_stats"] == {name: direct[name] for name in names}, \
+            check["name"]
+    assert any(check["solve_stats"] for check in report["checks"])

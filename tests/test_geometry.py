@@ -7,6 +7,7 @@ from photonsurf import (
     DomainError,
     IdentityNotApplicableError,
     MinimalSphereError,
+    PhotonSurfError,
     PhotonSurfaceSpec,
     StepControl,
     build_family,
@@ -21,6 +22,7 @@ from photonsurf import (
     slice_data,
     slice_identity_residual,
     surface_scalar_curvature_check,
+    to_isotropic,
     verification_suite,
     warped_product_metric,
     warped_scalar_curvature,
@@ -196,3 +198,86 @@ def test_verification_suite_skips_for_non_vacuum():
     checks = verification_suite(st)
     assert all(c["passed"] for c in checks)
     assert any(c["skipped"] for c in checks)
+
+
+# one array contract: a 1-D array of radii gives, entry by entry, the bits
+# of the float calls, and an out-of-range entry the float path's error -----
+
+ARRAY_SPACETIMES = {
+    "schwarzschild-n3": dict(family="schwarzschild", n=3, m=1),
+    "schwarzschild-n5": dict(family="schwarzschild", n=5, m=1),
+    "rn-q0.6": dict(family="reissner-nordstrom", m=1, q=0.6),
+    "sads-L10": dict(family="schwarzschild-ads", m=1, L=10.0),
+}
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except PhotonSurfError as e:
+        return type(e)
+
+
+def assert_same_bits(st_or_iso, fn, xs, fields=None):
+    whole = outcome(fn, st_or_iso, xs)
+    each = [outcome(fn, st_or_iso, float(x)) for x in xs]
+    if isinstance(whole, type):  # the family rejects the check outright
+        assert each == [whole] * len(xs)
+        return
+    for name in fields or [None]:
+        def get(result):
+            return result if name is None else getattr(result, name)
+        assert np.shape(get(whole)) == xs.shape, name
+        np.testing.assert_array_equal(bits(get(whole)), bits([get(e) for e in each]),
+                                      err_msg=f"{fn.__name__} {name}")
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SPACETIMES))
+def test_checks_take_arrays_bit_for_bit(name):
+    st = build_family(**ARRAY_SPACETIMES[name])
+    radii = np.geomspace(st.r_lo * 1.01, 60.0, 50)
+    assert_same_bits(st, slice_data, radii, ["r", "lapse", "mean_curvature",
+                                             "normal_lapse_derivative",
+                                             "sphere_scalar_curvature"])
+    assert_same_bits(st, slice_identity_residual, radii)
+    assert_same_bits(st, c_constant, radii, ["c", "sphere_constraint_residual",
+                                             "lapse_constraint_residual"])
+    assert_same_bits(st, mass_flux, radii)
+    iso = to_isotropic(st, r0=5.0)
+    S = iso.s_of_r(radii)
+    assert_same_bits(iso, isotropic_sphere_residual, S)
+
+    # membership, with entries on and outside both ends
+    for domain, xs in ((st, np.concatenate([[st.r_lo, 0.5 * st.r_lo], radii])),
+                       (iso, np.concatenate([[iso.s_lo, -1.0, 2 * S[-1]], S]))):
+        inside = domain.contains(xs)
+        assert inside.shape == xs.shape
+        assert inside.tolist() == [bool(domain.contains(float(x))) for x in xs]
+        assert not inside[0] and not inside[1] and inside[-1]
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SPACETIMES))
+def test_checks_reject_an_out_of_range_entry_as_floats_do(name):
+    st = build_family(**ARRAY_SPACETIMES[name])
+    iso = to_isotropic(st, r0=5.0)
+    radii = np.geomspace(st.r_lo * 1.01, 60.0, 50)
+    inside_horizon = 0.5 * st.r_lo
+    for fn, domain, xs, bad in (
+            (slice_data, st, radii, inside_horizon),
+            (slice_identity_residual, st, radii, inside_horizon),
+            (c_constant, st, radii, inside_horizon),
+            (mass_flux, st, radii, inside_horizon),
+            (isotropic_sphere_residual, iso, iso.s_of_r(radii), -1.0)):
+        xs = xs.copy()
+        xs[17] = bad
+        error = outcome(fn, domain, bad)
+        assert isinstance(error, type), fn.__name__
+        with pytest.raises(error) as info:
+            fn(domain, xs)
+        if error is DomainError:  # the message names the failing entry
+            assert f"{bad:.6g}" in str(info.value), fn.__name__

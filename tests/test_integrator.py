@@ -141,6 +141,20 @@ def test_dopri5_matches_scipy_rk45(name):
             assert abs(half.s_end - sol.t[-1]) <= 1e-9, label
 
 
+def test_dopri5_zero_rhs_initial_step_matches_scipy_rk45():
+    # y' = 0: both derivative norms of the initial step selection vanish,
+    # so the first step is max(1e-6, 1e-3 h0); every step then grows by the
+    # controller's maximum factor 10 until the last one is clipped at s = 5
+    half = _dopri5(lambda y: (0.0,), (0.0,), 5.0, STEP, [])
+    sol = solve_ivp(lambda s, y: [0.0], (0.0, 5.0), [0.0], method="RK45",
+                    rtol=STEP.rtol, atol=STEP.atol)
+    nodes = np.append(half.dense[0], half.s_end)
+    np.testing.assert_array_equal(nodes, sol.t)
+    assert half.stats.accepted == len(sol.t) - 1 == 8
+    assert half.stats.rhs_evals == sol.nfev
+    assert half.reason == "span"
+
+
 def test_dopri5_blowup_raises_step_underflow():
     # y' = y^2, y(0) = 1 blows up at s = 1
     with pytest.raises(StepUnderflowError) as info:

@@ -18,6 +18,7 @@ from photonsurf import (
     spacetime_from_table,
     to_isotropic,
 )
+from photonsurf import ode
 
 
 def test_minkowski_profile(minkowski):
@@ -233,6 +234,21 @@ def test_conformal_flatness_scan_flat_everywhere(minkowski):
     assert len(intervals) == 1
 
 
+def test_conformal_flatness_scan_separate_runs():
+    # psi = 1 and a lapse that grows only on (4, 7): flat below 4 and above 7
+    from photonsurf import IsotropicForm
+    from photonsurf.spacetime import _iso_grid
+
+    def lapse(s):
+        return 1 + np.clip(s, 4.0, 7.0), ((s > 4) & (s < 7)).astype(float)
+
+    iso = IsotropicForm(1.0, 10.0, lambda s: (1.0, 0.0), lapse)
+    ss = _iso_grid(iso, 64)
+    below, above = ss[ss <= 4], ss[ss >= 7]
+    assert conformal_flatness_scan(iso, grid=64) == [
+        (float(below[0]), float(below[-1])), (float(above[0]), float(above[-1]))]
+
+
 @settings(max_examples=25, deadline=None)
 @given(r=st_.floats(min_value=2.05, max_value=80.0))
 def test_isotropic_map_round_trips(schw3_iso, r):
@@ -320,3 +336,24 @@ def test_sads_horizon_across_hundreds_of_binary_orders():
     r_h = st.r_lo
     assert 1e75 < r_h < 1e76
     assert st.f(r_h * (1 - 1e-12)) < 0 < st.f(r_h * (1 + 1e-12))
+
+
+def test_isotropic_form_keeps_the_work_of_its_solve(monkeypatch):
+    # the form carries the per-half-line stats of the map's one solve: the
+    # same as running that solve directly; a form built by hand has none
+    from photonsurf import IsotropicForm, spacetime
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ode._solve(*args, **kwargs)
+
+    monkeypatch.setattr(spacetime, "_solve", recording)
+    iso = to_isotropic(build_family("reissner-nordstrom", m=1, q=0.6), r0=4.0)
+    (call,) = calls
+    assert iso.solve_stats == ode._solve(*call[0], **call[1]).stats
+    assert sorted(iso.solve_stats) == ["backward", "forward"]
+    assert all(h.accepted > 0 for h in iso.solve_stats.values())
+    assert IsotropicForm(1.0, 2.0, lambda s: (1.0, 0.0),
+                         lambda s: (1.0, 0.0)).solve_stats == {}

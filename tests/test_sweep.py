@@ -21,9 +21,10 @@ from photonsurf import (
     integrate_profile,
     turning_points,
 )
+from photonsurf import cli
 from photonsurf.cli import main
 from photonsurf.spacetime import ClassSSpacetime, MetricProfile
-from photonsurf.surfaces import _sweep_row
+from photonsurf.surfaces import _orbit_cell, _orbit_starts, _sweep_row
 
 ALPHA_STAR = 27 ** -0.5
 STEP = StepControl()
@@ -222,3 +223,49 @@ def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch, schw3,
     assert orbit.kind == "turning-point"
     assert orbit.sol.reasons["backward"] == "boundary"
     assert cells[0] is None and cells[1] is not None
+
+
+def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
+    # Schwarzschild cut at r_lo = 5, alpha = 0.3: alpha^2 r^2 > f on the
+    # whole interval, so there is no turning point; the root of
+    # alpha^2 r = f'/2 (near 2.23) lies below r_lo, and the photon sphere
+    # r = 3 lies outside the interval, so the row has no anchor
+    cut = "[spacetime]\nfamily = schwarzschild\nn = 3\nm = 1\nr_lo = 5\n"
+    st = build_family("schwarzschild", n=3, m=1, r_lo=5.0)
+    alpha, r0s = 0.3, [6.0, 8.0]
+    spheres = find_photon_spheres(st)
+    assert turning_points(st, alpha) == [] and spheres == []
+    assert _sweep_row(st, alpha, r0s, SPAN, STEP, spheres,
+                      turning_points(st, alpha)) == ([None, None], [])
+
+    out, manifest = run_sweep(tmp_path, "sweep", [alpha], r0s, cut)
+    assert manifest["orbits"] == []
+    for cell, r0 in zip(manifest["cells"], r0s):
+        assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
+        assert (out / cell["file"]).read_bytes() == \
+            run_profile(tmp_path, f"profile{r0}", alpha, r0, cut)
+
+
+def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatch):
+    # the orbit reaches r0 = 4.8 but turns back at the bump just beyond it,
+    # before the window's end s0 + 0.2: the cell is integrated on its own
+    st = bump_spacetime()
+    alpha, r0, span = 0.3, 4.8, (-0.2, 0.2)
+    cells, orbits = _sweep_row(st, alpha, [r0], span, STEP, [],
+                               turning_points(st, alpha))
+    (orbit,) = orbits
+    assert orbit.sol.reasons["forward"] == "turned-back"
+    (s0,) = _orbit_starts(orbit.sol, 1, [r0])
+    assert s0 is not None
+    assert _orbit_cell(st, alpha, orbit.sol, s0, span, STEP.sample_spacing) is None
+    assert cells == [None]
+
+    monkeypatch.setattr(cli, "_build_spacetime", lambda cp: st)
+    out, manifest = run_sweep(tmp_path, "sweep", [alpha], [r0], span=span)
+    (cell,) = manifest["cells"]
+    assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
+    assert (out / cell["file"]).read_bytes() == \
+        run_profile(tmp_path, "profile", alpha, r0, span=span)
+    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span), STEP, [])
+    np.testing.assert_array_equal(
+        np.loadtxt(out / cell["file"], delimiter=",", skiprows=1)[:, 2], ref.r)
