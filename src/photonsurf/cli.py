@@ -56,6 +56,8 @@ EXIT_CONFIG = 2
 EXIT_INVALID_SPEC = 3
 EXIT_EMPTY_SWEEP = 4
 EXIT_VERIFY_FAILED = 5
+# most output samples one curve may ask for: span length / spacing
+MAX_SAMPLES = 1e6
 
 
 def fmt(x) -> str:
@@ -249,20 +251,25 @@ def _profile_spec(cp, section="profile"):
         raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: {e}")
 
 
-def _step_control(cp, section):
+def _step_control(cp, section, span):
     spacing = 1e-2
     if section in cp:
         spacing = _sec_float(cp[section], "spacing", 1e-2)
     if not spacing > 0:
         raise SystemExitWith(EXIT_CONFIG,
                              f"[{section}] spacing = {spacing!r} is not positive")
+    samples = (span[1] - span[0]) / spacing
+    if not samples <= MAX_SAMPLES:
+        raise SystemExitWith(
+            EXIT_CONFIG, f"error: [{section}] span / spacing = {samples:.3g} "
+                         f"samples is above the cap of {MAX_SAMPLES:.0e}")
     return StepControl(sample_spacing=spacing)
 
 
 def cmd_profile(args, cp):
     st = _build_spacetime(cp)
     spec = _profile_spec(cp)
-    step = _step_control(cp, "profile")
+    step = _step_control(cp, "profile", spec.span)
     spheres = find_photon_spheres(st)
     curve = integrate_profile(st, spec, step, spheres=spheres)
     cls = classify(st, spec.alpha, spec.r0, spheres=spheres)
@@ -325,7 +332,7 @@ def cmd_geodesic(args, cp):
     r0 = _sec_float(sec, "r0")
     sign = _sec_sign(sec)
     span = _sec_span(sec)
-    step = _step_control(cp, "geodesic")
+    step = _step_control(cp, "geodesic", span)
     traj = integrate_null_geodesic(st, charges, r0, sign=sign, span=span, step=step)
 
     out = args.out or "."
@@ -363,7 +370,7 @@ def cmd_sweep(args, cp):
         print("empty sweep grid", file=sys.stderr)
         return EXIT_EMPTY_SWEEP
     span = _sec_span(sec)
-    step = _step_control(cp, "sweep")
+    step = _step_control(cp, "sweep", span)
     spheres = find_photon_spheres(st)
 
     out = args.out or "."

@@ -8,14 +8,13 @@ coordinates.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IdentityNotApplicableError, MinimalSphereError
-from .spacetime import ClassSSpacetime, IsotropicForm, to_isotropic
+from .spacetime import ClassSSpacetime, IsotropicForm, _radiuswise, to_isotropic
 from .surfaces import (
     PhotonSurfaceSpec,
     ProfileCurve,
@@ -52,24 +51,6 @@ class SliceData:
     mean_curvature: float        # H = (n-1) sqrt(f) / r
     normal_lapse_derivative: float  # nu(N) = sqrt(f) N'(r) = f'/2
     sphere_scalar_curvature: float  # R_sigma = (n-1)(n-2)/r^2
-
-
-def _radiuswise(check):
-    """``check(domain, x)``, written for a 1-D array x, on a float or a 1-D
-    array. A float runs as a one-element array, so it gets the bits it would
-    get inside an array (numpy's scalar and array powers can differ in the
-    last bit), and each value of the result takes the shape of x."""
-
-    @functools.wraps(check)
-    def wrapped(domain, x):
-        out = check(domain, np.atleast_1d(np.asarray(x, dtype=float)))
-        shape = np.shape(x)
-        if isinstance(out, np.ndarray):
-            return out.reshape(shape)[()]
-        return replace(out, **{f.name: getattr(out, f.name).reshape(shape)[()]
-                               for f in fields(out)})
-
-    return wrapped
 
 
 @_radiuswise

@@ -8,9 +8,10 @@ profiles, and the conversion between area-radius and isotropic form.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -306,6 +307,32 @@ def _pointwise(fn):
     return wrapped
 
 
+def _radiuswise(fn):
+    """``fn(..., x)``, written for a 1-D array x, on a float or a 1-D array.
+    A float runs as a one-element array, so it gets the bits it would get
+    inside an array (numpy's scalar and array powers can differ in the last
+    bit), and each array of the result, alone, in a tuple or as a field of
+    a dataclass, takes the shape of x."""
+
+    @functools.wraps(fn)
+    def wrapped(*args):
+        *head, x = args
+        out = fn(*head, np.atleast_1d(np.asarray(x, dtype=float)))
+        shape = np.shape(x)
+
+        def shaped(v):
+            return v.reshape(shape)[()]
+
+        if isinstance(out, np.ndarray):
+            return shaped(out)
+        if isinstance(out, tuple):
+            return tuple(map(shaped, out))
+        return replace(out, **{f.name: shaped(getattr(out, f.name))
+                               for f in fields(out)})
+
+    return wrapped
+
+
 def _array_callable(fn, probe):
     """``fn`` if it maps the 1-D array ``probe`` to an array of its shape (or
     to a tuple of such arrays), otherwise its pointwise extension."""
@@ -424,20 +451,30 @@ def to_isotropic(st: ClassSSpacetime, r0: float,
     if not r_bot < r0 < r_top:
         raise DomainError(f"r0 = {r0:.6g} outside the solved range "
                           f"({r_bot:.6g}, {r_top:.6g})")
-    w_bot, w0, w_top = (math.sqrt(r - r_lo) for r in (r_bot, r0, r_top))
+    # u is solved in x = asinh(w/c): x ~ w/c near w = 0 keeps the limit
+    # above, and x ~ log(2w/c) for large w makes du/dx tend to a constant
+    c = math.sqrt(r_lo) if r_lo > 0 else math.sqrt(r0)
+
+    def x_of_r(r):
+        return np.arcsinh(np.sqrt(r - r_lo) / c)
+
+    x_bot, x0, x_top = x_of_r(np.array([r_bot, r0, r_top])).tolist()
     evaluate = st.metric.evaluate
 
-    def rhs(y):  # y = (w, u)
-        w = y[0]
+    def rhs(y):  # y = (x, u); du/dx = du/dw c cosh x
+        w = c * math.sinh(y[0])
         r = r_lo + w * w
-        return 1.0, limit if w <= w_reg else 2 * w / (r * math.sqrt(evaluate(r)[0]))
+        return 1.0, c * math.cosh(y[0]) * (
+            limit if w <= w_reg else 2 * w / (r * math.sqrt(evaluate(r)[0])))
 
-    def slope(y):  # du/dw on arrays
-        w = np.maximum(y[0], w_reg)
-        r = r_lo + w * w
-        return np.where(y[0] <= w_reg, limit, 2 * w / (r * np.sqrt(st.f(r))))
+    def slope(y):  # du/dx on arrays
+        w = c * np.sinh(y[0])
+        w_off = np.maximum(w, w_reg)
+        r = r_lo + w_off * w_off
+        return c * np.cosh(y[0]) * np.where(
+            w <= w_reg, limit, 2 * w_off / (r * np.sqrt(st.f(r))))
 
-    sol = _solve(rhs, (w0, 0.0), (w_bot - w0, w_top - w0), _ISO_STEP, [])
+    sol = _solve(rhs, (x0, 0.0), (x_bot - x0, x_top - x0), _ISO_STEP, [])
     u_bot, u_top = sol.end_states()[1].tolist()
     if normalization is not None:
         const = float(normalization)
@@ -447,20 +484,23 @@ def to_isotropic(st: ClassSSpacetime, r0: float,
     else:
         const = r0
 
+    @_radiuswise
     def s_of_r(r):
-        r = np.asarray(r, dtype=float)
         _check_range("r", r, r_bot, r_top)
-        return const * np.exp(_dense_eval(sol.dense, np.sqrt(r - r_lo) - w0)[1])
+        return const * np.exp(_dense_eval(sol.dense, x_of_r(r) - x0)[1])
 
+    @_radiuswise
     def r_of_s(s):
-        s = np.asarray(s, dtype=float)
         _check_range("s", s, const * math.exp(u_bot), const * math.exp(u_top))
-        return r_lo + (w0 + _invert(sol, 1, np.log(s / const), slope)) ** 2
+        w = c * np.sinh(x0 + _invert(sol, 1, np.log(s / const), slope))
+        return r_lo + w * w
 
+    @_radiuswise
     def psi(s):
         r = r_of_s(s)
         return r / s, r * (np.sqrt(st.f(r)) - 1.0) / s ** 2
 
+    @_radiuswise
     def lapse(s):
         r = r_of_s(s)
         fv, dfv = st.metric(r)

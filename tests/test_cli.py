@@ -751,6 +751,27 @@ def test_section_exit_codes_fuzz(tmp_path, spacetime, section, data):
                      section]) in (0, 2, 3, 4, 5)
 
 
+_SECTION_DATA = {"profile": "alpha = 0.2\nr0 = 6\n",
+                 "geodesic": "energy = 0.2\nell = 1\nr0 = 6\n",
+                 "sweep": "alphas = 0.2\nr0s = 6\n"}
+
+
+@pytest.mark.parametrize("spacing, span", [
+    (1e-300, (-2, 2)), (1e-30, (-2, 2)), (1e-9, (-2, 2)), (0.01, (-1e300, 1e300))])
+@pytest.mark.parametrize("section", sorted(_SECTION_DATA))
+def test_sample_count_above_the_cap_is_a_config_error(tmp_path, capsys, section,
+                                                      spacing, span):
+    # span / spacing above 1e6 samples exits 2 with one line, before any
+    # solve or sample grid
+    text = (f"[spacetime]\nfamily = minkowski\n[{section}]\n{_SECTION_DATA[section]}"
+            f"span_lo = {span[0]!r}\nspan_hi = {span[1]!r}\nspacing = {spacing!r}\n")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), section]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: [{section}] span / spacing = ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in out + err
+
+
 def test_isotropic_manifest_records_the_map_solve(tmp_path):
     rn = "[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 0.6\n"
     cfg = write_config(tmp_path / "c.ini", rn + "[isotropic]\nr0 = 4\n")

@@ -280,12 +280,18 @@ def test_isotropic_endpoints_match_references(params, r0, s_lo, s_hi):
 
 @pytest.mark.parametrize("params, r0", [
     (dict(family="schwarzschild", n=3, m=1), 4.0),
+    (dict(family="schwarzschild", n=5, m=1), 4.0),
     (dict(family="reissner-nordstrom", m=1, q=0.6), 5.0),
     (dict(family="schwarzschild-ads", m=1, L=10.0), 5.0),
-], ids=["schwarzschild-n3", "rn-q0.6", "sads-L10"])
+], ids=["schwarzschild-n3", "schwarzschild-n5", "rn-q0.6", "sads-L10"])
 def test_isotropic_maps_accept_arrays(params, r0):
+    # a float runs through the maps as a one-element array, so it gets the
+    # bits of the same value inside an array: numpy's scalar powers never
+    # stand in for its array powers (checked on 500 radii up to 1e3 too)
     iso = to_isotropic(build_family(**params), r0=r0)
-    ss = np.geomspace(iso.s_lo * 1.001, min(iso.s_hi, 1e3) * 0.999, 9)
+    ss = np.concatenate([
+        np.geomspace(iso.s_lo * 1.001, min(iso.s_hi, 1e3) * 0.999, 9),
+        iso.s_of_r(np.geomspace(iso.source.r_lo * (1 + 1e-6), 1e3, 500))])
     rs = iso.r_of_s(ss)
     assert rs.shape == ss.shape
     for fn, x in ((iso.psi, ss), (iso.lapse, ss), (iso.s_of_r, rs),
@@ -357,3 +363,34 @@ def test_isotropic_form_keeps_the_work_of_its_solve(monkeypatch):
     assert all(h.accepted > 0 for h in iso.solve_stats.values())
     assert IsotropicForm(1.0, 2.0, lambda s: (1.0, 0.0),
                          lambda s: (1.0, 0.0)).solve_stats == {}
+
+
+# the four spacetimes of the isotropic checks (perfbench verify-iso)
+ISO_FAMILIES = {
+    "schwarzschild-n3": dict(family="schwarzschild", n=3, m=1),
+    "schwarzschild-n5": dict(family="schwarzschild", n=5, m=1),
+    "rn-q0.6": dict(family="reissner-nordstrom", m=1, q=0.6),
+    "sads-L10": dict(family="schwarzschild-ads", m=1, L=10.0),
+}
+
+
+@pytest.mark.parametrize("r0", [3.0, 5.0, 8.0])
+@pytest.mark.parametrize("name", sorted(ISO_FAMILIES))
+def test_isotropic_forward_solve_steps_do_not_grow_with_log_r(name, r0):
+    # in x = asinh(w/c), du/dx tends to a constant on the way out to
+    # ISO_R_CAP r0; in w the same half-line took about 1,550 steps
+    iso = to_isotropic(build_family(**ISO_FAMILIES[name]), r0=r0)
+    assert 0 < iso.solve_stats["forward"].accepted <= 400
+
+
+@pytest.mark.parametrize("r0", [3.0, 8.0])
+@pytest.mark.parametrize("n", [3, 5])
+def test_isotropic_schwarzschild_map_matches_closed_form_out_to_1e14(n, r0):
+    # s = ((r^(p/2) + sqrt(r^p - 2m)) / 2)^(2/p), p = n - 2, from next to the
+    # horizon out to 1e14
+    st = build_family("schwarzschild", n=n, m=1)
+    iso = to_isotropic(st, r0=r0)
+    p = n - 2
+    rs = np.geomspace(st.r_lo * (1 + 1e-10), 1e14, 2000)
+    exact = ((rs ** (p / 2) + np.sqrt(rs ** p - 2)) / 2) ** (2 / p)
+    np.testing.assert_allclose(iso.s_of_r(rs), exact, rtol=2e-12, atol=0)
