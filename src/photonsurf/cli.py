@@ -58,11 +58,18 @@ EXIT_EMPTY_SWEEP = 4
 EXIT_VERIFY_FAILED = 5
 # most output samples one curve may ask for: span length / spacing
 MAX_SAMPLES = 1e6
+# what plain-float arithmetic raises on radii near the ends of the float range
+_FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
 
 
 def fmt(x) -> str:
     """Shortest round-trip decimal representation of a float."""
     return repr(float(x))
+
+
+def _reason(e):
+    """One-line text of an error the CLI maps to exit 3 or a skipped cell."""
+    return str(e) if isinstance(e, PhotonSurfError) else f"float range exceeded: {e}"
 
 
 def _load_config(path) -> configparser.ConfigParser:
@@ -83,64 +90,67 @@ class SystemExitWith(Exception):
         self.code = code
 
 
+def _section(cp, name, required=True):
+    """Config section [name]: exit 2 when a required one is missing, an
+    empty one when an optional one is."""
+    if name not in cp:
+        if required:
+            raise SystemExitWith(EXIT_CONFIG, f"config is missing a [{name}] section")
+        cp.add_section(name)
+    return cp[name]
+
+
+def _number(sec, key, raw, finite=True):
+    """``raw``, the value of ``key`` in section ``sec`` or one item of its
+    list, as a float; exit 2 when it is not a number, or with ``finite``
+    when it is nan or infinite."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} = {raw!r} is not a number")
+    if finite and not math.isfinite(value):
+        raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} = {raw!r} is not finite")
+    return value
+
+
 def _build_spacetime(cp: configparser.ConfigParser):
-    if "spacetime" not in cp:
-        raise SystemExitWith(EXIT_CONFIG, "config is missing a [spacetime] section")
-    sec = cp["spacetime"]
+    sec = _section(cp, "spacetime")
     family = sec.get("family", "").strip()
     if not family:
         raise SystemExitWith(EXIT_CONFIG, "[spacetime] family is required")
-
-    def fl(key):
-        raw = sec.get(key, None)
-        if raw is None or raw.strip() == "":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise SystemExitWith(EXIT_CONFIG, f"[spacetime] {key} = {raw!r} is not a number")
-
     try:
         n = int(sec.get("n", "3"))
     except ValueError:
         raise SystemExitWith(EXIT_CONFIG, f"[spacetime] n = {sec.get('n')!r} is not an integer")
-
+    # family parameters are checked by build_family, which admits r_hi = inf
+    params = {key: _number(sec, key, sec[key], finite=False)
+              for key in ("m", "q", "L", "r_lo", "r_hi") if sec.get(key, "").strip()}
     try:
         if family.lower() == "custom":
             table = sec.get("table", "").strip()
             if not table:
                 raise SystemExitWith(EXIT_CONFIG, "custom family requires table = CSV path")
-            return spacetime_from_table(table, n=n, r_lo=fl("r_lo"), r_hi=fl("r_hi"))
-        return build_family(family, n=n, m=fl("m"), q=fl("q"), L=fl("L"),
-                            r_lo=fl("r_lo"), r_hi=fl("r_hi"))
+            return spacetime_from_table(table, n=n, r_lo=params.get("r_lo"),
+                                        r_hi=params.get("r_hi"))
+        return build_family(family, n=n, **params)
     except (UnknownFamilyError, InvalidFamilyParamsError, DomainError, OSError) as e:
         raise SystemExitWith(EXIT_CONFIG, str(e))
 
 
 def _sec_float(sec, key, default=None):
-    raw = sec.get(key, None)
-    if raw is None or raw.strip() == "":
-        if default is None:
-            raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} is required")
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} = {raw!r} is not a number")
-    if not math.isfinite(value):
-        raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} = {raw!r} is not finite")
-    return value
+    """``key`` of a section as a finite float, ``default`` when it is absent
+    or empty; exit 2 when it is then required (no default)."""
+    raw = sec.get(key, "").strip()
+    if raw:
+        return _number(sec, key, raw)
+    if default is None:
+        raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key} is required")
+    return default
 
 
 def _sec_floats(sec, key):
-    raw = sec.get(key, "")
-    vals = []
-    for tok in raw.replace(",", " ").split():
-        try:
-            vals.append(float(tok))
-        except ValueError:
-            raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {key}: bad value {tok!r}")
-    return vals
+    """The finite floats of a list of numbers separated by commas or blanks."""
+    return [_number(sec, key, tok) for tok in sec.get(key, "").replace(",", " ").split()]
 
 
 def _sec_span(sec):
@@ -183,9 +193,9 @@ def _spacetime_summary(st):
     }
 
 
-def _write_manifest(out_dir, name, payload):
-    payload = dict(payload)
-    payload["version"] = __version__
+def _write_manifest(out_dir, name, st, payload):
+    """Write ``payload`` with the summary of ``st`` and the version as JSON."""
+    payload = dict(payload, spacetime=_spacetime_summary(st), version=__version__)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -231,17 +241,13 @@ def cmd_spheres(args, cp):
                 print(",".join(fmt(row[k]) for k in ("r_star", "alpha_star", "b_star")))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_manifest(args.out, "spheres_manifest.json",
-                        {"operation": "spheres",
-                         "spacetime": _spacetime_summary(st),
-                         "spheres": rows, "outputs": []})
+        _write_manifest(args.out, "spheres_manifest.json", st,
+                        {"operation": "spheres", "spheres": rows, "outputs": []})
     return EXIT_OK
 
 
-def _profile_spec(cp, section="profile"):
-    if section not in cp:
-        raise SystemExitWith(EXIT_CONFIG, f"config is missing a [{section}] section")
-    sec = cp[section]
+def _profile_spec(cp):
+    sec = _section(cp, "profile")
     alpha, r0 = _sec_float(sec, "alpha"), _sec_float(sec, "r0")
     t0, sign = _sec_float(sec, "t0", 0.0), _sec_sign(sec)
     span = _sec_span(sec)
@@ -252,9 +258,7 @@ def _profile_spec(cp, section="profile"):
 
 
 def _step_control(cp, section, span):
-    spacing = 1e-2
-    if section in cp:
-        spacing = _sec_float(cp[section], "spacing", 1e-2)
+    spacing = _sec_float(cp[section], "spacing", 1e-2)
     if not spacing > 0:
         raise SystemExitWith(EXIT_CONFIG,
                              f"[{section}] spacing = {spacing!r} is not positive")
@@ -283,7 +287,6 @@ def cmd_profile(args, cp):
     _write_csv(os.path.join(out, "profile.csv"), *_profile_table(curve))
     payload = {
         "operation": "profile",
-        "spacetime": _spacetime_summary(st),
         "spec": {"alpha": spec.alpha, "r0": spec.r0, "t0": spec.t0,
                  "sign": spec.sign, "span": list(spec.span)},
         "classification": cls.kind.value,
@@ -311,7 +314,7 @@ def cmd_profile(args, cp):
         covered, r_geo = _radii_at_times(traj, st, curve.t - spec.t0)
         payload["oracle_max_deviation"] = float(abs(r_geo - curve.r[covered]).max())
         payload["oracle_compared_samples"] = int(covered.sum())
-    _write_manifest(out, "profile_manifest.json", payload)
+    _write_manifest(out, "profile_manifest.json", st, payload)
     print(f"classification: {cls.kind.value}  samples: {len(curve.s)}  "
           f"worst residual: {fmt(res.worst)}")
     if args.oracle:
@@ -321,9 +324,7 @@ def cmd_profile(args, cp):
 
 def cmd_geodesic(args, cp):
     st = _build_spacetime(cp)
-    if "geodesic" not in cp:
-        raise SystemExitWith(EXIT_CONFIG, "config is missing a [geodesic] section")
-    sec = cp["geodesic"]
+    sec = _section(cp, "geodesic")
     try:
         charges = ConservedCharges(energy=_sec_float(sec, "energy"),
                                    angular_momentum=_sec_float(sec, "ell"))
@@ -341,7 +342,6 @@ def cmd_geodesic(args, cp):
                (traj.s, traj.t, traj.r, traj.phi, traj.null_residual))
     payload = {
         "operation": "geodesic",
-        "spacetime": _spacetime_summary(st),
         "charges": {"energy": charges.energy, "ell": charges.angular_momentum},
         "lambda": (charges.energy / charges.angular_momentum
                    if charges.angular_momentum > 0 else None),
@@ -353,7 +353,7 @@ def cmd_geodesic(args, cp):
         "max_null_residual": float(traj.null_residual.max()),
         "outputs": ["geodesic.csv"],
     }
-    _write_manifest(out, "geodesic_manifest.json", payload)
+    _write_manifest(out, "geodesic_manifest.json", st, payload)
     print(f"termination: {traj.termination}  samples: {len(traj.s)}  "
           f"max null residual: {fmt(traj.null_residual.max())}")
     return EXIT_OK
@@ -361,9 +361,7 @@ def cmd_geodesic(args, cp):
 
 def cmd_sweep(args, cp):
     st = _build_spacetime(cp)
-    if "sweep" not in cp:
-        raise SystemExitWith(EXIT_CONFIG, "config is missing a [sweep] section")
-    sec = cp["sweep"]
+    sec = _section(cp, "sweep")
     alphas = _sec_floats(sec, "alphas")
     r0s = _sec_floats(sec, "r0s")
     if not alphas or not r0s:
@@ -376,38 +374,33 @@ def cmd_sweep(args, cp):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
-    items = []
-    outputs = []
+    items, outputs = [], []
     orbits = []  # one solve per (alpha, component), shared by its cells
-    turning = {}  # alpha -> turning radii, shared by the alpha's row of cells
     for ia, a in enumerate(alphas):
-        row = None
+        if not a > 0:
+            items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
+                       "reason": "invalid spec: umbilicity factor alpha must be positive"}
+                      for r0 in r0s]
+            continue
+        turning = turning_points(st, a)
+        row, row_orbits = _sweep_row(st, a, r0s, span, step, spheres, turning)
+        first = len(orbits)
+        orbits += [_orbit_json(orbit) for orbit in row_orbits]
         for ir, r0 in enumerate(r0s):
             item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
             items.append(item)
-            try:
-                spec = PhotonSurfaceSpec(alpha=a, r0=r0, sign=1, span=span)
-            except ValueError as e:
-                item["reason"] = f"invalid spec: {e}"
-                continue
-            if a not in turning:
-                turning[a] = turning_points(st, a)
-            if row is None:
-                row, row_orbits = _sweep_row(st, a, r0s, span, step, spheres,
-                                             turning[a])
-                first = len(orbits)
-                orbits += [_orbit_json(orbit) for orbit in row_orbits]
             if row[ir] is not None:
                 curve, k, s0 = row[ir]
                 work = {"orbit": first + k, "s0": s0}
             else:
+                spec = PhotonSurfaceSpec(alpha=a, r0=r0, span=span)
                 try:
                     curve = integrate_profile(st, spec, step, spheres=spheres)
-                except PhotonSurfError as e:
-                    item["reason"] = str(e)
+                except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
+                    item["reason"] = _reason(e)
                     continue
                 work = {"solve_stats": _stats_json(curve.solve_stats)}
-            cls = classify(st, a, r0, spheres=spheres, turning_radii=turning[a])
+            cls = classify(st, a, r0, spheres=spheres, turning_radii=turning)
             name = f"sweep_a{ia}_r{ir}.csv"
             _write_csv(os.path.join(out, name), *_profile_table(curve))
             outputs.append(name)
@@ -417,6 +410,7 @@ def cmd_sweep(args, cp):
                         termination=curve.termination,
                         termination_start=curve.termination_start,
                         samples=len(curve.s), **work)
+        del row, row_orbits  # free this row's curves and orbits before the next's
     produced = len(outputs)
 
     if produced == 0:
@@ -445,9 +439,8 @@ def cmd_sweep(args, cp):
         fh.write("\n".join(gp_lines) + "\n")
     outputs.append("sweep.gp")
 
-    _write_manifest(out, "sweep_manifest.json", {
+    _write_manifest(out, "sweep_manifest.json", st, {
         "operation": "sweep",
-        "spacetime": _spacetime_summary(st),
         "span": list(span),
         "classification_groups": groups,
         "orbits": orbits,
@@ -470,7 +463,7 @@ def cmd_verify(args, cp):
               "passed": all(c["passed"] for c in checks)}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_manifest(args.out, "verify_report.json", report)
+        _write_manifest(args.out, "verify_report.json", st, report)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
@@ -491,13 +484,16 @@ def cmd_verify(args, cp):
 
 def cmd_isotropic(args, cp):
     st = _build_spacetime(cp)
-    sec = cp["isotropic"] if "isotropic" in cp else {}
+    sec = _section(cp, "isotropic", required=False)
     lo, hi = st.default_bracket()
-    r0 = _sec_float(sec, "r0", math.sqrt(lo * hi)) if sec else math.sqrt(lo * hi)
-    samples = int(_sec_float(sec, "samples", 256.0)) if sec else 256
+    r0 = _sec_float(sec, "r0", math.sqrt(lo * hi))
+    samples = _sec_float(sec, "samples", 256.0)
+    if not (samples.is_integer() and 1 <= samples <= MAX_SAMPLES):
+        raise SystemExitWith(EXIT_CONFIG, f"[isotropic] samples = {samples!r} is not "
+                                          f"an integer from 1 to {MAX_SAMPLES:.0e}")
     iso = to_isotropic(st, r0=r0)
 
-    ss = _iso_grid(iso, samples)
+    ss = _iso_grid(iso, int(samples))
     p, dp = iso.psi(ss)
     nn, dnn = iso.lapse(ss)
 
@@ -513,9 +509,8 @@ def cmd_isotropic(args, cp):
     sphere_rows = [{"r_star": r, "s_star": s, "residual": res} for r, s, res
                    in zip(r_stars.tolist(), s_stars.tolist(), residuals.tolist())]
     flat = conformal_flatness_scan(iso)
-    _write_manifest(out, "isotropic_manifest.json", {
+    _write_manifest(out, "isotropic_manifest.json", st, {
         "operation": "isotropic",
-        "spacetime": _spacetime_summary(st),
         "r0": r0,
         "s_lo": iso.s_lo,
         "s_hi": None if math.isinf(iso.s_hi) else iso.s_hi,
@@ -571,15 +566,16 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "isotropic": cmd_isotropic}
     try:
         cp = _load_config(args.config)
-        return handlers[args.command](args, cp)
+        with np.errstate(all="ignore"):  # the exit code reports float-range trouble
+            return handlers[args.command](args, cp)
     except SystemExitWith as e:
         print(str(e), file=sys.stderr)
         return e.code
     except (ForbiddenRadiusError, DomainError) as e:
         print(f"invalid spec: {e}", file=sys.stderr)
         return EXIT_INVALID_SPEC
-    except PhotonSurfError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
+        print(f"error: {_reason(e)}", file=sys.stderr)
         return EXIT_INVALID_SPEC
 
 

@@ -27,11 +27,11 @@ from .surfaces import (
     ProfileCurve,
     StepControl,
     _check_span,
+    _curve,
     _fixed_radius,
     _integrate_radial,
     _sample_grid,
-    _samples,
-    _unit_residual,
+    _window,
     find_photon_spheres,
 )
 
@@ -142,7 +142,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
         sol = _integrate_radial(st, rhs, y0, span, step,
                                 E / ell if ell > 0 else None, spheres)
 
-    s, (t, r, v, phi, sigma) = _samples(sol, step.sample_spacing)
+    s, (t, r, v, phi, sigma), _ = _window(sol, 0.0, span, step.sample_spacing)
     f = st.f(r)
     # null residual: -f tdot^2 + rdot^2/f + r^2 phidot^2 with the reductions
     residual = np.abs((v ** 2 - (E ** 2 - ell ** 2 * f / r ** 2)) / f)
@@ -154,15 +154,13 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
 
 
 def generated_surface_profile(traj: NullGeodesicTrajectory,
-                              spacing: float = 1e-2,
-                              st: ClassSSpacetime | None = None) -> ProfileCurve:
-    """Project a trajectory to the unit-speed radial profile of its surface.
+                              st: ClassSSpacetime) -> ProfileCurve:
+    """Project a trajectory in ``st`` to the unit-speed radial profile of its
+    surface, sampled every 1e-2 of its arclength.
 
     Requires ell > 0.  The induced profile arclength satisfies
     d(sigma)/ds = ell / r, so the projected curve obeys the photon surface
-    system with alpha = E/ell.  When ``st`` is given, the metric profile is
-    evaluated from it; otherwise f is recovered from the null constraint
-    f = (E^2 - rdot^2) r^2 / ell^2.
+    system with alpha = E/ell.
     """
     charges = traj.charges
     if charges.principal:
@@ -170,24 +168,14 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
     E, ell = charges.energy, charges.angular_momentum
     alpha = E / ell
 
-    def f_along(r, v):
-        if st is not None:
-            return st.f(r)
-        return (E ** 2 - np.asarray(v) ** 2) * np.asarray(r) ** 2 / ell ** 2
-
     # sample only the arclength the trajectory's own samples cover
     sol = traj._dense
-    sig = _sample_grid((traj.arclength[0], traj.arclength[-1]), spacing)
+    sig = _sample_grid((traj.arclength[0], traj.arclength[-1]), 1e-2)
     s = _invert(sol, 4, sig, lambda y: ell / y[1])
     t, r, v = _dense_eval(sol.dense, s)[:3]
-    # dt/dsigma = alpha r / f and dr/dsigma = (dr/ds) r / ell
-    rdot = v * r / ell
-    f = f_along(r, v)
-    tdot = alpha * r / f
-    return ProfileCurve(s=sig, t=t, r=r, tdot=tdot, rdot=rdot, alpha=alpha,
-                        termination=traj.termination,
-                        termination_start=traj.termination_start,
-                        unit_residual=_unit_residual(f, tdot, rdot))
+    # dr/dsigma = (dr/ds) r / ell
+    return _curve(st, alpha, sig, t, r, v * r / ell, {
+        "backward": traj.termination_start, "forward": traj.termination}, {})
 
 
 def _radii_at_times(traj: NullGeodesicTrajectory, st: ClassSSpacetime, t):

@@ -294,13 +294,12 @@ def isotropic_surface_residual(iso: IsotropicForm, samples) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def isotropic_profile_samples(iso: IsotropicForm, curve: ProfileCurve,
-                              trim: int = 2) -> np.ndarray:
+def isotropic_profile_samples(iso: IsotropicForm, curve: ProfileCurve) -> np.ndarray:
     """Map an area-radius profile curve to isotropic samples (t, S, S', S'').
 
     S = s(r) uses the coordinate map attached to the isotropic form; the
     t-derivatives come from centered differences on the (slightly nonuniform)
-    t grid.  ``trim`` samples are dropped at each end.
+    t grid.  Two samples are dropped at each end.
     """
     if iso.s_of_r is None:
         raise DomainError("isotropic form carries no coordinate map s(r)")
@@ -308,10 +307,7 @@ def isotropic_profile_samples(iso: IsotropicForm, curve: ProfileCurve,
     S = np.asarray(iso.s_of_r(curve.r), dtype=float)
     Sdot = np.gradient(S, t)
     Sddot = np.gradient(Sdot, t)
-    rows = np.column_stack([t, S, Sdot, Sddot])
-    if trim > 0:
-        rows = rows[trim:-trim]
-    return rows
+    return np.column_stack([t, S, Sdot, Sddot])[2:-2]
 
 
 # ---------------------------------------------------------------------------

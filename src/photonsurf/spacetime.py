@@ -58,12 +58,13 @@ class MetricProfile:
         return self.evaluate(r)[1]
 
     @classmethod
-    def from_f(cls, f: Callable[[float], float], description: str = "",
-               h: float = 1e-4) -> "MetricProfile":
-        """Profile from f alone; f' from a 5-point central difference."""
+    def from_f(cls, f: Callable[[float], float],
+               description: str = "") -> "MetricProfile":
+        """Profile from f alone; f' from a 5-point central difference with
+        step 1e-4 max(1, |r|)."""
 
         def evaluate(r):
-            step = h * np.maximum(1.0, abs(r))
+            step = 1e-4 * np.maximum(1.0, abs(r))
             d = (f(r - 2 * step) - 8 * f(r - step)
                  + 8 * f(r + step) - f(r + 2 * step)) / (12 * step)
             return f(r), d
@@ -426,15 +427,14 @@ def _check_range(name, x, lo, hi):
                           f"[{lo:.6g}, {hi:.6g}] of the isotropic map")
 
 
-def to_isotropic(st: ClassSSpacetime, r0: float,
-                 normalization: float | None = None) -> IsotropicForm:
+def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
     """Rewrite a class-S spacetime in isotropic form around base radius r0.
 
     s(r) = C exp(u), du/dr = 1/(r sqrt(f)), u(r0) = 0; psi(s) = r(s)/s and
-    lapse sqrt(f(r(s))). C is ``normalization``, else the closed-form
-    Schwarzschild s(r0) for Schwarzschild with m > 0, else r0. The four maps
-    take floats or 1-D arrays and raise DomainError outside the solved
-    range; the README describes the solve.
+    lapse sqrt(f(r(s))). C is the closed-form Schwarzschild s(r0) for
+    Schwarzschild with m > 0, else r0. The four maps take floats or 1-D
+    arrays and raise DomainError outside the solved range; the README
+    describes the solve.
     """
     r_lo = st.r_lo
     r0 = r_lo * (1 + 1e-9) if r0 == r_lo else r0
@@ -476,9 +476,7 @@ def to_isotropic(st: ClassSSpacetime, r0: float,
 
     sol = _solve(rhs, (x0, 0.0), (x_bot - x0, x_top - x0), _ISO_STEP, [])
     u_bot, u_top = sol.end_states()[1].tolist()
-    if normalization is not None:
-        const = float(normalization)
-    elif st.family == "schwarzschild" and st.params["m"] > 0:
+    if st.family == "schwarzschild" and st.params["m"] > 0:
         p = st.n - 2  # exterior root of r0 = s (1 + m/(2 s^p))^(2/p)
         const = ((r0 ** (p / 2) + math.sqrt(r0 ** p - 2 * st.params["m"])) / 2) ** (2 / p)
     else:
@@ -530,19 +528,19 @@ def _iso_grid(iso: IsotropicForm, num: int) -> np.ndarray:
     return np.geomspace(lo, hi, num)
 
 
-def from_isotropic(iso: IsotropicForm, samples: int = 512,
-                   tol: float = 1e-8) -> ClassSSpacetime:
+def from_isotropic(iso: IsotropicForm) -> ClassSSpacetime:
     """Rewrite isotropic data in area-radius form.
 
     Requires the compatibility condition Ntilde = 1 + s psi'/psi > 0 on the
-    interval; then r(s) = s psi(s) and f(r) = Ntilde(s(r))^2.
+    interval, to 1e-8 on 512 grid points; then r(s) = s psi(s) and
+    f(r) = Ntilde(s(r))^2.
     """
-    ss = _iso_grid(iso, samples)
+    ss = _iso_grid(iso, 512)
     p, dp = iso.psi(ss)
     nn, _ = iso.lapse(ss)
     res = np.abs(nn - (1.0 + ss * dp / p))
     worst = int(np.argmax(res))
-    if res[worst] > tol:
+    if res[worst] > 1e-8:
         raise CompatibilityError(
             f"compatibility condition violated: |Ntilde - (1 + s psi'/psi)| = "
             f"{res[worst]:.3e} at s = {ss[worst]:.6g}", float(ss[worst]),
@@ -569,9 +567,10 @@ def from_isotropic(iso: IsotropicForm, samples: int = 512,
                            {"origin": "from_isotropic"})
 
 
-def conformal_flatness_scan(iso: IsotropicForm, grid: int = 512,
-                            tol: float = 1e-10) -> list[tuple[float, float]]:
-    """Maximal grid subintervals where the log-derivatives of lapse and psi agree.
+def conformal_flatness_scan(iso: IsotropicForm,
+                            grid: int = 512) -> list[tuple[float, float]]:
+    """Maximal grid subintervals where the log-derivatives of lapse and psi
+    agree to 1e-10.
 
     On such subintervals the spacetime is locally conformally flat and extra
     photon surfaces (translated hyperboloids, tilted planes) may exist; an
@@ -582,7 +581,7 @@ def conformal_flatness_scan(iso: IsotropicForm, grid: int = 512,
     if not (iso.s_lo < iso.s_hi):
         return []
     ss = _iso_grid(iso, grid)
-    flat = np.abs(iso.log_derivative_gap(ss)) < tol
+    flat = np.abs(iso.log_derivative_gap(ss)) < 1e-10
     # each run of flat points starts where the padded mask rises and ends
     # just before it falls
     edges = np.flatnonzero(np.diff(np.concatenate([[0], flat, [0]])))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +57,8 @@ CRITICAL_RTOL = 1e-8
 # closest approach to the unstable fixed point that adaptive stepping can
 # resolve before amplified roundoff ejects the trajectory
 ASYMPTOTE_EPS = 1e-5
+# points of the log-spaced grid on which the root scans bracket sign changes
+SCAN_GRID = 512
 
 
 def _check_span(span) -> None:
@@ -170,13 +172,14 @@ def _fixed_radius(st, spheres, lam, r0):
     return None if sp is None else sp.r_star
 
 
-def _scan_roots(g, lo, hi, grid):
-    """Bracketed roots of g on a log-spaced grid, refined by ``_brentq``.
+def _scan_roots(g, lo, hi):
+    """Bracketed roots of g on a log-spaced grid of SCAN_GRID points,
+    refined by ``_brentq``.
 
     g is evaluated on the whole grid in one call, then on scalars by
     ``_brentq``.
     """
-    rs = np.geomspace(lo, hi, grid)
+    rs = np.geomspace(lo, hi, SCAN_GRID)
     vals = g(rs)
     roots = []
     for i in range(len(rs) - 1):
@@ -190,19 +193,15 @@ def _scan_roots(g, lo, hi, grid):
     return roots
 
 
-def find_photon_spheres(st: ClassSSpacetime, grid: int = 512,
-                        bracket: tuple[float, float] | None = None) -> list[PhotonSphere]:
-    """All photon sphere radii in the (clipped) radial interval, ascending."""
-    if grid < 8:
-        raise ValueError("need a scan grid of at least 8 points")
-    lo, hi = bracket if bracket is not None else st.default_bracket()
+def find_photon_spheres(st: ClassSSpacetime) -> list[PhotonSphere]:
+    """All photon sphere radii in the scan bracket, ascending."""
 
     def g(r):
         fv, dfv = st.metric(r)
         return dfv * r - 2 * fv
 
     spheres = []
-    for r_star in _scan_roots(g, lo, hi, grid):
+    for r_star in _scan_roots(g, *st.default_bracket()):
         fv = st.f(r_star)
         spheres.append(PhotonSphere(r_star, math.sqrt(fv) / r_star, abs(g(r_star))))
     return spheres
@@ -215,13 +214,11 @@ def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
     return fv ** 2 * (a2r2 - fv) / a2r2
 
 
-def turning_points(st: ClassSSpacetime, alpha: float, grid: int = 512,
-                   bracket: tuple[float, float] | None = None) -> list[float]:
+def turning_points(st: ClassSSpacetime, alpha: float) -> list[float]:
     """Radii where dr/ds changes sign: roots of alpha^2 r^2 - f(r)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lo, hi = bracket if bracket is not None else st.default_bracket()
-    return _scan_roots(lambda r: alpha ** 2 * r ** 2 - st.f(r), lo, hi, grid)
+    return _scan_roots(lambda r: alpha ** 2 * r ** 2 - st.f(r), *st.default_bracket())
 
 
 def _sample_grid(span, spacing):
@@ -233,10 +230,14 @@ def _sample_grid(span, spacing):
     return np.concatenate([bwd[::-1], fwd])
 
 
-def _samples(sol, spacing):
-    """The output grid of a solution over its (lo, hi) and its states there."""
-    s = _sample_grid((sol.lo, sol.hi), spacing)
-    return s, _dense_eval(sol.dense, s)
+def _window(sol, s0, span, spacing):
+    """The output grid s of the window s0 + span of a solution, cut to its
+    (lo, hi); the states at s0 + s; and, per half-line name, whether the
+    cut ends the window before its span end."""
+    lo, hi = max(span[0], sol.lo - s0), min(span[1], sol.hi - s0)
+    s = _sample_grid((lo, hi), spacing)
+    return s, _dense_eval(sol.dense, s0 + s), {"backward": lo > span[0],
+                                               "forward": hi < span[1]}
 
 
 def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
@@ -310,16 +311,24 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
         sol = _integrate_radial(st, _profile_rhs(st, alpha), y0, spec.span,
                                 step, alpha, spheres)
 
-    s, (t, r, v) = _samples(sol, step.sample_spacing)
-    f = st.f(r)
-    tdot = alpha * r / f if r_fix is None else np.full_like(s, tdot0)
+    s, (t, r, v), _ = _window(sol, 0.0, spec.span, step.sample_spacing)
+    curve = _curve(st, alpha, s, t, r, v, sol.reasons, sol.stats)
+    if r_fix is None:
+        return curve
     # the cylinder has unit speed by construction
-    unit = _unit_residual(f, tdot, v) if r_fix is None else np.zeros_like(s)
+    return replace(curve, tdot=np.full_like(s, tdot0), unit_residual=np.zeros_like(s))
+
+
+def _curve(st, alpha, s, t, r, v, reasons, stats):
+    """The ProfileCurve of states sampled at s, dt/ds from the conserved
+    alpha and end reasons keyed by half-line name ("span" when absent)."""
+    f = st.f(r)
+    tdot = alpha * r / f
     return ProfileCurve(
         s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
-        termination=sol.reasons.get("forward", "span"),
-        termination_start=sol.reasons.get("backward", "span"),
-        unit_residual=unit, solve_stats=sol.stats)
+        termination=reasons.get("forward", "span"),
+        termination_start=reasons.get("backward", "span"),
+        unit_residual=_unit_residual(f, tdot, v), solve_stats=stats)
 
 
 # stop reasons of an orbit half-line: it covered the windows of its cells,
@@ -354,7 +363,7 @@ def _orbit_anchor(st, alpha, below, above, spheres, bracket):
 
         r_tp = below if below is not None else above
         return float(_newton(g, 0.0, r_tp, *bracket)), "turning-point"
-    roots = _scan_roots(lambda r: a2 * r - 0.5 * st.metric(r)[1], *bracket, 512)
+    roots = _scan_roots(lambda r: a2 * r - 0.5 * st.metric(r)[1], *bracket)
     if roots:
         return roots[0], "inflection"
     if spheres:
@@ -482,22 +491,11 @@ def _orbit_cell(st, alpha, sol, s0, span, spacing):
     """The profile of the cell at s0 of an orbit solution over its window
     s0 + span, or None when the window passes an end set by the orbit's stop
     rule ("span" or "turned-back")."""
-    lo, hi = max(span[0], sol.lo - s0), min(span[1], sol.hi - s0)
-    ends = {"backward": lo > span[0], "forward": hi < span[1]}
-    if any(cut and sol.reasons[name] in (_ORBIT_SPAN, _TURNED_BACK)
-           for name, cut in ends.items()):
+    s, (t, r, v), cuts = _window(sol, s0, span, spacing)
+    reasons = {name: sol.reasons[name] for name, cut in cuts.items() if cut}
+    if not {_ORBIT_SPAN, _TURNED_BACK}.isdisjoint(reasons.values()):
         return None
-    s = _sample_grid((lo, hi), spacing)
-    t, r, v = _dense_eval(sol.dense, s0 + s)
-    t = t - t[np.searchsorted(s, 0.0)]
-    f = st.f(r)
-    tdot = alpha * r / f
-    reasons = {name: sol.reasons[name] if cut else "span"
-               for name, cut in ends.items()}
-    return ProfileCurve(
-        s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
-        termination=reasons["forward"], termination_start=reasons["backward"],
-        unit_residual=_unit_residual(f, tdot, v))
+    return _curve(st, alpha, s, t - t[np.searchsorted(s, 0.0)], r, v, reasons, {})
 
 
 @dataclass(frozen=True)

@@ -630,9 +630,9 @@ def test_profile_past_the_float_range_ends_with_reason(tmp_path, capsys):
 
 def _config_value():
     """A [spacetime] value: absent (None), empty, 0, non-finite, or of
-    magnitude 1e-6 to 1e6 with either sign."""
+    magnitude 1e-300 to 1e300 with either sign."""
     magnitude = st_.builds(lambda sign, e: repr(sign * 10.0 ** e),
-                           st_.sampled_from((1, -1)), st_.floats(-6.0, 6.0))
+                           st_.sampled_from((1, -1)), st_.floats(-300.0, 300.0))
     return st_.one_of(st_.none(), st_.sampled_from(("", "0", "nan", "inf", "-inf")),
                       magnitude)
 
@@ -675,11 +675,21 @@ def test_spheres_exit_codes_fuzz(tmp_path, family, n, values):
      "spacing = 1\n", ["profile"], 3),
     (SCHW + "[sweep]\nalphas = -0.1\nr0s = 6\n", ["sweep"], 4),
     (SCHW, ["--tol", "1e-30", "verify"], 5),
+    (SCHW + "[sweep]\nalphas = 0.2, nan\nr0s = 6, inf\n", ["sweep"], 2),
+    (SCHW + "[isotropic]\nsamples = -1\n", ["isotropic"], 2),
+    (SCHW + "[isotropic]\nsamples = 0\n", ["isotropic"], 2),
+    (SCHW + "[isotropic]\nsamples = 2.5\n", ["isotropic"], 2),
+    (SCHW + "[isotropic]\nsamples = 1e7\n", ["isotropic"], 2),
+    # r^(n-2) leaves the float range in the scans
+    ("[spacetime]\nfamily = schwarzschild\nn = 400\nm = 1\n", ["verify"], 3),
+    ("[spacetime]\nfamily = schwarzschild\nn = 100000\nm = 1\n", ["spheres"], 3),
 ], ids=["no-spacetime", "empty-family", "m-not-a-number", "n-not-an-integer",
         "custom-without-table", "profile-without-alpha", "alpha-not-a-number",
         "alphas-not-numbers", "no-profile-section", "no-geodesic-section",
         "no-sweep-section", "negative-spacing", "zero-spacing", "too-few-samples",
-        "every-cell-skipped", "verify-fails"])
+        "every-cell-skipped", "verify-fails", "non-finite-list-values",
+        "negative-samples", "zero-samples", "fractional-samples", "samples-above-cap",
+        "verify-large-n", "spheres-large-n"])
 def test_exit_code_contract(tmp_path, capsys, text, argv, code):
     cfg = write_config(tmp_path / "c.ini", text)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == code
@@ -703,8 +713,8 @@ def _numbers(lo, hi, unit=1.0):
 
 
 # radii around 3, the simplest example, lie outside the horizons of the
-# fuzzed spacetimes (r_lo < 2)
-_radius = _number(-6.0, 6.0, unit=3.0)
+# fuzzed spacetimes (r_lo < 2); out to the ends of the float range
+_radius = _number(-300.0, 300.0, unit=3.0)
 
 
 # spans of at most 10^0.5 and sample spacings of at least 10^-2 keep every
@@ -718,7 +728,7 @@ _SECTIONS = {
     "geodesic": {"energy": _number(-6.0, 6.0), "ell": _number(-6.0, 6.0),
                  "r0": _radius, "sign": st_.sampled_from(("-1", "0", "1")),
                  **_SPAN},
-    "sweep": {"alphas": _numbers(-6.0, 6.0), "r0s": _numbers(-6.0, 6.0, unit=3.0),
+    "sweep": {"alphas": _numbers(-6.0, 6.0), "r0s": _numbers(-300.0, 300.0, unit=3.0),
               **_SPAN},
 }
 # absent, empty, zero, negative, non-finite, not a number, not a sign
@@ -735,8 +745,8 @@ _ODD = st_.sampled_from((None, "", "0", "-1", "nan", "inf", "x", "0.5"))
        section=st_.sampled_from(sorted(_SECTIONS)), data=st_.data())
 def test_section_exit_codes_fuzz(tmp_path, spacetime, section, data):
     # any [profile], [geodesic] or [sweep] section, with numbers of
-    # magnitude 1e-6 to 1e6 and at most one odd value, ends in an exit code
-    # of the contract, never in an exception
+    # magnitude 1e-6 to 1e6, radii of 3e-300 to 3e300 and at most one odd
+    # value, ends in an exit code of the contract, never in an exception
     values = data.draw(st_.fixed_dictionaries(_SECTIONS[section]))
     odd_key = data.draw(st_.sampled_from((None, None, *sorted(values))))
     if odd_key is not None:

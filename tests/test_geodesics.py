@@ -108,7 +108,7 @@ def test_generated_surface_requires_angular_momentum(schw3):
     ch = ConservedCharges(energy=1.0, angular_momentum=0.0)
     traj = integrate_null_geodesic(schw3, ch, 4.0, sign=1, span=(0.0, 5.0))
     with pytest.raises(PrincipalNullError):
-        generated_surface_profile(traj)
+        generated_surface_profile(traj, schw3)
 
 
 def test_generated_surface_from_circular_orbit(schw3):
