@@ -21,6 +21,10 @@ class ForbiddenRadiusError(PhotonSurfError, ValueError):
     """Initial radius not admissible for the requested surface/geodesic."""
 
 
+class TooFewSamplesError(PhotonSurfError, ValueError):
+    """A curve has fewer samples than its finite differences need."""
+
+
 class StepUnderflowError(PhotonSurfError, RuntimeError):
     """Adaptive integrator could not advance; carries the last state."""
 

@@ -26,6 +26,7 @@ from .surfaces import (
     PhotonSphere,
     ProfileCurve,
     StepControl,
+    _at_zero,
     _check_span,
     _curve,
     _fixed_radius,
@@ -109,39 +110,10 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     exact circular orbit.  Termination mirrors the profile integrator:
     span end, interval boundary, or photon-sphere asymptote.
     """
-    E, ell = charges.energy, charges.angular_momentum
     _check_span(span)
-    if not st.contains(r0):
-        raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
-    if ell > 0 and spheres is None:
-        spheres = find_photon_spheres(st)
-    r_fix = _fixed_radius(st, spheres, E / ell, r0) if ell > 0 else None
-    if r_fix is not None:
-        sol = _linear((0.0, r_fix, 0.0, 0.0, 0.0),
-                      (E / st.f(r_fix), 0.0, 0.0, ell / r_fix ** 2, ell / r_fix),
-                      span)
-    else:
-        f0 = st.f(r0)
-        disc = E ** 2 - ell ** 2 * f0 / r0 ** 2
-        if disc < -1e-12 * E ** 2:
-            raise ForbiddenRadiusError(
-                f"E^2 = {E**2:.6g} < ell^2 f(r0)/r0^2 = {ell**2*f0/r0**2:.6g}: "
-                "forbidden initial radius")
-        if sign == 0 and disc > 1e-12 * E ** 2:
-            raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
-        metric = st.metric.evaluate
-        ell2 = ell ** 2
-
-        def rhs(y):
-            r, v = y[1], y[2]
-            fv, dfv = metric(r)
-            return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
-                    ell / r ** 2, ell / r)
-
-        y0 = (0.0, r0, sign * math.sqrt(max(disc, 0.0)), 0.0, 0.0)
-        sol = _integrate_radial(st, rhs, y0, span, step,
-                                E / ell if ell > 0 else None, spheres)
-
+    sol = _null_solution(st, charges, r0, sign, span, step, spheres,
+                         window=(span, step.sample_spacing, _at_zero))
+    E, ell = charges.energy, charges.angular_momentum
     s, (t, r, v, phi, sigma), _ = _window(sol, 0.0, span, step.sample_spacing)
     f = st.f(r)
     # null residual: -f tdot^2 + rdot^2/f + r^2 phidot^2 with the reductions
@@ -151,6 +123,44 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
         termination=sol.reasons.get("forward", "span"),
         termination_start=sol.reasons.get("backward", "span"),
         null_residual=residual, solve_stats=sol.stats, _dense=sol)
+
+
+def _null_solution(st, charges, r0, sign, span, step, spheres,
+                   stops=(None, None), window=None):
+    """The ``ode._Solution`` of the reduced null-geodesic state
+    (t, r, dr/ds, phi, sigma) from r0 at s = 0 over span, by
+    ``_integrate_radial`` with ``stops`` and ``window``, or, for data held
+    on a photon sphere, the exact circular orbit over span."""
+    E, ell = charges.energy, charges.angular_momentum
+    if not st.contains(r0):
+        raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
+    if ell > 0 and spheres is None:
+        spheres = find_photon_spheres(st)
+    r_fix = _fixed_radius(st, spheres, E / ell, r0) if ell > 0 else None
+    if r_fix is not None:
+        return _linear((0.0, r_fix, 0.0, 0.0, 0.0),
+                       (E / st.f(r_fix), 0.0, 0.0, ell / r_fix ** 2, ell / r_fix),
+                       span)
+    f0 = st.f(r0)
+    disc = E ** 2 - ell ** 2 * f0 / r0 ** 2
+    if disc < -1e-12 * E ** 2:
+        raise ForbiddenRadiusError(
+            f"E^2 = {E**2:.6g} < ell^2 f(r0)/r0^2 = {ell**2*f0/r0**2:.6g}: "
+            "forbidden initial radius")
+    if sign == 0 and disc > 1e-12 * E ** 2:
+        raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
+    metric = st.metric.evaluate
+    ell2 = ell ** 2
+
+    def rhs(y):
+        r, v = y[1], y[2]
+        fv, dfv = metric(r)
+        return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
+                ell / r ** 2, ell / r)
+
+    y0 = (0.0, r0, sign * math.sqrt(max(disc, 0.0)), 0.0, 0.0)
+    return _integrate_radial(st, rhs, y0, span, step,
+                             E / ell if ell > 0 else None, spheres, stops, window)
 
 
 def generated_surface_profile(traj: NullGeodesicTrajectory,
@@ -178,17 +188,25 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
         "backward": traj.termination_start, "forward": traj.termination}, {})
 
 
-def _radii_at_times(traj: NullGeodesicTrajectory, st: ClassSSpacetime, t):
-    """Which of the coordinate times ``t`` the trajectory covers, and its
-    radius at those times.
+def _radii_at_times(st, charges, r0, sign, t, step, spheres):
+    """The null geodesic from r0 at t = 0 at the ascending coordinate times
+    ``t`` (t[0] <= 0 <= t[-1]): which of them it covers, its radius at those
+    times and its ``ode._Solution``.
 
-    r is read from the dense output at the affine parameter where the
-    geodesic reaches each time, found by ``_invert`` on t, which increases
-    with dt/ds = E/f > 0; no interpolation is involved.
+    The geodesic is solved open-ended until t passes t[0] backward and
+    t[-1] forward, or it ends first. r is read from the dense output at the
+    affine parameter where the geodesic reaches each time, found by
+    ``_invert`` on t, which increases with dt/ds = E/f > 0; no interpolation
+    is involved. The exact circular orbit covers every time at r_*.
     """
-    sol = traj._dense
+    E = charges.energy
+    stops = (lambda s, y: "span" if y[0] <= t[0] else None,
+             lambda s, y: "span" if y[0] >= t[-1] else None)
+    span = (-math.inf if t[0] < 0 else 0.0, math.inf if t[-1] > 0 else 0.0)
+    sol = _null_solution(st, charges, r0, sign, span, step, spheres, stops)
+    if not sol.stats:
+        return np.ones(len(t), dtype=bool), np.full(len(t), sol.dense[2][0, 1]), sol
     t_lo, t_hi = sol.end_states()[0]
     covered = (t >= t_lo) & (t <= t_hi)
-    E = traj.charges.energy
     s = _invert(sol, 0, t[covered], lambda y: E / st.f(y[1]))
-    return covered, _dense_eval(sol.dense, s)[1]
+    return covered, _dense_eval(sol.dense, s)[1], sol

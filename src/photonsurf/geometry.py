@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IdentityNotApplicableError, MinimalSphereError
+from .errors import (
+    DomainError,
+    IdentityNotApplicableError,
+    MinimalSphereError,
+    TooFewSamplesError,
+)
 from .spacetime import ClassSSpacetime, IsotropicForm, _radiuswise, to_isotropic
 from .surfaces import (
     PhotonSurfaceSpec,
@@ -346,6 +351,10 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
         spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-1.0, 1.0))
         curve = integrate_profile(st, spec, StepControl(sample_spacing=1e-3),
                                   spheres=spheres)
+        if len(curve.s) < 5:
+            raise TooFewSamplesError(
+                f"the verify test surface (alpha {alpha:.6g}, r0 {r0:.6g}) has "
+                f"{len(curve.s)} samples, fewer than the 5 its differences need")
     if st.einstein_constant is None:
         checks.append(_check(
             "surface-scalar-curvature", None, 1e-5 * tol_scale, skipped=True,

@@ -3,8 +3,9 @@ and the isotropic coordinate map.
 
 ``_dopri5`` solves an autonomous system from 0 to an end point, one step
 attempt at a time in a kernel compiled per state size by ``_kernel``, and
-returns its dense output as arrays; ``_solve`` joins the two half-lines of
-a span into one such output and ``_linear`` builds one of constant rates.
+returns its dense output as arrays; ``_join`` joins the two half-lines of
+a span into one such output, ``_solve`` solves and joins them, and
+``_linear`` builds one of constant rates.
 ``_dense_eval`` samples it and ``_invert`` solves for the points where one
 monotone component takes given values, by the batched Newton iteration
 ``_newton``. ``_brentq``, Brent's bracketed root finder, locates stop
@@ -87,13 +88,17 @@ class _HalfLine(NamedTuple):
 class _Solution(NamedTuple):
     """Both half-lines of one solve over (lo, hi) around s = 0: one dense
     output in ascending s, and the stop reason and work of each half-line,
-    keyed "backward"/"forward"."""
+    keyed "backward"/"forward". ``reach`` = (lo, hi) bounds the s where
+    samples may be read: (lo, hi) itself, but past an end where a half-line
+    stopped short of a boundary crossing whose place it knows, that
+    crossing (``surfaces._integrate_radial``)."""
 
     dense: tuple
     lo: float
     hi: float
     reasons: dict
     stats: dict
+    reach: tuple
 
     def end_states(self):
         """States (n, 2) at lo and hi."""
@@ -181,7 +186,7 @@ def _kernel(n):
     return _KERNELS[n]
 
 
-def _dopri5(rhs, y0, s_end, step, events, stop=None):
+def _dopri5(rhs, y0, s_end, step, events, stop=None, steps=None):
     """Adaptive Dormand-Prince 5(4) solve of y' = rhs(y) from s = 0 to s_end.
 
     Replays scipy's RK45 on Python floats: the same initial step selection,
@@ -196,16 +201,16 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
     its last accepted step with reason "float-range", not counting that
     attempt; before the first accepted step it raises ``StepUnderflowError``.
 
-    With a ``stop`` rule the solve is open-ended: s_end gives only the
-    direction, and the solve ends after the first accepted step at whose end
-    stop(s, y) returns a reason rather than None. No step is clipped and the
-    initial step ignores the extent, so a solve whose rule stops later
+    A ``stop`` rule ends the solve after the first accepted step at whose
+    end stop(s, y) returns a reason rather than None; the rule may read the
+    accepted steps so far from ``steps``, four lists (T, H, Y, K) that the
+    solve appends each accepted step to, in the order taken. An infinite
+    s_end makes the solve open-ended: no step is clipped and the initial
+    step ignores the extent, so an open solve whose rule stops later
     extends one that stops earlier bit for bit.
     """
     rtol, atol = step.rtol, step.atol
     direction = 1.0 if s_end > 0 else -1.0
-    if stop is not None:
-        s_end = direction * math.inf
     length = abs(s_end)
     t, y = 0.0, [float(v) for v in y0]
     kernel = _kernel(len(y))
@@ -229,7 +234,7 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
 
     nfev, rejected = 2, 0
     g = [ev(y) for ev, _ in events]
-    ts, hs, ys, ks = [], [], [], []
+    ts, hs, ys, ks = steps if steps is not None else ([], [], [], [])
     reason = "span"
     while direction * (t - s_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -293,15 +298,19 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
                 reason = events[i][1]
                 break
             g = g_new
-        if stop is not None:
-            reason = stop(t, y)
-            if reason is not None:
-                break
+        if stop is not None and (stopped := stop(t, y)) is not None:
+            reason = stopped
+            break
 
     stats = SolveStats(accepted=len(ts), rejected=rejected, rhs_evals=nfev)
+    return _half_line((ts, hs, ys, ks), direction, t, reason, stats)
+
+
+def _half_line(steps, direction, s_end, reason, stats):
+    """The ``_HalfLine`` of the accepted steps (T, H, Y, K), listed in the
+    order a solve in ``direction`` took them."""
     order = slice(None, None, 1 if direction > 0 else -1)
-    return _HalfLine(_dense_arrays(ts[order], hs[order], ys[order], ks[order]),
-                     t, reason, stats)
+    return _HalfLine(_dense_arrays(*(x[order] for x in steps)), s_end, reason, stats)
 
 
 def _float_range_error(t, y):
@@ -375,18 +384,25 @@ def _brentq(f, a, b, xtol, rtol):
         f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
-def _solve(rhs, y0, span, step, events, stops=(None, None)):
+def _solve(rhs, y0, span, step, events):
     """``_dopri5`` from s = 0 to each nonzero end of span = (lo, hi), joined
-    into one ``_Solution``; ``stops`` are the backward and forward stop rules
-    of an open-ended solve, whose span ends give only the directions."""
-    halves = {name: _dopri5(rhs, y0, end, step, events, stop)
-              for name, end, stop in zip(("backward", "forward"), span, stops)
-              if end != 0}
-    dense = tuple(map(np.concatenate, zip(*(h.dense for h in halves.values()))))
+    into one ``_Solution``."""
+    return _join({name: _dopri5(rhs, y0, end, step, events)
+                  for name, end in zip(("backward", "forward"), span) if end != 0})
+
+
+def _join(halves, reach=None):
+    """One ``_Solution`` of the half-lines ``halves``, keyed "backward" and
+    "forward"; ``reach`` maps a half-line's name to the s where its samples
+    end when that is not its end."""
+    names = [name for name in ("backward", "forward") if name in halves]
+    dense = tuple(map(np.concatenate, zip(*(halves[name].dense for name in names))))
     lo, hi = (halves[name].s_end if name in halves else 0.0
               for name in ("backward", "forward"))
-    return _Solution(dense, lo, hi, {name: h.reason for name, h in halves.items()},
-                     {name: h.stats for name, h in halves.items()})
+    reach = reach or {}
+    return _Solution(dense, lo, hi, {name: halves[name].reason for name in names},
+                     {name: halves[name].stats for name in names},
+                     (reach.get("backward", lo), reach.get("forward", hi)))
 
 
 def _linear(y0, rates, span):
@@ -398,7 +414,8 @@ def _linear(y0, rates, span):
     dense = (np.zeros(1), np.ones(1), np.array([y0], dtype=float), Q)
     ends = {"backward": span[0], "forward": span[1]}
     return _Solution(dense, span[0], span[1], {
-        name: "photon-sphere-snap" for name, end in ends.items() if end != 0}, {})
+        name: "photon-sphere-snap" for name, end in ends.items() if end != 0}, {},
+        tuple(span))
 
 
 def _newton(fn, targets, x0, lo, hi):

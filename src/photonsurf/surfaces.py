@@ -28,9 +28,11 @@ from .ode import (
     StepControl,
     _brentq,
     _dense_eval,
+    _dopri5,
+    _half_line,
+    _join,
     _linear,
     _newton,
-    _solve,
 )
 from .spacetime import ClassSSpacetime
 
@@ -59,6 +61,9 @@ CRITICAL_RTOL = 1e-8
 ASYMPTOTE_EPS = 1e-5
 # points of the log-spaced grid on which the root scans bracket sign changes
 SCAN_GRID = 512
+# relative distance from an interval end r_lo or r_hi within which a
+# half-line heading there looks ahead for its boundary crossing
+_LOOKAHEAD_BAND = 0.05
 
 
 def _check_span(span) -> None:
@@ -232,35 +237,120 @@ def _sample_grid(span, spacing):
 
 def _window(sol, s0, span, spacing):
     """The output grid s of the window s0 + span of a solution, cut to its
-    (lo, hi); the states at s0 + s; and, per half-line name, whether the
-    cut ends the window before its span end."""
-    lo, hi = max(span[0], sol.lo - s0), min(span[1], sol.hi - s0)
+    reach; the states at s0 + s; and, per half-line name, whether the cut
+    ends the window before its span end."""
+    lo, hi = max(span[0], sol.reach[0] - s0), min(span[1], sol.reach[1] - s0)
     s = _sample_grid((lo, hi), spacing)
     return s, _dense_eval(sol.dense, s0 + s), {"backward": lo > span[0],
                                                "forward": hi < span[1]}
 
 
+def _last_sample(d, starts, span, spacing, reach):
+    """The farthest point in direction d of the samples s0 + s that
+    ``_window`` reads from the windows s0 + span, s0 in ``starts``, of a
+    solution whose reach on that side is ``reach``; -d inf for none."""
+    def last(s0):  # every window's grid holds s = 0
+        lo, hi = max(span[0], reach - s0), min(span[1], reach - s0)
+        grid = _sample_grid((lo, 0.0) if d < 0 else (0.0, hi), spacing)
+        return s0 + grid[0 if d < 0 else -1]
+
+    return d * max((d * last(s0) for s0 in starts), default=-math.inf)
+
+
 def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
-                      stops=(None, None)):
+                      stops=(None, None), window=None):
     """Integrate an autonomous radial system over both half-lines of span.
 
     The state has r = y[1] and dr/ds = y[2]. Each half-line, started at
-    s = 0, stops at its span end (or by its rule in ``stops``, see
-    ``ode._solve``), at the radial interval boundary, or when it comes
-    within ASYMPTOTE_EPS of a photon sphere whose factor matches ``alpha``
-    (None: no such test). Returns the ``ode._Solution``.
+    s = 0, stops at its span end (an infinite one only by its rule in
+    ``stops``, see ``ode._dopri5``), at the radial interval boundary
+    r_lo (1 + 1e-9) or r_hi (1 - 1e-9), or when it comes within
+    ASYMPTOTE_EPS of a photon sphere whose factor matches ``alpha`` (None:
+    no such test). The forward half-line is solved first.
+
+    ``window`` = (wspan, spacing, starts) names the samples the caller
+    will read: ``_sample_grid(wspan, spacing)`` about each s0 of
+    starts(d, sol), where d is the direction of the half-line being solved
+    and sol() gives the ``ode._Solution`` of its accepted steps so far
+    joined with the finished half-lines; starts returns None while it
+    cannot tell. A half-line that comes within _LOOKAHEAD_BAND of an
+    interval end, heading there, then looks ahead: a ``_dopri5`` run of
+    (r, dr/ds) alone from its state, with its events, over what the samples
+    need. When that run ends at the boundary, the half-line, whose dt/ds
+    grows without bound there, ends with reason "boundary" at its first
+    accepted step end past the last sample before the crossing, and the
+    crossing becomes its reach. Its steps up to there are those of the
+    solve without look-ahead, and the samples are the same unless one lies
+    within rounding of the crossing.
+    Returns the ``ode._Solution``.
     """
     r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
-    events = [(lambda y: y[1] - r_stop_lo, "boundary")]
+    conds = [(lambda r, v: r - r_stop_lo, "boundary")]
     if math.isfinite(st.r_hi):
         r_stop_hi = st.r_hi * (1 - 1e-9)
-        events.append((lambda y: r_stop_hi - y[1], "boundary"))
+        conds.append((lambda r, v: r_stop_hi - r, "boundary"))
     sp = _snapped_sphere(spheres, alpha) if alpha is not None else None
     if sp is not None:
-        events.append((lambda y: (y[1] - sp.r_star) ** 2 + y[2] ** 2
-                       - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
+        conds.append((lambda r, v: (r - sp.r_star) ** 2 + v ** 2
+                      - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
+    events = [(lambda y, g=g: g(y[1], y[2]), tag) for g, tag in conds]
+    radial_events = [(lambda y, g=g: g(y[0], y[1]), tag) for g, tag in conds]
 
-    return _solve(rhs, y0, span, step, events, stops)
+    def radial(y):
+        return rhs((0.0, y[0], y[1]))[1:3]
+
+    def cut_rule(name, d, stop, steps):
+        """``stop``, and the boundary cut of the half-line ``name``."""
+        crossing = last = None  # crossing False: the half-line needs no cut
+
+        def rule(s, y):
+            nonlocal crossing, last
+            reason = None if stop is None else stop(s, y)
+            if reason is not None or crossing is False:
+                return reason
+            if crossing is None:
+                r, dr = y[1], d * y[2]  # dr: the rate of r along the half-line
+                near_lo = dr < 0 and r - st.r_lo <= _LOOKAHEAD_BAND * st.r_lo
+                near_hi = dr > 0 and st.r_hi - r <= _LOOKAHEAD_BAND * st.r_hi < math.inf
+                if not (near_lo or near_hi):
+                    return None
+                starts = window[2](d, lambda: _join({
+                    **halves, name: _half_line(steps, d, s, None, None)}))
+                if starts is None:
+                    return None
+                far = _last_sample(d, starts, *window[:2], d * math.inf)
+                crossing = False
+                if d * (far - s) <= 0:
+                    return None
+                try:
+                    ahead = _dopri5(radial, y[1:3], far - s, step, radial_events)
+                except (ArithmeticError, ValueError, StepUnderflowError):
+                    return None  # no cut: the half-line runs on as it would
+                if ahead.reason != "boundary":
+                    return None
+                crossing = s + ahead.s_end
+                last = _last_sample(d, starts, *window[:2], crossing)
+            if d * (s - last) >= 0:
+                reach[name] = crossing
+                return "boundary"
+            return None
+
+        return rule
+
+    halves, reach = {}, {}
+    for name, end, stop in (("forward", span[1], stops[1]),
+                            ("backward", span[0], stops[0])):
+        if end != 0:
+            steps = ([], [], [], [])
+            d = 1.0 if end > 0 else -1.0
+            rule = stop if window is None else cut_rule(name, d, stop, steps)
+            halves[name] = _dopri5(rhs, y0, end, step, events, rule, steps)
+    return _join(halves, reach)
+
+
+def _at_zero(d, sol):
+    """``_integrate_radial`` starts of a curve sampled about s = 0 alone."""
+    return (0.0,)
 
 
 def _profile_rhs(st, alpha):
@@ -309,7 +399,8 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
             raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
         y0 = (spec.t0, spec.r0, spec.sign * math.sqrt(max(disc, 0.0)))
         sol = _integrate_radial(st, _profile_rhs(st, alpha), y0, spec.span,
-                                step, alpha, spheres)
+                                step, alpha, spheres, window=(
+                                    spec.span, step.sample_spacing, _at_zero))
 
     s, (t, r, v), _ = _window(sol, 0.0, spec.span, step.sample_spacing)
     curve = _curve(st, alpha, s, t, r, v, sol.reasons, sol.stats)
@@ -402,7 +493,11 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
     ``ode._newton`` on the half where r increases; it is sampled at
     s0 + ``_sample_grid`` of its window, with t shifted to t(s0) = 0. Each
     half runs past its farthest r0 by its span end (``_half_stop``), so a
-    cell's bytes do not depend on the other cells.
+    cell's bytes do not depend on the other cells. The forward half is
+    solved first; a half that runs into the interval boundary ends after
+    the last sample of every cell's window (``_integrate_radial``), which it
+    knows once it has passed its own cells and the forward half is solved
+    (``_cell_starts``).
 
     Returns (cells, orbits): cells[i] is (curve, orbit index, s0), or None
     for a cell that ``integrate_profile`` must take: a critical row, r0
@@ -418,10 +513,13 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
     bracket = st.default_bracket()
     groups = {}
     for i, r0 in enumerate(r0s):
-        if not bracket[0] < r0 < bracket[1] or \
-                _fixed_radius(st, spheres, alpha, r0) is not None or \
-                not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
-            continue
+        try:
+            if not bracket[0] < r0 < bracket[1] or \
+                    _fixed_radius(st, spheres, alpha, r0) is not None or \
+                    not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
+                continue
+        except (OverflowError, ZeroDivisionError):
+            continue  # beyond the float range: integrate_profile says why
         j = bisect.bisect(turning, r0)
         ends = (turning[j - 1] if j else None,
                 turning[j] if j < len(turning) else None)
@@ -445,8 +543,9 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
                  _half_stop(1, far[1], span[1], monotone[1]))
         y0 = (0.0, r_a, math.sqrt(max(alpha ** 2 * r_a ** 2 - st.f(r_a), 0.0)))
         try:
-            sol = _integrate_radial(st, rhs, y0, (-math.inf, math.inf), step,
-                                    alpha, spheres, stops)
+            sol = _integrate_radial(
+                st, rhs, y0, (-math.inf, math.inf), step, alpha, spheres, stops,
+                (span, step.sample_spacing, _cell_starts(r0s, sides)))
         except StepUnderflowError:
             continue
         orbits.append(_Orbit(alpha, r_a, kind, sol))
@@ -459,11 +558,33 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
     return cells, orbits
 
 
+def _cell_starts(r0s, sides):
+    """``_integrate_radial`` starts of an orbit's cells: the s0 of every
+    cell, once the forward half-line is solved and the half-line being
+    solved has passed its own cells' r0 by a whole step (``_orbit_starts``),
+    so that they are the s0 the finished solution gives."""
+    known = {}
+
+    def starts(d, sol):
+        if d > 0 and sides[-1]:
+            return None
+        for side in (1, -1) if d < 0 else (1,):
+            if side not in known:
+                s0s = _orbit_starts(sol(), side, [r0s[i] for i in sides[side]])
+                if None in s0s:
+                    return None
+                known[side] = s0s
+        return known[1] + known.get(-1, [])
+
+    return starts
+
+
 def _orbit_starts(sol, d, r0s):
     """Points s0 with r(s0) = r0 on the half-line of ``sol`` in direction d,
     along which r increases with s: one per r0 of ``r0s``, None where the
     half does not reach r0. Newton starts from r interpolated between the
-    half's nodes, its end included unless r turned back in the last step."""
+    half's nodes, its end included unless r turned back in the last step or
+    the half-line is still being solved (reason None)."""
     T, H, Y, _ = sol.dense
     k = np.count_nonzero(H < 0)  # backward steps come first
     r_end = sol.end_states()[1, int(d > 0)]
@@ -471,7 +592,7 @@ def _orbit_starts(sol, d, r0s):
         s_nodes, r_nodes = np.append(T[k:], sol.hi), np.append(Y[k:, 1], r_end)
     else:
         s_nodes, r_nodes = np.append(sol.lo, T[:k]), np.append(r_end, Y[:k, 1])
-    if sol.reasons["forward" if d > 0 else "backward"] == _TURNED_BACK:
+    if sol.reasons["forward" if d > 0 else "backward"] in (None, _TURNED_BACK):
         keep = slice(None, -1) if d > 0 else slice(1, None)
         s_nodes, r_nodes = s_nodes[keep], r_nodes[keep]
     targets = np.array(r0s, dtype=float)

@@ -656,6 +656,29 @@ def test_spheres_exit_codes_fuzz(tmp_path, family, n, values):
         assert main(["--config", cfg, "spheres"]) in (0, 2, 3, 4, 5)
 
 
+@settings(derandomize=True, max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st_.sampled_from(("minkowski", "schwarzschild",
+                                "reissner-nordstrom", "schwarzschild-ads")),
+       n=st_.integers(3, 6),
+       values=st_.fixed_dictionaries(
+           {key: _config_value() for key in ("m", "q", "L", "r_lo", "r_hi")}),
+       command=st_.sampled_from(("verify", "isotropic")))
+def test_verify_and_isotropic_exit_codes_fuzz(tmp_path, family, n, values, command):
+    # verify and isotropic on any [spacetime] section end in an exit code of
+    # the contract with no traceback, as spheres does; 600 examples reach
+    # spacetimes whose verify test surface has a single sample
+    lines = ["[spacetime]", f"family = {family}", f"n = {n}"]
+    lines += [f"{key} = {value}" for key, value in values.items()
+              if value is not None]
+    cfg = write_config(tmp_path / "fuzz.ini", "\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                     command]) in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("text, argv, code", [
     ("[profile]\nalpha = 0.2\nr0 = 6\n", ["spheres"], 2),
     ("[spacetime]\nfamily =\n", ["spheres"], 2),
@@ -683,13 +706,17 @@ def test_spheres_exit_codes_fuzz(tmp_path, family, n, values):
     # r^(n-2) leaves the float range in the scans
     ("[spacetime]\nfamily = schwarzschild\nn = 400\nm = 1\n", ["verify"], 3),
     ("[spacetime]\nfamily = schwarzschild\nn = 100000\nm = 1\n", ["spheres"], 3),
+    # test surfaces too short to difference
+    ("[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 1e5\n", ["verify"], 3),
+    ("[spacetime]\nfamily = minkowski\nn = 4\nr_hi = 5.5e-81\n", ["verify"], 3),
 ], ids=["no-spacetime", "empty-family", "m-not-a-number", "n-not-an-integer",
         "custom-without-table", "profile-without-alpha", "alpha-not-a-number",
         "alphas-not-numbers", "no-profile-section", "no-geodesic-section",
         "no-sweep-section", "negative-spacing", "zero-spacing", "too-few-samples",
         "every-cell-skipped", "verify-fails", "non-finite-list-values",
         "negative-samples", "zero-samples", "fractional-samples", "samples-above-cap",
-        "verify-large-n", "spheres-large-n"])
+        "verify-large-n", "spheres-large-n", "verify-one-sample-rn",
+        "verify-one-sample-minkowski"])
 def test_exit_code_contract(tmp_path, capsys, text, argv, code):
     cfg = write_config(tmp_path / "c.ini", text)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == code

@@ -229,7 +229,7 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
         return _dopri5(rhs, y0, direction, STEP, events,
                        stop=lambda s, y: "far" if abs(s) > extent else None)
 
-    for direction, extents in ((1.0, (2.0, 7.5)), (-1.0, (0.5, 1.5))):
+    for direction, extents in ((math.inf, (2.0, 7.5)), (-math.inf, (0.5, 1.5))):
         short, long_ = (open_solve(direction, e) for e in extents)
         assert short.reason == long_.reason == "far"
         assert extents[0] < abs(short.s_end) < extents[1] < abs(long_.s_end)
@@ -241,7 +241,7 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
         # the step that ends the short solve is a node of the long one
         assert short.s_end in long_.dense[0]
     # inward, a solve runs into the horizon whatever its extent
-    first, second = open_solve(-1.0, 50.0), open_solve(-1.0, 500.0)
+    first, second = open_solve(-math.inf, 50.0), open_solve(-math.inf, 500.0)
     assert first.reason == second.reason == "boundary"
     assert first.s_end == second.s_end and first.stats == second.stats
 
@@ -298,7 +298,7 @@ def _kernel_cases():
         "isotropic-rn": isotropic_halves,
         "profile-boundary": lambda: [_dopri5(rhs, y0, -50.0, STEP, events)],
         "profile-open": lambda: [_dopri5(
-            rhs, y0, 1.0, STEP, events,
+            rhs, y0, math.inf, STEP, events,
             stop=lambda s, y: "far" if s > 7.5 else None)],
         "geodesic": lambda: [_dopri5(geodesic_rhs(st, g_alpha, 1.0), g_y0,
                                      g_end, STEP, radial_events(st, g_alpha, spheres))],
