@@ -200,8 +200,8 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
     is involved. The exact circular orbit covers every time at r_*.
     """
     E = charges.energy
-    stops = (lambda s, y: "span" if y[0] <= t[0] else None,
-             lambda s, y: "span" if y[0] >= t[-1] else None)
+    stops = (lambda s, y, steps: "span" if y[0] <= t[0] else None,
+             lambda s, y, steps: "span" if y[0] >= t[-1] else None)
     span = (-math.inf if t[0] < 0 else 0.0, math.inf if t[-1] > 0 else 0.0)
     sol = _null_solution(st, charges, r0, sign, span, step, spheres, stops)
     if not sol.stats:

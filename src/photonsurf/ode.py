@@ -88,17 +88,13 @@ class _HalfLine(NamedTuple):
 class _Solution(NamedTuple):
     """Both half-lines of one solve over (lo, hi) around s = 0: one dense
     output in ascending s, and the stop reason and work of each half-line,
-    keyed "backward"/"forward". ``reach`` = (lo, hi) bounds the s where
-    samples may be read: (lo, hi) itself, but past an end where a half-line
-    stopped short of a boundary crossing whose place it knows, that
-    crossing (``surfaces._integrate_radial``)."""
+    keyed "backward"/"forward"."""
 
     dense: tuple
     lo: float
     hi: float
     reasons: dict
     stats: dict
-    reach: tuple
 
     def end_states(self):
         """States (n, 2) at lo and hi."""
@@ -186,7 +182,7 @@ def _kernel(n):
     return _KERNELS[n]
 
 
-def _dopri5(rhs, y0, s_end, step, events, stop=None, steps=None):
+def _dopri5(rhs, y0, s_end, step, events, stop=None):
     """Adaptive Dormand-Prince 5(4) solve of y' = rhs(y) from s = 0 to s_end.
 
     Replays scipy's RK45 on Python floats: the same initial step selection,
@@ -201,13 +197,14 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, steps=None):
     its last accepted step with reason "float-range", not counting that
     attempt; before the first accepted step it raises ``StepUnderflowError``.
 
-    A ``stop`` rule ends the solve after the first accepted step at whose
-    end stop(s, y) returns a reason rather than None; the rule may read the
-    accepted steps so far from ``steps``, four lists (T, H, Y, K) that the
-    solve appends each accepted step to, in the order taken. An infinite
-    s_end makes the solve open-ended: no step is clipped and the initial
-    step ignores the extent, so an open solve whose rule stops later
-    extends one that stops earlier bit for bit.
+    A ``stop`` rule is called as stop(s, y, steps) at the end of every
+    accepted step, at the event's root for the step an event ends; ``steps``
+    holds the accepted steps so far, that step last, as four lists
+    (T, H, Y, K) in the order taken. The solve ends after the first step at
+    whose end the rule returns a reason rather than None, unless an event
+    ended it first. An infinite s_end makes the solve open-ended: no
+    step is clipped and the initial step ignores the extent, so an open
+    solve whose rule stops later extends one that stops earlier bit for bit.
     """
     rtol, atol = step.rtol, step.atol
     direction = 1.0 if s_end > 0 else -1.0
@@ -234,7 +231,7 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, steps=None):
 
     nfev, rejected = 2, 0
     g = [ev(y) for ev, _ in events]
-    ts, hs, ys, ks = steps if steps is not None else ([], [], [], [])
+    steps = ts, hs, ys, ks = [], [], [], []
     reason = "span"
     while direction * (t - s_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -295,22 +292,19 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, steps=None):
                         lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
                         t_old, t, _EVENT_TOL, _EVENT_TOL), i))
                 t, i = min(hits, key=lambda hit: direction * hit[0])
+                y = _dense_eval(last, np.array([t]))[:, 0].tolist()
                 reason = events[i][1]
-                break
             g = g_new
-        if stop is not None and (stopped := stop(t, y)) is not None:
+        stopped = None if stop is None else stop(t, y, steps)
+        if reason != "span":
+            break
+        if stopped is not None:
             reason = stopped
             break
 
     stats = SolveStats(accepted=len(ts), rejected=rejected, rhs_evals=nfev)
-    return _half_line((ts, hs, ys, ks), direction, t, reason, stats)
-
-
-def _half_line(steps, direction, s_end, reason, stats):
-    """The ``_HalfLine`` of the accepted steps (T, H, Y, K), listed in the
-    order a solve in ``direction`` took them."""
     order = slice(None, None, 1 if direction > 0 else -1)
-    return _HalfLine(_dense_arrays(*(x[order] for x in steps)), s_end, reason, stats)
+    return _HalfLine(_dense_arrays(*(x[order] for x in steps)), t, reason, stats)
 
 
 def _float_range_error(t, y):
@@ -391,18 +385,15 @@ def _solve(rhs, y0, span, step, events):
                   for name, end in zip(("backward", "forward"), span) if end != 0})
 
 
-def _join(halves, reach=None):
+def _join(halves):
     """One ``_Solution`` of the half-lines ``halves``, keyed "backward" and
-    "forward"; ``reach`` maps a half-line's name to the s where its samples
-    end when that is not its end."""
+    "forward"."""
     names = [name for name in ("backward", "forward") if name in halves]
     dense = tuple(map(np.concatenate, zip(*(halves[name].dense for name in names))))
     lo, hi = (halves[name].s_end if name in halves else 0.0
               for name in ("backward", "forward"))
-    reach = reach or {}
     return _Solution(dense, lo, hi, {name: halves[name].reason for name in names},
-                     {name: halves[name].stats for name in names},
-                     (reach.get("backward", lo), reach.get("forward", hi)))
+                     {name: halves[name].stats for name in names})
 
 
 def _linear(y0, rates, span):
@@ -414,8 +405,7 @@ def _linear(y0, rates, span):
     dense = (np.zeros(1), np.ones(1), np.array([y0], dtype=float), Q)
     ends = {"backward": span[0], "forward": span[1]}
     return _Solution(dense, span[0], span[1], {
-        name: "photon-sphere-snap" for name, end in ends.items() if end != 0}, {},
-        tuple(span))
+        name: "photon-sphere-snap" for name, end in ends.items() if end != 0}, {})
 
 
 def _newton(fn, targets, x0, lo, hi):
@@ -442,18 +432,23 @@ def _newton(fn, targets, x0, lo, hi):
 
 def _invert(sol, k, targets, slope):
     """Points s of a solution where component k, strictly increasing in s,
-    takes the values ``targets``.
-
-    Newton with dy_k/ds = slope(y) on the dense output, started from linear
-    interpolation of y_k between the step nodes and kept inside (lo, hi).
-    """
+    takes the values ``targets``: ``_invert_dense`` between its step nodes
+    and ends."""
     T, _, Y, _ = sol.dense
     k_lo, k_hi = sol.end_states()[k]
-    x0 = np.interp(targets, np.concatenate(([k_lo], Y[:, k], [k_hi])),
-                   np.concatenate(([sol.lo], T, [sol.hi])))
+    return _invert_dense(sol.dense, k, targets, slope,
+                         np.concatenate(([sol.lo], T, [sol.hi])),
+                         np.concatenate(([k_lo], Y[:, k], [k_hi])))
 
+
+def _invert_dense(dense, k, targets, slope, s_nodes, k_nodes):
+    """Points s of a dense output where component k, strictly increasing in
+    s, takes the values ``targets``: Newton with dy_k/ds = slope(y), started
+    from linear interpolation of y_k = ``k_nodes`` between the ascending
+    ``s_nodes`` and kept inside them."""
     def fn(s):
-        y = _dense_eval(sol.dense, s)
+        y = _dense_eval(dense, s)
         return y[k], slope(y)
 
-    return _newton(fn, targets, x0, sol.lo, sol.hi)
+    x0 = np.interp(targets, k_nodes, s_nodes)
+    return _newton(fn, targets, x0, s_nodes[0], s_nodes[-1])

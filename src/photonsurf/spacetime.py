@@ -355,14 +355,21 @@ def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
     rs, fs = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip() for c in header[:2]] != ["r", "f"]:
             raise DomainError(f"profile table must have header 'r,f', got {header}")
         for row in reader:
             if not row:
                 continue
-            rs.append(float(row[0]))
-            fs.append(float(row[1]))
+            try:
+                r, f = map(float, row[:2])
+            except ValueError:
+                r = f = math.nan
+            if not (math.isfinite(r) and math.isfinite(f)):
+                raise DomainError(f"profile table line {reader.line_num}: {row} "
+                                  "is not two finite numbers r, f")
+            rs.append(r)
+            fs.append(f)
     rs, fs = np.asarray(rs), np.asarray(fs)
     if len(rs) < 4 or np.any(np.diff(rs) <= 0):
         raise DomainError("profile table needs >= 4 rows with strictly increasing r")

@@ -27,9 +27,10 @@ from .ode import (
     SolveStats,
     StepControl,
     _brentq,
+    _dense_arrays,
     _dense_eval,
     _dopri5,
-    _half_line,
+    _invert_dense,
     _join,
     _linear,
     _newton,
@@ -235,53 +236,61 @@ def _sample_grid(span, spacing):
     return np.concatenate([bwd[::-1], fwd])
 
 
+def _cut(span, s0, lo, hi):
+    """The window s0 + span, as offsets from s0, cut to a solution over
+    (lo, hi)."""
+    return max(span[0], lo - s0), min(span[1], hi - s0)
+
+
 def _window(sol, s0, span, spacing):
     """The output grid s of the window s0 + span of a solution, cut to its
-    reach; the states at s0 + s; and, per half-line name, whether the cut
-    ends the window before its span end."""
-    lo, hi = max(span[0], sol.reach[0] - s0), min(span[1], sol.reach[1] - s0)
+    ends lo and hi; the states at s0 + s; and, per half-line name, whether
+    the cut ends the window before its span end."""
+    lo, hi = _cut(span, s0, sol.lo, sol.hi)
     s = _sample_grid((lo, hi), spacing)
     return s, _dense_eval(sol.dense, s0 + s), {"backward": lo > span[0],
                                                "forward": hi < span[1]}
 
 
-def _last_sample(d, starts, span, spacing, reach):
-    """The farthest point in direction d of the samples s0 + s that
-    ``_window`` reads from the windows s0 + span, s0 in ``starts``, of a
-    solution whose reach on that side is ``reach``; -d inf for none."""
-    def last(s0):  # every window's grid holds s = 0
-        lo, hi = max(span[0], reach - s0), min(span[1], reach - s0)
-        grid = _sample_grid((lo, 0.0) if d < 0 else (0.0, hi), spacing)
-        return s0 + grid[0 if d < 0 else -1]
-
-    return d * max((d * last(s0) for s0 in starts), default=-math.inf)
+def _reads(d, starts, span, spacing, end):
+    """Per window s0 + span, s0 in ``starts``, of a solution that ends at
+    ``end`` on side d: (s0, the offset from s0 up to which ``_window``
+    reads it on that side), its span end when the cut leaves the window
+    whole, else its farthest sample."""
+    reads = []
+    for s0 in starts:
+        e = _cut(span, s0, end, end)[d > 0]
+        if e != span[d > 0]:
+            e = _sample_grid((e, 0.0) if d < 0 else (0.0, e), spacing)[0 if d < 0 else -1]
+        reads.append((s0, e))
+    return reads
 
 
 def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
-                      stops=(None, None), window=None):
+                      stops=(None, None), window=None, first=1):
     """Integrate an autonomous radial system over both half-lines of span.
 
     The state has r = y[1] and dr/ds = y[2]. Each half-line, started at
     s = 0, stops at its span end (an infinite one only by its rule in
-    ``stops``, see ``ode._dopri5``), at the radial interval boundary
-    r_lo (1 + 1e-9) or r_hi (1 - 1e-9), or when it comes within
+    ``stops`` = (backward, forward), see ``ode._dopri5``), at the radial
+    interval boundary r_lo (1 + 1e-9) or r_hi (1 - 1e-9), or when it comes within
     ASYMPTOTE_EPS of a photon sphere whose factor matches ``alpha`` (None:
-    no such test). The forward half-line is solved first.
+    no such test). The half-line in direction ``first`` is solved first.
 
     ``window`` = (wspan, spacing, starts) names the samples the caller
     will read: ``_sample_grid(wspan, spacing)`` about each s0 of
-    starts(d, sol), where d is the direction of the half-line being solved
-    and sol() gives the ``ode._Solution`` of its accepted steps so far
-    joined with the finished half-lines; starts returns None while it
-    cannot tell. A half-line that comes within _LOOKAHEAD_BAND of an
-    interval end, heading there, then looks ahead: a ``_dopri5`` run of
-    (r, dr/ds) alone from its state, with its events, over what the samples
-    need. When that run ends at the boundary, the half-line, whose dt/ds
-    grows without bound there, ends with reason "boundary" at its first
-    accepted step end past the last sample before the crossing, and the
-    crossing becomes its reach. Its steps up to there are those of the
-    solve without look-ahead, and the samples are the same unless one lies
-    within rounding of the crossing.
+    starts(d), where d is the direction of the half-line being solved;
+    starts returns None while it cannot tell. A half-line that comes within
+    _LOOKAHEAD_BAND of an interval end, heading there, then looks ahead: a
+    ``_dopri5`` run of (r, dr/ds) alone from its state, with its events,
+    over what the samples need. When that run ends at the boundary, the
+    half-line, whose dt/ds grows without bound there, ends with reason
+    "boundary" at its first accepted step end from which ``_window`` reads
+    every window as it would from a solve ending at the crossing (``_reads``):
+    past its span end when that lies before the crossing, else past its
+    last sample before it. Its steps up to there are those of the solve
+    without look-ahead, and the samples and cut flags are the same unless
+    one lies within rounding of the crossing.
     Returns the ``ode._Solution``.
     """
     r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
@@ -299,27 +308,27 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
     def radial(y):
         return rhs((0.0, y[0], y[1]))[1:3]
 
-    def cut_rule(name, d, stop, steps):
-        """``stop``, and the boundary cut of the half-line ``name``."""
-        crossing = last = None  # crossing False: the half-line needs no cut
+    def cut_rule(d, stop):
+        """``stop``, and the boundary cut of the half-line in direction d."""
+        wspan, spacing, starts_of = window
+        reads = None  # what the windows read; False: the half-line needs no cut
 
-        def rule(s, y):
-            nonlocal crossing, last
-            reason = None if stop is None else stop(s, y)
-            if reason is not None or crossing is False:
+        def rule(s, y, steps):
+            nonlocal reads
+            reason = None if stop is None else stop(s, y, steps)
+            if reason is not None or reads is False:
                 return reason
-            if crossing is None:
+            if reads is None:
                 r, dr = y[1], d * y[2]  # dr: the rate of r along the half-line
                 near_lo = dr < 0 and r - st.r_lo <= _LOOKAHEAD_BAND * st.r_lo
                 near_hi = dr > 0 and st.r_hi - r <= _LOOKAHEAD_BAND * st.r_hi < math.inf
-                if not (near_lo or near_hi):
-                    return None
-                starts = window[2](d, lambda: _join({
-                    **halves, name: _half_line(steps, d, s, None, None)}))
+                starts = starts_of(d) if near_lo or near_hi else None
                 if starts is None:
                     return None
-                far = _last_sample(d, starts, *window[:2], d * math.inf)
-                crossing = False
+                # the farthest sample of any window
+                far = d * max((d * s0 for s0 in starts), default=-math.inf) \
+                    + _sample_grid(wspan, spacing)[0 if d < 0 else -1]
+                reads = False
                 if d * (far - s) <= 0:
                     return None
                 try:
@@ -328,27 +337,23 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
                     return None  # no cut: the half-line runs on as it would
                 if ahead.reason != "boundary":
                     return None
-                crossing = s + ahead.s_end
-                last = _last_sample(d, starts, *window[:2], crossing)
-            if d * (s - last) >= 0:
-                reach[name] = crossing
-                return "boundary"
-            return None
+                reads = _reads(d, starts, wspan, spacing, s + ahead.s_end)
+            done = all(d * (_cut(wspan, s0, s, s)[d > 0] - e) >= 0 for s0, e in reads)
+            return "boundary" if done else None
 
         return rule
 
-    halves, reach = {}, {}
-    for name, end, stop in (("forward", span[1], stops[1]),
-                            ("backward", span[0], stops[0])):
+    halves = {}
+    for d in (first, -first):
+        end, stop = span[d > 0], stops[d > 0]
         if end != 0:
-            steps = ([], [], [], [])
-            d = 1.0 if end > 0 else -1.0
-            rule = stop if window is None else cut_rule(name, d, stop, steps)
-            halves[name] = _dopri5(rhs, y0, end, step, events, rule, steps)
-    return _join(halves, reach)
+            rule = stop if window is None else cut_rule(d, stop)
+            halves["forward" if d > 0 else "backward"] = _dopri5(
+                rhs, y0, end, step, events, rule)
+    return _join(halves)
 
 
-def _at_zero(d, sol):
+def _at_zero(d):
     """``_integrate_radial`` starts of a curve sampled about s = 0 alone."""
     return (0.0,)
 
@@ -462,23 +467,38 @@ def _orbit_anchor(st, alpha, below, above, spheres, bracket):
     return None
 
 
-def _half_stop(direction, r_far, extent, monotone):
-    """Stop rule of the orbit half-line in ``direction``: "span" at the first
-    step end more than ``extent`` past the step end where r passed ``r_far``
-    (s = 0 when None), so a cell's window is covered and its r0 lies before
-    the last node; on a ``monotone`` half, whose dr/ds stays positive,
-    "turned-back" at a step end where it does not."""
-    passed = 0.0 if r_far is None else None
+def _orbit_stop(d, cells, extent, monotone, s0s):
+    """Stop rule of the orbit half-line in direction d through the cells
+    {index: r0} ``cells``, along which r increases with s when ``monotone``.
 
-    def stop(s, y):
-        nonlocal passed
+    At the accepted step that carries the half past a cell's r0, the one an
+    event ends included, it sets s0s[index] to the s0 with r(s0) = r0, by
+    ``ode._invert_dense`` on that step's dense output between its two nodes.
+    It returns "turned-back" at a step end where dr/ds is not positive on a
+    monotone half, and, once every cell is passed, "span" at the first step
+    end more than ``extent`` past the farthest s0 in direction d of all of
+    ``s0s`` (past s = 0 when it is empty), so that every window known by
+    then is covered.
+    """
+    todo, far = dict(cells), None
+
+    def stop(s, y, steps):
+        nonlocal far
         if monotone and not y[2] > 0:
             return _TURNED_BACK
-        if passed is None and direction * (y[1] - r_far) >= 0:
-            passed = s
-        if passed is not None and direction * (s - passed) > extent:
-            return _ORBIT_SPAN
-        return None
+        passed = [i for i, r0 in todo.items() if d * (y[1] - r0) > 0]
+        if passed:
+            # the step's nodes in ascending s, and so in ascending r
+            nodes = sorted([(steps[0][-1], steps[2][-1][1]), (s, y[1])])
+            s0s.update(zip(passed, _invert_dense(
+                _dense_arrays(*(x[-1:] for x in steps)), 1,
+                np.array([todo.pop(i) for i in passed]), lambda v: v[2],
+                *zip(*nodes)).tolist()))
+        if todo:
+            return None
+        if far is None:  # the halves run one after the other: s0s holds still
+            far = d * max((d * s0 for s0 in s0s.values()), default=0.0)
+        return _ORBIT_SPAN if d * (s - far) > extent else None
 
     return stop
 
@@ -489,22 +509,23 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
 
     In a static spacetime every such cell on one component of
     {alpha^2 r^2 >= f} lies on the orbit through the component's anchor
-    (``_orbit_anchor``), shifted in s and t. Its s0 solves r(s0) = r0 by
-    ``ode._newton`` on the half where r increases; it is sampled at
-    s0 + ``_sample_grid`` of its window, with t shifted to t(s0) = 0. Each
-    half runs past its farthest r0 by its span end (``_half_stop``), so a
-    cell's bytes do not depend on the other cells. The forward half is
-    solved first; a half that runs into the interval boundary ends after
-    the last sample of every cell's window (``_integrate_radial``), which it
-    knows once it has passed its own cells and the forward half is solved
-    (``_cell_starts``).
+    (``_orbit_anchor``), shifted in s and t. Its s0 solves r(s0) = r0 on
+    the half where r increases, at the step that passes r0
+    (``_orbit_stop``); it is sampled at s0 + ``_sample_grid`` of its window,
+    with t shifted to t(s0) = 0. The half that carries cells is solved
+    first, the forward one when both do, so each half runs a span end past
+    the orbit's farthest s0 in its direction, and a cell's bytes do not
+    depend on the other cells. A half that runs into the interval boundary
+    ends after the last sample of every cell's window
+    (``_integrate_radial``), which it knows once it has passed its own
+    cells and the other half is solved or carries none.
 
     Returns (cells, orbits): cells[i] is (curve, orbit index, s0), or None
     for a cell that ``integrate_profile`` must take: a critical row, r0
     outside the scan bracket of ``turning`` (the row's turning points), a
     cell that is forbidden, held on a sphere or at a turning point, a
-    component between two turning points, and a cell whose orbit failed or
-    does not reach r0 or cover its window before its stop rule ends it.
+    component between two turning points, and a cell whose orbit failed
+    or does not reach r0 or cover its window before its stop rule ends it.
     """
     cells = [None] * len(r0s)
     orbits = []
@@ -535,77 +556,31 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
         # the halves on which r increases with s: both, without turning point
         monotone = {-1: kind != "turning-point" or above is not None,
                     1: kind != "turning-point" or below is not None}
-        sides = {d: [i for i in members if monotone[d] and d * (r0s[i] - r_a) > 0]
-                 for d in (-1, 1)}
-        far = {d: (d * max(d * r0s[i] for i in idx) if idx else None)
-               for d, idx in sides.items()}
-        stops = (_half_stop(-1, far[-1], -span[0], monotone[-1]),
-                 _half_stop(1, far[1], span[1], monotone[1]))
+        sides = {d: {i: r0s[i] for i in members
+                     if monotone[d] and d * (r0s[i] - r_a) > 0} for d in (-1, 1)}
+        first = -1 if sides[-1] and not sides[1] else 1
+        s0s = {}
+
+        def starts(d):  # every window is known once these hold
+            if s0s.keys() >= sides[d].keys() and not (d == first and sides[-d]):
+                return list(s0s.values())
+            return None
+
+        stops = (_orbit_stop(-1, sides[-1], -span[0], monotone[-1], s0s),
+                 _orbit_stop(1, sides[1], span[1], monotone[1], s0s))
         y0 = (0.0, r_a, math.sqrt(max(alpha ** 2 * r_a ** 2 - st.f(r_a), 0.0)))
         try:
             sol = _integrate_radial(
                 st, rhs, y0, (-math.inf, math.inf), step, alpha, spheres, stops,
-                (span, step.sample_spacing, _cell_starts(r0s, sides)))
+                (span, step.sample_spacing, starts), first)
         except StepUnderflowError:
             continue
         orbits.append(_Orbit(alpha, r_a, kind, sol))
-        for d, idx in sides.items():
-            for i, s0 in zip(idx, _orbit_starts(sol, d, [r0s[i] for i in idx])):
-                curve = None if s0 is None else \
-                    _orbit_cell(st, alpha, sol, s0, span, step.sample_spacing)
-                if curve is not None:
-                    cells[i] = (curve, len(orbits) - 1, s0)
+        for i, s0 in s0s.items():
+            curve = _orbit_cell(st, alpha, sol, s0, span, step.sample_spacing)
+            if curve is not None:
+                cells[i] = (curve, len(orbits) - 1, s0)
     return cells, orbits
-
-
-def _cell_starts(r0s, sides):
-    """``_integrate_radial`` starts of an orbit's cells: the s0 of every
-    cell, once the forward half-line is solved and the half-line being
-    solved has passed its own cells' r0 by a whole step (``_orbit_starts``),
-    so that they are the s0 the finished solution gives."""
-    known = {}
-
-    def starts(d, sol):
-        if d > 0 and sides[-1]:
-            return None
-        for side in (1, -1) if d < 0 else (1,):
-            if side not in known:
-                s0s = _orbit_starts(sol(), side, [r0s[i] for i in sides[side]])
-                if None in s0s:
-                    return None
-                known[side] = s0s
-        return known[1] + known.get(-1, [])
-
-    return starts
-
-
-def _orbit_starts(sol, d, r0s):
-    """Points s0 with r(s0) = r0 on the half-line of ``sol`` in direction d,
-    along which r increases with s: one per r0 of ``r0s``, None where the
-    half does not reach r0. Newton starts from r interpolated between the
-    half's nodes, its end included unless r turned back in the last step or
-    the half-line is still being solved (reason None)."""
-    T, H, Y, _ = sol.dense
-    k = np.count_nonzero(H < 0)  # backward steps come first
-    r_end = sol.end_states()[1, int(d > 0)]
-    if d > 0:
-        s_nodes, r_nodes = np.append(T[k:], sol.hi), np.append(Y[k:, 1], r_end)
-    else:
-        s_nodes, r_nodes = np.append(sol.lo, T[:k]), np.append(r_end, Y[:k, 1])
-    if sol.reasons["forward" if d > 0 else "backward"] in (None, _TURNED_BACK):
-        keep = slice(None, -1) if d > 0 else slice(1, None)
-        s_nodes, r_nodes = s_nodes[keep], r_nodes[keep]
-    targets = np.array(r0s, dtype=float)
-    reached = (r_nodes[0] < targets) & (targets < r_nodes[-1])
-
-    def fn(s):
-        y = _dense_eval(sol.dense, s)
-        return y[1], y[2]
-
-    starts = iter(_newton(fn, targets[reached],
-                          np.interp(targets[reached], r_nodes, s_nodes),
-                          s_nodes[0], s_nodes[-1]).tolist())
-    return [next(starts) if ok else None for ok in reached]
 
 
 def _orbit_cell(st, alpha, sol, s0, span, spacing):

@@ -679,6 +679,11 @@ def test_verify_and_isotropic_exit_codes_fuzz(tmp_path, family, n, values, comma
     assert "Traceback" not in err.getvalue()
 
 
+# a custom spacetime whose table, written by the test, is the second item
+CUSTOM = "[spacetime]\nfamily = custom\ntable = {table}\n"
+TABLE = "r,f\n2,0.5\n3,0.6\n4,0.7\n5,0.8\n"
+
+
 @pytest.mark.parametrize("text, argv, code", [
     ("[profile]\nalpha = 0.2\nr0 = 6\n", ["spheres"], 2),
     ("[spacetime]\nfamily =\n", ["spheres"], 2),
@@ -709,6 +714,11 @@ def test_verify_and_isotropic_exit_codes_fuzz(tmp_path, family, n, values, comma
     # test surfaces too short to difference
     ("[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 1e5\n", ["verify"], 3),
     ("[spacetime]\nfamily = minkowski\nn = 4\nr_hi = 5.5e-81\n", ["verify"], 3),
+    ((CUSTOM, ""), ["spheres"], 2),
+    ((CUSTOM, TABLE + "6,abc\n"), ["spheres"], 2),
+    ((CUSTOM, TABLE + "6,nan\n"), ["spheres"], 2),
+    ((CUSTOM, TABLE + "6,inf\n"), ["spheres"], 2),
+    ((CUSTOM, TABLE + "6\n"), ["spheres"], 2),
 ], ids=["no-spacetime", "empty-family", "m-not-a-number", "n-not-an-integer",
         "custom-without-table", "profile-without-alpha", "alpha-not-a-number",
         "alphas-not-numbers", "no-profile-section", "no-geodesic-section",
@@ -716,8 +726,13 @@ def test_verify_and_isotropic_exit_codes_fuzz(tmp_path, family, n, values, comma
         "every-cell-skipped", "verify-fails", "non-finite-list-values",
         "negative-samples", "zero-samples", "fractional-samples", "samples-above-cap",
         "verify-large-n", "spheres-large-n", "verify-one-sample-rn",
-        "verify-one-sample-minkowski"])
+        "verify-one-sample-minkowski", "table-empty", "table-not-a-number",
+        "table-nan", "table-inf", "table-one-field"])
 def test_exit_code_contract(tmp_path, capsys, text, argv, code):
+    if isinstance(text, tuple):
+        template, rows = text
+        (tmp_path / "table.csv").write_text(rows)
+        text = template.format(table=tmp_path / "table.csv")
     cfg = write_config(tmp_path / "c.ini", text)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == code
     out, err = capsys.readouterr()

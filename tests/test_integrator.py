@@ -227,7 +227,7 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
 
     def open_solve(direction, extent):
         return _dopri5(rhs, y0, direction, STEP, events,
-                       stop=lambda s, y: "far" if abs(s) > extent else None)
+                       stop=lambda s, y, steps: "far" if abs(s) > extent else None)
 
     for direction, extents in ((math.inf, (2.0, 7.5)), (-math.inf, (0.5, 1.5))):
         short, long_ = (open_solve(direction, e) for e in extents)
@@ -299,7 +299,7 @@ def _kernel_cases():
         "profile-boundary": lambda: [_dopri5(rhs, y0, -50.0, STEP, events)],
         "profile-open": lambda: [_dopri5(
             rhs, y0, math.inf, STEP, events,
-            stop=lambda s, y: "far" if s > 7.5 else None)],
+            stop=lambda s, y, steps: "far" if s > 7.5 else None)],
         "geodesic": lambda: [_dopri5(geodesic_rhs(st, g_alpha, 1.0), g_y0,
                                      g_end, STEP, radial_events(st, g_alpha, spheres))],
     }

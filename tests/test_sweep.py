@@ -24,7 +24,8 @@ from photonsurf import (
 from photonsurf import cli
 from photonsurf.cli import main
 from photonsurf.spacetime import ClassSSpacetime, MetricProfile
-from photonsurf.surfaces import _orbit_cell, _orbit_starts, _sweep_row
+from photonsurf.ode import _brentq, _dense_eval
+from photonsurf.surfaces import _orbit_cell, _sweep_row
 
 ALPHA_STAR = 27 ** -0.5
 STEP = StepControl()
@@ -69,6 +70,17 @@ def run_profile(tmp_path, name, alpha, r0, spacetime=SCHW, span=SPAN):
     return (out / "profile.csv").read_bytes()
 
 
+def assert_cell_matches_profile(st, spheres, alpha, r0, span, curve):
+    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span),
+                            STEP, spheres)
+    label = f"alpha {alpha!r} r0 {r0!r}"
+    np.testing.assert_array_equal(curve.s, ref.s, err_msg=label)
+    assert (curve.termination, curve.termination_start) == \
+        (ref.termination, ref.termination_start), label
+    assert np.max(np.abs(curve.r - ref.r) / ref.r) <= 1e-11, label
+    assert curve.t[curve.s == 0] == 0.0, label
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_orbit_cells_match_per_cell_profiles(schw3, schw3_spheres, seed):
     alphas, r0s = sweep_grid(seed)
@@ -80,17 +92,69 @@ def test_orbit_cells_match_per_cell_profiles(schw3, schw3_spheres, seed):
             if cell is None:
                 continue
             orbit_cells += 1
-            curve = cell[0]
-            ref = integrate_profile(schw3, PhotonSurfaceSpec(alpha, r0, span=SPAN),
-                                    STEP, schw3_spheres)
-            label = f"alpha {alpha!r} r0 {r0!r}"
-            np.testing.assert_array_equal(curve.s, ref.s, err_msg=label)
-            assert (curve.termination, curve.termination_start) == \
-                (ref.termination, ref.termination_start), label
-            assert np.max(np.abs(curve.r - ref.r) / ref.r) <= 1e-11, label
-            assert curve.t[curve.s == 0] == 0.0, label
+            assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, SPAN, cell[0])
     # all but the critical row and the cells in the forbidden band
     assert orbit_cells >= 70
+
+
+def test_half_without_cells_solved_after_the_half_with_them(schw3, schw3_spheres):
+    # the inner component below the turning point near 2.09: the cells lie
+    # on the backward half, and the forward half falls into the horizon;
+    # solved after the backward half, it stops a span end past the farthest
+    # s0 instead of crawling into the horizon (709 attempts)
+    alpha, r0s, span = 0.1, [2.005, 2.01, 2.015], (-1.0, 1.0)
+    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP, schw3_spheres,
+                                 turning_points(schw3, alpha))
+    assert orbit.kind == "turning-point"
+    assert orbit.sol.reasons == {"backward": "boundary", "forward": "span"}
+    forward = orbit.sol.stats["forward"]
+    assert forward.accepted + forward.rejected <= 50
+    for r0, cell in zip(r0s, cells):
+        assert cell is not None and cell[2] < 0, r0
+        assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, span, cell[0])
+
+
+def test_span_stop_is_exact(schw3, schw3_spheres):
+    # a half that ends "span" ends at its first step end more than the span
+    # end past the farthest s0 of its orbit in its direction (s = 0 without
+    # cells): the step before it, unless it is the first, ends at or before
+    # that point
+    alphas, r0s = sweep_grid(1)
+    halves = 0
+    for alpha in alphas:
+        cells, orbits = _sweep_row(schw3, alpha, r0s, SPAN, STEP, schw3_spheres,
+                                   turning_points(schw3, alpha))
+        for k, orbit in enumerate(orbits):
+            s0s = [cell[2] for cell in cells if cell is not None and cell[1] == k]
+            T = orbit.sol.dense[0]  # step starts: the last backward step's first
+            for name, d, end, extent, previous in (
+                    ("backward", -1, orbit.sol.lo, -SPAN[0], T[0]),
+                    ("forward", 1, orbit.sol.hi, SPAN[1], T[-1])):
+                if orbit.sol.reasons[name] != "span":
+                    continue
+                halves += 1
+                far = d * max((d * s0 for s0 in s0s), default=0.0)
+                label = f"alpha {alpha!r} {name}"
+                assert d * (end - far) > extent, label
+                assert previous == 0.0 or d * (previous - far) <= extent, label
+    assert halves >= 11
+
+
+@pytest.mark.parametrize("alpha, r0s, span", [
+    (0.3, [2.2, 2.3, 2.4], (-0.503, 0.503)),
+    (0.3, [2.5, 2.6], (-1.005, 1.005)),
+])
+def test_off_grid_span_end_before_the_horizon_keeps_cell_reasons(
+        schw3, schw3_spheres, alpha, r0s, span):
+    # the backward half runs into the horizon and is cut there; a window
+    # whose span end lies between its last sample and the crossing is whole,
+    # so the cut must not end the half before that span end
+    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP, schw3_spheres,
+                                 turning_points(schw3, alpha))
+    assert orbit.sol.reasons["backward"] == "boundary"
+    for r0, cell in zip(r0s, cells):
+        assert cell is not None, r0
+        assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, span, cell[0])
 
 
 def test_orbit_cells_alone_give_same_bytes_and_save_work(tmp_path, schw3,
@@ -213,16 +277,23 @@ def test_orbit_that_turns_back_at_a_missed_turning_point():
 def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch, schw3,
                                                            schw3_spheres):
     # the inward half stops at r_lo (1 + 1e-9); a cell below that stop lies
-    # inside a scan bracket widened to r_lo but is never reached
+    # inside a scan bracket widened to r_lo but is never reached, while one
+    # between the stop and the start of the last step, which the stop ends,
+    # is served by the orbit
     monkeypatch.setattr(ClassSSpacetime, "default_bracket",
                         lambda self: (self.r_lo, 100.0))
-    alpha, r0s = 0.1, [2.0 * (1 + 1e-10), 2.02]
-    cells, orbits = _sweep_row(schw3, alpha, r0s, (-1.0, 1.0), STEP,
+    alpha, r0s, span = 0.1, [2.0 * (1 + 1e-10), 2.0000000020005, 2.02], (-1.0, 1.0)
+    cells, orbits = _sweep_row(schw3, alpha, r0s, span, STEP,
                                schw3_spheres, turning_points(schw3, alpha))
     (orbit,) = orbits
     assert orbit.kind == "turning-point"
     assert orbit.sol.reasons["backward"] == "boundary"
-    assert cells[0] is None and cells[1] is not None
+    r_end, r_last = orbit.sol.end_states()[1, 0], orbit.sol.dense[2][0, 1]
+    assert r_end == pytest.approx(2.0 * (1 + 1e-9), rel=1e-15) and r0s[1] < r_last
+    assert cells[0] is None and cells[2] is not None
+    curve, _, s0 = cells[1]
+    assert orbit.sol.lo < s0 < orbit.sol.dense[0][0]
+    assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0s[1], span, curve)
 
 
 def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
@@ -255,8 +326,12 @@ def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatc
                                turning_points(st, alpha))
     (orbit,) = orbits
     assert orbit.sol.reasons["forward"] == "turned-back"
-    (s0,) = _orbit_starts(orbit.sol, 1, [r0])
-    assert s0 is not None
+    # s0 on the forward half, where r rises to the bump and turns back above r0
+    s0 = _brentq(lambda s: _dense_eval(orbit.sol.dense, [s])[1, 0] - r0,
+                 0.0, orbit.sol.hi, 1e-15, 1e-15)
+    # before the start of the last, turned-back step: the orbit assigned the
+    # cell its s0, and its window runs past the stop
+    assert 0.0 < s0 <= orbit.sol.dense[0][-1]
     assert _orbit_cell(st, alpha, orbit.sol, s0, span, STEP.sample_spacing) is None
     assert cells == [None]
 
