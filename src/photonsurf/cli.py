@@ -198,19 +198,49 @@ def _write_manifest(out_dir, name, st, payload):
     payload = dict(payload, spacetime=_spacetime_summary(st), version=__version__)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
 
 
-def _write_csv(path, header, columns):
+# CSV columns whose values repeat by construction: every cell of a sweep
+# samples a window of one grid, and residuals sit at a few rounding levels
+_MEMO_COLUMNS = frozenset({"s", "unit_residual", "null_residual"})
+_MEMO_CAP = 1 << 16   # most texts one memo holds
+_CSV_BLOCK_ROWS = 4096
+
+
+def _texts(column, memo):
+    """repr of each value of the float array ``column``. With a ``memo``
+    {float64 bits: text}, whose keys keep -0.0, 0.0 and each NaN apart,
+    only values it lacks are formatted, and added while it has room."""
+    if memo is not None:
+        keys = np.asarray(column, dtype=np.float64).view(np.int64).tolist()
+        new = list(set(keys).difference(memo))
+        if len(memo) + len(new) <= _MEMO_CAP:
+            values = np.array(new, dtype=np.int64).view(np.float64).tolist()
+            memo.update(zip(new, map(repr, values)))
+            return list(map(memo.__getitem__, keys))
+    return list(map(repr, column.tolist()))
+
+
+def _write_csv(path, header, columns, memo=None):
     """CSV with the comma-separated ``header`` and one row per entry of the
     equal-length float arrays ``columns``, each value as ``fmt`` writes it
-    (``tolist`` gives Python floats, whose repr is ``fmt``'s)."""
-    rows = zip(*(column.tolist() for column in columns))
+    (``tolist`` gives Python floats, whose repr is ``fmt``'s).
+
+    Rows are written in blocks of _CSV_BLOCK_ROWS, each assembled column by
+    column. The columns named in _MEMO_COLUMNS take their texts from
+    ``memo`` (``_texts``): one dict that every CSV of a command shares, a
+    fresh one when it is None."""
+    memo = {} if memo is None else memo
+    memos = [memo if name in _MEMO_COLUMNS else None for name in header.split(",")]
+    n = min(map(len, columns))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for i in range(0, n, _CSV_BLOCK_ROWS):
+            texts = [_texts(column[i:i + _CSV_BLOCK_ROWS], m)
+                     for column, m in zip(columns, memos)]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _profile_table(curve):
@@ -371,13 +401,18 @@ def cmd_sweep(args, cp):
 
     items, outputs = [], []
     orbits = []  # one solve per (alpha, component), shared by its cells
+    memo = {}  # CSV texts of this sweep's repeated values (_write_csv)
     for ia, a in enumerate(alphas):
-        if not a > 0:
+        reason = None if a > 0 else "invalid spec: umbilicity factor alpha must be positive"
+        if reason is None:
+            try:
+                turning = turning_points(st, a)
+            except _FLOAT_RANGE_ERRORS as e:  # alpha^2 beyond the float range
+                reason = _reason(e)
+        if reason is not None:
             items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
-                       "reason": "invalid spec: umbilicity factor alpha must be positive"}
-                      for r0 in r0s]
+                       "reason": reason} for r0 in r0s]
             continue
-        turning = turning_points(st, a)
         row, row_orbits = _sweep_row(st, a, r0s, span, step, spheres, turning)
         first = len(orbits)
         orbits += [_orbit_json(orbit) for orbit in row_orbits]
@@ -397,7 +432,7 @@ def cmd_sweep(args, cp):
                 work = {"solve_stats": _stats_json(curve.solve_stats)}
             cls = classify(st, a, r0, spheres=spheres, turning_radii=turning)
             name = f"sweep_a{ia}_r{ir}.csv"
-            _write_csv(os.path.join(out, name), *_profile_table(curve))
+            _write_csv(os.path.join(out, name), *_profile_table(curve), memo)
             outputs.append(name)
             item.update(file=name, status="ok", reason=None,
                         classification=cls.kind.value,
@@ -489,8 +524,7 @@ def cmd_isotropic(args, cp):
     iso = to_isotropic(st, r0=r0)
 
     ss = _iso_grid(iso, int(samples))
-    p, dp = iso.psi(ss)
-    nn, dnn = iso.lapse(ss)
+    p, dp, nn, dnn = iso.evaluate(ss)
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

@@ -274,8 +274,7 @@ def isotropic_sphere_residual(iso: IsotropicForm, S):
     outside = ~iso.contains(S)
     if np.any(outside):
         raise DomainError(f"S = {S[outside][0]:.6g} outside isotropic interval")
-    p, dp = iso.psi(S)
-    nn, dnn = iso.lapse(S)
+    p, dp, nn, dnn = iso.evaluate(S)
     return abs(1.0 + (dp / p - dnn / nn) * S)
 
 
@@ -292,8 +291,7 @@ def isotropic_surface_residual(iso: IsotropicForm, samples) -> float:
     outside = ~iso.contains(S)
     if np.any(outside):
         raise DomainError(f"S = {S[outside][0]:.6g} outside isotropic interval")
-    p, dp = iso.psi(S)
-    nn, dnn = iso.lapse(S)
+    p, dp, nn, dnn = iso.evaluate(S)
     lhs = (1.0 + dp / p * S) * (nn ** 2 - p ** 2 * Sdot ** 2)
     rhs = S * dnn * nn + S * p ** 2 * (Sddot + (dp / p - 2 * dnn / nn) * Sdot ** 2)
     return float(np.max(np.abs(lhs - rhs)))

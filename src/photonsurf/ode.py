@@ -6,9 +6,9 @@ attempt at a time in a kernel compiled per state size by ``_kernel``, and
 returns its dense output as arrays; ``_join`` joins the two half-lines of
 a span into one such output, ``_solve`` solves and joins them, and
 ``_linear`` builds one of constant rates.
-``_dense_eval`` samples it and ``_invert`` solves for the points where one
-monotone component takes given values, by the batched Newton iteration
-``_newton``. ``_brentq``, Brent's bracketed root finder, locates stop
+``_dense_eval`` samples it (``_dense_at`` on given steps) and ``_invert``
+solves for the points where one monotone component takes given values, by
+the batched Newton iteration ``_newton``. ``_brentq``, Brent's bracketed root finder, locates stop
 events and serves the root scans elsewhere in the package.
 """
 
@@ -121,12 +121,19 @@ def _dense_eval(dense, s):
     scipy's OdeSolution does on each half-line, and s = 0 from the forward
     half-line when there is one. Points past an end extrapolate its step.
     """
-    T, H, Y, Q = dense
+    T, H = dense[:2]
     s = np.asarray(s, dtype=float)
     k = np.count_nonzero(H < 0)  # backward steps come first
     fwd = ((s >= 0) | (k == 0)) & (k < len(T))
     i = np.where(fwd, np.maximum(np.searchsorted(T, s) - 1, k),
                  np.minimum(np.searchsorted(T, s, "right"), k - 1))
+    return _dense_at(dense, i, s)
+
+
+def _dense_at(dense, i, s):
+    """States (n, *s.shape) of a dense output at the points s, each on its
+    step in the index array i."""
+    T, H, Y, Q = dense
     x = ((s - T[i]) / H[i])[..., None]
     # Horner's rule, one gathered coefficient at a time: gathering Q[i]
     # whole would hold an (n_points, n, 4) array on long grids
@@ -409,19 +416,23 @@ def _linear(y0, rates, span):
 
 
 def _newton(fn, targets, x0, lo, hi):
-    """Points x in [lo, hi] where fn(x)[0] = targets, by Newton's method
+    """Points x in [lo, hi] where fn(x, i)[0] = targets, by Newton's method
     from x0.
 
-    ``fn`` maps an array x to the arrays (value, derivative). Each point
-    stops once its own step is at most 1e-15 max(1, |x|), so its result
-    does not depend on the other points of the batch.
+    ``fn`` maps the points x at the positions i of the flattened batch to
+    the arrays (value, derivative); lo and hi are floats or arrays of the
+    shape of ``targets``. Each point stops once its own step is at most
+    1e-15 max(1, |x|), so its result does not depend on the other points
+    of the batch.
     """
     shape = np.shape(targets)
     goal, x = np.ravel(targets), np.array(x0, dtype=float).ravel()
+    lo, hi = (np.broadcast_to(b, shape).ravel() for b in (lo, hi))
     active = np.arange(x.size)
     for _ in range(80):
-        value, slope = fn(x[active])
-        x_new = np.clip(x[active] - (value - goal[active]) / slope, lo, hi)
+        value, slope = fn(x[active], active)
+        x_new = np.clip(x[active] - (value - goal[active]) / slope,
+                        lo[active], hi[active])
         moved = np.abs(x_new - x[active])
         x[active] = x_new
         active = active[moved > 1e-15 * np.maximum(1.0, np.abs(x_new))]
@@ -432,23 +443,16 @@ def _newton(fn, targets, x0, lo, hi):
 
 def _invert(sol, k, targets, slope):
     """Points s of a solution where component k, strictly increasing in s,
-    takes the values ``targets``: ``_invert_dense`` between its step nodes
-    and ends."""
+    takes the values ``targets``: Newton with dy_k/ds = slope(y), started
+    from linear interpolation of y_k between its step nodes and ends and
+    kept inside them."""
     T, _, Y, _ = sol.dense
     k_lo, k_hi = sol.end_states()[k]
-    return _invert_dense(sol.dense, k, targets, slope,
-                         np.concatenate(([sol.lo], T, [sol.hi])),
-                         np.concatenate(([k_lo], Y[:, k], [k_hi])))
 
-
-def _invert_dense(dense, k, targets, slope, s_nodes, k_nodes):
-    """Points s of a dense output where component k, strictly increasing in
-    s, takes the values ``targets``: Newton with dy_k/ds = slope(y), started
-    from linear interpolation of y_k = ``k_nodes`` between the ascending
-    ``s_nodes`` and kept inside them."""
-    def fn(s):
-        y = _dense_eval(dense, s)
+    def fn(s, _):
+        y = _dense_eval(sol.dense, s)
         return y[k], slope(y)
 
-    x0 = np.interp(targets, k_nodes, s_nodes)
-    return _newton(fn, targets, x0, s_nodes[0], s_nodes[-1])
+    x0 = np.interp(targets, np.concatenate(([k_lo], Y[:, k], [k_hi])),
+                   np.concatenate(([sol.lo], T, [sol.hi])))
+    return _newton(fn, targets, x0, sol.lo, sol.hi)

@@ -397,8 +397,9 @@ class IsotropicForm:
     values of the same shape; only :func:`custom_spacetime` adapts functions
     that take floats alone. When the form was produced by
     :func:`to_isotropic`, the coordinate maps ``s_of_r``/``r_of_s``, the
-    source spacetime and the work of the map's solve per half-line
-    (``solve_stats``, empty for a form built by hand) are attached.
+    source spacetime, the work of the map's solve per half-line
+    (``solve_stats``, empty for a form built by hand) and ``psi_lapse``,
+    which gives both pairs from one r(s), are attached.
     """
 
     s_lo: float
@@ -410,15 +411,22 @@ class IsotropicForm:
     s_of_r: Optional[Callable] = None
     r_of_s: Optional[Callable] = None
     solve_stats: dict = field(default_factory=dict)
+    psi_lapse: Optional[Callable] = None
 
     def contains(self, s):
         """Whether s lies in (s_lo, s_hi); a float or a 1-D array."""
         return np.logical_and(self.s_lo < s, s < self.s_hi)
 
+    def evaluate(self, s):
+        """(psi, psi', Ntilde, Ntilde') at s: by ``psi_lapse`` when it is
+        attached, else by ``psi`` and ``lapse``."""
+        if self.psi_lapse is not None:
+            return self.psi_lapse(s)
+        return (*self.psi(s), *self.lapse(s))
+
     def log_derivative_gap(self, s) -> float:
         """Ntilde'/Ntilde - psi'/psi at s; zero signals local conformal flatness."""
-        p, dp = self.psi(s)
-        nn, dnn = self.lapse(s)
+        p, dp, nn, dnn = self.evaluate(s)
         return dnn / nn - dp / p
 
 
@@ -501,15 +509,17 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
         return r_lo + w * w
 
     @_radiuswise
-    def psi(s):
-        r = r_of_s(s)
-        return r / s, r * (np.sqrt(st.f(r)) - 1.0) / s ** 2
-
-    @_radiuswise
-    def lapse(s):
+    def psi_lapse(s):
         r = r_of_s(s)
         fv, dfv = st.metric(r)
-        return np.sqrt(fv), dfv * r / (2 * s)
+        lapse = np.sqrt(fv)
+        return r / s, r * (lapse - 1.0) / s ** 2, lapse, dfv * r / (2 * s)
+
+    def psi(s):
+        return psi_lapse(s)[:2]
+
+    def lapse(s):
+        return psi_lapse(s)[2:]
 
     s_lo = const * math.exp(u_bot) if to_zero else 0.0
     s_hi = const * math.exp(u_top)
@@ -519,7 +529,8 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
         tail = 2 * math.sqrt(f_top) / (r_top * df_top) if df_top > 0 else math.inf
         s_hi = s_hi * math.exp(tail) if tail < 1e-3 else math.inf
     return IsotropicForm(s_lo, s_hi, psi, lapse, source=st, r0=r0,
-                         s_of_r=s_of_r, r_of_s=r_of_s, solve_stats=sol.stats)
+                         s_of_r=s_of_r, r_of_s=r_of_s, solve_stats=sol.stats,
+                         psi_lapse=psi_lapse)
 
 
 def _iso_grid(iso: IsotropicForm, num: int) -> np.ndarray:
@@ -543,8 +554,7 @@ def from_isotropic(iso: IsotropicForm) -> ClassSSpacetime:
     f(r) = Ntilde(s(r))^2.
     """
     ss = _iso_grid(iso, 512)
-    p, dp = iso.psi(ss)
-    nn, _ = iso.lapse(ss)
+    p, dp, nn, _ = iso.evaluate(ss)
     res = np.abs(nn - (1.0 + ss * dp / p))
     worst = int(np.argmax(res))
     if res[worst] > 1e-8:
@@ -556,14 +566,13 @@ def from_isotropic(iso: IsotropicForm) -> ClassSSpacetime:
     if np.any(np.diff(rs) <= 0):
         raise CompatibilityError("r(s) = s psi(s) is not strictly increasing")
 
-    def radius(s):  # r = s psi(s) and dr/ds
+    def radius(s, _):  # r = s psi(s) and dr/ds
         p, dp = iso.psi(s)
         return s * p, p + s * dp
 
     def evaluate(r):
         s = _newton(radius, r, np.interp(r, rs, ss), iso.s_lo, iso.s_hi)
-        p, dp = iso.psi(s)
-        nn, dnn = iso.lapse(s)
+        p, dp, nn, dnn = iso.evaluate(s)
         return nn * nn, 2 * nn * dnn / (p + s * dp)
 
     metric = MetricProfile(evaluate, "from isotropic data")

@@ -28,9 +28,9 @@ from .ode import (
     StepControl,
     _brentq,
     _dense_arrays,
+    _dense_at,
     _dense_eval,
     _dopri5,
-    _invert_dense,
     _join,
     _linear,
     _newton,
@@ -453,7 +453,7 @@ def _orbit_anchor(st, alpha, below, above, spheres, bracket):
     """
     a2 = alpha ** 2
     if below is not None or above is not None:
-        def g(r):
+        def g(r, _):
             fv, dfv = st.metric(r)
             return a2 * r ** 2 - fv, 2 * a2 * r - dfv
 
@@ -467,18 +467,18 @@ def _orbit_anchor(st, alpha, below, above, spheres, bracket):
     return None
 
 
-def _orbit_stop(d, cells, extent, monotone, s0s):
+def _orbit_stop(d, cells, extent, monotone, s0s, passed):
     """Stop rule of the orbit half-line in direction d through the cells
     {index: r0} ``cells``, along which r increases with s when ``monotone``.
 
     At the accepted step that carries the half past a cell's r0, the one an
-    event ends included, it sets s0s[index] to the s0 with r(s0) = r0, by
-    ``ode._invert_dense`` on that step's dense output between its two nodes.
-    It returns "turned-back" at a step end where dr/ds is not positive on a
-    monotone half, and, once every cell is passed, "span" at the first step
-    end more than ``extent`` past the farthest s0 in direction d of all of
-    ``s0s`` (past s = 0 when it is empty), so that every window known by
-    then is covered.
+    event ends included, it appends the cell with that step to ``passed``,
+    the list both halves share, for ``_orbit_starts`` to set s0s[index] to
+    the s0 with r(s0) = r0. It returns "turned-back" at a step end where
+    dr/ds is not positive on a monotone half, and, once every cell is passed,
+    "span" at the first step end more than ``extent`` past the farthest s0
+    in direction d of all of ``s0s`` (past s = 0 when it is empty), so that
+    every window known by then is covered.
     """
     todo, far = dict(cells), None
 
@@ -486,21 +486,41 @@ def _orbit_stop(d, cells, extent, monotone, s0s):
         nonlocal far
         if monotone and not y[2] > 0:
             return _TURNED_BACK
-        passed = [i for i, r0 in todo.items() if d * (y[1] - r0) > 0]
-        if passed:
+        now = [i for i, r0 in todo.items() if d * (y[1] - r0) > 0]
+        if now:
             # the step's nodes in ascending s, and so in ascending r
-            nodes = sorted([(steps[0][-1], steps[2][-1][1]), (s, y[1])])
-            s0s.update(zip(passed, _invert_dense(
-                _dense_arrays(*(x[-1:] for x in steps)), 1,
-                np.array([todo.pop(i) for i in passed]), lambda v: v[2],
-                *zip(*nodes)).tolist()))
+            (s_a, r_a), (s_b, r_b) = sorted([(steps[0][-1], steps[2][-1][1]),
+                                             (s, y[1])])
+            targets = [todo.pop(i) for i in now]
+            x0 = np.interp(np.array(targets), (r_a, r_b), (s_a, s_b)).tolist()
+            last = [x[-1] for x in steps]  # the step's T, H, Y and K
+            passed.extend((i, r0, x, s_a, s_b, *last)
+                          for i, r0, x in zip(now, targets, x0))
         if todo:
             return None
         if far is None:  # the halves run one after the other: s0s holds still
+            _orbit_starts(passed, s0s)
             far = d * max((d * s0 for s0 in s0s.values()), default=0.0)
         return _ORBIT_SPAN if d * (s - far) > extent else None
 
     return stop
+
+
+def _orbit_starts(passed, s0s):
+    """Sets s0s[index] for each cell that ``_orbit_stop`` put in ``passed``,
+    and empties it: one batch of Newton runs, each on the dense output of
+    the step that passed its cell, from linear interpolation of r between
+    the step's two nodes and kept inside them."""
+    if passed:
+        index, targets, x0, lo, hi, *steps = map(np.array, zip(*passed))
+        dense = _dense_arrays(*steps)  # step j is the one cell j was passed in
+
+        def fn(s, j):  # r and dr/ds
+            y = _dense_at(dense, j, s)
+            return y[1], y[2]
+
+        s0s.update(zip(index.tolist(), _newton(fn, targets, x0, lo, hi).tolist()))
+        passed.clear()
 
 
 def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
@@ -511,14 +531,14 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
     {alpha^2 r^2 >= f} lies on the orbit through the component's anchor
     (``_orbit_anchor``), shifted in s and t. Its s0 solves r(s0) = r0 on
     the half where r increases, at the step that passes r0
-    (``_orbit_stop``); it is sampled at s0 + ``_sample_grid`` of its window,
-    with t shifted to t(s0) = 0. The half that carries cells is solved
-    first, the forward one when both do, so each half runs a span end past
-    the orbit's farthest s0 in its direction, and a cell's bytes do not
-    depend on the other cells. A half that runs into the interval boundary
-    ends after the last sample of every cell's window
-    (``_integrate_radial``), which it knows once it has passed its own
-    cells and the other half is solved or carries none.
+    (``_orbit_stop``, ``_orbit_starts``); it is sampled at s0 +
+    ``_sample_grid`` of its window, with t shifted to t(s0) = 0. The half
+    that carries cells is solved first, the forward one when both do, so
+    each half runs a span end past the orbit's farthest s0 in its
+    direction, and a cell's bytes do not depend on the other cells. A half
+    that runs into the interval boundary ends after the last sample of
+    every cell's window (``_integrate_radial``), which it knows once it has
+    passed its own cells and the other half is solved or carries none.
 
     Returns (cells, orbits): cells[i] is (curve, orbit index, s0), or None
     for a cell that ``integrate_profile`` must take: a critical row, r0
@@ -559,15 +579,15 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
         sides = {d: {i: r0s[i] for i in members
                      if monotone[d] and d * (r0s[i] - r_a) > 0} for d in (-1, 1)}
         first = -1 if sides[-1] and not sides[1] else 1
-        s0s = {}
+        s0s, passed = {}, []
 
         def starts(d):  # every window is known once these hold
             if s0s.keys() >= sides[d].keys() and not (d == first and sides[-d]):
                 return list(s0s.values())
             return None
 
-        stops = (_orbit_stop(-1, sides[-1], -span[0], monotone[-1], s0s),
-                 _orbit_stop(1, sides[1], span[1], monotone[1], s0s))
+        stops = (_orbit_stop(-1, sides[-1], -span[0], monotone[-1], s0s, passed),
+                 _orbit_stop(1, sides[1], span[1], monotone[1], s0s, passed))
         y0 = (0.0, r_a, math.sqrt(max(alpha ** 2 * r_a ** 2 - st.f(r_a), 0.0)))
         try:
             sol = _integrate_radial(
@@ -575,6 +595,7 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
                 (span, step.sample_spacing, starts), first)
         except StepUnderflowError:
             continue
+        _orbit_starts(passed, s0s)  # the cells of a half that ended early
         orbits.append(_Orbit(alpha, r_a, kind, sol))
         for i, s0 in s0s.items():
             curve = _orbit_cell(st, alpha, sol, s0, span, step.sample_spacing)

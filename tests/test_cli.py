@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st_
 
 import photonsurf
-from photonsurf import ode
+from photonsurf import cli, ode
 from photonsurf.cli import _profile_table, _write_csv, fmt, main
 
 
@@ -212,9 +212,11 @@ def _write_csv_reference(path, header, columns):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def test_write_csv_matches_per_value_fmt(tmp_path, schw3, schw3_spheres):
+def test_write_csv_matches_per_value_fmt(tmp_path, schw3, schw3_spheres, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 5)
     special = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                         -5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.0 ** 60])
+    signed_zeros = np.array([-0.0, 0.0, 0.0, -0.0, -math.nan, math.nan, 1.0])
     rng = np.random.default_rng(3)
     tables = [("a,b,c", (special, special[::-1] * 3,
                          rng.standard_normal(special.size)
@@ -223,11 +225,43 @@ def test_write_csv_matches_per_value_fmt(tmp_path, schw3, schw3_spheres):
         schw3, photonsurf.PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(-2.0, 2.0)),
         spheres=schw3_spheres)
     tables.append(_profile_table(curve))
-    for header, columns in tables:
-        _write_csv(tmp_path / "new.csv", header, columns)
-        _write_csv_reference(tmp_path / "ref.csv", header, columns)
-        assert (tmp_path / "new.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+    # memoized columns: -0.0 and 0.0 in both orders, NaN, values repeated
+    # within and across tables; one table spans several blocks, one is empty
+    tables += [("s,x,unit_residual", (special, special[::-1], special)),
+               ("unit_residual,s,null_residual",
+                (signed_zeros, signed_zeros[::-1], signed_zeros * 0.0)),
+               ("s,unit_residual", (signed_zeros[::-1], signed_zeros)),
+               _profile_table(curve),
+               ("s,t,unit_residual", (np.zeros(0),) * 3)]
+    memo = {}
+    for k, (header, columns) in enumerate(tables):
+        _write_csv(tmp_path / f"new{k}.csv", header, columns, memo)
+        _write_csv(tmp_path / f"own{k}.csv", header, columns)
+        _write_csv_reference(tmp_path / f"ref{k}.csv", header, columns)
+        ref = (tmp_path / f"ref{k}.csv").read_bytes()
+        assert (tmp_path / f"new{k}.csv").read_bytes() == ref
+        assert (tmp_path / f"own{k}.csv").read_bytes() == ref
+    assert (tmp_path / "ref6.csv").read_bytes() == b"s,t,unit_residual\n"
+    # one text per distinct float64 bit pattern of the memoized columns
+    memoized = np.concatenate([column for header, columns in tables
+                               for name, column in zip(header.split(","), columns)
+                               if name in cli._MEMO_COLUMNS])
+    assert sorted(memo) == np.unique(memoized.view(np.int64)).tolist()
+    assert all(text == fmt(np.int64(key).view(np.float64))
+               for key, text in memo.items())
+
+
+def test_write_csv_memo_stays_bounded(tmp_path, monkeypatch):
+    # a memo that would outgrow _MEMO_CAP takes no more texts, and the
+    # bytes do not change
+    monkeypatch.setattr(cli, "_MEMO_CAP", 10)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
+    s = np.arange(-0.25, 3.0, 0.25)
+    memo = {}
+    _write_csv(tmp_path / "new.csv", "s,r", (s, s * s), memo)
+    _write_csv_reference(tmp_path / "ref.csv", "s,r", (s, s * s))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert 0 < len(memo) <= 10
 
 
 def test_geodesic_csv(tmp_path):
@@ -337,6 +371,24 @@ span_hi = 1
     assert status == [(-0.1, "skipped"), (-0.1, "skipped"),
                       (0.25, "ok"), (0.25, "ok")]
     assert "alpha must be positive" in manifest["cells"][0]["reason"]
+
+
+def test_sweep_alpha_past_the_float_range_row_skipped(tmp_path):
+    # alpha^2 overflows in turning_points: the row is skipped, not the sweep
+    cfg = write_config(tmp_path / "c.ini", SCHW + """
+[sweep]
+alphas = 0.3, 1e200
+r0s = 5
+span_lo = -1
+span_hi = 1
+""")
+    out = tmp_path / "sw"
+    assert main(["--config", cfg, "--out", str(out), "sweep"]) == 0
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    status = [(c["alpha"], c["status"]) for c in manifest["cells"]]
+    assert status == [(0.3, "ok"), (1e200, "skipped")]
+    assert manifest["cells"][1]["reason"].startswith("float range exceeded: ")
+    assert manifest["outputs"] == ["sweep_a0_r0.csv", "sweep.gp"]
 
 
 def test_sweep_deterministic(tmp_path):

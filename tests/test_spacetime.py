@@ -224,6 +224,43 @@ def test_from_isotropic_incompatible_data():
     assert exc.value.worst_residual == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("family,params", [
+    ("schwarzschild", {"n": 3, "m": 1}), ("schwarzschild", {"n": 5, "m": 1}),
+    ("reissner-nordstrom", {"m": 1, "q": 0.6}),
+    ("schwarzschild-ads", {"m": 1, "L": 10})])
+def test_isotropic_evaluate_matches_psi_and_lapse(family, params):
+    # one r(s) for both pairs gives the bits of psi and lapse, each of them
+    # evaluated on its own r(s) as psi = r/s, psi' = r (sqrt(f) - 1)/s^2,
+    # N = sqrt(f), N' = f' r/(2 s)
+    from photonsurf.spacetime import _iso_grid
+    st = build_family(family, **params)
+    iso = to_isotropic(st, r0=4.7)
+    ss = _iso_grid(iso, 256)
+
+    def psi(s):
+        r = iso.r_of_s(s)
+        return r / s, r * (np.sqrt(st.f(r)) - 1.0) / s ** 2
+
+    def lapse(s):
+        r = iso.r_of_s(s)
+        fv, dfv = st.metric(r)
+        return np.sqrt(fv), dfv * r / (2 * s)
+
+    for s in (ss, float(ss[100])):
+        both = iso.evaluate(s)
+        assert len(both) == 4
+        for separate in ((*psi(s), *lapse(s)), (*iso.psi(s), *iso.lapse(s))):
+            for a, b in zip(both, separate):
+                assert np.shape(a) == np.shape(s)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_isotropic_evaluate_of_a_form_built_by_hand():
+    from photonsurf import IsotropicForm
+    iso = IsotropicForm(1.0, 10.0, lambda s: (s, 1.0), lambda s: (2 * s, 2.0))
+    assert iso.evaluate(3.0) == (3.0, 1.0, 6.0, 2.0)
+
+
 def test_conformal_flatness_scan_schwarzschild_empty(schw3_iso):
     assert conformal_flatness_scan(schw3_iso) == []
 

@@ -296,6 +296,27 @@ def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch, schw3,
     assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0s[1], span, curve)
 
 
+def test_cells_of_a_second_half_that_ends_before_its_last_cell(monkeypatch, schw3,
+                                                               schw3_spheres):
+    # alpha = 0.3 has no turning point: both halves of the orbit through the
+    # inflection radius carry cells, the forward one is solved first, and the
+    # backward one passes r0 = 2.1, then ends at r_lo (1 + 1e-9) before the
+    # cell below that stop; the cell it passed keeps its orbit s0
+    monkeypatch.setattr(ClassSSpacetime, "default_bracket",
+                        lambda self: (self.r_lo, 100.0))
+    alpha, r0s, span = 0.3, [2.0 * (1 + 1e-10), 2.1, 5.0], (-1.0, 1.0)
+    cells, orbits = _sweep_row(schw3, alpha, r0s, span, STEP,
+                               schw3_spheres, turning_points(schw3, alpha))
+    (orbit,) = orbits
+    assert orbit.kind == "inflection"
+    assert orbit.sol.reasons == {"forward": "span", "backward": "boundary"}
+    assert cells[0] is None
+    for r0, cell in zip(r0s[1:], cells[1:]):
+        curve, _, s0 = cell
+        assert orbit.sol.lo < s0 < orbit.sol.hi
+        assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, span, curve)
+
+
 def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
     # Schwarzschild cut at r_lo = 5, alpha = 0.3: alpha^2 r^2 > f on the
     # whole interval, so there is no turning point; the root of
