@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import islice
 
 import numpy as np
 
@@ -194,11 +195,15 @@ def _spacetime_summary(st):
 
 
 def _write_manifest(out_dir, name, st, payload):
-    """Write ``payload`` with the summary of ``st`` and the version as JSON."""
+    """Write ``payload`` with the summary of ``st`` and the version as the text of
+    json.dumps(..., sort_keys=True, indent=2) + "\\n", 1024 encoder chunks per write."""
     payload = dict(payload, spacetime=_spacetime_summary(st), version=__version__)
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        for block in iter(lambda: list(islice(chunks, 1024)), []):
+            fh.write("".join(block))
+        fh.write("\n")
     return path
 
 
@@ -230,10 +235,11 @@ def _write_csv(path, header, columns, memo=None):
 
     Rows are written in blocks of _CSV_BLOCK_ROWS, each assembled column by
     column. The columns named in _MEMO_COLUMNS take their texts from
-    ``memo`` (``_texts``): one dict that every CSV of a command shares, a
-    fresh one when it is None."""
+    ``memo`` (``_texts``): one dict that every CSV of a command shares, or a
+    fresh one when it is None, for all but s, which one table never repeats."""
+    named = _MEMO_COLUMNS if memo is not None else _MEMO_COLUMNS - {"s"}
     memo = {} if memo is None else memo
-    memos = [memo if name in _MEMO_COLUMNS else None for name in header.split(",")]
+    memos = [memo if name in named else None for name in header.split(",")]
     n = min(map(len, columns))
     with open(path, "w") as fh:
         fh.write(header + "\n")

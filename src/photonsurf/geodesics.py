@@ -181,7 +181,7 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
     # sample only the arclength the trajectory's own samples cover
     sol = traj._dense
     sig = _sample_grid((traj.arclength[0], traj.arclength[-1]), 1e-2)
-    s = _invert(sol, 4, sig, lambda y: ell / y[1])
+    s = _invert(sol, 4, sig)
     t, r, v = _dense_eval(sol.dense, s)[:3]
     # dr/dsigma = (dr/ds) r / ell
     return _curve(st, alpha, sig, t, r, v * r / ell, {
@@ -199,7 +199,6 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
     ``_invert`` on t, which increases with dt/ds = E/f > 0; no interpolation
     is involved. The exact circular orbit covers every time at r_*.
     """
-    E = charges.energy
     stops = (lambda s, y, steps: "span" if y[0] <= t[0] else None,
              lambda s, y, steps: "span" if y[0] >= t[-1] else None)
     span = (-math.inf if t[0] < 0 else 0.0, math.inf if t[-1] > 0 else 0.0)
@@ -208,5 +207,5 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
         return np.ones(len(t), dtype=bool), np.full(len(t), sol.dense[2][0, 1]), sol
     t_lo, t_hi = sol.end_states()[0]
     covered = (t >= t_lo) & (t <= t_hi)
-    s = _invert(sol, 0, t[covered], lambda y: E / st.f(y[1]))
+    s = _invert(sol, 0, t[covered])
     return covered, _dense_eval(sol.dense, s)[1], sol

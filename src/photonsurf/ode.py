@@ -8,8 +8,9 @@ a span into one such output, ``_solve`` solves and joins them, and
 ``_linear`` builds one of constant rates.
 ``_dense_eval`` samples it (``_dense_at`` on given steps) and ``_invert``
 solves for the points where one monotone component takes given values, by
-the batched Newton iteration ``_newton``. ``_brentq``, Brent's bracketed root finder, locates stop
-events and serves the root scans elsewhere in the package.
+the batched Newton iteration ``_newton`` on the step that holds each value.
+``_brentq``, Brent's bracketed root finder, locates stop events and serves
+the root scans elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +107,7 @@ def _dense_arrays(ts, hs, ys, ks):
     """(T, H, Y, Q): step starts, signed steps, start states, interpolant
     coefficients Q[i, component, power - 1]. ``ks`` holds each step's stages
     1, 3, 4, 5, 6 and 7, concatenated."""
-    K = np.array(ks).reshape(len(ks), 6, -1)
+    K = np.fromiter(chain.from_iterable(ks), float).reshape(len(ks), 6, -1)
     # explicit sums in a fixed order keep every step's bits independent of
     # the number of steps
     Q = K[:, 0, :, None] * _P[0]
@@ -149,10 +151,12 @@ def _rms(xs, scale):
 
 # One step attempt from (s, y) with step h: the stages k2-k7 (k1 is the
 # first-same-as-last stage of the previous step), y_new and the RMS error
-# norm of RK45. ``_kernel`` writes each <...> out once per component i, with
-# the one-letter names v, a, ..., x renamed v{i}, a{i}, ..., x{i} and each
-# copy followed by ", ", so every component keeps the arithmetic of RK45's
-# per-component formulas in the same order.
+# norm of RK45. ``_kernel`` writes each <...> (" > " the only < or > in it)
+# out once per component i, with the one-letter names v, a, ..., x renamed
+# v{i}, a{i}, ..., x{i} and each copy followed by ", ", and each tableau name
+# as its float literal, so every component keeps the arithmetic of RK45's
+# per-component formulas in the same order ("w if w > v else v" on |y| and
+# |y_new| is max's rule).
 _STEP_TEMPLATE = """\
 def step(rhs, y, k1, h, atol, rtol):
     <v> = y
@@ -167,8 +171,9 @@ def step(rhs, y, k1, h, atol, rtol):
     k7 = rhs(y_new)
     <q> = k7
     <x> = <(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h>
+    <v><w> = <abs(v)><abs(w)>
     error_norm = math.sqrt(
-        sum((<(x / (atol + max(abs(v), abs(w)) * rtol)) ** 2>))) / {n} ** 0.5
+        sum((<(x / (atol + (w if w > v else v) * rtol)) ** 2>))) / {n} ** 0.5
     return y_new, k7, (<a><c><d><e><p><q>), error_norm
 """
 _KERNELS = {}
@@ -182,7 +187,8 @@ def _kernel(n):
             return "".join(re.sub(r"\b([vabcdepqwx])\b", rf"\g<1>{i}", match[1])
                            + ", " for i in range(n))
 
-        source = re.sub(r"<([^<>]*)>", unroll, _STEP_TEMPLATE.format(n=n))
+        source = re.sub(r"<((?: > |[^<>])*)>", unroll, _STEP_TEMPLATE.format(n=n))
+        source = re.sub(r"\b_[ABE]\d+\b", lambda m: repr(globals()[m[0]]), source)
         namespace = {}
         exec(compile(source, f"<dopri5 step, n = {n}>", "exec"), globals(), namespace)
         _KERNELS[n] = namespace["step"]
@@ -288,19 +294,14 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
         t_old, t, y, f = t, t_new, y_new, k7
         if events:
             g_new = [ev(y) for ev, _ in events]
-            active = [i for i, (a, b) in enumerate(zip(g, g_new))
-                      if (a <= 0 <= b) or (b <= 0 <= a)]
-            if active:
-                last = _dense_arrays(ts[-1:], hs[-1:], ys[-1:], ks[-1:])
-                hits = []
-                for i in active:
-                    ev = events[i][0]
-                    hits.append((_brentq(
-                        lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
-                        t_old, t, _EVENT_TOL, _EVENT_TOL), i))
-                t, i = min(hits, key=lambda hit: direction * hit[0])
+            if any((a <= 0 <= b) or (b <= 0 <= a) for a, b in zip(g, g_new)):
+                last = _dense_arrays(*(x[-1:] for x in steps))
+                hits = [(_brentq(lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
+                                 t_old, t, _EVENT_TOL, _EVENT_TOL), tag)
+                        for (ev, tag), a, b in zip(events, g, g_new)
+                        if (a <= 0 <= b) or (b <= 0 <= a)]
+                t, reason = min(hits, key=lambda hit: direction * hit[0])
                 y = _dense_eval(last, np.array([t]))[:, 0].tolist()
-                reason = events[i][1]
             g = g_new
         stopped = None if stop is None else stop(t, y, steps)
         if reason != "span":
@@ -441,18 +442,26 @@ def _newton(fn, targets, x0, lo, hi):
     return x.reshape(shape)
 
 
-def _invert(sol, k, targets, slope):
+def _invert(sol, k, targets):
     """Points s of a solution where component k, strictly increasing in s,
-    takes the values ``targets``: Newton with dy_k/ds = slope(y), started
-    from linear interpolation of y_k between its step nodes and ends and
-    kept inside them."""
-    T, _, Y, _ = sol.dense
+    takes the values of the 1-D array ``targets``: Newton on the interpolant
+    of the step that holds each target, from linear interpolation between
+    the nodes, kept inside that step and [lo, hi]; the first and last steps
+    reach lo and hi. y_k - target is summed as (Y - target) + H x P(x)."""
+    T, H, Y, Q = sol.dense
     k_lo, k_hi = sol.end_states()[k]
-
-    def fn(s, _):
-        y = _dense_eval(sol.dense, s)
-        return y[k], slope(y)
-
     x0 = np.interp(targets, np.concatenate(([k_lo], Y[:, k], [k_hi])),
                    np.concatenate(([sol.lo], T, [sol.hi])))
-    return _newton(fn, targets, x0, sol.lo, sol.hi)
+    left = np.minimum(T, T + H)  # the steps' left ends, ascending
+    edges = np.concatenate(([sol.lo], left[1:], [sol.hi]))
+    j = np.maximum(np.searchsorted(left, x0, "right") - 1, 0)
+    t, h, gap, q = T[j], H[j], Y[j, k] - targets, Q[j, k]
+
+    def fn(s, i):  # y_k - target and dy_k/ds, the interpolant's own slope
+        x = (s - t[i]) / h[i]
+        poly, slope = q[i, 3], 4 * q[i, 3]
+        for p in (2, 1, 0):
+            poly, slope = q[i, p] + x * poly, (p + 1) * q[i, p] + x * slope
+        return gap[i] + h[i] * (x * poly), slope
+
+    return _newton(fn, np.zeros(len(targets)), x0, edges[j], edges[j + 1])

@@ -482,13 +482,6 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
         return 1.0, c * math.cosh(y[0]) * (
             limit if w <= w_reg else 2 * w / (r * math.sqrt(evaluate(r)[0])))
 
-    def slope(y):  # du/dx on arrays
-        w = c * np.sinh(y[0])
-        w_off = np.maximum(w, w_reg)
-        r = r_lo + w_off * w_off
-        return c * np.cosh(y[0]) * np.where(
-            w <= w_reg, limit, 2 * w_off / (r * np.sqrt(st.f(r))))
-
     sol = _solve(rhs, (x0, 0.0), (x_bot - x0, x_top - x0), _ISO_STEP, [])
     u_bot, u_top = sol.end_states()[1].tolist()
     if st.family == "schwarzschild" and st.params["m"] > 0:
@@ -505,7 +498,7 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
     @_radiuswise
     def r_of_s(s):
         _check_range("s", s, const * math.exp(u_bot), const * math.exp(u_top))
-        w = c * np.sinh(x0 + _invert(sol, 1, np.log(s / const), slope))
+        w = c * np.sinh(x0 + _invert(sol, 1, np.log(s / const)))
         return r_lo + w * w
 
     @_radiuswise

@@ -293,17 +293,17 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
     one lies within rounding of the crossing.
     Returns the ``ode._Solution``.
     """
-    r_stop_lo = st.r_lo * (1 + 1e-9) if st.r_lo > 0 else 0.0
-    conds = [(lambda r, v: r - r_stop_lo, "boundary")]
-    if math.isfinite(st.r_hi):
-        r_stop_hi = st.r_hi * (1 - 1e-9)
-        conds.append((lambda r, v: r_stop_hi - r, "boundary"))
+    r_lo, r_hi = st.r_lo, st.r_hi
+    r_stop_lo, r_stop_hi = r_lo * (1 + 1e-9) if r_lo > 0 else 0.0, r_hi * (1 - 1e-9)
     sp = _snapped_sphere(spheres, alpha) if alpha is not None else None
-    if sp is not None:
-        conds.append((lambda r, v: (r - sp.r_star) ** 2 + v ** 2
-                      - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
-    events = [(lambda y, g=g: g(y[1], y[2]), tag) for g, tag in conds]
-    radial_events = [(lambda y, g=g: g(y[0], y[1]), tag) for g, tag in conds]
+    events, radial_events = [], []  # of the states with r = y[i], dr/ds = y[j]
+    for evs, i, j in ((events, 1, 2), (radial_events, 0, 1)):
+        evs.append((lambda y, i=i: y[i] - r_stop_lo, "boundary"))
+        if math.isfinite(r_hi):
+            evs.append((lambda y, i=i: r_stop_hi - y[i], "boundary"))
+        if sp is not None:
+            evs.append((lambda y, i=i, j=j: (y[i] - sp.r_star) ** 2 + y[j] ** 2
+                        - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
 
     def radial(y):
         return rhs((0.0, y[0], y[1]))[1:3]
@@ -311,6 +311,7 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
     def cut_rule(d, stop):
         """``stop``, and the boundary cut of the half-line in direction d."""
         wspan, spacing, starts_of = window
+        band_lo, band_hi = _LOOKAHEAD_BAND * r_lo, _LOOKAHEAD_BAND * r_hi
         reads = None  # what the windows read; False: the half-line needs no cut
 
         def rule(s, y, steps):
@@ -320,8 +321,8 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
                 return reason
             if reads is None:
                 r, dr = y[1], d * y[2]  # dr: the rate of r along the half-line
-                near_lo = dr < 0 and r - st.r_lo <= _LOOKAHEAD_BAND * st.r_lo
-                near_hi = dr > 0 and st.r_hi - r <= _LOOKAHEAD_BAND * st.r_hi < math.inf
+                near_lo = dr < 0 and r - r_lo <= band_lo
+                near_hi = dr > 0 and r_hi - r <= band_hi < math.inf
                 starts = starts_of(d) if near_lo or near_hi else None
                 if starts is None:
                     return None
@@ -512,14 +513,14 @@ def _orbit_starts(passed, s0s):
     the step that passed its cell, from linear interpolation of r between
     the step's two nodes and kept inside them."""
     if passed:
-        index, targets, x0, lo, hi, *steps = map(np.array, zip(*passed))
+        index, targets, x0, lo, hi, *steps = zip(*passed)
         dense = _dense_arrays(*steps)  # step j is the one cell j was passed in
 
         def fn(s, j):  # r and dr/ds
             y = _dense_at(dense, j, s)
             return y[1], y[2]
 
-        s0s.update(zip(index.tolist(), _newton(fn, targets, x0, lo, hi).tolist()))
+        s0s.update(zip(index, _newton(fn, np.array(targets), x0, lo, hi).tolist()))
         passed.clear()
 
 

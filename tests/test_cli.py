@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,9 +235,21 @@ def test_write_csv_matches_per_value_fmt(tmp_path, schw3, schw3_spheres, monkeyp
                _profile_table(curve),
                ("s,t,unit_residual", (np.zeros(0),) * 3)]
     memo = {}
+    memoized_calls, texts = [], cli._texts
+
+    def spy(column, memo):
+        memoized_calls.append(memo is not None)
+        return texts(column, memo)
+
+    monkeypatch.setattr(cli, "_texts", spy)
     for k, (header, columns) in enumerate(tables):
         _write_csv(tmp_path / f"new{k}.csv", header, columns, memo)
+        # with no memo passed only the residual columns take a fresh one
+        memoized_calls.clear()
         _write_csv(tmp_path / f"own{k}.csv", header, columns)
+        blocks = -(-len(columns[0]) // 5)
+        assert memoized_calls == blocks * [
+            name in ("unit_residual", "null_residual") for name in header.split(",")]
         _write_csv_reference(tmp_path / f"ref{k}.csv", header, columns)
         ref = (tmp_path / f"ref{k}.csv").read_bytes()
         assert (tmp_path / f"new{k}.csv").read_bytes() == ref
@@ -262,6 +275,49 @@ def test_write_csv_memo_stays_bounded(tmp_path, monkeypatch):
     _write_csv_reference(tmp_path / "ref.csv", "s,r", (s, s * s))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert 0 < len(memo) <= 10
+
+
+def _sweep_like_payload(cells):
+    """A manifest payload shaped like that of a sweep of ``cells`` cells."""
+    items = [{"alpha": 0.05 + i * 1e-4, "r0": 2.2 + i / 3, "status": "ok",
+              "file": f"sweep_a{i // 40}_r{i % 40}.csv", "reason": None,
+              "classification": "Supercritical", "turning_radii": [2.9 + i / 7],
+              "termination": "span", "termination_start": "boundary",
+              "samples": 1001, "orbit": i // 40, "s0": -1.25 + i / 9}
+             for i in range(cells)]
+    return {"operation": "sweep", "span": [-5.0, 5.0], "cells": items,
+            "outputs": [it["file"] for it in items] + ["sweep.gp"],
+            "orbits": [{"alpha": 0.1, "anchor": 3.0, "solve_stats": {
+                "forward": {"accepted": 100, "rejected": 0, "rhs_evals": 602}}}]}
+
+
+@pytest.mark.parametrize("cells", [0, 2, 1600])
+def test_write_manifest_bytes_and_bounded_memory(tmp_path, schw3, cells):
+    payload = _sweep_like_payload(cells)
+    text = json.dumps(dict(payload, spacetime=cli._spacetime_summary(schw3),
+                           version=photonsurf.__version__),
+                      sort_keys=True, indent=2) + "\n"
+    tracemalloc.start()
+    try:
+        path = cli._write_manifest(str(tmp_path), "m.json", schw3, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(path) as fh:
+        assert fh.read() == text
+    if cells == 1600:
+        # written in blocks: the encoder never holds the whole text
+        assert len(text) > 500_000 and peak < len(text) / 3
+
+
+def test_python_m_photonsurf_runs_the_cli(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", SCHW)
+    src = os.path.dirname(os.path.dirname(photonsurf.__file__))
+    done = subprocess.run([sys.executable, "-m", "photonsurf", "--config", cfg, "spheres"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "3.0,0.19245008" in done.stdout
 
 
 def test_geodesic_csv(tmp_path):

@@ -9,19 +9,21 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from photonsurf import (
+    MetricProfile,
     StepControl,
     StepUnderflowError,
     build_family,
     find_photon_spheres,
     to_isotropic,
 )
-from photonsurf import ode
+from photonsurf import ode, spacetime
 from photonsurf.errors import StepBudgetError
 from photonsurf.ode import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
@@ -374,3 +376,111 @@ def test_dopri5_float_range_ends_at_last_accepted_step():
     with pytest.raises(StepUnderflowError) as info:
         _dopri5(rhs, (11.0,), 100.0, STEP, [])
     assert info.value.last_state == (0.0, (11.0,))
+
+
+def _invert_cases():
+    """name -> (solution, k, rhs): solutions whose component k strictly
+    increases in s, with the right-hand side they solve (None: a _linear)."""
+    st, spheres, _ = cases("schwarzschild-n3")
+    sp = spheres[0]
+    alpha, r0 = 1.5 * sp.alpha_star, 1.5 * sp.r_star
+    y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
+    rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
+    out = {name: (_solve(rhs, y0, span, STEP, events), 0, rhs) for name, span in (
+        ("forward", (0.0, 6.0)), ("backward", (-6.0, 0.0)), ("joined", (-50.0, 6.0)))}
+    out["linear"] = (ode._linear((0.5, 3.0, 0.0), (2.0, 0.0, 0.0), (-5.0, 5.0)), 0, None)
+    # the isotropic map of Schwarzschild-AdS, u = log(s/C) over x, whose
+    # steps out to r = 5e16 have du/dx = 2L/r down to about 4e-16
+    recorded = []
+
+    def recording(*args):
+        recorded.append((ode._solve(*args), args[0]))
+        return recorded[-1][0]
+
+    solve, spacetime._solve = spacetime._solve, recording
+    try:
+        to_isotropic(build_family("schwarzschild-ads", m=1, L=10), 5.0)
+    finally:
+        spacetime._solve = solve
+    out["isotropic-sads"] = (recorded[0][0], 1, recorded[0][1])
+    return out
+
+
+def _newton_true_slope(sol, k, rhs, target):
+    """Reference for ode._invert on one target: scalar Newton on the same
+    step from the same start, with the slope rhs(y)[k] of the solved system
+    in place of the interpolant's."""
+    T, H, Y, Q = sol.dense
+    k_lo, k_hi = sol.end_states()[k]
+    s = float(np.interp(target, np.concatenate(([k_lo], Y[:, k], [k_hi])),
+                        np.concatenate(([sol.lo], T, [sol.hi]))))
+    left = np.minimum(T, T + H)
+    j = max(int(np.searchsorted(left, s, "right")) - 1, 0)
+    lo = sol.lo if j == 0 else left[j]
+    hi = sol.hi if j == len(T) - 1 else left[j + 1]
+    for _ in range(80):
+        x = (s - T[j]) / H[j]
+        poly = 0.0
+        for p in (3, 2, 1, 0):
+            poly = Q[j, k, p] + x * poly
+        value = (Y[j, k] - target) + H[j] * (x * poly)
+        y = ode._dense_at(sol.dense, np.array([j]), np.array([s]))[:, 0]
+        slope = rhs(y.tolist())[k] if rhs is not None else Q[0, k, 0]
+        s_new = min(max(s - value / slope, lo), hi)
+        done = abs(s_new - s) <= 1e-15 * max(1.0, abs(s_new))
+        s = s_new
+        if done:
+            break
+    return s
+
+
+@pytest.mark.parametrize("name", ["forward", "backward", "joined", "linear",
+                                  "isotropic-sads"])
+def test_invert_on_the_step_that_holds_each_target(name):
+    sol, k, rhs = _invert_cases()[name]
+    assert set(sol.reasons) == ({name} if name in ("forward", "backward")
+                                else {"backward", "forward"})
+    T, H, Y, Q = sol.dense
+    k_lo, k_hi = sol.end_states()[k]
+    rng = np.random.default_rng(7)
+    targets = np.concatenate((Y[:, k], [k_lo, k_hi], rng.uniform(k_lo, k_hi, 200)))
+    s = ode._invert(sol, k, targets)
+    assert np.all((sol.lo <= s) & (s <= sol.hi))
+    # each result lies on a step of the solution, the first and last reaching
+    # lo and hi, and is a root of its interpolant to a few ulps: of the
+    # values over the step, and of s times the slope
+    left, right = np.minimum(T, T + H), np.maximum(T, T + H)
+    left[0], right[-1] = min(left[0], sol.lo), max(right[-1], sol.hi)
+    size = np.abs(Y[:, k]) + np.abs(H) * np.abs(Q[:, k]).sum(axis=1)
+    for x, target, state in zip(s.tolist(), targets.tolist(),
+                                _dense_eval(sol.dense, s).T.tolist()):
+        steps = np.flatnonzero((left <= x) & (x <= right))
+        assert steps.size
+        slope = rhs(state)[k] if rhs is not None else Q[0, k, 0]
+        tol = 4 * (np.spacing(max(abs(target), *size[steps]))
+                   + abs(slope) * np.spacing(abs(x)))
+        values = ode._dense_at(sol.dense, steps, np.full(steps.size, x))[k]
+        assert np.min(np.abs(values - target)) <= tol
+    # the interpolant's own slope finds the root that the system's slope does
+    reference = np.array([_newton_true_slope(sol, k, rhs, target)
+                          for target in targets.tolist()])
+    assert np.all(np.abs(s - reference) <= 2 * np.spacing(np.abs(reference)))
+
+
+def test_r_of_s_makes_no_metric_call():
+    st = build_family("schwarzschild-ads", m=1, L=10)
+    calls = []
+
+    def evaluate(r):
+        calls.append(np.size(r))
+        return st.metric.evaluate(r)
+
+    counted = replace(st, metric=MetricProfile(evaluate, st.metric.description))
+    iso = to_isotropic(counted, 5.0)
+    assert calls  # the map's solve reads the metric
+    # from r = 3 out, where s(r) is not ill-conditioned by the horizon
+    s = np.geomspace(iso.s_of_r(3.0), iso.s_hi * (1 - 1e-7), 1997)
+    calls.clear()
+    r = iso.r_of_s(s)
+    assert calls == []
+    np.testing.assert_allclose(iso.s_of_r(r), s, rtol=1e-13)
