@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ForbiddenRadiusError, PrincipalNullError
-from .ode import _dense_eval, _invert, _linear
+from .ode import _dense_eval, _inverse, _linear
 from .spacetime import ClassSSpacetime
 from .surfaces import (
     PhotonSphere,
@@ -181,7 +181,7 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
     # sample only the arclength the trajectory's own samples cover
     sol = traj._dense
     sig = _sample_grid((traj.arclength[0], traj.arclength[-1]), 1e-2)
-    s = _invert(sol, 4, sig)
+    s = _inverse(sol, 4)(sig)
     t, r, v = _dense_eval(sol.dense, s)[:3]
     # dr/dsigma = (dr/ds) r / ell
     return _curve(st, alpha, sig, t, r, v * r / ell, {
@@ -196,7 +196,7 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
     The geodesic is solved open-ended until t passes t[0] backward and
     t[-1] forward, or it ends first. r is read from the dense output at the
     affine parameter where the geodesic reaches each time, found by
-    ``_invert`` on t, which increases with dt/ds = E/f > 0; no interpolation
+    ``_inverse`` on t, which increases with dt/ds = E/f > 0; no interpolation
     is involved. The exact circular orbit covers every time at r_*.
     """
     stops = (lambda s, y, steps: "span" if y[0] <= t[0] else None,
@@ -207,5 +207,5 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
         return np.ones(len(t), dtype=bool), np.full(len(t), sol.dense[2][0, 1]), sol
     t_lo, t_hi = sol.end_states()[0]
     covered = (t >= t_lo) & (t <= t_hi)
-    s = _invert(sol, 0, t[covered])
+    s = _inverse(sol, 0)(t[covered])
     return covered, _dense_eval(sol.dense, s)[1], sol

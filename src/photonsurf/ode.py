@@ -1,16 +1,16 @@
-"""Plain-float Dormand-Prince 5(4) stepper shared by the radial integrators
-and the isotropic coordinate map.
+"""Dormand-Prince 5(4) solves for the radial integrators and the isotropic
+coordinate map.
 
-``_dopri5`` solves an autonomous system from 0 to an end point, one step
-attempt at a time in a kernel compiled per state size by ``_kernel``, and
-returns its dense output as arrays; ``_join`` joins the two half-lines of
-a span into one such output, ``_solve`` solves and joins them, and
-``_linear`` builds one of constant rates.
-``_dense_eval`` samples it (``_dense_at`` on given steps) and ``_invert``
-solves for the points where one monotone component takes given values, by
-the batched Newton iteration ``_newton`` on the step that holds each value.
-``_brentq``, Brent's bracketed root finder, locates stop events and serves
-the root scans elsewhere in the package.
+``_dopri5`` solves an autonomous system from 0 to an end point on Python
+floats, one step attempt at a time in a kernel compiled per state size by
+``_kernel``, and returns its dense output as arrays. ``_quadrature`` gives
+the same output for u' = g(x), evaluating every stage in array calls of g
+on steps from RK45's controller replayed on a model of the error. ``_join``
+joins two half-lines into one output and ``_linear`` builds one of constant
+rates. ``_dense_eval`` samples it (``_dense_at`` on given steps), and
+``_inverse`` inverts a monotone component by the batched Newton iteration
+``_newton`` on the step that holds each value. ``_brentq``, Brent's root
+finder, locates stop events and serves the root scans of the package.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
 _EVENT_TOL = 4 * np.finfo(float).eps
 # iterations of _brentq, as scipy's brentq default
 _BRENT_MAXITER = 100
+# _quadrature: stages 3-5 at these fractions of a step, equal steps per
+# half-line of its first pass, and the error norm that split steps aim at
+_C, _E67, _EPS = (3 / 10, 4 / 5, 8 / 9), _E6 + _E7, np.finfo(float).eps
+_PRELIM_STEPS, _SPLIT_NORM = 128, 0.59
 # attempted steps (accepted and rejected) allowed on one half-line; the
 # largest legitimate solves on record take about 30k
 _STEP_BUDGET = 100_000
@@ -106,8 +110,9 @@ class _Solution(NamedTuple):
 def _dense_arrays(ts, hs, ys, ks):
     """(T, H, Y, Q): step starts, signed steps, start states, interpolant
     coefficients Q[i, component, power - 1]. ``ks`` holds each step's stages
-    1, 3, 4, 5, 6 and 7, concatenated."""
-    K = np.fromiter(chain.from_iterable(ks), float).reshape(len(ks), 6, -1)
+    1, 3, 4, 5, 6 and 7, concatenated, or is the array K[i, stage, component]."""
+    K = ks if isinstance(ks, np.ndarray) else \
+        np.fromiter(chain.from_iterable(ks), float).reshape(len(ks), 6, -1)
     # explicit sums in a fixed order keep every step's bits independent of
     # the number of steps
     Q = K[:, 0, :, None] * _P[0]
@@ -224,23 +229,11 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
     length = abs(s_end)
     t, y = 0.0, [float(v) for v in y0]
     kernel = _kernel(len(y))
-
-    # initial step (Hairer, Norsett & Wanner II.4; scipy select_initial_step)
     try:
         f = rhs(y)
-        scale = [atol + abs(v) * rtol for v in y]
-        d0, d1 = _rms(y, scale), _rms(f, scale)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, length)
-        f1 = rhs([v + h0 * direction * fv for v, fv in zip(y, f)])
-        d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
+        h_abs = _initial_step(rhs, y, f, direction, length, step)
     except OverflowError:
         raise _float_range_error(t, y) from None
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, length)
 
     nfev, rejected = 2, 0
     g = [ev(y) for ev, _ in events]
@@ -315,10 +308,124 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
     return _HalfLine(_dense_arrays(*(x[order] for x in steps)), t, reason, stats)
 
 
+def _initial_step(rhs, y, f, direction, length, step):
+    """The first step size from the state y with rate f = rhs(y) (Hairer,
+    Norsett & Wanner II.4; scipy select_initial_step)."""
+    scale = [step.atol + abs(v) * step.rtol for v in y]
+    d0, d1 = _rms(y, scale), _rms(f, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    f1 = rhs([v + h0 * direction * fv for v, fv in zip(y, f)])
+    d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else \
+        (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, length)
+
+
 def _float_range_error(t, y):
     return StepUnderflowError(
         f"the right-hand side left the float range at s = {t:.6g}, before "
         "the first accepted step", last_state=(t, tuple(y)))
+
+
+@np.errstate(all="ignore")  # a non-finite g fails the solve below
+def _quadrature(g, x0, span, step):
+    """``_dopri5``'s ``_Solution`` of y = (x, u) for u' = g(x), u(x0) = 0,
+    over x - x0 in span = (lo, hi), with g evaluated on arrays of points as
+    the README describes. The stats count the steps of the final grid, the
+    steps split and the points where g was evaluated."""
+    ends = {name: end for name, end in zip(("backward", "forward"), span) if end != 0}
+    rejected, evals, todo, halves = dict.fromkeys(ends, 0), {}, {}, {}
+    coarse = [end / _PRELIM_STEPS * np.arange(_PRELIM_STEPS + 1) for end in ends.values()]
+    prelim = _stages(g, x0, [t[::k] for t in coarse for k in (1, 2)], step)
+    for name, t in zip(ends, coarse):
+        (u, err, norm, K), (_, err2, _, _) = next(prelim), next(prelim)
+        if not np.isfinite(t[-1] * K[0][0]):  # an infinite end, or g(x0): as _dopri5
+            raise _float_range_error(0.0, (x0, 0.0))
+        # norm per |h|^5; a step with rounding error (<= sqrt(eps) of the
+        # increment, not ~2^5 times larger doubled) takes the last other's, or 0
+        grows = np.abs(err2) >= 16 * np.abs(err).reshape(-1, 2).max(1)
+        grows &= np.convolve(grows, [1, 0, 1], "same") > 0
+        known = grows.repeat(2) | ~(np.abs(err / np.diff(u)) <= _EPS ** 0.5)
+        last = np.maximum.accumulate(np.where(known, np.arange(_PRELIM_STEPS), -1))
+        rate = np.nan_to_num(norm / np.abs(np.diff(t)) ** 5, nan=np.inf)[last]  # NaN stalls
+        rate = np.where(last >= 0, rate, 0.0).tolist()
+        g0, end = float(K[0][0]), float(t[-1])
+        evals[name] = 6 * _PRELIM_STEPS + 3  # and one more point below
+        first = _initial_step(lambda y: (1.0, float(g(np.array(y[:1]))[0])), [x0, 0.0],
+                              [1.0, g0], math.copysign(1.0, end), abs(end), step)
+        todo[name] = math.copysign(1.0, end) * _replay(rate, abs(end), first)
+    while todo:
+        solved, todo = zip(todo.items(), _stages(g, x0, todo.values(), step)), {}
+        for (name, t), (u, _, norm, K) in solved:
+            evals[name] += 4 * len(t) - 3
+            h, m = np.diff(t), np.where(norm < 1, 1.0, np.ceil((norm / _SPLIT_NORM) ** 0.2))
+            rejected[name] += int(np.count_nonzero(m > 1))
+            small = (m != 1) & ~(np.abs(h) / m >= 10 * np.spacing(np.abs(t[:-1])))  # NaN
+            if small.any() or len(t) + rejected[name] + m.sum() > _STEP_BUDGET:
+                i = np.argmax(m != 1)
+                raise StepUnderflowError(f"the quadrature stalled at s = {t[i]:.6g}",
+                                         last_state=(t[i], (x0 + t[i], u[i])))
+            i = np.repeat(np.arange(len(h)), m.astype(int))  # failed steps split
+            if len(i) > len(h):
+                k = np.arange(len(i)) - np.searchsorted(i, i)
+                todo[name] = np.append(t[i] + h[i] * k / m[i], t[-1])
+                continue
+            K = np.stack((np.ones((len(h), 6)), np.stack(K + K[-1:], 1)), 2)
+            dense = _dense_arrays(t[:-1], h, np.stack((x0 + t[:-1], u[:-1]), 1), K)
+            halves[name] = _HalfLine(tuple(a[::1 if t[-1] > 0 else -1] for a in dense),
+                                     t[-1], "span", SolveStats(len(h), rejected[name],
+                                                               evals[name]))
+    return _join(halves)
+
+
+def _replay(rate, length, h_abs):
+    """Nodes a = |x - x0| from 0 to ``length`` of the steps that RK45's
+    controller takes from the step ``h_abs`` when the error norm of a step
+    is |h|^5 times the largest ``rate`` of the equal first-pass steps it
+    overlaps: ``_dopri5``'s loop on Python floats."""
+    n, a, nodes, attempts = len(rate), 0.0, [0.0], 0
+    width = length / n
+    while a < length:
+        min_step = 10 * (math.nextafter(a, math.inf) - a)
+        h_abs, i, rejected = max(h_abs, min_step), min(int(a / width), n - 1), False
+        while True:
+            attempts += 1
+            if attempts > _STEP_BUDGET or h_abs < min_step:
+                raise StepUnderflowError(f"the quadrature stalled at |s| = {a:.6g}",
+                                         last_state=(a, ()))
+            b = a + h_abs
+            if b > length:
+                b = length
+            h_abs, j = b - a, math.ceil(b / width)
+            norm = (rate[i] if j <= i + 1 else max(rate[i:j])) * h_abs ** 5
+            if norm < 1:
+                h_abs *= _MAX_FACTOR if norm == 0 else min(
+                    _SAFETY * norm ** _ERR_EXP, 1.0 if rejected else _MAX_FACTOR)
+                break
+            factor = _SAFETY * norm ** _ERR_EXP  # NaN for a NaN norm
+            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            rejected = True
+        a = b
+        nodes.append(a)
+    return np.array(nodes)
+
+
+def _stages(g, x0, grids, step):
+    """Per node array t of ``grids``: u at t, the steps' error estimates and
+    ``_dopri5``'s norms of them on (x, u), and stages 1, 3, 4, 5 and 6, all
+    summed in a fixed order per step, from one call of g at x0 + t and at
+    3/10, 4/5 and 8/9 of each step."""
+    steps = [(x0 + t, np.diff(t)) for t in grids]
+    parts = [p for x, h in steps for p in (x, *(x[:-1] + c * h for c in _C))]
+    values = iter(np.split(g(np.concatenate(parts)), np.cumsum([len(p) for p in parts])))
+    for x, h in steps:
+        k, k3, k4, k5 = (next(values) for _ in range(4))
+        k1, k6 = k[:-1], k[1:]
+        u = np.concatenate(([0.0], np.cumsum(
+            h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6))))
+        err = (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E67 * k6) * h
+        yield u, err, np.abs(err) / (step.atol + step.rtol * np.maximum(
+            np.abs(u[:-1]), np.abs(u[1:]))) / 2 ** 0.5, (k1, k3, k4, k5, k6)
 
 
 def _brentq(f, a, b, xtol, rtol):
@@ -386,13 +493,6 @@ def _brentq(f, a, b, xtol, rtol):
         f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
-def _solve(rhs, y0, span, step, events):
-    """``_dopri5`` from s = 0 to each nonzero end of span = (lo, hi), joined
-    into one ``_Solution``."""
-    return _join({name: _dopri5(rhs, y0, end, step, events)
-                  for name, end in zip(("backward", "forward"), span) if end != 0})
-
-
 def _join(halves):
     """One ``_Solution`` of the half-lines ``halves``, keyed "backward" and
     "forward"."""
@@ -442,26 +542,28 @@ def _newton(fn, targets, x0, lo, hi):
     return x.reshape(shape)
 
 
-def _invert(sol, k, targets):
-    """Points s of a solution where component k, strictly increasing in s,
-    takes the values of the 1-D array ``targets``: Newton on the interpolant
-    of the step that holds each target, from linear interpolation between
-    the nodes, kept inside that step and [lo, hi]; the first and last steps
-    reach lo and hi. y_k - target is summed as (Y - target) + H x P(x)."""
+def _inverse(sol, k):
+    """The inverse of component k of a solution, strictly increasing in s,
+    on a 1-D array of values: Newton on the interpolant of the step that
+    holds each value, from linear interpolation between the nodes, kept in
+    that step and [lo, hi] (the first and last steps reach lo and hi), with
+    y_k - value summed as (Y - value) + H x P(x). Set up once per solution."""
     T, H, Y, Q = sol.dense
-    k_lo, k_hi = sol.end_states()[k]
-    x0 = np.interp(targets, np.concatenate(([k_lo], Y[:, k], [k_hi])),
-                   np.concatenate(([sol.lo], T, [sol.hi])))
+    nodes = np.insert(sol.end_states()[k], 1, Y[:, k]), np.r_[sol.lo, T, sol.hi]
     left = np.minimum(T, T + H)  # the steps' left ends, ascending
-    edges = np.concatenate(([sol.lo], left[1:], [sol.hi]))
-    j = np.maximum(np.searchsorted(left, x0, "right") - 1, 0)
-    t, h, gap, q = T[j], H[j], Y[j, k] - targets, Q[j, k]
+    edges = np.r_[sol.lo, left[1:], sol.hi]
 
-    def fn(s, i):  # y_k - target and dy_k/ds, the interpolant's own slope
-        x = (s - t[i]) / h[i]
-        poly, slope = q[i, 3], 4 * q[i, 3]
-        for p in (2, 1, 0):
-            poly, slope = q[i, p] + x * poly, (p + 1) * q[i, p] + x * slope
-        return gap[i] + h[i] * (x * poly), slope
+    def inverse(targets):
+        x0 = np.interp(targets, *nodes)
+        j = np.maximum(np.searchsorted(left, x0, "right") - 1, 0)
+        t, h, gap, q = T[j], H[j], Y[j, k] - targets, Q[j, k]
 
-    return _newton(fn, np.zeros(len(targets)), x0, edges[j], edges[j + 1])
+        def fn(s, i):  # y_k - target and dy_k/ds, the interpolant's own slope
+            x = (s - t[i]) / h[i]
+            poly, slope = q[i, 3], 4 * q[i, 3]
+            for p in (2, 1, 0):
+                poly, slope = q[i, p] + x * poly, (p + 1) * q[i, p] + x * slope
+            return gap[i] + h[i] * (x * poly), slope
+
+        return _newton(fn, np.zeros(len(targets)), x0, edges[j], edges[j + 1])
+    return inverse

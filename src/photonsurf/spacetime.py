@@ -22,7 +22,7 @@ from .errors import (
     InvalidFamilyParamsError,
     UnknownFamilyError,
 )
-from .ode import StepControl, _brentq, _dense_eval, _invert, _newton, _solve
+from .ode import StepControl, _brentq, _dense_eval, _inverse, _newton, _quadrature
 
 __all__ = [
     "MetricProfile",
@@ -476,13 +476,14 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
     x_bot, x0, x_top = x_of_r(np.array([r_bot, r0, r_top])).tolist()
     evaluate = st.metric.evaluate
 
-    def rhs(y):  # y = (x, u); du/dx = du/dw c cosh x
-        w = c * math.sinh(y[0])
-        r = r_lo + w * w
-        return 1.0, c * math.cosh(y[0]) * (
-            limit if w <= w_reg else 2 * w / (r * math.sqrt(evaluate(r)[0])))
+    def du_dx(x):  # du/dw c cosh x, f read above w_reg, at w of the rounded r
+        w, du_dw = c * np.sinh(x), np.full(x.shape, limit)
+        r = r_lo + w[w > w_reg] ** 2
+        du_dw[w > w_reg] = 2 * np.sqrt(r - r_lo) / (r * np.sqrt(evaluate(r)[0]))
+        return c * np.cosh(x) * du_dw
 
-    sol = _solve(rhs, (x0, 0.0), (x_bot - x0, x_top - x0), _ISO_STEP, [])
+    sol = _quadrature(du_dx, x0, (x_bot - x0, x_top - x0), _ISO_STEP)
+    inverse = _inverse(sol, 1)
     u_bot, u_top = sol.end_states()[1].tolist()
     if st.family == "schwarzschild" and st.params["m"] > 0:
         p = st.n - 2  # exterior root of r0 = s (1 + m/(2 s^p))^(2/p)
@@ -498,7 +499,7 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
     @_radiuswise
     def r_of_s(s):
         _check_range("s", s, const * math.exp(u_bot), const * math.exp(u_top))
-        w = c * np.sinh(x0 + _invert(sol, 1, np.log(s / const)))
+        w = c * np.sinh(x0 + inverse(np.log(s / const)))
         return r_lo + w * w
 
     @_radiuswise
@@ -508,12 +509,6 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
         lapse = np.sqrt(fv)
         return r / s, r * (lapse - 1.0) / s ** 2, lapse, dfv * r / (2 * s)
 
-    def psi(s):
-        return psi_lapse(s)[:2]
-
-    def lapse(s):
-        return psi_lapse(s)[2:]
-
     s_lo = const * math.exp(u_bot) if to_zero else 0.0
     s_hi = const * math.exp(u_top)
     if math.isinf(st.r_hi):
@@ -521,9 +516,9 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
         f_top, df_top = st.metric(r_top)
         tail = 2 * math.sqrt(f_top) / (r_top * df_top) if df_top > 0 else math.inf
         s_hi = s_hi * math.exp(tail) if tail < 1e-3 else math.inf
-    return IsotropicForm(s_lo, s_hi, psi, lapse, source=st, r0=r0,
-                         s_of_r=s_of_r, r_of_s=r_of_s, solve_stats=sol.stats,
-                         psi_lapse=psi_lapse)
+    return IsotropicForm(s_lo, s_hi, lambda s: psi_lapse(s)[:2],
+                         lambda s: psi_lapse(s)[2:], source=st, r0=r0, s_of_r=s_of_r,
+                         r_of_s=r_of_s, solve_stats=sol.stats, psi_lapse=psi_lapse)
 
 
 def _iso_grid(iso: IsotropicForm, num: int) -> np.ndarray:

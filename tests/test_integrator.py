@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,21 +18,25 @@ from scipy.integrate import solve_ivp
 
 from photonsurf import (
     MetricProfile,
+    PhotonSurfaceSpec,
     StepControl,
     StepUnderflowError,
     build_family,
     find_photon_spheres,
+    integrate_profile,
     to_isotropic,
 )
-from photonsurf import ode, spacetime
+from photonsurf import ode, spacetime, surfaces
 from photonsurf.errors import StepBudgetError
 from photonsurf.ode import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7,
-    _dense_eval, _dopri5, _rms, _solve,
+    _dense_eval, _dopri5, _rms,
 )
 from photonsurf.surfaces import ASYMPTOTE_EPS, _sample_grid
+
+from test_spacetime import ISO_FAMILIES
 
 STEP = StepControl()
 
@@ -95,6 +100,13 @@ def cases(name):
         runs.append(("geodesic", alpha, (0.0, r0, vg, 0.0, 0.0), s_end * r0,
                      reason))
     return st, spheres, runs
+
+
+def joined(rhs, y0, span, events):
+    """``_dopri5`` from s = 0 to each nonzero end of span = (lo, hi), joined
+    into one ``_Solution``."""
+    return ode._join({name: _dopri5(rhs, y0, end, STEP, events)
+                      for name, end in zip(("backward", "forward"), span) if end != 0})
 
 
 @pytest.mark.parametrize("name", sorted(SPACETIMES))
@@ -197,7 +209,7 @@ def test_solve_matches_each_half_line(span):
     alpha, r0 = 1.5 * sp.alpha_star, 1.5 * sp.r_star
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
     rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
-    sol = _solve(rhs, y0, span, STEP, events)
+    sol = joined(rhs, y0, span, events)
     halves = {name: _dopri5(rhs, y0, end, STEP, events)
               for name, end in (("backward", span[0]), ("forward", span[1]))
               if end != 0}
@@ -273,7 +285,7 @@ def _reference_step(rhs, y, k1, h, atol, rtol):
 
 def _kernel_cases():
     """name -> solve() returning the half-lines of one run, for state sizes
-    2 (the isotropic map), 3 (profiles) and 5 (a null geodesic)."""
+    2 (a look-ahead on (r, dr/ds)), 3 (profiles) and 5 (a null geodesic)."""
     st, spheres, runs = cases("schwarzschild-n3")
     alpha, r0 = 0.3, 4.5
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
@@ -282,22 +294,27 @@ def _kernel_cases():
     _, g_alpha, g_y0, g_end, _ = next(run for run in runs
                                       if run[0] == "geodesic" and run[4] == "boundary")
 
-    def isotropic_halves():
-        halves, solve = [], ode._dopri5
+    def lookahead_halves():
+        # the look-ahead of a profile half-line falling into the horizon
+        halves, solve = [], surfaces._dopri5
 
-        def recording(*args, **kwargs):
-            halves.append(solve(*args, **kwargs))
-            return halves[-1]
+        def recording(rhs, y0, *args, **kwargs):
+            half = solve(rhs, y0, *args, **kwargs)
+            if len(y0) == 2:
+                halves.append(half)
+            return half
 
-        ode._dopri5 = recording
+        surfaces._dopri5 = recording
         try:
-            to_isotropic(build_family("reissner-nordstrom", m=1, q=0.6), 4.0)
+            integrate_profile(st, PhotonSurfaceSpec(
+                0.3568087075647066, 6.856597721117346, sign=-1, span=(-4.0, 4.0)),
+                STEP, spheres)
         finally:
-            ode._dopri5 = solve
+            surfaces._dopri5 = solve
         return halves
 
     return {
-        "isotropic-rn": isotropic_halves,
+        "lookahead": lookahead_halves,
         "profile-boundary": lambda: [_dopri5(rhs, y0, -50.0, STEP, events)],
         "profile-open": lambda: [_dopri5(
             rhs, y0, math.inf, STEP, events,
@@ -308,7 +325,7 @@ def _kernel_cases():
 
 
 @pytest.mark.parametrize("name, n, reason", [
-    ("isotropic-rn", 2, "span"), ("profile-boundary", 3, "boundary"),
+    ("lookahead", 2, "boundary"), ("profile-boundary", 3, "boundary"),
     ("profile-open", 3, "far"), ("geodesic", 5, "boundary")])
 def test_kernel_matches_reference_stepper_bit_for_bit(monkeypatch, name, n, reason):
     solve = _kernel_cases()[name]
@@ -386,28 +403,18 @@ def _invert_cases():
     alpha, r0 = 1.5 * sp.alpha_star, 1.5 * sp.r_star
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
     rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
-    out = {name: (_solve(rhs, y0, span, STEP, events), 0, rhs) for name, span in (
+    out = {name: (joined(rhs, y0, span, events), 0, rhs) for name, span in (
         ("forward", (0.0, 6.0)), ("backward", (-6.0, 0.0)), ("joined", (-50.0, 6.0)))}
     out["linear"] = (ode._linear((0.5, 3.0, 0.0), (2.0, 0.0, 0.0), (-5.0, 5.0)), 0, None)
     # the isotropic map of Schwarzschild-AdS, u = log(s/C) over x, whose
     # steps out to r = 5e16 have du/dx = 2L/r down to about 4e-16
-    recorded = []
-
-    def recording(*args):
-        recorded.append((ode._solve(*args), args[0]))
-        return recorded[-1][0]
-
-    solve, spacetime._solve = spacetime._solve, recording
-    try:
-        to_isotropic(build_family("schwarzschild-ads", m=1, L=10), 5.0)
-    finally:
-        spacetime._solve = solve
-    out["isotropic-sads"] = (recorded[0][0], 1, recorded[0][1])
+    (g, *_), sol = quadrature_of_map(ISO_FAMILIES["sads-L10"], 5.0)
+    out["isotropic-sads"] = (sol, 1, lambda y: (1.0, float(g(np.array([y[0]]))[0])))
     return out
 
 
 def _newton_true_slope(sol, k, rhs, target):
-    """Reference for ode._invert on one target: scalar Newton on the same
+    """Reference for ode._inverse on one target: scalar Newton on the same
     step from the same start, with the slope rhs(y)[k] of the solved system
     in place of the interpolant's."""
     T, H, Y, Q = sol.dense
@@ -444,7 +451,7 @@ def test_invert_on_the_step_that_holds_each_target(name):
     k_lo, k_hi = sol.end_states()[k]
     rng = np.random.default_rng(7)
     targets = np.concatenate((Y[:, k], [k_lo, k_hi], rng.uniform(k_lo, k_hi, 200)))
-    s = ode._invert(sol, k, targets)
+    s = ode._inverse(sol, k)(targets)
     assert np.all((sol.lo <= s) & (s <= sol.hi))
     # each result lies on a step of the solution, the first and last reaching
     # lo and hi, and is a root of its interpolant to a few ulps: of the
@@ -484,3 +491,144 @@ def test_r_of_s_makes_no_metric_call():
     r = iso.r_of_s(s)
     assert calls == []
     np.testing.assert_allclose(iso.s_of_r(r), s, rtol=1e-13)
+
+
+# the isotropic maps of the verify-iso workload (ISO_FAMILIES), and two
+# whose ends take the most steps
+SLOW_ENDS = {
+    "minkowski": dict(family="minkowski"),
+    "rn-q0.999999": dict(family="reissner-nordstrom", m=1, q=0.999999),
+}
+ISO_STEP = StepControl(rtol=1e-14, atol=1e-14)
+
+
+def quadrature_of_map(params, r0):
+    """(g, x0, span, step) of the quadrature behind to_isotropic, and its
+    solution."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, ode._quadrature(*args)))
+        return calls[-1][1]
+
+    solve, spacetime._quadrature = spacetime._quadrature, recording
+    try:
+        to_isotropic(build_family(**params), r0)
+    finally:
+        spacetime._quadrature = solve
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_quadrature_integrates_polynomials_exactly(degree):
+    # the fifth-order weights integrate a g of degree <= 4 exactly over each
+    # step, so the nodes carry only the rounding of the sums; the
+    # interpolant, of degree 4 in x, is exact inside the steps for degree <= 3
+    coeffs = np.array([1.0, 2.0, -3.0, 0.5, 0.25][:degree + 1])
+
+    def g(x):
+        return np.polyval(coeffs[::-1], x)
+
+    def u(x):  # the antiderivative that vanishes at 0
+        return x * np.polyval((coeffs / np.arange(1, degree + 2))[::-1], x)
+
+    x0, span = 0.3, (-1.2, 2.5)
+    sol = ode._quadrature(g, x0, span, ISO_STEP)
+    assert set(sol.reasons) == {"backward", "forward"}
+    assert (sol.lo, sol.hi) == span
+    T, H, Y, Q = sol.dense
+    ulp = np.spacing(np.abs(u(x0 + np.linspace(*span, 1001)) - u(x0)).max())
+    np.testing.assert_array_equal(Y[:, 0], x0 + T)
+    assert np.abs(Y[:, 1] - (u(Y[:, 0]) - u(x0))).max() <= 8 * ulp
+    assert np.abs(sol.end_states()[1] - (u(x0 + np.array(span)) - u(x0))).max() \
+        <= 8 * ulp
+    if degree <= 3:
+        xs = np.linspace(*span, 1001)
+        inside = ode._dense_eval(sol.dense, xs)[1]
+        assert np.abs(inside - (u(x0 + xs) - u(x0))).max() <= 16 * ulp
+
+
+@pytest.mark.parametrize("name", sorted(ISO_FAMILIES) + sorted(SLOW_ENDS))
+def test_quadrature_steps_meet_the_tolerance(name):
+    # the error norm of every step of a map, recomputed here from g at its
+    # stage points, is below 1; the stats count its steps
+    (g, x0, span, step), sol = quadrature_of_map(
+        {**ISO_FAMILIES, **SLOW_ENDS}[name], 5.0)
+    T, H, Y, Q = sol.dense
+    k1, k3, k4, k5, k6 = (g(Y[:, 0] + c * H) for c in (0.0, 0.3, 0.8, 8 / 9, 1.0))
+    u_new = Y[:, 1] + H * (ode._B1 * k1 + ode._B3 * k3 + ode._B4 * k4
+                           + ode._B5 * k5 + ode._B6 * k6)
+    err = (ode._E1 * k1 + ode._E3 * k3 + ode._E4 * k4 + ode._E5 * k5
+           + (ode._E6 + ode._E7) * k6) * H
+    scale = step.atol + step.rtol * np.maximum(np.abs(Y[:, 1]), np.abs(u_new))
+    assert np.max(np.abs(err) / scale / math.sqrt(2)) < 1
+    assert sum(h.accepted for h in sol.stats.values()) == len(T)
+    assert all(h.rhs_evals > 4 * h.accepted for h in sol.stats.values())
+
+
+@pytest.mark.parametrize("r0", [3.0, 5.0, 8.0])
+@pytest.mark.parametrize("name", sorted(ISO_FAMILIES))
+def test_quadrature_matches_the_dopri5_map(name, r0):
+    # the same u' = g(x) stepped by _dopri5, one scalar g call per stage, as
+    # the map was solved before the quadrature: u, the log of s, agrees to
+    # 2e-12 on 20,001 points (measured: at most 1.03e-12, Schwarzschild
+    # n = 5 at r0 = 3), and each half-line takes at most 10 % or one step
+    # more or fewer
+    (g, x0, span, step), sol = quadrature_of_map(ISO_FAMILIES[name], r0)
+    ref = ode._join({half: _dopri5(lambda y: (1.0, float(g(np.array([y[0]]))[0])),
+                                   (x0, 0.0), end, step, [])
+                     for half, end in zip(("backward", "forward"), span)})
+    assert (sol.lo, sol.hi) == (ref.lo, ref.hi)
+    x = np.linspace(*span, 20001)
+    gap = np.abs(_dense_eval(sol.dense, x)[1] - _dense_eval(ref.dense, x)[1])
+    assert gap.max() <= 2e-12
+    for half, stats in sol.stats.items():
+        steps = ref.stats[half].accepted
+        assert abs(stats.accepted - steps) <= max(1, 0.1 * steps), half
+
+
+@pytest.mark.parametrize("r0", [3.0, 4.5, 6.0, 8.0])
+def test_quadrature_reads_rounding_as_no_error(r0):
+    # Schwarzschild n = 3 has du/dx = 2 exactly, so the preliminary errors
+    # are rounding, amplified next to the horizon where f loses digits: read
+    # as truncation they crowd the steps there and the map loses accuracy.
+    # The map takes _dopri5's 5 + 7 steps or fewer and meets the closed form
+    # to 5e-14 (measured: at most 2.8e-14 with r0 from 3 to 8)
+    st = build_family("schwarzschild", n=3, m=1)
+    iso = to_isotropic(st, r0)
+    assert all(h.accepted <= 7 and h.rejected == 0 for h in iso.solve_stats.values())
+    r = np.geomspace(st.r_lo * (1 + 1e-10), 1e14, 2000)
+    np.testing.assert_allclose(iso.s_of_r(r), (np.sqrt(r) + np.sqrt(r - 2)) ** 2 / 4,
+                               rtol=5e-14, atol=0)
+
+
+def test_quadrature_of_a_non_finite_g_fails_as_dopri5_does():
+    # a g that turns NaN past x = 1, and one with a pole at x = 1: the
+    # stepper rejects its steps there down to the underflow test, and the
+    # quadrature raises the same error rather than return NaN
+    cases = {"nan": lambda x: np.where(x < 1.0, 1.0 + x, np.nan),
+             "pole": lambda x: 1.0 / (1.0 - x)}
+    for name, g in cases.items():
+        with np.errstate(all="ignore"), pytest.raises(StepUnderflowError):
+            _dopri5(lambda y: (1.0, float(g(np.array([y[0]]))[0])), (0.0, 0.0),
+                    2.0, ISO_STEP, [])
+        with pytest.raises(StepUnderflowError):
+            ode._quadrature(g, 0.0, (-0.5, 2.0), ISO_STEP)
+    # NaN at the start, where the stepper's steps turn NaN until its budget
+    # is spent, and an infinite end, where its first step overflows
+    for g, x0, span in ((cases["nan"], 1.5, (-0.5, 2.0)),
+                        (lambda x: 1.0 + x, 0.0, (-0.5, math.inf))):
+        with pytest.raises(StepUnderflowError):
+            ode._quadrature(g, x0, span, ISO_STEP)
+    # so a map whose cap r_top = 1e16 r0 leaves the float range fails as before
+    with pytest.raises(StepUnderflowError, match="left the float range at s = 0"):
+        to_isotropic(build_family("schwarzschild", n=3, m=1), 1e300)
+
+
+@pytest.mark.parametrize("name", sorted(ISO_FAMILIES) + sorted(SLOW_ENDS))
+def test_isotropic_map_emits_no_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r0 in (3.0, 5.0, 8.0):
+            to_isotropic(build_family(**{**ISO_FAMILIES, **SLOW_ENDS}[name]), r0)

@@ -390,12 +390,12 @@ def test_isotropic_form_keeps_the_work_of_its_solve(monkeypatch):
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
-        return ode._solve(*args, **kwargs)
+        return ode._quadrature(*args, **kwargs)
 
-    monkeypatch.setattr(spacetime, "_solve", recording)
+    monkeypatch.setattr(spacetime, "_quadrature", recording)
     iso = to_isotropic(build_family("reissner-nordstrom", m=1, q=0.6), r0=4.0)
     (call,) = calls
-    assert iso.solve_stats == ode._solve(*call[0], **call[1]).stats
+    assert iso.solve_stats == ode._quadrature(*call[0], **call[1]).stats
     assert sorted(iso.solve_stats) == ["backward", "forward"]
     assert all(h.accepted > 0 for h in iso.solve_stats.values())
     assert IsotropicForm(1.0, 2.0, lambda s: (1.0, 0.0),
