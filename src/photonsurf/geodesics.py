@@ -152,8 +152,7 @@ def _null_solution(st, charges, r0, sign, span, step, spheres,
     metric = st.metric.evaluate
     ell2 = ell ** 2
 
-    def rhs(y):
-        r, v = y[1], y[2]
+    def rhs(r, v):
         fv, dfv = metric(r)
         return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
                 ell / r ** 2, ell / r)
@@ -199,8 +198,9 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
     ``_inverse`` on t, which increases with dt/ds = E/f > 0; no interpolation
     is involved. The exact circular orbit covers every time at r_*.
     """
-    stops = (lambda s, y, steps: "span" if y[0] <= t[0] else None,
-             lambda s, y, steps: "span" if y[0] >= t[-1] else None)
+    t_first, t_last = float(t[0]), float(t[-1])
+    stops = (lambda s, y, steps: "span" if y[0] <= t_first else None,
+             lambda s, y, steps: "span" if y[0] >= t_last else None)
     span = (-math.inf if t[0] < 0 else 0.0, math.inf if t[-1] > 0 else 0.0)
     sol = _null_solution(st, charges, r0, sign, span, step, spheres, stops)
     if not sol.stats:

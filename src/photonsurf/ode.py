@@ -111,14 +111,16 @@ def _dense_arrays(ts, hs, ys, ks):
     """(T, H, Y, Q): step starts, signed steps, start states, interpolant
     coefficients Q[i, component, power - 1]. ``ks`` holds each step's stages
     1, 3, 4, 5, 6 and 7, concatenated, or is the array K[i, stage, component]."""
-    K = ks if isinstance(ks, np.ndarray) else \
-        np.fromiter(chain.from_iterable(ks), float).reshape(len(ks), 6, -1)
+    if not isinstance(ks, np.ndarray):  # lists per step, of Python floats
+        n = len(ys[0])
+        ys = np.fromiter(chain.from_iterable(ys), float, len(ys) * n).reshape(-1, n)
+        ks = np.fromiter(chain.from_iterable(ks), float, len(ks) * 6 * n).reshape(-1, 6, n)
     # explicit sums in a fixed order keep every step's bits independent of
     # the number of steps
-    Q = K[:, 0, :, None] * _P[0]
+    Q = ks[:, 0, :, None] * _P[0]
     for i in range(1, 6):
-        Q = Q + K[:, i, :, None] * _P[i]
-    return np.array(ts), np.array(hs), np.array(ys), Q
+        Q = Q + ks[:, i, :, None] * _P[i]
+    return np.array(ts), np.array(hs), np.asarray(ys), Q
 
 
 def _dense_eval(dense, s):
@@ -157,24 +159,23 @@ def _rms(xs, scale):
 # One step attempt from (s, y) with step h: the stages k2-k7 (k1 is the
 # first-same-as-last stage of the previous step), y_new and the RMS error
 # norm of RK45. ``_kernel`` writes each <...> (" > " the only < or > in it)
-# out once per component i, with the one-letter names v, a, ..., x renamed
-# v{i}, a{i}, ..., x{i} and each copy followed by ", ", and each tableau name
-# as its float literal, so every component keeps the arithmetic of RK45's
-# per-component formulas in the same order ("w if w > v else v" on |y| and
-# |y_new| is max's rule).
+# out once per component i, each <*...> once per component i that rhs reads,
+# with the one-letter names v, a, ..., x renamed v{i}, a{i}, ..., x{i} and
+# each copy followed by ", ", and each tableau name as its float literal, so
+# every component keeps the arithmetic of RK45's per-component formulas in
+# the same order ("w if w > v else v" on |y| and |y_new| is max's rule).
 _STEP_TEMPLATE = """\
 def step(rhs, y, k1, h, atol, rtol):
     <v> = y
     <a> = k1
-    <b> = rhs([<v + (_A21 * a) * h>])
-    <c> = rhs([<v + (_A31 * a + _A32 * b) * h>])
-    <d> = rhs([<v + (_A41 * a + _A42 * b + _A43 * c) * h>])
-    <e> = rhs([<v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h>])
-    <p> = rhs([<v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h>])
+    <b> = rhs(<*v + (_A21 * a) * h>)
+    <c> = rhs(<*v + (_A31 * a + _A32 * b) * h>)
+    <d> = rhs(<*v + (_A41 * a + _A42 * b + _A43 * c) * h>)
+    <e> = rhs(<*v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h>)
+    <p> = rhs(<*v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h>)
     <w> = <v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)>
     y_new = [<w>]
-    k7 = rhs(y_new)
-    <q> = k7
+    <q> = k7 = rhs(<*w>)
     <x> = <(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h>
     <v><w> = <abs(v)><abs(w)>
     error_norm = math.sqrt(
@@ -184,36 +185,38 @@ def step(rhs, y, k1, h, atol, rtol):
 _KERNELS = {}
 
 
-def _kernel(n):
-    """The step attempt of ``_STEP_TEMPLATE`` for states of n components,
-    compiled on first use and cached in ``_KERNELS``."""
-    if n not in _KERNELS:
+def _kernel(n, reads):
+    """The step attempt of ``_STEP_TEMPLATE`` for n components, rhs reading
+    ``reads``, compiled on first use and cached in ``_KERNELS``."""
+    if (n, reads) not in _KERNELS:
         def unroll(match):
-            return "".join(re.sub(r"\b([vabcdepqwx])\b", rf"\g<1>{i}", match[1])
-                           + ", " for i in range(n))
+            return "".join(re.sub(r"\b([vabcdepqwx])\b", rf"\g<1>{i}", match[2])
+                           + ", " for i in (reads if match[1] else range(n)))
 
-        source = re.sub(r"<((?: > |[^<>])*)>", unroll, _STEP_TEMPLATE.format(n=n))
+        source = re.sub(r"<(\*?)((?: > |[^<>])*)>", unroll, _STEP_TEMPLATE.format(n=n))
         source = re.sub(r"\b_[ABE]\d+\b", lambda m: repr(globals()[m[0]]), source)
         namespace = {}
-        exec(compile(source, f"<dopri5 step, n = {n}>", "exec"), globals(), namespace)
-        _KERNELS[n] = namespace["step"]
-    return _KERNELS[n]
+        exec(compile(source, f"<dopri5 step {n} {reads}>", "exec"), globals(), namespace)
+        _KERNELS[n, reads] = namespace["step"]
+    return _KERNELS[n, reads]
 
 
-def _dopri5(rhs, y0, s_end, step, events, stop=None):
-    """Adaptive Dormand-Prince 5(4) solve of y' = rhs(y) from s = 0 to s_end.
+def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
+    """Adaptive Dormand-Prince 5(4) solve of y' = rhs(*y[reads]) from s = 0
+    to s_end; rhs takes floats (reads None: all of y) and returns all of y'.
 
     Replays scipy's RK45 on Python floats: the same initial step selection,
     step controller and 10-ulp underflow test. Each step attempt runs the
-    kernel that ``_kernel`` compiles for the state size: RK45's formulas
-    written out per component. ``events`` are (g(y), tag) pairs; the solve
-    stops at the first root of any g bracketed by a sign change between
-    accepted steps, located by ``_brentq`` on the dense output. Raises
-    ``StepUnderflowError`` when the step underflows and ``StepBudgetError``
-    after ``_STEP_BUDGET`` attempted steps. An ``OverflowError`` in a step
-    attempt, a right-hand side leaving the float range, ends the solve at
-    its last accepted step with reason "float-range", not counting that
-    attempt; before the first accepted step it raises ``StepUnderflowError``.
+    kernel that ``_kernel`` compiles for n and reads: RK45's formulas written
+    out per component, stage inputs only for those read. ``events`` are
+    (g(y), tag) pairs; the solve stops at the first root of any g bracketed
+    by a sign change between accepted steps, located by ``_brentq`` on the
+    dense output. Raises ``StepUnderflowError`` when the step underflows and
+    ``StepBudgetError`` after ``_STEP_BUDGET`` attempted steps. An
+    ``OverflowError`` in a step attempt, a right-hand side leaving the float
+    range, ends the solve at its last accepted step with reason
+    "float-range", not counting that attempt; before the first accepted step
+    it raises ``StepUnderflowError``.
 
     A ``stop`` rule is called as stop(s, y, steps) at the end of every
     accepted step, at the event's root for the step an event ends; ``steps``
@@ -228,19 +231,21 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
     direction = 1.0 if s_end > 0 else -1.0
     length = abs(s_end)
     t, y = 0.0, [float(v) for v in y0]
-    kernel = _kernel(len(y))
+    reads = tuple(range(len(y))) if reads is None else reads
+    kernel = _kernel(len(y), reads)
     try:
-        f = rhs(y)
-        h_abs = _initial_step(rhs, y, f, direction, length, step)
+        f = rhs(*[y[i] for i in reads])
+        h_abs = _initial_step(rhs, reads, y, f, direction, length, step)
     except OverflowError:
         raise _float_range_error(t, y) from None
 
-    nfev, rejected = 2, 0
-    g = [ev(y) for ev, _ in events]
+    rejected, toward = 0, direction * math.inf
+    funcs = [ev for ev, _ in events]
+    g = [ev(y) for ev in funcs]
     steps = ts, hs, ys, ks = [], [], [], []
     reason = "span"
     while direction * (t - s_end) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, toward) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
@@ -266,7 +271,6 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
                     raise _float_range_error(t, y) from None
                 reason = "float-range"
                 break
-            nfev += 6
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
@@ -285,17 +289,18 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
         ys.append(y)
         ks.append(stages)
         t_old, t, y, f = t, t_new, y_new, k7
-        if events:
-            g_new = [ev(y) for ev, _ in events]
-            if any((a <= 0 <= b) or (b <= 0 <= a) for a, b in zip(g, g_new)):
-                last = _dense_arrays(*(x[-1:] for x in steps))
-                hits = [(_brentq(lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
-                                 t_old, t, _EVENT_TOL, _EVENT_TOL), tag)
-                        for (ev, tag), a, b in zip(events, g, g_new)
-                        if (a <= 0 <= b) or (b <= 0 <= a)]
-                t, reason = min(hits, key=lambda hit: direction * hit[0])
-                y = _dense_eval(last, np.array([t]))[:, 0].tolist()
-            g = g_new
+        if funcs:
+            g_old, g = g, [ev(y) for ev in funcs]
+            for a, b in zip(g_old, g):
+                if a <= 0 <= b or b <= 0 <= a:
+                    last = _dense_arrays(*(x[-1:] for x in steps))
+                    hits = [(_brentq(lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
+                                     t_old, t, _EVENT_TOL, _EVENT_TOL), tag)
+                            for (ev, tag), a, b in zip(events, g_old, g)
+                            if (a <= 0 <= b) or (b <= 0 <= a)]
+                    t, reason = min(hits, key=lambda hit: direction * hit[0])
+                    y = _dense_eval(last, np.array([t]))[:, 0].tolist()
+                    break
         stopped = None if stop is None else stop(t, y, steps)
         if reason != "span":
             break
@@ -303,18 +308,19 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None):
             reason = stopped
             break
 
-    stats = SolveStats(accepted=len(ts), rejected=rejected, rhs_evals=nfev)
+    stats = SolveStats(len(ts), rejected, 2 + 6 * (len(ts) + rejected))
     order = slice(None, None, 1 if direction > 0 else -1)
     return _HalfLine(_dense_arrays(*(x[order] for x in steps)), t, reason, stats)
 
 
-def _initial_step(rhs, y, f, direction, length, step):
-    """The first step size from the state y with rate f = rhs(y) (Hairer,
-    Norsett & Wanner II.4; scipy select_initial_step)."""
+def _initial_step(rhs, reads, y, f, direction, length, step):
+    """The first step size from the state y with rate f, for ``_dopri5``'s
+    rhs and reads (Hairer, Norsett & Wanner II.4; scipy select_initial_step)."""
     scale = [step.atol + abs(v) * step.rtol for v in y]
     d0, d1 = _rms(y, scale), _rms(f, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = rhs([v + h0 * direction * fv for v, fv in zip(y, f)])
+    y1 = [v + h0 * direction * fv for v, fv in zip(y, f)]
+    f1 = rhs(*[y1[i] for i in reads])
     d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else \
         (0.01 / max(d1, d2)) ** (1 / 5)
@@ -351,8 +357,8 @@ def _quadrature(g, x0, span, step):
         rate = np.where(last >= 0, rate, 0.0).tolist()
         g0, end = float(K[0][0]), float(t[-1])
         evals[name] = 6 * _PRELIM_STEPS + 3  # and one more point below
-        first = _initial_step(lambda y: (1.0, float(g(np.array(y[:1]))[0])), [x0, 0.0],
-                              [1.0, g0], math.copysign(1.0, end), abs(end), step)
+        first = _initial_step(lambda x: (1.0, float(g(np.array([x]))[0])), (0,),
+                              [x0, 0.0], [1.0, g0], math.copysign(1.0, end), abs(end), step)
         todo[name] = math.copysign(1.0, end) * _replay(rate, abs(end), first)
     while todo:
         solved, todo = zip(todo.items(), _stages(g, x0, todo.values(), step)), {}

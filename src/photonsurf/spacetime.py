@@ -125,11 +125,11 @@ def _check_positive_f(st: ClassSSpacetime, samples: int = 256) -> None:
     lo, hi = st.default_bracket()
     rs = np.geomspace(lo, hi, samples)
     fs = st.f(rs)
-    if np.any(fs <= 0):
-        bad = rs[np.argmin(fs)]
+    if not np.all(fs > 0):  # NaN fails too, and argmin finds it first
+        i = np.argmin(fs)
         raise InvalidFamilyParamsError(
-            f"f(r) <= 0 at r = {bad:.6g} inside declared interval "
-            f"({st.r_lo:.6g}, {st.r_hi})")
+            f"f(r) = {fs[i]:.6g}, not > 0, at r = {rs[i]:.6g} inside declared "
+            f"interval ({st.r_lo:.6g}, {st.r_hi})")
 
 
 def build_family(family: str, n: int = 3, m: float | None = None,
@@ -448,9 +448,17 @@ def to_isotropic(st: ClassSSpacetime, r0: float) -> IsotropicForm:
     s(r) = C exp(u), du/dr = 1/(r sqrt(f)), u(r0) = 0; psi(s) = r(s)/s and
     lapse sqrt(f(r(s))). C is the closed-form Schwarzschild s(r0) for
     Schwarzschild with m > 0, else r0. The four maps take floats or 1-D
-    arrays and raise DomainError outside the solved range; the README
-    describes the solve.
+    arrays and raise DomainError outside the solved range, as the solve
+    does where it leaves the float range; the README describes the solve.
     """
+    try:
+        return _isotropic_form(st, r0)
+    except OverflowError:
+        raise DomainError(f"the isotropic map of {st.family} {st.params} about "
+                          f"r0 = {r0:.6g} leaves the float range") from None
+
+
+def _isotropic_form(st, r0):
     r_lo = st.r_lo
     r0 = r_lo * (1 + 1e-9) if r0 == r_lo else r0
     f_lo, df_lo = st.metric(r_lo) if r_lo > 0 else (0.0, 0.0)

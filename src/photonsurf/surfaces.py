@@ -183,20 +183,16 @@ def _scan_roots(g, lo, hi):
     refined by ``_brentq``.
 
     g is evaluated on the whole grid in one call, then on scalars by
-    ``_brentq``.
+    ``_brentq``: a node where g is 0 is a root, else one where the product
+    with the next node's value is negative starts a bracket.
     """
     rs = np.geomspace(lo, hi, SCAN_GRID)
     vals = g(rs)
-    roots = []
-    for i in range(len(rs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(rs[i]))
-        elif a * b < 0:
-            roots.append(_brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16))
-    if vals[-1] == 0.0:
-        roots.append(float(rs[-1]))
-    return roots
+    zero = vals == 0.0
+    nodes = np.flatnonzero(zero | np.append(vals[:-1] * vals[1:] < 0, False))
+    return [float(rs[i]) if zero[i] else
+            _brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16)
+            for i in nodes.tolist()]
 
 
 def find_photon_spheres(st: ClassSSpacetime) -> list[PhotonSphere]:
@@ -270,12 +266,13 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
                       stops=(None, None), window=None, first=1):
     """Integrate an autonomous radial system over both half-lines of span.
 
-    The state has r = y[1] and dr/ds = y[2]. Each half-line, started at
-    s = 0, stops at its span end (an infinite one only by its rule in
-    ``stops`` = (backward, forward), see ``ode._dopri5``), at the radial
-    interval boundary r_lo (1 + 1e-9) or r_hi (1 - 1e-9), or when it comes within
-    ASYMPTOTE_EPS of a photon sphere whose factor matches ``alpha`` (None:
-    no such test). The half-line in direction ``first`` is solved first.
+    The state has r = y[1] and dr/ds = y[2], and rhs(r, dr/ds) returns its
+    rates. Each half-line, started at s = 0, stops at its span end (an
+    infinite one only by its rule in ``stops`` = (backward, forward), see
+    ``ode._dopri5``), at the radial interval boundary r_lo (1 + 1e-9) or
+    r_hi (1 - 1e-9), or when it comes within ASYMPTOTE_EPS of a photon
+    sphere whose factor matches ``alpha`` (None: no such test). The
+    half-line in direction ``first`` is solved first.
 
     ``window`` = (wspan, spacing, starts) names the samples the caller
     will read: ``_sample_grid(wspan, spacing)`` about each s0 of
@@ -305,9 +302,6 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
             evs.append((lambda y, i=i, j=j: (y[i] - sp.r_star) ** 2 + y[j] ** 2
                         - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
 
-    def radial(y):
-        return rhs((0.0, y[0], y[1]))[1:3]
-
     def cut_rule(d, stop):
         """``stop``, and the boundary cut of the half-line in direction d."""
         wspan, spacing, starts_of = window
@@ -321,6 +315,8 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
                 return reason
             if reads is None:
                 r, dr = y[1], d * y[2]  # dr: the rate of r along the half-line
+                if r - r_lo > band_lo and not r_hi - r <= band_hi < math.inf:
+                    return None  # outside both bands
                 near_lo = dr < 0 and r - r_lo <= band_lo
                 near_hi = dr > 0 and r_hi - r <= band_hi < math.inf
                 starts = starts_of(d) if near_lo or near_hi else None
@@ -333,7 +329,8 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
                 if d * (far - s) <= 0:
                     return None
                 try:
-                    ahead = _dopri5(radial, y[1:3], far - s, step, radial_events)
+                    ahead = _dopri5(lambda r, v: rhs(r, v)[1:3], y[1:3], far - s,
+                                    step, radial_events)
                 except (ArithmeticError, ValueError, StepUnderflowError):
                     return None  # no cut: the half-line runs on as it would
                 if ahead.reason != "boundary":
@@ -350,7 +347,7 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
         if end != 0:
             rule = stop if window is None else cut_rule(d, stop)
             halves["forward" if d > 0 else "backward"] = _dopri5(
-                rhs, y0, end, step, events, rule)
+                rhs, y0, end, step, events, rule, reads=(1, 2))
     return _join(halves)
 
 
@@ -360,12 +357,11 @@ def _at_zero(d):
 
 
 def _profile_rhs(st, alpha):
-    """Right-hand side of the profile state (t, r, dr/ds) on Python floats."""
+    """Right-hand side rhs(r, dr/ds) of the profile state (t, r, dr/ds), on floats."""
     metric = st.metric.evaluate
     a2 = alpha ** 2
 
-    def rhs(y):
-        r, v = y[1], y[2]
+    def rhs(r, v):
         fv, dfv = metric(r)
         return (alpha * r / fv, v, a2 * r - 0.5 * dfv)
 

@@ -545,6 +545,14 @@ def test_isotropic_csv_finite(tmp_path, spacetime, s_hi):
         assert manifest["s_hi"] == pytest.approx(s_hi, rel=1e-10)
 
 
+def test_isotropic_beyond_the_float_range_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", "[spacetime]\nfamily = schwarzschild\n"
+                       "m = 1e300\n[isotropic]\nr0 = 3e300\n")
+    with np.errstate(over="ignore"):
+        assert main(["--config", cfg, "--out", str(tmp_path / "iso"), "isotropic"]) == 3
+    assert "r0 = 3e+300 leaves the float range" in capsys.readouterr().err
+
+
 def test_spheres_out_creates_directory(tmp_path):
     cfg = write_config(tmp_path / "c.ini", SCHW)
     out = tmp_path / "new" / "dir"

@@ -5,6 +5,7 @@ same tableau, step controller and event rule, so dense output, step counts
 and event locations must agree up to rounding.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -39,18 +40,19 @@ from photonsurf.surfaces import ASYMPTOTE_EPS, _sample_grid
 from test_spacetime import ISO_FAMILIES
 
 STEP = StepControl()
+# the components (r, dr/ds) that the radial right-hand sides read
+RADIAL = (1, 2)
 
 
 def profile_rhs(st, alpha):
-    def rhs(y):
-        fv, dfv = st.metric(y[1])
-        return (alpha * y[1] / fv, y[2], alpha ** 2 * y[1] - 0.5 * dfv)
+    def rhs(r, v):
+        fv, dfv = st.metric(r)
+        return (alpha * r / fv, v, alpha ** 2 * r - 0.5 * dfv)
     return rhs
 
 
 def geodesic_rhs(st, energy, ell):
-    def rhs(y):
-        r, v = y[1], y[2]
+    def rhs(r, v):
         fv, dfv = st.metric(r)
         return (energy / fv, v, (ell ** 2 / r ** 3) * (fv - 0.5 * r * dfv),
                 ell / r ** 2, ell / r)
@@ -105,7 +107,7 @@ def cases(name):
 def joined(rhs, y0, span, events):
     """``_dopri5`` from s = 0 to each nonzero end of span = (lo, hi), joined
     into one ``_Solution``."""
-    return ode._join({name: _dopri5(rhs, y0, end, STEP, events)
+    return ode._join({name: _dopri5(rhs, y0, end, STEP, events, reads=RADIAL)
                       for name, end in zip(("backward", "forward"), span) if end != 0})
 
 
@@ -116,7 +118,7 @@ def test_dopri5_matches_scipy_rk45(name):
         rhs = profile_rhs(st, alpha) if system == "profile" \
             else geodesic_rhs(st, alpha, 1.0)
         events = radial_events(st, alpha, spheres)
-        half = _dopri5(rhs, y0, s_end, STEP, events)
+        half = _dopri5(rhs, y0, s_end, STEP, events, reads=RADIAL)
 
         scipy_events = []
         for g, _ in events:
@@ -124,7 +126,7 @@ def test_dopri5_matches_scipy_rk45(name):
                 return g(y)
             ev.terminal = True
             scipy_events.append(ev)
-        sol = solve_ivp(lambda s, y: rhs(y), (0.0, s_end), y0, method="RK45",
+        sol = solve_ivp(lambda s, y: rhs(y[1], y[2]), (0.0, s_end), y0, method="RK45",
                         dense_output=True, rtol=STEP.rtol, atol=STEP.atol,
                         events=scipy_events)
         label = f"{name} {system} alpha={alpha:.6g} s_end={s_end}"
@@ -172,7 +174,7 @@ def test_dopri5_zero_rhs_initial_step_matches_scipy_rk45():
 def test_dopri5_blowup_raises_step_underflow():
     # y' = y^2, y(0) = 1 blows up at s = 1
     with pytest.raises(StepUnderflowError) as info:
-        _dopri5(lambda y: (y[0] ** 2,), (1.0,), 2.0, STEP, [])
+        _dopri5(lambda y: (y ** 2,), (1.0,), 2.0, STEP, [])
     s_last, y_last = info.value.last_state
     assert 0.999 < s_last < 1.0
     assert y_last[0] > 1e6
@@ -186,14 +188,14 @@ def test_dopri5_step_budget(monkeypatch):
     alpha, r0 = 0.3, 4.5
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
     rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
-    half = _dopri5(rhs, y0, -50.0, STEP, events)
+    half = _dopri5(rhs, y0, -50.0, STEP, events, reads=RADIAL)
     assert half.reason == "boundary" and half.stats.rejected > 0
     attempted = half.stats.accepted + half.stats.rejected
     monkeypatch.setattr(ode, "_STEP_BUDGET", attempted)
-    assert _dopri5(rhs, y0, -50.0, STEP, events).stats == half.stats
+    assert _dopri5(rhs, y0, -50.0, STEP, events, reads=RADIAL).stats == half.stats
     monkeypatch.setattr(ode, "_STEP_BUDGET", attempted - 1)
     with pytest.raises(StepBudgetError) as info:
-        _dopri5(rhs, y0, -50.0, STEP, events)
+        _dopri5(rhs, y0, -50.0, STEP, events, reads=RADIAL)
     s_last, y_last = info.value.last_state
     assert half.s_end < s_last < 0
     assert st.r_lo < y_last[1] < r0
@@ -210,7 +212,7 @@ def test_solve_matches_each_half_line(span):
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
     rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
     sol = joined(rhs, y0, span, events)
-    halves = {name: _dopri5(rhs, y0, end, STEP, events)
+    halves = {name: _dopri5(rhs, y0, end, STEP, events, reads=RADIAL)
               for name, end in (("backward", span[0]), ("forward", span[1]))
               if end != 0}
     assert (sol.lo, sol.hi) == (halves["backward"].s_end if span[0] else 0.0,
@@ -240,7 +242,7 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
     rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
 
     def open_solve(direction, extent):
-        return _dopri5(rhs, y0, direction, STEP, events,
+        return _dopri5(rhs, y0, direction, STEP, events, reads=RADIAL,
                        stop=lambda s, y, steps: "far" if abs(s) > extent else None)
 
     for direction, extents in ((math.inf, (2.0, 7.5)), (-math.inf, (0.5, 1.5))):
@@ -260,22 +262,26 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
     assert first.s_end == second.s_end and first.stats == second.stats
 
 
-def _reference_step(rhs, y, k1, h, atol, rtol):
+def _reference_step(rhs, y, k1, h, atol, rtol, reads):
     """One step attempt written as comprehensions over zipped components, the
     form that the unrolled kernels of ``ode._kernel`` replace: stages k2-k7,
-    y_new and the RMS error norm."""
-    k2 = rhs([v + (_A21 * a) * h for v, a in zip(y, k1)])
-    k3 = rhs([v + (_A31 * a + _A32 * b) * h
-              for v, a, b in zip(y, k1, k2)])
-    k4 = rhs([v + (_A41 * a + _A42 * b + _A43 * c) * h
-              for v, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-              for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-              for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new and the RMS error norm. It computes the stage inputs of every
+    component and hands rhs the components ``reads``."""
+    def rates(state):
+        return rhs(*[state[i] for i in reads])
+
+    k2 = rates([v + (_A21 * a) * h for v, a in zip(y, k1)])
+    k3 = rates([v + (_A31 * a + _A32 * b) * h
+                for v, a, b in zip(y, k1, k2)])
+    k4 = rates([v + (_A41 * a + _A42 * b + _A43 * c) * h
+                for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rates([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rates([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
     y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * p)
              for v, a, c, d, e, p in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(y_new)
+    k7 = rates(y_new)
     error_norm = _rms(
         [(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h
          for a, c, d, e, p, q in zip(k1, k3, k4, k5, k6, k7)],
@@ -283,9 +289,22 @@ def _reference_step(rhs, y, k1, h, atol, rtol):
     return y_new, k7, (*k1, *k3, *k4, *k5, *k6, *k7), error_norm
 
 
+def _reference_kernel(n, reads):
+    return functools.partial(_reference_step, reads=reads)
+
+
+def kepler_rhs(x, y, vx, vy):
+    """A Kepler orbit in the plane: every component is read."""
+    r3 = (x * x + y * y) ** 1.5
+    return (vx, vy, -x / r3, -y / r3)
+
+
 def _kernel_cases():
     """name -> solve() returning the half-lines of one run, for state sizes
-    2 (a look-ahead on (r, dr/ds)), 3 (profiles) and 5 (a null geodesic)."""
+    2 (a look-ahead on (r, dr/ds)), 3 (profiles) and 5 (a null geodesic),
+    whose right-hand sides read r and dr/ds alone, and 4 (a Kepler orbit of
+    eccentricity 0.9, one period from apoapsis), whose right-hand side
+    reads every component."""
     st, spheres, runs = cases("schwarzschild-n3")
     alpha, r0 = 0.3, 4.5
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
@@ -315,22 +334,26 @@ def _kernel_cases():
 
     return {
         "lookahead": lookahead_halves,
-        "profile-boundary": lambda: [_dopri5(rhs, y0, -50.0, STEP, events)],
+        "profile-boundary": lambda: [_dopri5(rhs, y0, -50.0, STEP, events,
+                                             reads=RADIAL)],
         "profile-open": lambda: [_dopri5(
-            rhs, y0, math.inf, STEP, events,
+            rhs, y0, math.inf, STEP, events, reads=RADIAL,
             stop=lambda s, y, steps: "far" if s > 7.5 else None)],
         "geodesic": lambda: [_dopri5(geodesic_rhs(st, g_alpha, 1.0), g_y0,
-                                     g_end, STEP, radial_events(st, g_alpha, spheres))],
+                                     g_end, STEP, radial_events(st, g_alpha, spheres),
+                                     reads=RADIAL)],
+        "kepler": lambda: [_dopri5(kepler_rhs, (1.0, 0.0, 0.0, math.sqrt(0.1)),
+                                   2 * math.pi / 1.9 ** 1.5, STEP, [])],
     }
 
 
 @pytest.mark.parametrize("name, n, reason", [
     ("lookahead", 2, "boundary"), ("profile-boundary", 3, "boundary"),
-    ("profile-open", 3, "far"), ("geodesic", 5, "boundary")])
+    ("profile-open", 3, "far"), ("geodesic", 5, "boundary"), ("kepler", 4, "span")])
 def test_kernel_matches_reference_stepper_bit_for_bit(monkeypatch, name, n, reason):
     solve = _kernel_cases()[name]
     halves = solve()
-    monkeypatch.setattr(ode, "_kernel", lambda size: _reference_step)
+    monkeypatch.setattr(ode, "_kernel", _reference_kernel)
     reference = solve()
     assert len(halves) == len(reference) >= 1
     for half, ref in zip(halves, reference):
@@ -348,21 +371,28 @@ def test_kernel_matches_reference_stepper_on_blowup(monkeypatch):
     # n = 1: both step forms underflow at the same point of y' = y^2
     def last_state():
         with pytest.raises(StepUnderflowError) as info:
-            _dopri5(lambda y: (y[0] ** 2,), (1.0,), 2.0, STEP, [])
+            _dopri5(lambda y: (y ** 2,), (1.0,), 2.0, STEP, [])
         return str(info.value), info.value.last_state
 
     kernel = last_state()
-    monkeypatch.setattr(ode, "_kernel", lambda size: _reference_step)
+    monkeypatch.setattr(ode, "_kernel", _reference_kernel)
     assert kernel == last_state()
 
 
 def test_kernel_compiled_once_per_state_size(monkeypatch):
+    # once per state size and components read: the profile's n = 3 kernel
+    # reading (r, dr/ds), and the n = 2 look-ahead reading both components
     monkeypatch.setattr(ode, "_KERNELS", {})
     solve = _kernel_cases()["profile-boundary"]
     solve()
-    first = ode._KERNELS[3]
+    first = ode._KERNELS[3, RADIAL]
     solve()
-    assert ode._KERNELS == {3: first}
+    assert ode._KERNELS == {(3, RADIAL): first}
+    lookahead = _kernel_cases()["lookahead"]
+    lookahead()
+    second = ode._KERNELS[2, (0, 1)]
+    lookahead()
+    assert ode._KERNELS == {(3, RADIAL): first, (2, (0, 1)): second}
     # and none is built on import
     src = os.path.dirname(os.path.dirname(ode.__file__))
     out = subprocess.run(
@@ -374,7 +404,7 @@ def test_kernel_compiled_once_per_state_size(monkeypatch):
 
 def test_dopri5_float_range_ends_at_last_accepted_step():
     def rhs(y):  # y = s leaves the float range of this rhs past s = 10
-        if y[0] > 10:
+        if y > 10:
             raise OverflowError("math range error")
         return (1.0,)
 
@@ -403,8 +433,9 @@ def _invert_cases():
     alpha, r0 = 1.5 * sp.alpha_star, 1.5 * sp.r_star
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
     rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
-    out = {name: (joined(rhs, y0, span, events), 0, rhs) for name, span in (
-        ("forward", (0.0, 6.0)), ("backward", (-6.0, 0.0)), ("joined", (-50.0, 6.0)))}
+    out = {name: (joined(rhs, y0, span, events), 0, lambda y: rhs(y[1], y[2]))
+           for name, span in (("forward", (0.0, 6.0)), ("backward", (-6.0, 0.0)),
+                              ("joined", (-50.0, 6.0)))}
     out["linear"] = (ode._linear((0.5, 3.0, 0.0), (2.0, 0.0, 0.0), (-5.0, 5.0)), 0, None)
     # the isotropic map of Schwarzschild-AdS, u = log(s/C) over x, whose
     # steps out to r = 5e16 have du/dx = 2L/r down to about 4e-16
@@ -576,8 +607,8 @@ def test_quadrature_matches_the_dopri5_map(name, r0):
     # n = 5 at r0 = 3), and each half-line takes at most 10 % or one step
     # more or fewer
     (g, x0, span, step), sol = quadrature_of_map(ISO_FAMILIES[name], r0)
-    ref = ode._join({half: _dopri5(lambda y: (1.0, float(g(np.array([y[0]]))[0])),
-                                   (x0, 0.0), end, step, [])
+    ref = ode._join({half: _dopri5(lambda x: (1.0, float(g(np.array([x]))[0])),
+                                   (x0, 0.0), end, step, [], reads=(0,))
                      for half, end in zip(("backward", "forward"), span)})
     assert (sol.lo, sol.hi) == (ref.lo, ref.hi)
     x = np.linspace(*span, 20001)
@@ -611,8 +642,8 @@ def test_quadrature_of_a_non_finite_g_fails_as_dopri5_does():
              "pole": lambda x: 1.0 / (1.0 - x)}
     for name, g in cases.items():
         with np.errstate(all="ignore"), pytest.raises(StepUnderflowError):
-            _dopri5(lambda y: (1.0, float(g(np.array([y[0]]))[0])), (0.0, 0.0),
-                    2.0, ISO_STEP, [])
+            _dopri5(lambda x: (1.0, float(g(np.array([x]))[0])), (0.0, 0.0),
+                    2.0, ISO_STEP, [], reads=(0,))
         with pytest.raises(StepUnderflowError):
             ode._quadrature(g, 0.0, (-0.5, 2.0), ISO_STEP)
     # NaN at the start, where the stepper's steps turn NaN until its budget

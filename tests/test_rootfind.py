@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from photonsurf import StepControl, build_family, ode
+from photonsurf import StepControl, build_family, ode, surfaces
 from photonsurf.ode import _EVENT_TOL, _brentq, _dense_eval, _dopri5
-from photonsurf.surfaces import PHOTON_SPHERE_XTOL
+from photonsurf.surfaces import PHOTON_SPHERE_XTOL, SCAN_GRID, _scan_roots
 
 SPACETIMES = {
     "schwarzschild-n3": dict(family="schwarzschild", n=3, m=1),
@@ -80,14 +80,14 @@ def test_dense_output_events_match_scipy(s_end):
     st = build_family("schwarzschild", n=3, m=1)
     alpha, r0 = 0.3, 4.5
 
-    def rhs(y):
-        fv, dfv = st.metric(y[1])
-        return (alpha * y[1] / fv, y[2], alpha ** 2 * y[1] - 0.5 * dfv)
+    def rhs(r, v):
+        fv, dfv = st.metric(r)
+        return (alpha * r / fv, v, alpha ** 2 * r - 0.5 * dfv)
 
     r_stop = st.r_lo * (1 + 1e-9)
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
     half = _dopri5(rhs, y0, s_end, StepControl(),
-                   [(lambda y: y[1] - r_stop, "boundary")])
+                   [(lambda y: y[1] - r_stop, "boundary")], reads=(1, 2))
     assert half.reason == ("boundary" if s_end < 0 else "span")
     T, H = half.dense[:2]
     assert len(T) > 20
@@ -134,3 +134,65 @@ def test_errors_match_scipy(monkeypatch):
     monkeypatch.setattr(ode, "_BRENT_MAXITER", 2)
     with pytest.raises(RuntimeError):
         _brentq(math.cos, 0.0, 3.0, 2e-12, 8.9e-16)
+
+
+def _scan_roots_loop(g, lo, hi, brentq):
+    """``surfaces._scan_roots`` as a loop over the pairs of grid values."""
+    rs = np.geomspace(lo, hi, SCAN_GRID)
+    vals = g(rs)
+    roots = []
+    for i in range(len(rs) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(float(rs[i]))
+        elif a * b < 0:
+            roots.append(brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16))
+    if vals[-1] == 0.0:
+        roots.append(float(rs[-1]))
+    return roots
+
+
+def test_scan_roots_matches_the_loop_over_pairs(monkeypatch):
+    # roots at grid nodes (exact zeros, the first and last nodes among
+    # them), roots in adjacent grid intervals, a NaN stretch that ends at a
+    # root, and values whose products under- and overflow: the same
+    # brackets, in the same order, and the same root bits
+    lo, hi = 2.0, 50.0
+    rs = np.geomspace(lo, hi, SCAN_GRID)
+    nodes = [rs[0], rs[40], rs[41], rs[-1]]
+    mids = [(rs[i] + rs[i + 1]) / 2 for i in (100, 101, 102, 300)]
+
+    def poly(r):
+        out = 1.0
+        for c in (*nodes, *mids, 30.0, 31.0):
+            out = out * (r - c)
+        return out
+
+    cases = {
+        "poly": poly,
+        "nan": lambda r: np.where((r > 29.0) & (r < 30.0), np.nan, poly(r)),
+        "tiny": lambda r: 1e-200 * np.sin(r),
+        "huge": lambda r: 1e200 * np.sin(r),
+    }
+    calls = {"array": [], "loop": []}
+
+    def recorder(key):
+        def brentq(g, a, b, xtol, rtol):
+            calls[key].append((a, b, xtol, rtol))
+            return _brentq(g, a, b, xtol, rtol)
+        return brentq
+
+    monkeypatch.setattr(surfaces, "_brentq", recorder("array"))
+    for name, g in cases.items():
+        for log in calls.values():
+            log.clear()
+        with np.errstate(all="ignore"):
+            roots = _scan_roots(g, lo, hi)
+            reference = _scan_roots_loop(g, lo, hi, recorder("loop"))
+        assert [x.hex() for x in roots] == [x.hex() for x in reference], name
+        assert calls["array"] == calls["loop"], name
+        if name == "poly":
+            assert len(calls["array"]) == len(mids) + 2
+            assert set(nodes) <= set(roots) and len(roots) == len(nodes) + len(mids) + 2
+        if name == "nan":  # the root 30 at the edge of the NaN stretch is lost
+            assert len(roots) == len(nodes) + len(mids) + 1 and 30.0 not in roots

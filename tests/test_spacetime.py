@@ -86,6 +86,13 @@ def test_custom_allows_n2():
     assert st.f(1.0) == 1.0
 
 
+def test_custom_rejects_a_profile_nan_inside_its_interval():
+    # f(2.5) = NaN: NaN <= 0 is False, so the check reads f > 0 instead
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidFamilyParamsError) as info:
+        custom_spacetime(lambda r: np.sqrt(r - 3.0) + 0.5, 3, 2.0, 10.0)
+    assert "f(r) = nan" in str(info.value)
+
+
 def test_custom_numeric_derivative():
     st = custom_spacetime(lambda r: 1 - 2 / r, n=3, r_lo=2.0, r_hi=100.0)
     assert st.fprime(5.0) == pytest.approx(2 / 25, rel=1e-9)
@@ -155,6 +162,14 @@ def test_table_profile_bad_header(tmp_path):
 
 
 # isotropic form ------------------------------------------------------------
+
+def test_isotropic_beyond_the_float_range_raises_domain_error():
+    # f'(r_lo) = 2m / r_lo^2 leaves the float range with m = 1e300
+    with np.errstate(over="ignore"):  # the positivity scan of f' overflows too
+        st = build_family("schwarzschild", m=1e300)
+    with pytest.raises(DomainError, match=r"r0 = 3e\+300 leaves the float range"):
+        to_isotropic(st, 3e300)
+
 
 def test_isotropic_schwarzschild_closed_form(schw3_iso):
     # phi_m = (1 + m/(2s))^2 and Ntilde = (1 - m/2s)/(1 + m/2s) at n = 3
