@@ -26,12 +26,13 @@ from .surfaces import (
     PhotonSphere,
     ProfileCurve,
     StepControl,
-    _at_zero,
     _check_span,
     _curve,
     _fixed_radius,
     _integrate_radial,
     _sample_grid,
+    _snapped_sphere,
+    _start_rate,
     _window,
     find_photon_spheres,
 )
@@ -111,8 +112,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     span end, interval boundary, or photon-sphere asymptote.
     """
     _check_span(span)
-    sol = _null_solution(st, charges, r0, sign, span, step, spheres,
-                         window=(span, step.sample_spacing, _at_zero))
+    sol = _null_solution(st, charges, r0, sign, span, step, spheres)
     E, ell = charges.energy, charges.angular_momentum
     s, (t, r, v, phi, sigma), _ = _window(sol, 0.0, span, step.sample_spacing)
     f = st.f(r)
@@ -125,12 +125,11 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
         null_residual=residual, solve_stats=sol.stats, _dense=sol)
 
 
-def _null_solution(st, charges, r0, sign, span, step, spheres,
-                   stops=(None, None), window=None):
+def _null_solution(st, charges, r0, sign, span, step, spheres, stops=(None, None)):
     """The ``ode._Solution`` of the reduced null-geodesic state
     (t, r, dr/ds, phi, sigma) from r0 at s = 0 over span, by
-    ``_integrate_radial`` with ``stops`` and ``window``, or, for data held
-    on a photon sphere, the exact circular orbit over span."""
+    ``_integrate_radial`` with ``stops``, or, for data held on a photon
+    sphere, the exact circular orbit over span."""
     E, ell = charges.energy, charges.angular_momentum
     if not st.contains(r0):
         raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
@@ -142,13 +141,8 @@ def _null_solution(st, charges, r0, sign, span, step, spheres,
                        (E / st.f(r_fix), 0.0, 0.0, ell / r_fix ** 2, ell / r_fix),
                        span)
     f0 = st.f(r0)
-    disc = E ** 2 - ell ** 2 * f0 / r0 ** 2
-    if disc < -1e-12 * E ** 2:
-        raise ForbiddenRadiusError(
-            f"E^2 = {E**2:.6g} < ell^2 f(r0)/r0^2 = {ell**2*f0/r0**2:.6g}: "
-            "forbidden initial radius")
-    if sign == 0 and disc > 1e-12 * E ** 2:
-        raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
+    v0 = _start_rate(sign, E ** 2, ell ** 2 * f0 / r0 ** 2, E ** 2, (
+        "E^2", "ell^2 f(r0)/r0^2", "forbidden initial radius"))
     metric = st.metric.evaluate
     ell2 = ell ** 2
 
@@ -157,9 +151,8 @@ def _null_solution(st, charges, r0, sign, span, step, spheres,
         return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
                 ell / r ** 2, ell / r)
 
-    y0 = (0.0, r0, sign * math.sqrt(max(disc, 0.0)), 0.0, 0.0)
-    return _integrate_radial(st, rhs, y0, span, step,
-                             E / ell if ell > 0 else None, spheres, stops, window)
+    sphere = _snapped_sphere(spheres, E / ell) if ell > 0 else None
+    return _integrate_radial(st, rhs, (0.0, r0, v0, 0.0, 0.0), span, step, sphere, stops)
 
 
 def generated_surface_profile(traj: NullGeodesicTrajectory,
@@ -199,8 +192,8 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
     is involved. The exact circular orbit covers every time at r_*.
     """
     t_first, t_last = float(t[0]), float(t[-1])
-    stops = (lambda s, y, steps: "span" if y[0] <= t_first else None,
-             lambda s, y, steps: "span" if y[0] >= t_last else None)
+    stops = (lambda s, y, taken: "span" if y[0] <= t_first else None,
+             lambda s, y, taken: "span" if y[0] >= t_last else None)
     span = (-math.inf if t[0] < 0 else 0.0, math.inf if t[-1] > 0 else 0.0)
     sol = _null_solution(st, charges, r0, sign, span, step, spheres, stops)
     if not sol.stats:

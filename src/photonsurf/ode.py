@@ -218,14 +218,15 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
     "float-range", not counting that attempt; before the first accepted step
     it raises ``StepUnderflowError``.
 
-    A ``stop`` rule is called as stop(s, y, steps) at the end of every
-    accepted step, at the event's root for the step an event ends; ``steps``
-    holds the accepted steps so far, that step last, as four lists
-    (T, H, Y, K) in the order taken. The solve ends after the first step at
-    whose end the rule returns a reason rather than None, unless an event
-    ended it first. An infinite s_end makes the solve open-ended: no
-    step is clipped and the initial step ignores the extent, so an open
-    solve whose rule stops later extends one that stops earlier bit for bit.
+    A ``stop`` rule is called as stop(s, y, taken) at the end of every
+    accepted step, at the event's root for the step an event ends; ``taken``
+    is that step's (T, H, Y, K): its start, signed step, start state and
+    stages, one item each of what ``_dense_arrays`` takes. The solve ends
+    after the first step at whose end the rule returns a reason rather than
+    None, unless an event ended it first. An infinite s_end makes the solve
+    open-ended: no step is clipped and the initial step ignores the extent,
+    so an open solve whose rule stops later extends one that stops earlier
+    bit for bit.
     """
     rtol, atol = step.rtol, step.atol
     direction = 1.0 if s_end > 0 else -1.0
@@ -242,14 +243,14 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
     rejected, toward = 0, direction * math.inf
     funcs = [ev for ev, _ in events]
     g = [ev(y) for ev in funcs]
-    steps = ts, hs, ys, ks = [], [], [], []
+    steps = []  # (T, H, Y, K) of each accepted step
     reason = "span"
     while direction * (t - s_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
-            if len(ts) + rejected >= _STEP_BUDGET:
+            if len(steps) + rejected >= _STEP_BUDGET:
                 raise StepBudgetError(
                     f"step budget of {_STEP_BUDGET} attempted steps spent at "
                     f"s = {t:.6g} before the end of the span",
@@ -267,7 +268,7 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
             try:
                 y_new, k7, stages, error_norm = kernel(rhs, y, f, h, atol, rtol)
             except OverflowError:
-                if not ts:
+                if not steps:
                     raise _float_range_error(t, y) from None
                 reason = "float-range"
                 break
@@ -284,16 +285,14 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
         if reason == "float-range":
             break
 
-        ts.append(t)
-        hs.append(h)
-        ys.append(y)
-        ks.append(stages)
+        taken = (t, h, y, stages)
+        steps.append(taken)
         t_old, t, y, f = t, t_new, y_new, k7
         if funcs:
             g_old, g = g, [ev(y) for ev in funcs]
             for a, b in zip(g_old, g):
                 if a <= 0 <= b or b <= 0 <= a:
-                    last = _dense_arrays(*(x[-1:] for x in steps))
+                    last = _dense_arrays(*zip(taken))
                     hits = [(_brentq(lambda s: ev(_dense_eval(last, np.array([s]))[:, 0]),
                                      t_old, t, _EVENT_TOL, _EVENT_TOL), tag)
                             for (ev, tag), a, b in zip(events, g_old, g)
@@ -301,16 +300,16 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
                     t, reason = min(hits, key=lambda hit: direction * hit[0])
                     y = _dense_eval(last, np.array([t]))[:, 0].tolist()
                     break
-        stopped = None if stop is None else stop(t, y, steps)
+        stopped = None if stop is None else stop(t, y, taken)
         if reason != "span":
             break
         if stopped is not None:
             reason = stopped
             break
 
-    stats = SolveStats(len(ts), rejected, 2 + 6 * (len(ts) + rejected))
+    stats = SolveStats(len(steps), rejected, 2 + 6 * (len(steps) + rejected))
     order = slice(None, None, 1 if direction > 0 else -1)
-    return _HalfLine(_dense_arrays(*(x[order] for x in steps)), t, reason, stats)
+    return _HalfLine(_dense_arrays(*zip(*steps[order])), t, reason, stats)
 
 
 def _initial_step(rhs, reads, y, f, direction, length, step):
@@ -442,7 +441,8 @@ def _brentq(f, a, b, xtol, rtol):
     the same bits: the same bracket bookkeeping, interpolation or
     extrapolation step taken only when it is short, and stop once the
     bracket half-width or the step is below delta = (xtol + rtol |x|) / 2.
-    Raises ValueError when
+    An extrapolation whose denominator underflows to 0 counts as long, so
+    it bisects, as C does on its inf or NaN quotient. Raises ValueError when
     f(a) and f(b) have the same sign or f returns NaN, and RuntimeError
     after ``_BRENT_MAXITER`` iterations.
     """
@@ -481,8 +481,11 @@ def _brentq(f, a, b, xtol, rtol):
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:  # C's quotient is inf or NaN: not short
+                    stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:

@@ -124,7 +124,8 @@ class ClassSSpacetime:
 def _check_positive_f(st: ClassSSpacetime, samples: int = 256) -> None:
     lo, hi = st.default_bracket()
     rs = np.geomspace(lo, hi, samples)
-    fs = st.f(rs)
+    with np.errstate(all="ignore"):  # f' is not read; a NaN f fails below
+        fs = st.f(rs)
     if not np.all(fs > 0):  # NaN fails too, and argmin finds it first
         i = np.argmin(fs)
         raise InvalidFamilyParamsError(
@@ -185,14 +186,20 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             raise InvalidFamilyParamsError(
                 "reissner-nordstrom built-in is n = 3 only; use a custom profile")
         m, q = float(m), float(q)
-        if q ** 2 > m ** 2:
+        try:
+            m2, q2 = m ** 2, q ** 2
+        except OverflowError:
+            raise InvalidFamilyParamsError(
+                f"reissner-nordstrom: m^2 or q^2 of m = {m!r}, q = {q!r} is outside "
+                "the float range") from None
+        if q2 > m2:
             flags = ("super-extremal",)
             rplus = 0.0
 
             def fval(r, m=m, q=q):
                 return 1 - 2 * m / r + q ** 2 / r ** 2
         else:
-            root = math.sqrt(m ** 2 - q ** 2)
+            root = math.sqrt(m2 - q2)
             rplus = m + root
 
             def fval(r, rp=rplus, rm=m - root):

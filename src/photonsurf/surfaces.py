@@ -183,13 +183,14 @@ def _scan_roots(g, lo, hi):
     refined by ``_brentq``.
 
     g is evaluated on the whole grid in one call, then on scalars by
-    ``_brentq``: a node where g is 0 is a root, else one where the product
-    with the next node's value is negative starts a bracket.
+    ``_brentq``: a node where g is 0 is a root, else one whose value and the
+    next node's have opposite signs starts a bracket (NaN has no sign).
     """
     rs = np.geomspace(lo, hi, SCAN_GRID)
     vals = g(rs)
-    zero = vals == 0.0
-    nodes = np.flatnonzero(zero | np.append(vals[:-1] * vals[1:] < 0, False))
+    zero, a, b = vals == 0.0, vals[:-1], vals[1:]
+    change = (a < 0) & (b > 0) | (a > 0) & (b < 0)
+    nodes = np.flatnonzero(zero | np.append(change, False))
     return [float(rs[i]) if zero[i] else
             _brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16)
             for i in nodes.tolist()]
@@ -262,7 +263,7 @@ def _reads(d, starts, span, spacing, end):
     return reads
 
 
-def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
+def _integrate_radial(st, rhs, y0, span, step, sphere=None,
                       stops=(None, None), window=None, first=1):
     """Integrate an autonomous radial system over both half-lines of span.
 
@@ -270,47 +271,48 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
     rates. Each half-line, started at s = 0, stops at its span end (an
     infinite one only by its rule in ``stops`` = (backward, forward), see
     ``ode._dopri5``), at the radial interval boundary r_lo (1 + 1e-9) or
-    r_hi (1 - 1e-9), or when it comes within ASYMPTOTE_EPS of a photon
-    sphere whose factor matches ``alpha`` (None: no such test). The
-    half-line in direction ``first`` is solved first.
+    r_hi (1 - 1e-9), or when it comes within ASYMPTOTE_EPS of the photon
+    sphere ``sphere`` (None: no such test), the one whose band holds the
+    caller's factor (``_snapped_sphere``). The half-line in direction
+    ``first`` is solved first.
 
-    ``window`` = (wspan, spacing, starts) names the samples the caller
-    will read: ``_sample_grid(wspan, spacing)`` about each s0 of
-    starts(d), where d is the direction of the half-line being solved;
-    starts returns None while it cannot tell. A half-line that comes within
-    _LOOKAHEAD_BAND of an interval end, heading there, then looks ahead: a
-    ``_dopri5`` run of (r, dr/ds) alone from its state, with its events,
-    over what the samples need. When that run ends at the boundary, the
-    half-line, whose dt/ds grows without bound there, ends with reason
-    "boundary" at its first accepted step end from which ``_window`` reads
-    every window as it would from a solve ending at the crossing (``_reads``):
-    past its span end when that lies before the crossing, else past its
-    last sample before it. Its steps up to there are those of the solve
-    without look-ahead, and the samples and cut flags are the same unless
-    one lies within rounding of the crossing.
+    ``window`` = (wspan, starts) names the samples the caller will read:
+    ``_sample_grid(wspan, step.sample_spacing)`` about each s0 of starts(d),
+    where d is the direction of the half-line being solved; starts returns
+    None while it cannot tell. A finite span without ``window`` is its own
+    window about s = 0; an infinite one has none. A half-line that comes
+    within _LOOKAHEAD_BAND of an interval end, heading there, then looks
+    ahead: a ``_dopri5`` run of (r, dr/ds) alone from its state, with the
+    same events, over what the samples need. When that run ends at the
+    boundary, the half-line, whose dt/ds grows without bound there, ends
+    with reason "boundary" at its first accepted step end from which
+    ``_window`` reads every window as it would from a solve ending at the
+    crossing (``_reads``): past its span end when that lies before the
+    crossing, else past its last sample before it. Its steps up to there
+    are those of the solve without look-ahead, and the samples and cut
+    flags are the same unless one lies within rounding of the crossing.
     Returns the ``ode._Solution``.
     """
     r_lo, r_hi = st.r_lo, st.r_hi
     r_stop_lo, r_stop_hi = r_lo * (1 + 1e-9) if r_lo > 0 else 0.0, r_hi * (1 - 1e-9)
-    sp = _snapped_sphere(spheres, alpha) if alpha is not None else None
-    events, radial_events = [], []  # of the states with r = y[i], dr/ds = y[j]
-    for evs, i, j in ((events, 1, 2), (radial_events, 0, 1)):
-        evs.append((lambda y, i=i: y[i] - r_stop_lo, "boundary"))
-        if math.isfinite(r_hi):
-            evs.append((lambda y, i=i: r_stop_hi - y[i], "boundary"))
-        if sp is not None:
-            evs.append((lambda y, i=i, j=j: (y[i] - sp.r_star) ** 2 + y[j] ** 2
-                        - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
+    events = [(lambda y: y[1] - r_stop_lo, "boundary")]
+    if math.isfinite(r_hi):
+        events.append((lambda y: r_stop_hi - y[1], "boundary"))
+    if sphere is not None:
+        events.append((lambda y: (y[1] - sphere.r_star) ** 2 + y[2] ** 2
+                       - ASYMPTOTE_EPS ** 2, "asymptotic-to-photon-sphere"))
+    if window is None and math.isfinite(span[0]) and math.isfinite(span[1]):
+        window = (span, lambda d: (0.0,))
 
     def cut_rule(d, stop):
         """``stop``, and the boundary cut of the half-line in direction d."""
-        wspan, spacing, starts_of = window
+        (wspan, starts_of), spacing = window, step.sample_spacing
         band_lo, band_hi = _LOOKAHEAD_BAND * r_lo, _LOOKAHEAD_BAND * r_hi
         reads = None  # what the windows read; False: the half-line needs no cut
 
-        def rule(s, y, steps):
+        def rule(s, y, taken):
             nonlocal reads
-            reason = None if stop is None else stop(s, y, steps)
+            reason = None if stop is None else stop(s, y, taken)
             if reason is not None or reads is False:
                 return reason
             if reads is None:
@@ -329,8 +331,8 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
                 if d * (far - s) <= 0:
                     return None
                 try:
-                    ahead = _dopri5(lambda r, v: rhs(r, v)[1:3], y[1:3], far - s,
-                                    step, radial_events)
+                    ahead = _dopri5(lambda r, v: rhs(r, v)[1:3], y[1:3], far - s, step, [
+                        (lambda y, g=g: g((0.0, *y)), tag) for g, tag in events])
                 except (ArithmeticError, ValueError, StepUnderflowError):
                     return None  # no cut: the half-line runs on as it would
                 if ahead.reason != "boundary":
@@ -351,9 +353,20 @@ def _integrate_radial(st, rhs, y0, span, step, alpha, spheres,
     return _join(halves)
 
 
-def _at_zero(d):
-    """``_integrate_radial`` starts of a curve sampled about s = 0 alone."""
-    return (0.0,)
+def _start_rate(sign, rate2, bound, scale, names):
+    """dr/ds at s = 0 of sign ``sign``, where (dr/ds)^2 = rate2 - bound.
+
+    Raises ForbiddenRadiusError when rate2 - bound < -1e-12 scale, naming
+    rate2 and bound by ``names`` = (rate2's, bound's, what that means), and
+    when sign is 0 but rate2 - bound > 1e-12 scale (no turning point).
+    """
+    disc = rate2 - bound
+    if disc < -1e-12 * scale:
+        raise ForbiddenRadiusError(
+            f"{names[0]} = {rate2:.6g} < {names[1]} = {bound:.6g}: {names[2]}")
+    if sign == 0 and disc > 1e-12 * scale:
+        raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
+    return sign * math.sqrt(max(disc, 0.0))
 
 
 def _profile_rhs(st, alpha):
@@ -390,19 +403,11 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
         tdot0 = 1.0 / math.sqrt(st.f(r_fix))
         sol = _linear((spec.t0, r_fix, 0.0), (tdot0, 0.0, 0.0), spec.span)
     else:
-        f0 = st.f(spec.r0)
-        disc = alpha ** 2 * spec.r0 ** 2 - f0
-        scale = max(1.0, alpha ** 2 * spec.r0 ** 2)
-        if disc < -1e-12 * scale:
-            raise ForbiddenRadiusError(
-                f"alpha^2 r0^2 = {alpha**2*spec.r0**2:.6g} < f(r0) = {f0:.6g}: "
-                "no real initial dr/ds")
-        if spec.sign == 0 and disc > 1e-12 * scale:
-            raise ForbiddenRadiusError("sign = 0 is only valid at a turning point")
-        y0 = (spec.t0, spec.r0, spec.sign * math.sqrt(max(disc, 0.0)))
-        sol = _integrate_radial(st, _profile_rhs(st, alpha), y0, spec.span,
-                                step, alpha, spheres, window=(
-                                    spec.span, step.sample_spacing, _at_zero))
+        a2r2 = alpha ** 2 * spec.r0 ** 2
+        v0 = _start_rate(spec.sign, a2r2, st.f(spec.r0), max(1.0, a2r2), (
+            "alpha^2 r0^2", "f(r0)", "no real initial dr/ds"))
+        sol = _integrate_radial(st, _profile_rhs(st, alpha), (spec.t0, spec.r0, v0),
+                                spec.span, step, _snapped_sphere(spheres, alpha))
 
     s, (t, r, v), _ = _window(sol, 0.0, spec.span, step.sample_spacing)
     curve = _curve(st, alpha, s, t, r, v, sol.reasons, sol.stats)
@@ -479,19 +484,17 @@ def _orbit_stop(d, cells, extent, monotone, s0s, passed):
     """
     todo, far = dict(cells), None
 
-    def stop(s, y, steps):
+    def stop(s, y, taken):
         nonlocal far
         if monotone and not y[2] > 0:
             return _TURNED_BACK
         now = [i for i, r0 in todo.items() if d * (y[1] - r0) > 0]
         if now:
             # the step's nodes in ascending s, and so in ascending r
-            (s_a, r_a), (s_b, r_b) = sorted([(steps[0][-1], steps[2][-1][1]),
-                                             (s, y[1])])
+            (s_a, r_a), (s_b, r_b) = sorted([(taken[0], taken[2][1]), (s, y[1])])
             targets = [todo.pop(i) for i in now]
             x0 = np.interp(np.array(targets), (r_a, r_b), (s_a, s_b)).tolist()
-            last = [x[-1] for x in steps]  # the step's T, H, Y and K
-            passed.extend((i, r0, x, s_a, s_b, *last)
+            passed.extend((i, r0, x, s_a, s_b, *taken)
                           for i, r0, x in zip(now, targets, x0))
         if todo:
             return None
@@ -587,9 +590,8 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
                  _orbit_stop(1, sides[1], span[1], monotone[1], s0s, passed))
         y0 = (0.0, r_a, math.sqrt(max(alpha ** 2 * r_a ** 2 - st.f(r_a), 0.0)))
         try:
-            sol = _integrate_radial(
-                st, rhs, y0, (-math.inf, math.inf), step, alpha, spheres, stops,
-                (span, step.sample_spacing, starts), first)
+            sol = _integrate_radial(st, rhs, y0, (-math.inf, math.inf), step,
+                                    stops=stops, window=(span, starts), first=first)
         except StepUnderflowError:
             continue
         _orbit_starts(passed, s0s)  # the cells of a half that ended early

@@ -710,6 +710,10 @@ print(run("table", "profile"), "scipy.interpolate" in sys.modules)
     ("family = schwarzschild-ads\nm = 1e-300\nL = 10", 2),
     ("family = schwarzschild\nm = 1e-300", 2),
     ("family = reissner-nordstrom\nm = 1e-300\nq = 0", 2),  # r_+^3 underflows
+    # m^2 overflows
+    ("family = reissner-nordstrom\nm = 2e154\nq = 1e154", 2),
+    ("family = reissner-nordstrom\nm = 1e155\nq = 0", 2),
+    ("family = reissner-nordstrom\nm = 1e200\nq = 0", 2),
 ])
 def test_family_params_contract(tmp_path, capsys, body, code):
     cfg = write_config(tmp_path / "c.ini", f"[spacetime]\n{body}\n"

@@ -20,11 +20,17 @@ SPACETIMES = {
 }
 
 
-def scan_brackets(st, g, grid=512):
+def opposite(a, b):
+    """Whether a and b have opposite signs: the bracket rule of
+    surfaces._scan_roots, which no product under- or overflow can change."""
+    return a < 0 < b or b < 0 < a
+
+
+def scan_brackets(lo, hi, g, grid=512):
     """Sign-change brackets of g on the scan grid of surfaces._scan_roots."""
-    rs = np.geomspace(*st.default_bracket(), grid)
+    rs = np.geomspace(lo, hi, grid)
     vals = g(rs)
-    return [(rs[i], rs[i + 1]) for i in range(grid - 1) if vals[i] * vals[i + 1] < 0]
+    return [(rs[i], rs[i + 1]) for i in range(grid - 1) if opposite(vals[i], vals[i + 1])]
 
 
 def assert_same_root(g, a, b, xtol, rtol):
@@ -39,7 +45,7 @@ def test_photon_sphere_roots_match_scipy(name):
         fv, dfv = st.metric(r)
         return dfv * r - 2 * fv
 
-    brackets = scan_brackets(st, g)
+    brackets = scan_brackets(*st.default_bracket(), g)
     assert brackets
     for a, b in brackets:
         assert_same_root(g, a, b, PHOTON_SPHERE_XTOL, 8.9e-16)
@@ -53,7 +59,7 @@ def test_turning_point_roots_match_scipy():
             def g(r, alpha=alpha):
                 return alpha ** 2 * r ** 2 - st.f(r)
 
-            for a, b in scan_brackets(st, g):
+            for a, b in scan_brackets(*st.default_bracket(), g):
                 assert_same_root(g, a, b, PHOTON_SPHERE_XTOL, 8.9e-16)
                 found += 1
     assert found >= 50
@@ -145,7 +151,7 @@ def _scan_roots_loop(g, lo, hi, brentq):
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             roots.append(float(rs[i]))
-        elif a * b < 0:
+        elif opposite(a, b):
             roots.append(brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16))
     if vals[-1] == 0.0:
         roots.append(float(rs[-1]))
@@ -196,3 +202,18 @@ def test_scan_roots_matches_the_loop_over_pairs(monkeypatch):
             assert set(nodes) <= set(roots) and len(roots) == len(nodes) + len(mids) + 2
         if name == "nan":  # the root 30 at the edge of the NaN stretch is lost
             assert len(roots) == len(nodes) + len(mids) + 1 and 30.0 not in roots
+        if name in ("tiny", "huge"):  # products that under- or overflow
+            assert [x.hex() for x in roots] == [x.hex() for x in _scan_roots(np.sin, lo, hi)]
+            assert len(roots) == 15, name
+
+
+def test_roots_of_values_near_the_underflow_match_scipy():
+    # on 1e-200 sin(r) the extrapolation denominator of Brent's step
+    # underflows to 0 in some brackets, where scipy's C code bisects
+    g = (lambda r: 1e-200 * np.sin(r))
+    brackets = scan_brackets(2.0, 50.0, g)
+    assert len(brackets) == 15
+    for a, b in brackets:
+        assert_same_root(g, a, b, PHOTON_SPHERE_XTOL, 8.9e-16)
+        assert _brentq(g, a, b, PHOTON_SPHERE_XTOL, 8.9e-16) == \
+            brentq(np.sin, a, b, xtol=PHOTON_SPHERE_XTOL, rtol=8.9e-16)

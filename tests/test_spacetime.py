@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ def test_reissner_nordstrom_super_extremal_flag():
 def test_reissner_nordstrom_rejects_higher_dim():
     with pytest.raises(InvalidFamilyParamsError):
         build_family("reissner-nordstrom", n=4, m=1, q=0.5)
+
+
+@pytest.mark.parametrize("m, q", [(2e154, 1e154), (1e155, 0.0), (1e200, 0.0), (1.0, 3e154)])
+def test_reissner_nordstrom_beyond_the_float_range_is_invalid(m, q):
+    # m^2 or q^2 overflows a Python float
+    with pytest.raises(InvalidFamilyParamsError,
+                       match="reissner-nordstrom: .* outside the float range"):
+        build_family("reissner-nordstrom", m=m, q=q)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_positivity_scan_keeps_its_warnings(n):
+    # f' = 2 p m / r^(p + 1) overflows on the scan of f > 0 with m = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = build_family("schwarzschild", n=n, m=1e300)
+    assert st.r_lo == (2e300) ** (1 / (n - 2))
 
 
 def test_schwarzschild_ads_horizon_and_lambda():
@@ -165,8 +183,7 @@ def test_table_profile_bad_header(tmp_path):
 
 def test_isotropic_beyond_the_float_range_raises_domain_error():
     # f'(r_lo) = 2m / r_lo^2 leaves the float range with m = 1e300
-    with np.errstate(over="ignore"):  # the positivity scan of f' overflows too
-        st = build_family("schwarzschild", m=1e300)
+    st = build_family("schwarzschild", m=1e300)
     with pytest.raises(DomainError, match=r"r0 = 3e\+300 leaves the float range"):
         to_isotropic(st, 3e300)
 

@@ -21,8 +21,9 @@ from photonsurf import (
     integrate_profile,
     turning_points,
 )
-from photonsurf import cli
+from photonsurf import cli, surfaces
 from photonsurf.cli import main
+from photonsurf.errors import StepUnderflowError
 from photonsurf.spacetime import ClassSSpacetime, MetricProfile
 from photonsurf.ode import _brentq, _dense_eval
 from photonsurf.surfaces import _orbit_cell, _sweep_row
@@ -336,6 +337,30 @@ def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
         assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
         assert (out / cell["file"]).read_bytes() == \
             run_profile(tmp_path, f"profile{r0}", alpha, r0, cut)
+
+
+def test_cells_of_a_failed_orbit_take_per_cell_path(tmp_path, monkeypatch):
+    # the open-ended orbit solve of the row raises StepUnderflowError: its
+    # cells are integrated on their own, and the manifest names no orbit
+    alpha, r0s = 0.3, [3.5, 6.0, 9.0]
+    _, manifest = run_sweep(tmp_path, "orbit", [alpha], r0s)
+    assert [cell["orbit"] for cell in manifest["cells"]] == [0, 0, 0]
+
+    integrate_radial, failed = surfaces._integrate_radial, []
+
+    def failing(st, rhs, y0, span, step, *args, **kwargs):
+        if span == (-math.inf, math.inf):
+            failed.append(span)
+            raise StepUnderflowError("step-size underflow", last_state=(0.0, y0))
+        return integrate_radial(st, rhs, y0, span, step, *args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "_integrate_radial", failing)
+    out, manifest = run_sweep(tmp_path, "sweep", [alpha], r0s)
+    assert failed and manifest["orbits"] == []
+    for cell, r0 in zip(manifest["cells"], r0s):
+        assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
+        assert (out / cell["file"]).read_bytes() == \
+            run_profile(tmp_path, f"profile{r0}", alpha, r0)
 
 
 def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatch):
