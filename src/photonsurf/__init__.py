@@ -9,7 +9,9 @@ from .errors import (
     MinimalSphereError,
     PhotonSurfError,
     PrincipalNullError,
+    StepBudgetError,
     StepUnderflowError,
+    TooFewSamplesError,
     UnknownFamilyError,
 )
 from .spacetime import (
@@ -28,6 +30,7 @@ from .surfaces import (
     PhotonSurfaceSpec,
     ProfileCurve,
     ResidualReport,
+    SolveStats,
     StepControl,
     SurfaceClass,
     SurfaceKind,
@@ -49,6 +52,7 @@ from .geodesics import (
 )
 from .geometry import (
     CConstant,
+    ScalarCurvatureReport,
     SliceData,
     c_constant,
     isotropic_profile_samples,

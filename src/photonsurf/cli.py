@@ -19,14 +19,12 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import islice
 
 import numpy as np
 
 from . import __version__
 from .errors import (
     DomainError,
-    ForbiddenRadiusError,
     InvalidFamilyParamsError,
     PhotonSurfError,
     UnknownFamilyError,
@@ -43,6 +41,7 @@ from .spacetime import _iso_grid, build_family, conformal_flatness_scan, \
 from .surfaces import (
     PhotonSurfaceSpec,
     StepControl,
+    _check_sign,
     _check_span,
     _sweep_row,
     classify,
@@ -156,31 +155,21 @@ def _sec_floats(sec, key):
 
 def _sec_span(sec):
     span = (_sec_float(sec, "span_lo", -10.0), _sec_float(sec, "span_hi", 10.0))
-    try:
-        _check_span(span)
-    except ValueError as e:
-        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: [{sec.name}] {e}")
+    _check_span(span)  # before any solve; main maps its ValueError to exit 3
     return span
 
 
 def _sec_sign(sec):
     sign = _sec_float(sec, "sign", 1.0)
-    if sign not in (-1.0, 0.0, 1.0):
-        raise SystemExitWith(EXIT_CONFIG,
-                             f"[{sec.name}] sign = {sign!r} must be -1, 0 or 1")
+    try:
+        _check_sign(sign)
+    except ValueError as e:
+        raise SystemExitWith(EXIT_CONFIG, f"[{sec.name}] {e}")
     return int(sign)
 
 
-def _stats_json(solve_stats):
-    return {half: asdict(stats) for half, stats in solve_stats.items()}
-
-
-def _orbit_json(orbit):
-    """Manifest entry of one sweep orbit: its anchor and the work and stop
-    reason of each half-line."""
-    return {"alpha": orbit.alpha, "anchor_r": orbit.anchor,
-            "anchor_kind": orbit.kind, "solve_stats": _stats_json(orbit.sol.stats),
-            "stop_reasons": orbit.sol.reasons}
+# the JSON text of every manifest and report: SolveStats become objects
+_JSON = {"sort_keys": True, "indent": 2, "default": asdict}
 
 
 def _spacetime_summary(st):
@@ -195,14 +184,12 @@ def _spacetime_summary(st):
 
 
 def _write_manifest(out_dir, name, st, payload):
-    """Write ``payload`` with the summary of ``st`` and the version as the text of
-    json.dumps(..., sort_keys=True, indent=2) + "\\n", 1024 encoder chunks per write."""
+    """Write ``payload`` with the summary of ``st`` and the version as
+    ``_JSON`` text and a newline; ``json.dump`` writes it chunk by chunk."""
     payload = dict(payload, spacetime=_spacetime_summary(st), version=__version__)
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        for block in iter(lambda: list(islice(chunks, 1024)), []):
-            fh.write("".join(block))
+        json.dump(payload, fh, **_JSON)
         fh.write("\n")
     return path
 
@@ -266,8 +253,7 @@ def cmd_spheres(args, cp):
              "b_star": critical_impact_parameter(st, sp),
              "residual": sp.residual} for sp in spheres]
     if args.format == "json":
-        print(json.dumps({"spacetime": _spacetime_summary(st), "spheres": rows},
-                         sort_keys=True, indent=2))
+        print(json.dumps({"spacetime": _spacetime_summary(st), "spheres": rows}, **_JSON))
     else:
         if not rows:
             print("no photon spheres")
@@ -286,24 +272,20 @@ def _profile_spec(cp):
     sec = _section(cp, "profile")
     alpha, r0 = _sec_float(sec, "alpha"), _sec_float(sec, "r0")
     t0, sign = _sec_float(sec, "t0", 0.0), _sec_sign(sec)
-    span = _sec_span(sec)
-    try:
-        return PhotonSurfaceSpec(alpha=alpha, r0=r0, t0=t0, sign=sign, span=span)
-    except ValueError as e:
-        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: {e}")
+    return PhotonSurfaceSpec(alpha=alpha, r0=r0, t0=t0, sign=sign, span=_sec_span(sec))
 
 
 def _step_control(cp, section, span):
-    spacing = _sec_float(cp[section], "spacing", 1e-2)
-    if not spacing > 0:
-        raise SystemExitWith(EXIT_CONFIG,
-                             f"[{section}] spacing = {spacing!r} is not positive")
-    samples = (span[1] - span[0]) / spacing
+    try:
+        step = StepControl(sample_spacing=_sec_float(cp[section], "spacing", 1e-2))
+    except ValueError as e:
+        raise SystemExitWith(EXIT_CONFIG, f"[{section}] {e}")
+    samples = (span[1] - span[0]) / step.sample_spacing
     if not samples <= MAX_SAMPLES:
         raise SystemExitWith(
             EXIT_CONFIG, f"error: [{section}] span / spacing = {samples:.3g} "
                          f"samples is above the cap of {MAX_SAMPLES:.0e}")
-    return StepControl(sample_spacing=spacing)
+    return step
 
 
 def cmd_profile(args, cp):
@@ -313,10 +295,7 @@ def cmd_profile(args, cp):
     spheres = find_photon_spheres(st)
     curve = integrate_profile(st, spec, step, spheres=spheres)
     cls = classify(st, spec.alpha, spec.r0, spheres=spheres)
-    try:
-        res = ode_residuals(st, curve)
-    except ValueError as e:  # a curve of fewer samples than differencing needs
-        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: [profile] {e}")
+    res = ode_residuals(st, curve)
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -330,7 +309,7 @@ def cmd_profile(args, cp):
         "termination": curve.termination,
         "termination_start": curve.termination_start,
         "samples": len(curve.s),
-        "solve_stats": _stats_json(curve.solve_stats),
+        "solve_stats": curve.solve_stats,
         "residuals": {"tddot": res.tddot_residual, "rddot": res.rddot_residual,
                       "unit": res.unit_residual},
         "outputs": ["profile.csv"],
@@ -343,7 +322,7 @@ def cmd_profile(args, cp):
             spec.r0, spec.sign, curve.t - spec.t0, step, spheres)
         payload["oracle_max_deviation"] = float(abs(r_geo - curve.r[covered]).max())
         payload["oracle_compared_samples"] = int(covered.sum())
-        payload["oracle_solve_stats"] = {"solve_stats": _stats_json(sol.stats),
+        payload["oracle_solve_stats"] = {"solve_stats": sol.stats,
                                          "stop_reasons": sol.reasons}
     _write_manifest(out, "profile_manifest.json", st, payload)
     print(f"classification: {cls.kind.value}  samples: {len(curve.s)}  "
@@ -356,11 +335,8 @@ def cmd_profile(args, cp):
 def cmd_geodesic(args, cp):
     st = _build_spacetime(cp)
     sec = _section(cp, "geodesic")
-    try:
-        charges = ConservedCharges(energy=_sec_float(sec, "energy"),
-                                   angular_momentum=_sec_float(sec, "ell"))
-    except ValueError as e:
-        raise SystemExitWith(EXIT_INVALID_SPEC, f"invalid spec: {e}")
+    charges = ConservedCharges(energy=_sec_float(sec, "energy"),
+                               angular_momentum=_sec_float(sec, "ell"))
     r0 = _sec_float(sec, "r0")
     sign = _sec_sign(sec)
     span = _sec_span(sec)
@@ -380,7 +356,7 @@ def cmd_geodesic(args, cp):
         "termination": traj.termination,
         "termination_start": traj.termination_start,
         "samples": len(traj.s),
-        "solve_stats": _stats_json(traj.solve_stats),
+        "solve_stats": traj.solve_stats,
         "max_null_residual": float(traj.null_residual.max()),
         "outputs": ["geodesic.csv"],
     }
@@ -409,19 +385,22 @@ def cmd_sweep(args, cp):
     orbits = []  # one solve per (alpha, component), shared by its cells
     memo = {}  # CSV texts of this sweep's repeated values (_write_csv)
     for ia, a in enumerate(alphas):
-        reason = None if a > 0 else "invalid spec: umbilicity factor alpha must be positive"
-        if reason is None:
-            try:
-                turning = turning_points(st, a)
-            except _FLOAT_RANGE_ERRORS as e:  # alpha^2 beyond the float range
-                reason = _reason(e)
+        try:
+            turning, reason = turning_points(st, a), None
+        except ValueError as e:  # alpha not positive
+            reason = f"invalid spec: {e}"
+        except _FLOAT_RANGE_ERRORS as e:  # alpha^2 beyond the float range
+            reason = _reason(e)
         if reason is not None:
             items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
                        "reason": reason} for r0 in r0s]
             continue
         row, row_orbits = _sweep_row(st, a, r0s, span, step, spheres, turning)
         first = len(orbits)
-        orbits += [_orbit_json(orbit) for orbit in row_orbits]
+        # each orbit's anchor, and the work and stop reason of each half-line
+        orbits += [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
+                    "solve_stats": o.sol.stats, "stop_reasons": o.sol.reasons}
+                   for o in row_orbits]
         for ir, r0 in enumerate(r0s):
             item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
             items.append(item)
@@ -435,7 +414,7 @@ def cmd_sweep(args, cp):
                 except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
                     item["reason"] = _reason(e)
                     continue
-                work = {"solve_stats": _stats_json(curve.solve_stats)}
+                work = {"solve_stats": curve.solve_stats}
             cls = classify(st, a, r0, spheres=spheres, turning_radii=turning)
             name = f"sweep_a{ia}_r{ir}.csv"
             _write_csv(os.path.join(out, name), *_profile_table(curve), memo)
@@ -491,9 +470,6 @@ def cmd_sweep(args, cp):
 def cmd_verify(args, cp):
     st = _build_spacetime(cp)
     checks = verification_suite(st, tol_scale=args.tol)
-    for c in checks:
-        c["solve_stats"] = {solve: _stats_json(stats)
-                            for solve, stats in c["solve_stats"].items()}
     report = {"operation": "verify", "spacetime": _spacetime_summary(st),
               "checks": checks,
               "passed": all(c["passed"] for c in checks)}
@@ -501,7 +477,7 @@ def cmd_verify(args, cp):
         os.makedirs(args.out, exist_ok=True)
         _write_manifest(args.out, "verify_report.json", st, report)
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, **_JSON))
     else:
         for c in checks:
             if c["skipped"]:
@@ -551,7 +527,7 @@ def cmd_isotropic(args, cp):
         "s_hi": None if math.isinf(iso.s_hi) else iso.s_hi,
         "photon_spheres": sphere_rows,
         "conformally_flat_intervals": [list(iv) for iv in flat],
-        "solve_stats": _stats_json(iso.solve_stats),
+        "solve_stats": iso.solve_stats,
         "outputs": ["isotropic.csv"],
     })
     print(f"isotropic interval: ({fmt(iso.s_lo)}, "
@@ -582,31 +558,30 @@ def _parser():
     ap.add_argument("--tol", type=_positive_float, default=1.0,
                     help="verification tolerance scale factor")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("spheres", help="locate photon spheres")
-    p = sub.add_parser("profile", help="integrate one photon surface profile")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against a generating null geodesic")
-    sub.add_parser("geodesic", help="integrate one null geodesic")
-    sub.add_parser("sweep", help="integrate a grid of (alpha, r0) profiles")
-    sub.add_parser("verify", help="run the curvature/isotropic check suite")
-    sub.add_parser("isotropic", help="rewrite the metric in isotropic form")
+    for name, handler, text in (
+            ("spheres", cmd_spheres, "locate photon spheres"),
+            ("profile", cmd_profile, "integrate one photon surface profile"),
+            ("geodesic", cmd_geodesic, "integrate one null geodesic"),
+            ("sweep", cmd_sweep, "integrate a grid of (alpha, r0) profiles"),
+            ("verify", cmd_verify, "run the curvature/isotropic check suite"),
+            ("isotropic", cmd_isotropic, "rewrite the metric in isotropic form")):
+        sub.add_parser(name, help=text).set_defaults(handler=handler)
+    sub.choices["profile"].add_argument(
+        "--oracle", action="store_true", help="cross-check against a generating null geodesic")
     return ap
 
 
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-    handlers = {"spheres": cmd_spheres, "profile": cmd_profile,
-                "geodesic": cmd_geodesic, "sweep": cmd_sweep,
-                "verify": cmd_verify, "isotropic": cmd_isotropic}
     try:
         cp = _load_config(args.config)
         with np.errstate(all="ignore"):  # the exit code reports float-range trouble
-            return handlers[args.command](args, cp)
+            return args.handler(args, cp)
     except SystemExitWith as e:
         print(str(e), file=sys.stderr)
         return e.code
-    except (ForbiddenRadiusError, DomainError) as e:
+    except ValueError as e:  # refused by a spec, charge, radius or domain check
         print(f"invalid spec: {e}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:

@@ -26,6 +26,8 @@ from .surfaces import (
     PhotonSphere,
     ProfileCurve,
     StepControl,
+    _check_positive,
+    _check_sign,
     _check_span,
     _curve,
     _fixed_radius,
@@ -55,10 +57,8 @@ class ConservedCharges:
     angular_momentum: float
 
     def __post_init__(self):
-        if self.energy <= 0:
-            raise ValueError("energy must be positive")
-        if self.angular_momentum < 0:
-            raise ValueError("angular momentum must be non-negative")
+        _check_positive(self.energy, "energy")
+        _check_positive(self.angular_momentum, "angular momentum", zero=True)
 
     @property
     def principal(self) -> bool:
@@ -111,6 +111,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     exact circular orbit.  Termination mirrors the profile integrator:
     span end, interval boundary, or photon-sphere asymptote.
     """
+    _check_sign(sign)
     _check_span(span)
     sol = _null_solution(st, charges, r0, sign, span, step, spheres)
     E, ell = charges.energy, charges.angular_momentum
@@ -141,7 +142,8 @@ def _null_solution(st, charges, r0, sign, span, step, spheres, stops=(None, None
                        (E / st.f(r_fix), 0.0, 0.0, ell / r_fix ** 2, ell / r_fix),
                        span)
     f0 = st.f(r0)
-    v0 = _start_rate(sign, E ** 2, ell ** 2 * f0 / r0 ** 2, E ** 2, (
+    # the profile's scale max(1, alpha^2 r0^2) times ell^2/r0^2, alpha = E/ell
+    v0 = _start_rate(sign, E ** 2, ell ** 2 * f0 / r0 ** 2, max(E ** 2, ell ** 2 / r0 ** 2), (
         "E^2", "ell^2 f(r0)/r0^2", "forbidden initial radius"))
     metric = st.metric.evaluate
     ell2 = ell ** 2

@@ -13,17 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    IdentityNotApplicableError,
-    MinimalSphereError,
-    TooFewSamplesError,
-)
+from .errors import DomainError, IdentityNotApplicableError, MinimalSphereError
 from .spacetime import ClassSSpacetime, IsotropicForm, _radiuswise, to_isotropic
 from .surfaces import (
     PhotonSurfaceSpec,
     ProfileCurve,
     StepControl,
+    _check_samples,
     find_photon_spheres,
     integrate_profile,
 )
@@ -43,6 +39,7 @@ __all__ = [
     "isotropic_sphere_residual",
     "isotropic_surface_residual",
     "isotropic_profile_samples",
+    "verification_suite",
 ]
 
 
@@ -60,10 +57,14 @@ class SliceData:
 
 @_radiuswise
 def slice_data(st: ClassSSpacetime, r) -> SliceData:
-    """Slice geometry at a float or a 1-D array of radii, where f > 0."""
-    fv, dfv = st.metric(r)
-    if np.any(fv <= 0):
-        raise DomainError(f"f(r) <= 0 at r = {r[fv <= 0][0]:.6g}")
+    """Slice geometry at a float or a 1-D array of radii of the radial
+    interval where f > 0; DomainError at any other r, NaN included."""
+    ok = st.contains(r)
+    if ok.all():  # the metric is read only inside the interval
+        fv, dfv = st.metric(r)
+        ok = fv > 0
+    if not ok.all():
+        raise DomainError(f"r = {r[~ok][0]:.6g} outside radial interval or f(r) <= 0")
     n = st.n
     sq = np.sqrt(fv)
     return SliceData(
@@ -177,8 +178,7 @@ def surface_scalar_curvature_check(st: ClassSSpacetime, curve: ProfileCurve,
     families use Lambda = 0; Schwarzschild-AdS uses Lambda = -n/L^2; for
     families that are not Einstein the check is skipped and reported.
     """
-    if len(curve.s) < 5:
-        raise ValueError("need at least 5 samples for finite differencing")
+    _check_samples(curve.s)
     lam = st.einstein_constant
     n = st.n
     if lam is None:
@@ -257,10 +257,7 @@ def mass_flux(st: ClassSSpacetime, r):
     Schwarzschild at n = 3 and (n-2) m in higher dimensions. r is a float
     or a 1-D array, and the flux has its shape.
     """
-    outside = ~st.contains(r)
-    if np.any(outside):
-        raise DomainError(f"r = {r[outside][0]:.6g} outside radial interval")
-    return 0.5 * st.fprime(r) * r ** (st.n - 1)
+    return slice_data(st, r).normal_lapse_derivative * r ** (st.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +346,8 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
         spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-1.0, 1.0))
         curve = integrate_profile(st, spec, StepControl(sample_spacing=1e-3),
                                   spheres=spheres)
-        if len(curve.s) < 5:
-            raise TooFewSamplesError(
-                f"the verify test surface (alpha {alpha:.6g}, r0 {r0:.6g}) has "
-                f"{len(curve.s)} samples, fewer than the 5 its differences need")
+        _check_samples(curve.s, f"the verify test surface (alpha {alpha:.6g}, "
+                                f"r0 {r0:.6g})")
     if st.einstein_constant is None:
         checks.append(_check(
             "surface-scalar-curvature", None, 1e-5 * tol_scale, skipped=True,

@@ -27,11 +27,17 @@ from .errors import StepBudgetError, StepUnderflowError
 
 @dataclass(frozen=True)
 class StepControl:
-    """Adaptive step control and output sampling for the integrators."""
+    """Adaptive step control and output sampling for the integrators; each
+    field must be finite and positive (ValueError otherwise)."""
 
     rtol: float = 1e-12
     atol: float = 1e-13
     sample_spacing: float = 1e-2
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} = {value!r} is not a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -272,14 +278,9 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
                     raise _float_range_error(t, y) from None
                 reason = "float-range"
                 break
+            h_abs = _resize(h_abs, error_norm, step_rejected)
             if error_norm < 1:
-                factor = _MAX_FACTOR if error_norm == 0 else \
-                    min(_MAX_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
-                if step_rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERR_EXP)
             step_rejected = True
             rejected += 1
         if reason == "float-range":
@@ -310,6 +311,15 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
     stats = SolveStats(len(steps), rejected, 2 + 6 * (len(steps) + rejected))
     order = slice(None, None, 1 if direction > 0 else -1)
     return _HalfLine(_dense_arrays(*zip(*steps[order])), t, reason, stats)
+
+
+def _resize(h_abs, norm, rejected):
+    """RK45's next step size after a step h_abs of error norm ``norm``: no growth
+    on acceptance (norm < 1) right after a rejection; a NaN norm rejects."""
+    if norm < 1:
+        factor = _MAX_FACTOR if norm == 0 else min(_MAX_FACTOR, _SAFETY * norm ** _ERR_EXP)
+        return h_abs * (min(1.0, factor) if rejected else factor)
+    return h_abs * max(_MIN_FACTOR, _SAFETY * norm ** _ERR_EXP)
 
 
 def _initial_step(rhs, reads, y, f, direction, length, step):
@@ -403,12 +413,9 @@ def _replay(rate, length, h_abs):
                 b = length
             h_abs, j = b - a, math.ceil(b / width)
             norm = (rate[i] if j <= i + 1 else max(rate[i:j])) * h_abs ** 5
+            h_abs = _resize(h_abs, norm, rejected)
             if norm < 1:
-                h_abs *= _MAX_FACTOR if norm == 0 else min(
-                    _SAFETY * norm ** _ERR_EXP, 1.0 if rejected else _MAX_FACTOR)
                 break
-            factor = _SAFETY * norm ** _ERR_EXP  # NaN for a NaN norm
-            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             rejected = True
         a = b
         nodes.append(a)

@@ -46,7 +46,6 @@ class MetricProfile:
     """
 
     evaluate: Callable[[float], tuple[float, float]]
-    description: str = ""
 
     def __call__(self, r):
         return self.evaluate(r)
@@ -58,8 +57,7 @@ class MetricProfile:
         return self.evaluate(r)[1]
 
     @classmethod
-    def from_f(cls, f: Callable[[float], float],
-               description: str = "") -> "MetricProfile":
+    def from_f(cls, f: Callable[[float], float]) -> "MetricProfile":
         """Profile from f alone; f' from a 5-point central difference with
         step 1e-4 max(1, |r|)."""
 
@@ -69,7 +67,7 @@ class MetricProfile:
                  + 8 * f(r + step) - f(r + 2 * step)) / (12 * step)
             return f(r), d
 
-        return cls(evaluate, description)
+        return cls(evaluate)
 
 
 @dataclass(frozen=True)
@@ -112,18 +110,34 @@ class ClassSSpacetime:
         return None
 
     def default_bracket(self) -> tuple[float, float]:
-        """Finite radial sub-range used for root scans on unbounded intervals."""
+        """Finite radial sub-range for root scans; an infinite r_hi becomes
+        max(10 lo, 100, 10 |m|), m the mass parameter or 0."""
         lo = self.r_lo * (1 + 1e-6) if self.r_lo > 0 else 1e-6
         if math.isfinite(self.r_hi):
             hi = self.r_hi * (1 - 1e-9)
         else:
-            hi = max(10 * lo, 100.0)
+            hi = max(10 * lo, 100.0, 10 * abs(self.params.get("m", 0.0)))
         return lo, hi
 
 
-def _check_positive_f(st: ClassSSpacetime, samples: int = 256) -> None:
+def _interval(r_lo, r_hi) -> tuple[float, float]:
+    """The radial interval (r_lo, r_hi), a negative r_lo raised to 0; raises
+    InvalidFamilyParamsError unless r_lo is finite, r_hi finite or inf, r_lo < r_hi."""
+    r_lo, r_hi = float(r_lo), float(r_hi)
+    if not (math.isfinite(r_lo) and (math.isfinite(r_hi) or r_hi == math.inf)):
+        raise InvalidFamilyParamsError(f"radial interval ({r_lo!r}, {r_hi!r}) is not finite")
+    r_lo = r_lo if r_lo > 0 else 0.0
+    if not r_lo < r_hi:
+        raise InvalidFamilyParamsError(f"empty radial interval ({r_lo!r}, {r_hi!r})")
+    return r_lo, r_hi
+
+
+def _spacetime(n, r_lo, r_hi, metric, *args) -> ClassSSpacetime:
+    """ClassSSpacetime(n, r_lo, r_hi, metric, *args) on ``_interval(r_lo,
+    r_hi)``, once f > 0 holds on 256 log-spaced points of its scan bracket."""
+    st = ClassSSpacetime(n, *_interval(r_lo, r_hi), metric, *args)
     lo, hi = st.default_bracket()
-    rs = np.geomspace(lo, hi, samples)
+    rs = np.geomspace(lo, hi, 256)
     with np.errstate(all="ignore"):  # f' is not read; a NaN f fails below
         fs = st.f(rs)
     if not np.all(fs > 0):  # NaN fails too, and argmin finds it first
@@ -131,6 +145,7 @@ def _check_positive_f(st: ClassSSpacetime, samples: int = 256) -> None:
         raise InvalidFamilyParamsError(
             f"f(r) = {fs[i]:.6g}, not > 0, at r = {rs[i]:.6g} inside declared "
             f"interval ({st.r_lo:.6g}, {st.r_hi})")
+    return st
 
 
 def build_family(family: str, n: int = 3, m: float | None = None,
@@ -142,7 +157,8 @@ def build_family(family: str, n: int = 3, m: float | None = None,
     Families: "minkowski"; "schwarzschild" (any n >= 3, mass m);
     "reissner-nordstrom" (n = 3, mass m, charge q); "schwarzschild-ads"
     (any n >= 3, mass m, curvature radius L > 0).  Parameters must be
-    finite (r_hi may be inf); a negative r_lo, given or computed, becomes 0.
+    finite (r_hi may be inf); the interval follows ``_interval``, so a
+    negative r_lo, given or computed, becomes 0.
     """
     family = family.lower().replace("_", "-")
     family = {"rn": "reissner-nordstrom",
@@ -150,19 +166,17 @@ def build_family(family: str, n: int = 3, m: float | None = None,
     if n < 3:
         raise InvalidFamilyParamsError(
             "built-in families require n >= 3; use custom_spacetime for n = 2")
-    for name, value in (("m", m), ("q", q), ("L", L), ("r_lo", r_lo),
-                        ("r_hi", r_hi)):
-        if value is not None and not (math.isfinite(value)
-                                      or name == "r_hi" and value > 0):
+    for name, value in (("m", m), ("q", q), ("L", L)):
+        if value is not None and not math.isfinite(value):
             raise InvalidFamilyParamsError(f"{name} = {value!r} is not finite")
-    r_hi = math.inf if r_hi is None else float(r_hi)
+    r_hi = math.inf if r_hi is None else r_hi
     flags: tuple = ()
     params: dict = {}
 
     if family == "minkowski":
         lo = 0.0 if r_lo is None else float(r_lo)
         # 0 * r keeps the shape of array arguments
-        metric = MetricProfile(lambda r: (1.0 + 0.0 * r, 0.0 * r), "flat: f = 1")
+        metric = MetricProfile(lambda r: (1.0 + 0.0 * r, 0.0 * r))
     elif family == "schwarzschild":
         if m is None:
             raise InvalidFamilyParamsError("schwarzschild requires mass m")
@@ -177,7 +191,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         def evaluate(r, m=m, p=p):
             return 1 - 2 * m / r ** p, 2 * p * m / r ** (p + 1)
 
-        metric = MetricProfile(evaluate, f"schwarzschild: f = 1 - 2m/r^{p}")
+        metric = MetricProfile(evaluate)
         params = {"m": m}
     elif family == "reissner-nordstrom":
         if m is None or q is None:
@@ -210,7 +224,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         def evaluate(r, m=m, q=q):
             return fval(r), 2 * m / r ** 2 - 2 * q ** 2 / r ** 3
 
-        metric = MetricProfile(evaluate, "reissner-nordstrom: f = 1 - 2m/r + q^2/r^2")
+        metric = MetricProfile(evaluate)
         params = {"m": m, "q": q}
     elif family == "schwarzschild-ads":
         if m is None or L is None or L <= 0:
@@ -257,7 +271,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         else:
             rH = 0.0
         lo = rH if r_lo is None else float(r_lo)
-        metric = MetricProfile(evaluate, f"schwarzschild-ads: f = 1 - 2m/r^{p} + r^2/L^2")
+        metric = MetricProfile(evaluate)
         params = {"m": m, "L": L}
     else:
         raise UnknownFamilyError(f"unknown family {family!r}")
@@ -270,16 +284,11 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         raise InvalidFamilyParamsError(
             f"{family}: r^{power} at r_lo = {lo!r} is below the normal float range")
 
-    st = ClassSSpacetime(n, lo if lo > 0 else 0.0, r_hi, metric, family, params,
-                         flags)
-    if st.r_lo >= st.r_hi:
-        raise InvalidFamilyParamsError("empty radial interval")
-    _check_positive_f(st)
-    return st
+    return _spacetime(n, lo, r_hi, metric, family, params, flags)
 
 
 def custom_spacetime(f, n: int, r_lo: float, r_hi: float,
-                     fprime=None, description: str = "custom") -> ClassSSpacetime:
+                     fprime=None) -> ClassSSpacetime:
     """Spacetime with a user-supplied profile; n = 2 is permitted here.
 
     ``f`` and ``fprime`` that take floats alone are extended to arrays point
@@ -288,7 +297,7 @@ def custom_spacetime(f, n: int, r_lo: float, r_hi: float,
     """
     if n < 2:
         raise InvalidFamilyParamsError("need n >= 2")
-    r_lo, r_hi = float(r_lo), float(r_hi)
+    r_lo, r_hi = _interval(r_lo, r_hi)
     if isinstance(f, MetricProfile):
         metric = f
     else:
@@ -296,12 +305,10 @@ def custom_spacetime(f, n: int, r_lo: float, r_hi: float,
         f = _array_callable(f, probe)
         if fprime is not None:
             fprime = _array_callable(fprime, probe)
-            metric = MetricProfile(lambda r: (f(r), fprime(r)), description)
+            metric = MetricProfile(lambda r: (f(r), fprime(r)))
         else:
-            metric = MetricProfile.from_f(f, description)
-    st = ClassSSpacetime(n, r_lo, r_hi, metric, "custom")
-    _check_positive_f(st)
-    return st
+            metric = MetricProfile.from_f(f)
+    return _spacetime(n, r_lo, r_hi, metric, "custom")
 
 
 def _pointwise(fn):
@@ -382,13 +389,9 @@ def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
         raise DomainError("profile table needs >= 4 rows with strictly increasing r")
     interp = PchipInterpolator(rs, fs)
     dinterp = interp.derivative()
-    metric = MetricProfile(lambda r: (interp(r), dinterp(r)),
-                           f"table profile ({path})")
-    lo = rs[0] if r_lo is None else float(r_lo)
-    hi = rs[-1] if r_hi is None else float(r_hi)
-    st = ClassSSpacetime(n, lo, hi, metric, "custom")
-    _check_positive_f(st)
-    return st
+    metric = MetricProfile(lambda r: (interp(r), dinterp(r)))
+    return _spacetime(n, rs[0] if r_lo is None else r_lo, rs[-1] if r_hi is None else r_hi,
+                      metric, "custom")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +417,6 @@ class IsotropicForm:
     psi: Callable[[float], tuple[float, float]]
     lapse: Callable[[float], tuple[float, float]]
     source: Optional[ClassSSpacetime] = None
-    r0: Optional[float] = None
     s_of_r: Optional[Callable] = None
     r_of_s: Optional[Callable] = None
     solve_stats: dict = field(default_factory=dict)
@@ -532,7 +534,7 @@ def _isotropic_form(st, r0):
         tail = 2 * math.sqrt(f_top) / (r_top * df_top) if df_top > 0 else math.inf
         s_hi = s_hi * math.exp(tail) if tail < 1e-3 else math.inf
     return IsotropicForm(s_lo, s_hi, lambda s: psi_lapse(s)[:2],
-                         lambda s: psi_lapse(s)[2:], source=st, r0=r0, s_of_r=s_of_r,
+                         lambda s: psi_lapse(s)[2:], source=st, s_of_r=s_of_r,
                          r_of_s=r_of_s, solve_stats=sol.stats, psi_lapse=psi_lapse)
 
 
@@ -578,7 +580,7 @@ def from_isotropic(iso: IsotropicForm) -> ClassSSpacetime:
         p, dp, nn, dnn = iso.evaluate(s)
         return nn * nn, 2 * nn * dnn / (p + s * dp)
 
-    metric = MetricProfile(evaluate, "from isotropic data")
+    metric = MetricProfile(evaluate)
     r_lo = float(rs[0]) * (1 - 1e-9)
     r_hi = math.inf if math.isinf(iso.s_hi) else float(rs[-1]) * (1 + 1e-9)
     n = iso.source.n if iso.source is not None else 3

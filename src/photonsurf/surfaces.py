@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ForbiddenRadiusError, StepUnderflowError
+from .errors import ForbiddenRadiusError, StepUnderflowError, TooFewSamplesError
 from .ode import (
     SolveStats,
     StepControl,
@@ -73,6 +73,25 @@ def _check_span(span) -> None:
         raise ValueError("arclength span must contain 0 and have positive length")
 
 
+def _check_sign(sign) -> None:
+    """Raise ValueError unless the initial sign of dr/ds is -1, 0 or +1."""
+    if sign not in (-1, 0, 1):
+        raise ValueError(f"sign = {sign!r} must be -1, 0 or +1")
+
+
+def _check_positive(value, name="umbilicity factor alpha", zero=False) -> None:
+    """Raise ValueError unless value > 0 (value >= 0 with ``zero``); NaN fails."""
+    if not (value >= 0 if zero else value > 0):
+        raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'}")
+
+
+def _check_samples(s, what="the curve") -> None:
+    """Raise TooFewSamplesError unless the residual checks can difference s."""
+    if len(s) < 5:
+        raise TooFewSamplesError(f"{what} has {len(s)} samples, fewer than the 5 "
+                                 "its differences need")
+
+
 @dataclass(frozen=True)
 class PhotonSurfaceSpec:
     """Initial data for one spherically symmetric photon surface."""
@@ -84,10 +103,8 @@ class PhotonSurfaceSpec:
     span: tuple[float, float] = (0.0, 10.0)
 
     def __post_init__(self):
-        if not self.alpha > 0:  # also rejects nan
-            raise ValueError("umbilicity factor alpha must be positive")
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or +1")
+        _check_positive(self.alpha)
+        _check_sign(self.sign)
         _check_span(self.span)
 
 
@@ -219,8 +236,7 @@ def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
 
 def turning_points(st: ClassSSpacetime, alpha: float) -> list[float]:
     """Radii where dr/ds changes sign: roots of alpha^2 r^2 - f(r)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha)
     return _scan_roots(lambda r: alpha ** 2 * r ** 2 - st.f(r), *st.default_bracket())
 
 
@@ -629,8 +645,7 @@ class ResidualReport:
 
 def ode_residuals(st: ClassSSpacetime, curve: ProfileCurve) -> ResidualReport:
     """Residuals of the second-order profile system via centered differences."""
-    if len(curve.s) < 5:
-        raise ValueError("need at least 5 samples for finite differencing")
+    _check_samples(curve.s)
     s, t, r = curve.s, curve.t, curve.r
     tdot, rdot = curve.tdot, curve.rdot
     tddot = np.gradient(tdot, s)
@@ -656,8 +671,7 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float,
     when ``spheres`` misses that sphere. ``spheres`` and ``turning_radii``
     (the turning points of ``alpha``) are computed when not given.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha)
     if spheres is None:
         spheres = find_photon_spheres(st)
     if turning_radii is None:
@@ -683,6 +697,5 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float,
 
 def minkowski_exact(alpha: float, t0: float, t) -> float:
     """Closed-form hyperboloid radius r(t) = sqrt(1/alpha^2 + (t - t0)^2)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha)
     return np.sqrt(alpha ** (-2) + (np.asarray(t, dtype=float) - t0) ** 2)

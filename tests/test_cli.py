@@ -1003,3 +1003,35 @@ def test_verify_report_records_the_solves_each_check_reads(tmp_path, monkeypatch
         assert check["solve_stats"] == {name: direct[name] for name in names}, \
             check["name"]
     assert any(check["solve_stats"] for check in report["checks"])
+
+
+def test_oracle_accepts_the_radius_its_profile_accepts(tmp_path, capsys):
+    # alpha^2 r0^2 - f = -8e-13 at r0 = 4 with sign 0: the profile took it
+    # and the --oracle geodesic, on a tolerance scaled by E^2, did not
+    alpha = math.sqrt((0.5 - 8e-13) / 16)
+    cfg = write_config(tmp_path / "c.ini", SCHW + f"""
+[profile]
+alpha = {alpha!r}
+r0 = 4
+sign = 0
+span_lo = -4
+span_hi = 4
+""")
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "profile"]) == 0
+    assert main(["--config", cfg, "--out", str(out), "profile", "--oracle"]) == 0
+    manifest = json.loads((out / "profile_manifest.json").read_text())
+    assert manifest["oracle_max_deviation"] <= 1e-10
+
+
+def test_public_api_is_the_modules_all_and_the_errors():
+    # the package exports exactly what its modules list, and every error
+    from photonsurf import errors, geodesics, geometry, spacetime, surfaces
+    listed = set()
+    for module in (spacetime, surfaces, geodesics, geometry):
+        assert all(hasattr(module, name) for name in module.__all__)
+        listed.update(module.__all__)
+    listed.update(name for name, obj in vars(errors).items() if isinstance(obj, type))
+    exported = {name for name, obj in vars(photonsurf).items()
+                if not name.startswith("_") and not isinstance(obj, type(photonsurf))}
+    assert exported == listed

@@ -192,3 +192,43 @@ def test_one_fixed_point_rule(schw3, schw3_spheres, lam, r0, with_spheres, expec
             assert c.termination == c.termination_start == "photon-sphere-snap"
             assert c.solve_stats == {}
         assert curve.r[0] == traj.r[0]
+
+
+@pytest.mark.parametrize("energy, ell", [(math.nan, 1.0), (1.0, math.nan),
+                                         (-1.0, 1.0), (1.0, -0.5)])
+def test_charges_reject_nan_and_wrong_signs(energy, ell):
+    # ConservedCharges(nan, 1.0) used to pass and spend the step budget
+    with pytest.raises(ValueError, match="must be"):
+        ConservedCharges(energy=energy, angular_momentum=ell)
+
+
+@pytest.mark.parametrize("sign", [2, -3, 0.5, math.nan])
+def test_geodesic_sign_checked_as_the_spec_does(schw3, sign):
+    # sign = 2 gave a curve with null residual 3.75 and reason "span"
+    charges = ConservedCharges(energy=1.0, angular_momentum=3.0)
+    with pytest.raises(ValueError, match="must be -1, 0 or \\+1"):
+        integrate_null_geodesic(schw3, charges, 6.0, sign=sign, span=(0.0, 1.0))
+    with pytest.raises(ValueError, match="must be -1, 0 or \\+1"):
+        PhotonSurfaceSpec(alpha=0.2, r0=6.0, sign=sign)
+
+
+def test_profile_and_geodesic_share_the_forbidden_radius_tolerance(schw3):
+    # alpha^2 r0^2 - f = -8e-13 at r0 = 4 with sign 0: inside the profile's
+    # tolerance 1e-12 max(1, alpha^2 r0^2), so inside the geodesic's, that
+    # rule times ell^2 / r0^2, for E = alpha, ell = 1 too
+    r0 = 4.0
+    alpha = math.sqrt((schw3.f(r0) - 8e-13) / r0 ** 2)
+    assert -1e-12 < alpha ** 2 * r0 ** 2 - schw3.f(r0) < -5e-13
+    spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=0, span=(-1.0, 1.0))
+    curve = integrate_profile(schw3, spec)
+    traj = integrate_null_geodesic(
+        schw3, ConservedCharges(energy=alpha, angular_momentum=1.0), r0, sign=0,
+        span=(-1.0, 1.0))
+    assert curve.r.min() >= r0 and traj.r.min() >= r0
+    # beyond the tolerance both refuse the radius
+    alpha = math.sqrt((schw3.f(r0) - 2e-12) / r0 ** 2)
+    with pytest.raises(ForbiddenRadiusError):
+        integrate_profile(schw3, PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=0))
+    with pytest.raises(ForbiddenRadiusError):
+        integrate_null_geodesic(
+            schw3, ConservedCharges(energy=alpha, angular_momentum=1.0), r0, sign=0)

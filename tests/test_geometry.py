@@ -281,3 +281,21 @@ def test_checks_reject_an_out_of_range_entry_as_floats_do(name):
             fn(domain, xs)
         if error is DomainError:  # the message names the failing entry
             assert f"{bad:.6g}" in str(info.value), fn.__name__
+
+
+def test_slice_functions_reject_radii_outside_the_interval(schw3):
+    # slice_data tested only f <= 0, so r = NaN returned NaN fields, while
+    # mass_flux tested the interval: both now read one test
+    for r in (math.nan, 1.0, 2.0, -3.0, np.array([4.0, math.nan])):
+        for call in (slice_data, c_constant, slice_identity_residual, mass_flux):
+            with pytest.raises(DomainError, match="outside radial interval"):
+                call(schw3, r)
+
+
+def test_mass_flux_reads_slice_data(schw3):
+    st = build_family("schwarzschild", n=5, m=1.5)
+    for space in (schw3, st):
+        r = np.geomspace(space.r_lo * 1.01, 1e4, 101)
+        expected = 0.5 * space.fprime(r) * r ** (space.n - 1)
+        np.testing.assert_array_equal(mass_flux(space, r), expected)
+        assert mass_flux(space, 7.0) == 0.5 * space.fprime(7.0) * 7.0 ** (space.n - 1)

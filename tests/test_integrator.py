@@ -513,7 +513,7 @@ def test_r_of_s_makes_no_metric_call():
         calls.append(np.size(r))
         return st.metric.evaluate(r)
 
-    counted = replace(st, metric=MetricProfile(evaluate, st.metric.description))
+    counted = replace(st, metric=MetricProfile(evaluate))
     iso = to_isotropic(counted, 5.0)
     assert calls  # the map's solve reads the metric
     # from r = 3 out, where s(r) is not ill-conditioned by the horizon
@@ -663,3 +663,27 @@ def test_isotropic_map_emits_no_warning(name):
         warnings.simplefilter("error")
         for r0 in (3.0, 5.0, 8.0):
             to_isotropic(build_family(**{**ISO_FAMILIES, **SLOW_ENDS}[name]), r0)
+
+
+def test_replay_does_not_grow_right_after_a_rejection():
+    # modelled norms rate * h^5 with rate 0 except on [0.7, 0.8): the first
+    # step, over the whole length, is rejected and shrinks by _MIN_FACTOR to
+    # 0.2, where the norm is 0. RK45 and _dopri5 accept it without growth,
+    # so the next step is 0.2 again, and it is accepted too
+    rate = [0.0] * 10
+    rate[7] = 1e5
+    nodes = ode._replay(rate, 1.0, 1.0)
+    assert nodes[:3].tolist() == [0.0, 0.2, 0.4]
+    assert nodes[-1] == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_spacing", -0.01), ("sample_spacing", 0.0), ("sample_spacing", math.nan),
+    ("sample_spacing", math.inf), ("rtol", 0.0), ("atol", 0.0), ("rtol", math.nan),
+    ("rtol", math.inf), ("atol", -1e-13)])
+def test_step_control_fields_must_be_finite_and_positive(field, value):
+    # these gave an empty curve (negative spacing), a numpy ValueError (NaN
+    # or inf spacing) or a spent step budget (rtol NaN or inf), and rtol =
+    # atol = 0 a bare ZeroDivisionError; the CLI's spacing was already finite
+    with pytest.raises(ValueError, match=f"{field} = .* is not a finite positive number"):
+        StepControl(**{field: value})

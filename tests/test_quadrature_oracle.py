@@ -1,0 +1,157 @@
+"""Errors of sampled curves against quadratures in r, with no stepper.
+
+On a stretch where r is monotone, a surface of factor alpha has
+
+    s(r) = int dr / sqrt(G),  t(r) = int alpha r dr / (f sqrt(G)),  G = alpha^2 r^2 - f,
+
+and a null geodesic of charges E, ell has
+
+    phi(r) = int ell dr / (r^2 sqrt(G)),  t(r) = int E dr / (f sqrt(G)),  G = E^2 - ell^2 f / r^2.
+
+In Schwarzschild (m = 1) both G are c(r) / r^k with the cubic
+c(r) = a r^3 + b r - 2 b: a profile has a = alpha^2, b = -1, k = 1, a
+geodesic a = E^2, b = -ell^2, k = 3. From a turning point r_tp, a root of c,
+the integrals run in x = sqrt(r - r_tp), where G = x^2 p(r) / r^k with the
+quotient p(r) = a r^2 + a r_tp r + a r_tp^2 + b, so no cancellation is
+left; elsewhere they run in y = log(r - 2), which keeps the 1/f of t
+bounded at the horizon. ``scipy.integrate.quad`` evaluates them to about
+1e-15 (checked against a 30-digit quadrature); each bound below is about
+twice the error measured on its curve.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from photonsurf import (
+    ConservedCharges,
+    PhotonSurfaceSpec,
+    build_family,
+    integrate_null_geodesic,
+    integrate_profile,
+)
+
+ST = build_family("schwarzschild", m=1)
+
+
+def f(r):
+    return 1 - 2 / r
+
+
+class Radial:
+    """(dr/ds)^2 = G(r) = (a r^3 + b r - 2 b) / r^k and its quadratures."""
+
+    def __init__(self, a, b, k):
+        self.a, self.b, self.k = a, b, k
+
+    def G(self, r):
+        return (self.a * r ** 3 + self.b * r - 2 * self.b) / r ** self.k
+
+    def turning_point(self, lo, hi):
+        return brentq(lambda r: self.a * r ** 3 + self.b * r - 2 * self.b, lo, hi,
+                      xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+    def integral(self, rate, r, tp=None, start=None):
+        """int rate / sqrt(G) dr from the turning point tp, or from start,
+        to r."""
+        if tp is not None:
+            a, b, k = self.a, self.b, self.k
+
+            def fn(x):
+                q = tp + x * x
+                return 2 * rate(q) / math.sqrt((a * q * q + a * tp * q + a * tp * tp + b)
+                                               / q ** k)
+
+            return quad(fn, 0.0, math.sqrt(r - tp), epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0]
+
+        def fn(y):
+            q = 2 + math.exp(y)
+            return rate(q) * (q - 2) / math.sqrt(self.G(q))
+
+        return quad(fn, math.log(start - 2), math.log(r - 2), epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0]
+
+
+def samples(radial, rates, s, r, qs, sign0, r0, tp=None, every=5):
+    """(got, want) per quantity, s first and then one q per rate, on every
+    ``every``-th sample where |dr/ds| >= 0.1, so that a radius error does
+    not swamp s(r) and q(r). The curve passes r0 at s = 0 with dr/ds of sign
+    ``sign0``, each q of ``qs`` is 0 there, and it turns at ``tp`` (None: r
+    is monotone)."""
+    rates = (lambda q: 1.0, *rates)
+    # s and each q at the turning point, or at r0 when there is none
+    turn = [0.0 if tp is None else -sign0 * radial.integral(rate, r0, tp)
+            for rate in rates]
+    pairs = [([], []) for _ in rates]
+    for i in range(0, len(s), every):
+        if radial.G(r[i]) < 0.01:
+            continue
+        side = sign0 if tp is None else np.sign(s[i] - turn[0])
+        for (got, want), q, base, rate in zip(pairs, (s, *qs), turn, rates):
+            got.append(q[i])
+            want.append(base + side * radial.integral(rate, r[i], tp, r0))
+    return [(np.array(got), np.array(want)) for got, want in pairs]
+
+
+def worst(pair, relative=False):
+    got, want = pair
+    err = np.abs(got - want)
+    return float(np.max(err / np.abs(want) if relative else err))
+
+
+def test_criterion_4_profile_against_quadrature():
+    # alpha 0.15, r0 6, span +-5: r rises monotonically forward, and falls
+    # backward to the turning point near 5.24, which it reaches at s = -4.2.
+    # Measured: s 2.6e-12 and t 2.3e-12 forward, s 1.8e-12 and t 2.4e-12
+    # backward; the bounds are about twice that
+    alpha, r0 = 0.15, 6.0
+    curve = integrate_profile(ST, PhotonSurfaceSpec(alpha=alpha, r0=r0, span=(-5.0, 5.0)))
+    radial = Radial(alpha ** 2, -1.0, 1)
+    rate_t = (lambda r: alpha * r / f(r),)
+    fwd, bwd = curve.s >= 0, curve.s <= 0
+    s, t = samples(radial, rate_t, curve.s[fwd], curve.r[fwd], (curve.t[fwd],), 1, r0)
+    assert len(s[0]) > 90
+    assert worst(s) <= 5e-12 and worst(t) <= 5e-12
+    tp = radial.turning_point(4.0, r0)
+    assert tp < curve.r.min() < tp + 1e-6
+    s, t = samples(radial, rate_t, curve.s[bwd], curve.r[bwd], (curve.t[bwd],), 1, r0, tp)
+    assert len(s[0]) > 50
+    assert worst(s) <= 4e-12 and worst(t) <= 5e-12
+
+
+def test_seed_3_sweep_cell_against_quadrature():
+    # the sweep-grid seed-3 cell whose unit residual is 1.3e-7: its backward
+    # half runs into the horizon down to r - 2 = 5.5e-6, where 1/f is 3.7e5,
+    # yet the errors stay small. Measured: s 5.5e-13, t 7.8e-12 relative;
+    # the bounds are about twice that
+    alpha, r0 = 0.3788894953734038, 8.856705219598716
+    curve = integrate_profile(ST, PhotonSurfaceSpec(alpha=alpha, r0=r0, span=(-5.0, 5.0)))
+    assert curve.unit_residual.max() > 1e-7 and curve.r.min() - 2 < 1e-5
+    bwd = curve.s < 0
+    s, t = samples(Radial(alpha ** 2, -1.0, 1), (lambda r: alpha * r / f(r),),
+                   curve.s[bwd], curve.r[bwd], (curve.t[bwd],), 1, r0, every=1)
+    assert len(s[0]) > 400
+    assert worst(s) <= 1.1e-12 and worst(t, relative=True) <= 1.6e-11
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_geodesic_against_quadrature(sign):
+    # E = 1, ell = 6, r0 = 10 over affine parameter 0-40: outward, or inward
+    # through the periapsis near 4.2 and out again. Measured (sign +1, -1):
+    # phi 2.6e-11, 7.3e-12 relative, t 3.5e-12, 2.8e-12 relative, s 3.7e-11,
+    # 3.9e-11; the bounds are about twice the larger
+    E, ell, r0 = 1.0, 6.0, 10.0
+    traj = integrate_null_geodesic(ST, ConservedCharges(E, ell), r0, sign=sign,
+                                   span=(0.0, 40.0))
+    radial = Radial(E ** 2, -ell ** 2, 3)
+    tp = None if sign > 0 else radial.turning_point(3.0, r0)
+    # from the first sample after s = 0, where phi and t are 0
+    s, phi, t = samples(radial, (lambda r: ell / r ** 2, lambda r: E / f(r)), traj.s[1:],
+                        traj.r[1:], (traj.phi[1:], traj.t[1:]), sign, r0, tp)
+    assert len(s[0]) > 700
+    assert worst(phi, relative=True) <= 5e-11 and worst(t, relative=True) <= 7e-12
+    assert worst(s) <= 8e-11

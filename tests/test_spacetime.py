@@ -463,3 +463,28 @@ def test_isotropic_schwarzschild_map_matches_closed_form_out_to_1e14(n, r0):
     rs = np.geomspace(st.r_lo * (1 + 1e-10), 1e14, 2000)
     exact = ((rs ** (p / 2) + np.sqrt(rs ** p - 2)) / 2) ** (2 / p)
     np.testing.assert_allclose(iso.s_of_r(rs), exact, rtol=2e-12, atol=0)
+
+
+@pytest.mark.parametrize("r_lo, r_hi", [(-math.inf, 10.0), (math.nan, 10.0),
+                                        (2.0, math.nan), (2.0, -math.inf),
+                                        (math.inf, math.inf), (7.0, 4.0), (3.0, 3.0)])
+def test_every_constructor_rejects_a_bad_interval(tmp_path, r_lo, r_hi):
+    # build_family alone checked the interval; custom_spacetime took all of
+    # these and spacetime_from_table took (7, 4)
+    table = tmp_path / "f.csv"
+    table.write_text("r,f\n" + "".join(f"{r},1.0\n" for r in range(1, 12)))
+    with pytest.raises(InvalidFamilyParamsError):
+        build_family("minkowski", r_lo=r_lo, r_hi=r_hi)
+    with pytest.raises(InvalidFamilyParamsError):
+        custom_spacetime(lambda r: 1.0 + 0.0 * r, 3, r_lo, r_hi)
+    with pytest.raises(InvalidFamilyParamsError):
+        spacetime_from_table(table, r_lo=r_lo, r_hi=r_hi)
+
+
+def test_negative_r_lo_becomes_zero_in_every_constructor(tmp_path):
+    table = tmp_path / "f.csv"
+    table.write_text("r,f\n" + "".join(f"{r},1.0\n" for r in range(0, 12)))
+    for st in (build_family("minkowski", r_lo=-1.0, r_hi=10.0),
+               custom_spacetime(lambda r: 1.0 + 0.0 * r, 3, -1.0, 10.0),
+               spacetime_from_table(table, r_lo=-1.0, r_hi=10.0)):
+        assert (st.r_lo, st.r_hi) == (0.0, 10.0)

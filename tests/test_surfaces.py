@@ -18,8 +18,10 @@ from photonsurf import (
     minkowski_exact,
     ode_residuals,
     profile_slope_squared,
+    surface_scalar_curvature_check,
     turning_points,
 )
+from photonsurf.errors import TooFewSamplesError
 
 ALPHA_STAR = 1.0 / math.sqrt(27.0)
 
@@ -207,3 +209,35 @@ def test_conserved_quantities_hold(schw3, schw3_spheres, alpha, r0):
     curve = integrate_profile(schw3, spec, spheres=schw3_spheres)
     assert np.max(curve.unit_residual) < 1e-9
     assert np.max(curve.umbilicity_residual(schw3)) < 1e-12
+
+
+def test_alpha_checks_reject_nan(schw3):
+    # classify(st, nan, 6) said Supercritical and turning_points(st, nan)
+    # returned []: every alpha check is the spec's, which rejects NaN
+    for call in (lambda a: classify(schw3, a, 6.0), lambda a: turning_points(schw3, a),
+                 lambda a: minkowski_exact(a, 0.0, 1.0),
+                 lambda a: PhotonSurfaceSpec(alpha=a, r0=6.0)):
+        for alpha in (math.nan, 0.0, -0.1):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                call(alpha)
+
+
+def test_too_few_samples_error_from_every_residual_check(schw3):
+    spec = PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(0.0, 0.02))
+    curve = integrate_profile(schw3, spec)
+    assert len(curve.s) == 3
+    with pytest.raises(TooFewSamplesError, match="fewer than the 5"):
+        ode_residuals(schw3, curve)
+    with pytest.raises(TooFewSamplesError, match="fewer than the 5"):
+        surface_scalar_curvature_check(schw3, curve, 0.15)
+
+
+@pytest.mark.parametrize("m, q", [(60.0, 61.0), (100.0, 101.0), (1.0, 1.05)])
+def test_super_extremal_rn_spheres_above_r_100(m, q):
+    # for r_lo = 0 the spheres lie at (3m +- sqrt(9m^2 - 8q^2)) / 2, between
+    # m and 2m: above the old scan top of 100 once m > 50
+    st = build_family("reissner-nordstrom", m=m, q=q)
+    root = math.sqrt(9 * m ** 2 - 8 * q ** 2)
+    expected = [(3 * m - root) / 2, (3 * m + root) / 2]
+    r_stars = [sp.r_star for sp in find_photon_spheres(st)]
+    np.testing.assert_allclose(r_stars, expected, rtol=1e-12)
