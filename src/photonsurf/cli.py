@@ -45,7 +45,6 @@ from .surfaces import (
     _check_span,
     _sweep_row,
     classify,
-    find_photon_spheres,
     integrate_profile,
     ode_residuals,
     turning_points,
@@ -248,10 +247,9 @@ def _profile_table(curve):
 
 def cmd_spheres(args, cp):
     st = _build_spacetime(cp)
-    spheres = find_photon_spheres(st)
     rows = [{"r_star": sp.r_star, "alpha_star": sp.alpha_star,
              "b_star": critical_impact_parameter(st, sp),
-             "residual": sp.residual} for sp in spheres]
+             "residual": sp.residual} for sp in st.spheres]
     if args.format == "json":
         print(json.dumps({"spacetime": _spacetime_summary(st), "spheres": rows}, **_JSON))
     else:
@@ -292,9 +290,9 @@ def cmd_profile(args, cp):
     st = _build_spacetime(cp)
     spec = _profile_spec(cp)
     step = _step_control(cp, "profile", spec.span)
-    spheres = find_photon_spheres(st)
-    curve = integrate_profile(st, spec, step, spheres=spheres)
-    cls = classify(st, spec.alpha, spec.r0, spheres=spheres)
+    curve = integrate_profile(st, spec, step)
+    cls = classify(st, spec.alpha, spec.r0)
+    turning = turning_points(st, spec.alpha)
     res = ode_residuals(st, curve)
 
     out = args.out or "."
@@ -305,7 +303,7 @@ def cmd_profile(args, cp):
         "spec": {"alpha": spec.alpha, "r0": spec.r0, "t0": spec.t0,
                  "sign": spec.sign, "span": list(spec.span)},
         "classification": cls.kind.value,
-        "turning_radii": list(cls.turning_radii),
+        "turning_radii": turning,
         "termination": curve.termination,
         "termination_start": curve.termination_start,
         "samples": len(curve.s),
@@ -319,7 +317,7 @@ def cmd_profile(args, cp):
         # starts at t = 0, the profile at t0
         covered, r_geo, sol = _radii_at_times(
             st, ConservedCharges(energy=spec.alpha, angular_momentum=1.0),
-            spec.r0, spec.sign, curve.t - spec.t0, step, spheres)
+            spec.r0, spec.sign, curve.t - spec.t0, step)
         payload["oracle_max_deviation"] = float(abs(r_geo - curve.r[covered]).max())
         payload["oracle_compared_samples"] = int(covered.sum())
         payload["oracle_solve_stats"] = {"solve_stats": sol.stats,
@@ -376,7 +374,6 @@ def cmd_sweep(args, cp):
         return EXIT_EMPTY_SWEEP
     span = _sec_span(sec)
     step = _step_control(cp, "sweep", span)
-    spheres = find_photon_spheres(st)
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -395,7 +392,7 @@ def cmd_sweep(args, cp):
             items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
                        "reason": reason} for r0 in r0s]
             continue
-        row, row_orbits = _sweep_row(st, a, r0s, span, step, spheres, turning)
+        row, row_orbits = _sweep_row(st, a, r0s, span, step, turning)
         first = len(orbits)
         # each orbit's anchor, and the work and stop reason of each half-line
         orbits += [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
@@ -410,18 +407,18 @@ def cmd_sweep(args, cp):
             else:
                 spec = PhotonSurfaceSpec(alpha=a, r0=r0, span=span)
                 try:
-                    curve = integrate_profile(st, spec, step, spheres=spheres)
+                    curve = integrate_profile(st, spec, step)
                 except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
                     item["reason"] = _reason(e)
                     continue
                 work = {"solve_stats": curve.solve_stats}
-            cls = classify(st, a, r0, spheres=spheres, turning_radii=turning)
+            cls = classify(st, a, r0)
             name = f"sweep_a{ia}_r{ir}.csv"
             _write_csv(os.path.join(out, name), *_profile_table(curve), memo)
             outputs.append(name)
             item.update(file=name, status="ok", reason=None,
                         classification=cls.kind.value,
-                        turning_radii=list(cls.turning_radii),
+                        turning_radii=turning,
                         termination=curve.termination,
                         termination_start=curve.termination_start,
                         samples=len(curve.s), **work)
@@ -514,7 +511,7 @@ def cmd_isotropic(args, cp):
                "s,r,psi,dpsi_ds,N,dN_ds,log_gap",
                (ss, ss * p, p, dp, nn, dnn, dnn / nn - dp / p))
 
-    r_stars = np.array([sp.r_star for sp in find_photon_spheres(st)])
+    r_stars = np.array([sp.r_star for sp in st.spheres])
     s_stars = iso.s_of_r(r_stars)
     residuals = isotropic_sphere_residual(iso, s_stars)
     sphere_rows = [{"r_star": r, "s_star": s, "residual": res} for r, s, res

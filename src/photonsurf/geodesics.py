@@ -36,7 +36,6 @@ from .surfaces import (
     _snapped_sphere,
     _start_rate,
     _window,
-    find_photon_spheres,
 )
 
 __all__ = [
@@ -100,8 +99,7 @@ def critical_impact_parameter(st: ClassSSpacetime, sphere: PhotonSphere) -> floa
 def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
                             r0: float, sign: int = 1,
                             span: tuple[float, float] = (0.0, 10.0),
-                            step: StepControl = StepControl(),
-                            spheres: list[PhotonSphere] | None = None
+                            step: StepControl = StepControl()
                             ) -> NullGeodesicTrajectory:
     """Integrate the reduced null-geodesic system over an affine span.
 
@@ -113,7 +111,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     """
     _check_sign(sign)
     _check_span(span)
-    sol = _null_solution(st, charges, r0, sign, span, step, spheres)
+    sol = _null_solution(st, charges, r0, sign, span, step)
     E, ell = charges.energy, charges.angular_momentum
     s, (t, r, v, phi, sigma), _ = _window(sol, 0.0, span, step.sample_spacing)
     f = st.f(r)
@@ -126,7 +124,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
         null_residual=residual, solve_stats=sol.stats, _dense=sol)
 
 
-def _null_solution(st, charges, r0, sign, span, step, spheres, stops=(None, None)):
+def _null_solution(st, charges, r0, sign, span, step, stops=(None, None)):
     """The ``ode._Solution`` of the reduced null-geodesic state
     (t, r, dr/ds, phi, sigma) from r0 at s = 0 over span, by
     ``_integrate_radial`` with ``stops``, or, for data held on a photon
@@ -134,9 +132,7 @@ def _null_solution(st, charges, r0, sign, span, step, spheres, stops=(None, None
     E, ell = charges.energy, charges.angular_momentum
     if not st.contains(r0):
         raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
-    if ell > 0 and spheres is None:
-        spheres = find_photon_spheres(st)
-    r_fix = _fixed_radius(st, spheres, E / ell, r0) if ell > 0 else None
+    r_fix = _fixed_radius(st, E / ell, r0) if ell > 0 else None
     if r_fix is not None:
         return _linear((0.0, r_fix, 0.0, 0.0, 0.0),
                        (E / st.f(r_fix), 0.0, 0.0, ell / r_fix ** 2, ell / r_fix),
@@ -153,7 +149,7 @@ def _null_solution(st, charges, r0, sign, span, step, spheres, stops=(None, None
         return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
                 ell / r ** 2, ell / r)
 
-    sphere = _snapped_sphere(spheres, E / ell) if ell > 0 else None
+    sphere = _snapped_sphere(st.spheres, E / ell) if ell > 0 else None
     return _integrate_radial(st, rhs, (0.0, r0, v0, 0.0, 0.0), span, step, sphere, stops)
 
 
@@ -182,7 +178,7 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
         "backward": traj.termination_start, "forward": traj.termination}, {})
 
 
-def _radii_at_times(st, charges, r0, sign, t, step, spheres):
+def _radii_at_times(st, charges, r0, sign, t, step):
     """The null geodesic from r0 at t = 0 at the ascending coordinate times
     ``t`` (t[0] <= 0 <= t[-1]): which of them it covers, its radius at those
     times and its ``ode._Solution``.
@@ -197,7 +193,7 @@ def _radii_at_times(st, charges, r0, sign, t, step, spheres):
     stops = (lambda s, y, taken: "span" if y[0] <= t_first else None,
              lambda s, y, taken: "span" if y[0] >= t_last else None)
     span = (-math.inf if t[0] < 0 else 0.0, math.inf if t[-1] > 0 else 0.0)
-    sol = _null_solution(st, charges, r0, sign, span, step, spheres, stops)
+    sol = _null_solution(st, charges, r0, sign, span, step, stops)
     if not sol.stats:
         return np.ones(len(t), dtype=bool), np.full(len(t), sol.dense[2][0, 1]), sol
     t_lo, t_hi = sol.end_states()[0]

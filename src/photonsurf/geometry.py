@@ -20,7 +20,6 @@ from .surfaces import (
     ProfileCurve,
     StepControl,
     _check_samples,
-    find_photon_spheres,
     integrate_profile,
 )
 
@@ -169,14 +168,14 @@ class ScalarCurvatureReport:
     message: str = ""
 
 
-def surface_scalar_curvature_check(st: ClassSSpacetime, curve: ProfileCurve,
-                                   alpha: float) -> ScalarCurvatureReport:
+def surface_scalar_curvature_check(st: ClassSSpacetime,
+                                   curve: ProfileCurve) -> ScalarCurvatureReport:
     """Residual of R_p = n(n-1) alpha^2 + (n-1) Lambda on an integrated curve.
 
     For Einstein spacetimes (Ric = Lambda g) the induced scalar curvature of
-    a photon surface with mean curvature n*alpha is constant.  Vacuum
-    families use Lambda = 0; Schwarzschild-AdS uses Lambda = -n/L^2; for
-    families that are not Einstein the check is skipped and reported.
+    a photon surface with mean curvature n*alpha, alpha = ``curve.alpha``, is
+    constant.  Vacuum families use Lambda = 0 and Schwarzschild-AdS
+    -n/L^2; for families that are not Einstein the check is skipped.
     """
     _check_samples(curve.s)
     lam = st.einstein_constant
@@ -201,7 +200,7 @@ def surface_scalar_curvature_check(st: ClassSSpacetime, curve: ProfileCurve,
         rddot[1:-1] = d2h
         interior = slice(1, -1)
     r_p = warped_scalar_curvature(n, curve.r, curve.rdot, rddot)
-    expected = n * (n - 1) * alpha ** 2 + (n - 1) * lam
+    expected = n * (n - 1) * curve.alpha ** 2 + (n - 1) * lam
     residual = float(np.max(np.abs(r_p[interior] - expected)))
     return ScalarCurvatureReport(residual=residual, expected=expected)
 
@@ -332,7 +331,6 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
     """
     checks = []
     lo, hi = st.default_bracket()
-    spheres = find_photon_spheres(st)
     probe = math.sqrt(lo * hi) if st.r_lo > 0 or math.isfinite(st.r_hi) \
         else max(2.0, 2.0 * lo)
     radii = np.geomspace(max(lo, 1e-3 * probe), min(hi, 50 * probe), 50)
@@ -344,8 +342,7 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
     alpha = 1.2 * math.sqrt(st.f(r0)) / r0
     if st.einstein_constant is not None or math.isinf(st.r_hi):
         spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-1.0, 1.0))
-        curve = integrate_profile(st, spec, StepControl(sample_spacing=1e-3),
-                                  spheres=spheres)
+        curve = integrate_profile(st, spec, StepControl(sample_spacing=1e-3))
         _check_samples(curve.s, f"the verify test surface (alpha {alpha:.6g}, "
                                 f"r0 {r0:.6g})")
     if st.einstein_constant is None:
@@ -353,7 +350,7 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
             "surface-scalar-curvature", None, 1e-5 * tol_scale, skipped=True,
             message=f"family {st.family!r}: Einstein constant unknown"))
     else:
-        rep = surface_scalar_curvature_check(st, curve, alpha)
+        rep = surface_scalar_curvature_check(st, curve)
         checks.append(_check("surface-scalar-curvature", rep.residual,
                              1e-5 * tol_scale,
                              skipped=rep.skipped, message=rep.message,
@@ -389,8 +386,8 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
         return checks
 
     iso = to_isotropic(st, r0=probe)
-    if spheres:
-        r_stars = np.array([sp.r_star for sp in spheres])
+    if st.spheres:
+        r_stars = np.array([sp.r_star for sp in st.spheres])
         worst = float(np.max(isotropic_sphere_residual(iso, iso.s_of_r(r_stars))))
         checks.append(_check("isotropic-photon-sphere", worst, 1e-8 * tol_scale,
                              solve_stats={"isotropic_map": iso.solve_stats}))

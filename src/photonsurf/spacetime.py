@@ -119,6 +119,13 @@ class ClassSSpacetime:
             hi = max(10 * lo, 100.0, 10 * abs(self.params.get("m", 0.0)))
         return lo, hi
 
+    @functools.cached_property
+    def spheres(self) -> tuple:
+        """The photon spheres of the scan bracket, ascending: the
+        ``surfaces.find_photon_spheres`` scan, run on first use."""
+        from .surfaces import find_photon_spheres  # surfaces imports this module
+        return tuple(find_photon_spheres(self))
+
 
 def _interval(r_lo, r_hi) -> tuple[float, float]:
     """The radial interval (r_lo, r_hi), a negative r_lo raised to 0; raises
@@ -588,20 +595,17 @@ def from_isotropic(iso: IsotropicForm) -> ClassSSpacetime:
                            {"origin": "from_isotropic"})
 
 
-def conformal_flatness_scan(iso: IsotropicForm,
-                            grid: int = 512) -> list[tuple[float, float]]:
-    """Maximal grid subintervals where the log-derivatives of lapse and psi
-    agree to 1e-10.
+def conformal_flatness_scan(iso: IsotropicForm) -> list[tuple[float, float]]:
+    """Maximal subintervals of the 512-point grid where the log-derivatives
+    of lapse and psi agree to 1e-10.
 
     On such subintervals the spacetime is locally conformally flat and extra
     photon surfaces (translated hyperboloids, tilted planes) may exist; an
     empty list certifies the generic condition on the grid.
     """
-    if grid < 2:
-        raise DomainError("need grid >= 2")
     if not (iso.s_lo < iso.s_hi):
         return []
-    ss = _iso_grid(iso, grid)
+    ss = _iso_grid(iso, 512)
     flat = np.abs(iso.log_derivative_gap(ss)) < 1e-10
     # each run of flat points starts where the padded mask rises and ends
     # just before it falls

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ForbiddenRadiusError, StepUnderflowError, TooFewSamplesError
+from .errors import DomainError, ForbiddenRadiusError, StepUnderflowError, \
+    TooFewSamplesError
 from .ode import (
     SolveStats,
     StepControl,
@@ -160,7 +161,6 @@ class SurfaceKind(enum.Enum):
 @dataclass(frozen=True)
 class SurfaceClass:
     kind: SurfaceKind
-    turning_radii: tuple[float, ...]
     regions: tuple[str, ...]  # position of r0 relative to each photon sphere
     spheres: tuple[PhotonSphere, ...]
 
@@ -180,7 +180,7 @@ def _snapped_sphere(spheres, alpha, r0=None):
     return None
 
 
-def _fixed_radius(st, spheres, lam, r0):
+def _fixed_radius(st, lam, r0):
     """The radius at which data of factor ``lam`` (alpha, or E/ell) at r0
     is held on a photon sphere, or None: r0 at an exact fixed point
     (|lam^2 r0^2 - f| <= 1e-12 max(1, lam^2 r0^2) and |r0 f' - 2 f| <= 1e-9),
@@ -191,7 +191,7 @@ def _fixed_radius(st, spheres, lam, r0):
     a2r2 = lam ** 2 * r0 ** 2
     if abs(a2r2 - f0) <= 1e-12 * max(1.0, a2r2) and abs(df0 * r0 - 2 * f0) <= 1e-9:
         return r0
-    sp = _snapped_sphere(spheres, lam, r0)
+    sp = _snapped_sphere(st.spheres, lam, r0)
     return None if sp is None else sp.r_star
 
 
@@ -214,17 +214,20 @@ def _scan_roots(g, lo, hi):
 
 
 def find_photon_spheres(st: ClassSSpacetime) -> list[PhotonSphere]:
-    """All photon sphere radii in the scan bracket, ascending."""
+    """All photon sphere radii in the scan bracket, ascending; ``st.spheres``
+    holds them. Raises DomainError where the scan leaves the float range."""
 
     def g(r):
         fv, dfv = st.metric(r)
         return dfv * r - 2 * fv
 
-    spheres = []
-    for r_star in _scan_roots(g, *st.default_bracket()):
-        fv = st.f(r_star)
-        spheres.append(PhotonSphere(r_star, math.sqrt(fv) / r_star, abs(g(r_star))))
-    return spheres
+    try:
+        with np.errstate(all="ignore"):  # a node where g is not finite has no sign
+            roots = _scan_roots(g, *st.default_bracket())
+        return [PhotonSphere(r, math.sqrt(st.f(r)) / r, abs(g(r))) for r in roots]
+    except OverflowError:
+        raise DomainError(f"the photon sphere scan of {st.family} {st.params} "
+                          "leaves the float range") from None
 
 
 def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
@@ -398,8 +401,7 @@ def _profile_rhs(st, alpha):
 
 
 def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
-                      step: StepControl = StepControl(),
-                      spheres: list[PhotonSphere] | None = None) -> ProfileCurve:
+                      step: StepControl = StepControl()) -> ProfileCurve:
     """Integrate the radial profile of one photon surface over its span.
 
     Data held on a photon sphere (``_fixed_radius``) gives the exact
@@ -412,9 +414,7 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
     alpha = spec.alpha
     if not st.contains(spec.r0):
         raise ForbiddenRadiusError(f"r0 = {spec.r0:.6g} outside radial interval")
-    if spheres is None:
-        spheres = find_photon_spheres(st)
-    r_fix = _fixed_radius(st, spheres, alpha, spec.r0)
+    r_fix = _fixed_radius(st, alpha, spec.r0)
     if r_fix is not None:
         tdot0 = 1.0 / math.sqrt(st.f(r_fix))
         sol = _linear((spec.t0, r_fix, 0.0), (tdot0, 0.0, 0.0), spec.span)
@@ -423,7 +423,7 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
         v0 = _start_rate(spec.sign, a2r2, st.f(spec.r0), max(1.0, a2r2), (
             "alpha^2 r0^2", "f(r0)", "no real initial dr/ds"))
         sol = _integrate_radial(st, _profile_rhs(st, alpha), (spec.t0, spec.r0, v0),
-                                spec.span, step, _snapped_sphere(spheres, alpha))
+                                spec.span, step, _snapped_sphere(st.spheres, alpha))
 
     s, (t, r, v), _ = _window(sol, 0.0, spec.span, step.sample_spacing)
     curve = _curve(st, alpha, s, t, r, v, sol.reasons, sol.stats)
@@ -460,14 +460,14 @@ class _Orbit(NamedTuple):
     sol: object
 
 
-def _orbit_anchor(st, alpha, below, above, spheres, bracket):
+def _orbit_anchor(st, alpha, below, above):
     """(radius, kind) of the canonical anchor of the component of
     {alpha^2 r^2 >= f} between the turning points ``below`` and ``above``
     (None: open to that side), or None when there is none.
 
     The anchor is the component's turning point, polished by Newton so that
     dr/ds = 0 holds there to rounding; else the first root of r'' = 0, that
-    is alpha^2 r = f'/2, in ``bracket``; else r_* of the first photon sphere.
+    is alpha^2 r = f'/2, in the scan bracket; else r_* of the first sphere.
     """
     a2 = alpha ** 2
     if below is not None or above is not None:
@@ -476,12 +476,12 @@ def _orbit_anchor(st, alpha, below, above, spheres, bracket):
             return a2 * r ** 2 - fv, 2 * a2 * r - dfv
 
         r_tp = below if below is not None else above
-        return float(_newton(g, 0.0, r_tp, *bracket)), "turning-point"
-    roots = _scan_roots(lambda r: a2 * r - 0.5 * st.metric(r)[1], *bracket)
+        return float(_newton(g, 0.0, r_tp, *st.default_bracket())), "turning-point"
+    roots = _scan_roots(lambda r: a2 * r - 0.5 * st.metric(r)[1], *st.default_bracket())
     if roots:
         return roots[0], "inflection"
-    if spheres:
-        return spheres[0].r_star, "photon-sphere"
+    if st.spheres:
+        return st.spheres[0].r_star, "photon-sphere"
     return None
 
 
@@ -539,7 +539,7 @@ def _orbit_starts(passed, s0s):
         passed.clear()
 
 
-def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
+def _sweep_row(st, alpha, r0s, span, step, turning):
     """Sign +1 profiles of the sweep cells (alpha, r0), r0 in ``r0s``, from
     one open-ended solve per orbit.
 
@@ -565,14 +565,14 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
     """
     cells = [None] * len(r0s)
     orbits = []
-    if _snapped_sphere(spheres, alpha) is not None:
+    if _snapped_sphere(st.spheres, alpha) is not None:
         return cells, orbits
     bracket = st.default_bracket()
     groups = {}
     for i, r0 in enumerate(r0s):
         try:
             if not bracket[0] < r0 < bracket[1] or \
-                    _fixed_radius(st, spheres, alpha, r0) is not None or \
+                    _fixed_radius(st, alpha, r0) is not None or \
                     not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
                 continue
         except (OverflowError, ZeroDivisionError):
@@ -585,7 +585,7 @@ def _sweep_row(st, alpha, r0s, span, step, spheres, turning):
 
     rhs = _profile_rhs(st, alpha)
     for (below, above), members in groups.items():
-        anchor = _orbit_anchor(st, alpha, below, above, spheres, bracket)
+        anchor = _orbit_anchor(st, alpha, below, above)
         if anchor is None:
             continue
         r_a, kind = anchor
@@ -662,24 +662,17 @@ def ode_residuals(st: ClassSSpacetime, curve: ProfileCurve) -> ResidualReport:
         unit_residual=float(np.max(unit)))
 
 
-def classify(st: ClassSSpacetime, alpha: float, r0: float,
-             spheres: list[PhotonSphere] | None = None,
-             turning_radii: list[float] | None = None) -> SurfaceClass:
-    """Group a surface by its umbilicity factor relative to the photon spheres.
+def classify(st: ClassSSpacetime, alpha: float, r0: float) -> SurfaceClass:
+    """Group a surface by its umbilicity factor relative to ``st.spheres``.
 
     Data held on a photon sphere (``_fixed_radius``) is PhotonSphere, even
-    when ``spheres`` misses that sphere. ``spheres`` and ``turning_radii``
-    (the turning points of ``alpha``) are computed when not given.
+    when the scan missed that sphere.
     """
     _check_positive(alpha)
-    if spheres is None:
-        spheres = find_photon_spheres(st)
-    if turning_radii is None:
-        turning_radii = turning_points(st, alpha)
-    tps = tuple(turning_radii)
+    spheres = st.spheres
     regions = tuple("below" if r0 < sp.r_star else "above" for sp in spheres)
 
-    if _fixed_radius(st, spheres, alpha, r0) is not None:
+    if _fixed_radius(st, alpha, r0) is not None:
         kind = SurfaceKind.PHOTON_SPHERE
     elif not spheres:
         kind = SurfaceKind.NO_SPHERE_REFERENCE
@@ -691,8 +684,7 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float,
             kind = SurfaceKind.SUBCRITICAL
         else:
             kind = SurfaceKind.SUPERCRITICAL
-    return SurfaceClass(kind=kind, turning_radii=tps, regions=regions,
-                        spheres=tuple(spheres))
+    return SurfaceClass(kind=kind, regions=regions, spheres=spheres)
 
 
 def minkowski_exact(alpha: float, t0: float, t) -> float:

@@ -2,17 +2,20 @@ import math
 
 import pytest
 
-from photonsurf import build_family, find_photon_spheres, to_isotropic
+from photonsurf import build_family, to_isotropic
 
 
 @pytest.fixture(scope="session")
 def schw3():
-    return build_family("schwarzschild", n=3, m=1)
+    st = build_family("schwarzschild", n=3, m=1)
+    # every test shares it: scan now, before a test can patch the scan bracket
+    st.spheres
+    return st
 
 
 @pytest.fixture(scope="session")
 def schw3_spheres(schw3):
-    return find_photon_spheres(schw3)
+    return schw3.spheres
 
 
 @pytest.fixture(scope="session")

@@ -77,7 +77,7 @@ def test_criterion_2_minkowski_oracle(minkowski):
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_3_geodesic_surface_equivalence(schw3, schw3_spheres):
+def test_criterion_3_geodesic_surface_equivalence(schw3):
     with report("criterion 3 (geodesic/surface equivalence, 20 random specs)"):
         start = time.perf_counter()
         rng = np.random.default_rng(42)
@@ -94,12 +94,11 @@ def test_criterion_3_geodesic_surface_equivalence(schw3, schw3_spheres):
             charges = ConservedCharges(energy=lam * ell, angular_momentum=ell)
             sign = 1 if rng.random() < 0.5 else -1
             traj = integrate_null_geodesic(
-                schw3, charges, r0, sign=sign, span=(-8.0 / lam, 8.0 / lam),
-                spheres=schw3_spheres)
+                schw3, charges, r0, sign=sign, span=(-8.0 / lam, 8.0 / lam))
             prof = generated_surface_profile(traj, st=schw3)
             spec = PhotonSurfaceSpec(alpha=lam, r0=r0, sign=sign,
                                      span=(-2.0, 2.0))
-            curve = integrate_profile(schw3, spec, spheres=schw3_spheres)
+            curve = integrate_profile(schw3, spec)
             mask = (curve.s > prof.s[0]) & (curve.s < prof.s[-1])
             assert mask.sum() > 50
             r_i = np.interp(curve.s[mask], prof.s, prof.r)
@@ -110,7 +109,7 @@ def test_criterion_3_geodesic_surface_equivalence(schw3, schw3_spheres):
         assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_4_conservation_drift(schw3, schw3_spheres, minkowski):
+def test_criterion_4_conservation_drift(schw3, minkowski):
     with report("criterion 4 (conservation over arclength span 100)"):
         # curves whose radius stays moderate for the full span, so the
         # conserved quantities are meaningful at the 1e-8 level: the
@@ -130,14 +129,12 @@ def test_criterion_4_conservation_drift(schw3, schw3_spheres, minkowski):
             assert np.max(curve.umbilicity_residual(st)) < 1e-8
 
 
-def test_criterion_5_second_order_residuals(schw3, schw3_spheres):
+def test_criterion_5_second_order_residuals(schw3):
     with report("criterion 5 (second-order residuals, O(h^2) convergence)"):
         spec = PhotonSurfaceSpec(alpha=0.15, r0=6.0, sign=1, span=(-2.0, 2.0))
         res = {}
         for h in (2e-3, 1e-3):
-            curve = integrate_profile(schw3, spec,
-                                      StepControl(sample_spacing=h),
-                                      spheres=schw3_spheres)
+            curve = integrate_profile(schw3, spec, StepControl(sample_spacing=h))
             rep = ode_residuals(schw3, curve)
             res[h] = max(rep.tddot_residual, rep.rddot_residual)
         assert res[1e-3] < 1e-5
@@ -175,7 +172,7 @@ def test_criterion_6_vacuum_scalar_identity():
                 spec = PhotonSurfaceSpec(alpha=a, r0=r0, sign=sign,
                                          span=(-1.0, 1.0))
                 curve = integrate_profile(st, spec, step)
-                rep = surface_scalar_curvature_check(st, curve, a)
+                rep = surface_scalar_curvature_check(st, curve)
                 assert rep.residual < 1e-5
 
 

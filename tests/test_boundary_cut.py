@@ -20,7 +20,6 @@ from photonsurf import (
     PhotonSurfaceSpec,
     StepControl,
     build_family,
-    find_photon_spheres,
     integrate_null_geodesic,
     integrate_profile,
 )
@@ -36,7 +35,6 @@ SPACETIMES = {
     "rn-q0.999": build_family("reissner-nordstrom", m=1, q=0.999),
     "sads-L10": build_family("schwarzschild-ads", m=1, L=10),
 }
-SPHERES = {name: find_photon_spheres(st) for name, st in SPACETIMES.items()}
 
 
 def csv_bytes(tmp_path, curve):
@@ -67,7 +65,7 @@ def test_band_changes_work_never_samples(tmp_path_factory, name, x, excess,
     def solve(band):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(surfaces, "_LOOKAHEAD_BAND", band)
-            return integrate_profile(st, spec, step, SPHERES[name])
+            return integrate_profile(st, spec, step)
 
     off = solve(0.0)
     for band in (surfaces._LOOKAHEAD_BAND, 1e-3, 1e-1):
@@ -79,19 +77,19 @@ def test_band_changes_work_never_samples(tmp_path_factory, name, x, excess,
             assert attempts(stats) <= attempts(off.solve_stats[half]), band
 
 
-def test_horizon_bound_half_line_stops_after_its_last_sample(schw3, schw3_spheres):
+def test_horizon_bound_half_line_stops_after_its_last_sample(schw3):
     # the forward half falls into the horizon; its last sample lies at
     # r - 2 = 5.1e-3, and without the cut it takes 750 step attempts, 456 of
     # them below r - 2 = 1e-3
     spec = PhotonSurfaceSpec(0.3568087075647066, 6.856597721117346, sign=-1,
                              span=(-4.0, 4.0))
-    curve = integrate_profile(schw3, spec, StepControl(), schw3_spheres)
+    curve = integrate_profile(schw3, spec, StepControl())
     assert curve.termination == "boundary"
     assert 5e-3 < curve.r[-1] - 2 < 5.2e-3
     assert attempts(curve.solve_stats["forward"]) <= 350
 
 
-def test_geodesic_band_changes_work_never_samples(schw3, schw3_spheres):
+def test_geodesic_band_changes_work_never_samples(schw3):
     # an infalling geodesic: same samples and end with and without the cut
     charges = ConservedCharges(energy=0.4, angular_momentum=1.0)
 
@@ -99,7 +97,7 @@ def test_geodesic_band_changes_work_never_samples(schw3, schw3_spheres):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(surfaces, "_LOOKAHEAD_BAND", band)
             return integrate_null_geodesic(schw3, charges, 6.0, sign=-1,
-                                           span=(-5.0, 40.0), spheres=schw3_spheres)
+                                           span=(-5.0, 40.0))
 
     on, off = solve(surfaces._LOOKAHEAD_BAND), solve(0.0)
     assert on.termination == off.termination == "boundary"

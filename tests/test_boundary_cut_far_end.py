@@ -12,7 +12,6 @@ from photonsurf import (
     PhotonSurfaceSpec,
     StepControl,
     custom_spacetime,
-    find_photon_spheres,
     integrate_profile,
 )
 from photonsurf import surfaces
@@ -24,21 +23,20 @@ from test_boundary_cut import attempts, csv_bytes
 # cosmological horizon at 8.788851
 SDS = custom_spacetime(lambda r: 1 - 2 / r - r ** 2 / 100, 3, 2.09149, 8.78885,
                        fprime=lambda r: 2 / r ** 2 - r / 50)
-SDS_SPHERES = find_photon_spheres(SDS)
 
 
-def solve(st, spec, spheres, band):
+def solve(st, spec, band):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surfaces, "_LOOKAHEAD_BAND", band)
-        return integrate_profile(st, spec, StepControl(), spheres)
+        return integrate_profile(st, spec, StepControl())
 
 
 @pytest.mark.parametrize("alpha, r0, sign", [
     (0.25, 7.0, 1), (0.3, 8.5, 1), (0.2, 6.0, 1), (0.22, 5.0, -1)])
 def test_band_changes_work_never_samples_at_r_hi(tmp_path, alpha, r0, sign):
     spec = PhotonSurfaceSpec(alpha, r0, sign=sign, span=(-4.0, 30.0))
-    on = solve(SDS, spec, SDS_SPHERES, surfaces._LOOKAHEAD_BAND)
-    off = solve(SDS, spec, SDS_SPHERES, 0.0)
+    on = solve(SDS, spec, surfaces._LOOKAHEAD_BAND)
+    off = solve(SDS, spec, 0.0)
     assert csv_bytes(tmp_path, on) == csv_bytes(tmp_path, off)
     assert (on.termination, on.termination_start, len(on.s)) == \
         (off.termination, off.termination_start, len(off.s))
@@ -51,13 +49,12 @@ def test_band_changes_work_never_samples_at_r_hi(tmp_path, alpha, r0, sign):
     assert attempts(on.solve_stats[outward]) < attempts(off.solve_stats[outward])
 
 
-def test_failed_look_ahead_leaves_the_half_line_uncut(tmp_path, schw3, schw3_spheres,
-                                                      monkeypatch):
+def test_failed_look_ahead_leaves_the_half_line_uncut(tmp_path, schw3, monkeypatch):
     # the forward half falls into the horizon (as in test_boundary_cut); its
     # look-ahead on (r, dr/ds) raises, so the half runs on as with band 0
     spec = PhotonSurfaceSpec(0.3568087075647066, 6.856597721117346, sign=-1,
                              span=(-4.0, 4.0))
-    off = solve(schw3, spec, schw3_spheres, 0.0)
+    off = solve(schw3, spec, 0.0)
     dopri5, failed = surfaces._dopri5, []
 
     def failing(rhs, y0, *args, **kwargs):
@@ -67,7 +64,7 @@ def test_failed_look_ahead_leaves_the_half_line_uncut(tmp_path, schw3, schw3_sph
         return dopri5(rhs, y0, *args, **kwargs)
 
     monkeypatch.setattr(surfaces, "_dopri5", failing)
-    curve = integrate_profile(schw3, spec, StepControl(), schw3_spheres)
+    curve = integrate_profile(schw3, spec, StepControl())
     assert len(failed) == 1
     assert csv_bytes(tmp_path, curve) == csv_bytes(tmp_path, off)
     assert (curve.termination, curve.termination_start) == \

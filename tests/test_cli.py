@@ -45,6 +45,15 @@ def test_spheres_minkowski(tmp_path, capsys):
     assert "no photon spheres" in capsys.readouterr().out
 
 
+def test_spheres_beyond_the_float_range_exit_3_naming_the_family(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", "[spacetime]\nfamily = schwarzschild\nm = 5e153\n")
+    assert main(["--config", cfg, "spheres"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("invalid spec: the photon sphere scan of schwarzschild "
+                   "{'m': 5e+153} leaves the float range\n")
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.ini", "family = schwarzschild\n")
     assert main(["--config", cfg, "spheres"]) == 2
@@ -213,7 +222,7 @@ def _write_csv_reference(path, header, columns):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def test_write_csv_matches_per_value_fmt(tmp_path, schw3, schw3_spheres, monkeypatch):
+def test_write_csv_matches_per_value_fmt(tmp_path, schw3, monkeypatch):
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 5)
     special = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                         -5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.0 ** 60])
@@ -223,8 +232,7 @@ def test_write_csv_matches_per_value_fmt(tmp_path, schw3, schw3_spheres, monkeyp
                          rng.standard_normal(special.size)
                          * 10.0 ** rng.integers(-300, 300, special.size)))]
     curve = photonsurf.integrate_profile(
-        schw3, photonsurf.PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(-2.0, 2.0)),
-        spheres=schw3_spheres)
+        schw3, photonsurf.PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(-2.0, 2.0)))
     tables.append(_profile_table(curve))
     # memoized columns: -0.0 and 0.0 in both orders, NaN, values repeated
     # within and across tables; one table spans several blocks, one is empty

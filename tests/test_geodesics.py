@@ -9,6 +9,7 @@ from photonsurf import (
     PhotonSurfaceSpec,
     PrincipalNullError,
     SurfaceKind,
+    build_family,
     classify,
     critical_impact_parameter,
     generated_surface_profile,
@@ -16,6 +17,7 @@ from photonsurf import (
     integrate_profile,
     umbilicity_from_charges,
 )
+from photonsurf import surfaces
 
 ALPHA_STAR = 1.0 / math.sqrt(27.0)
 
@@ -89,13 +91,12 @@ def test_turning_point_start_with_zero_sign(schw3):
     assert traj.r.min() == pytest.approx(r_turn, abs=1e-9)
 
 
-def test_generated_surface_matches_profile(schw3, schw3_spheres):
+def test_generated_surface_matches_profile(schw3):
     ch = ConservedCharges(energy=0.15, angular_momentum=1.0)
-    traj = integrate_null_geodesic(schw3, ch, 6.0, sign=1, span=(-25.0, 25.0),
-                                   spheres=schw3_spheres)
+    traj = integrate_null_geodesic(schw3, ch, 6.0, sign=1, span=(-25.0, 25.0))
     prof = generated_surface_profile(traj, st=schw3)
     spec = PhotonSurfaceSpec(alpha=0.15, r0=6.0, sign=1, span=(-5.0, 5.0))
-    curve = integrate_profile(schw3, spec, spheres=schw3_spheres)
+    curve = integrate_profile(schw3, spec)
     r_interp = np.interp(curve.s, prof.s, prof.r)
     t_interp = np.interp(curve.s, prof.s, prof.t)
     mask = (curve.s > prof.s[0]) & (curve.s < prof.s[-1])
@@ -119,11 +120,10 @@ def test_generated_surface_from_circular_orbit(schw3):
     assert np.max(prof.unit_residual) < 1e-12
 
 
-def test_asymptotic_geodesic_terminates(schw3, schw3_spheres):
+def test_asymptotic_geodesic_terminates(schw3):
     # lambda = E/ell exactly critical but started off the sphere
     ch = ConservedCharges(energy=ALPHA_STAR, angular_momentum=1.0)
-    traj = integrate_null_geodesic(schw3, ch, 2.5, sign=1, span=(0.0, 2000.0),
-                                   spheres=schw3_spheres)
+    traj = integrate_null_geodesic(schw3, ch, 2.5, sign=1, span=(0.0, 2000.0))
     assert traj.termination == "asymptotic-to-photon-sphere"
     assert abs(traj.r[-1] - 3.0) < 1e-4
 
@@ -140,24 +140,21 @@ def test_generated_surface_from_circular_orbit_samples_its_own_range(schw3):
     assert prof.termination_start == traj.termination_start == "photon-sphere-snap"
 
 
-def _verdicts(st, lam, r0, spheres, span):
+def _verdicts(st, lam, r0, span):
     """Whether integrate_profile, integrate_null_geodesic (E = lam, ell = 1)
     and classify each hold (lam, r0) on a photon sphere, and the held curves."""
     try:
-        curve = integrate_profile(
-            st, PhotonSurfaceSpec(alpha=lam, r0=r0, span=span), spheres=spheres)
+        curve = integrate_profile(st, PhotonSurfaceSpec(alpha=lam, r0=r0, span=span))
     except ForbiddenRadiusError:
         curve = None
     try:
         traj = integrate_null_geodesic(
-            st, ConservedCharges(energy=lam, angular_momentum=1.0), r0,
-            span=span, spheres=spheres)
+            st, ConservedCharges(energy=lam, angular_momentum=1.0), r0, span=span)
     except ForbiddenRadiusError:
         traj = None
     held = [c is not None and c.termination == "photon-sphere-snap"
             for c in (curve, traj)]
-    held.append(classify(st, lam, r0, spheres=spheres).kind
-                is SurfaceKind.PHOTON_SPHERE)
+    held.append(classify(st, lam, r0).kind is SurfaceKind.PHOTON_SPHERE)
     return held, curve, traj
 
 
@@ -179,12 +176,17 @@ def _off_sphere_data():
 
 
 @pytest.mark.parametrize("lam, r0, with_spheres, expected", _off_sphere_data())
-def test_one_fixed_point_rule(schw3, schw3_spheres, lam, r0, with_spheres, expected):
+def test_one_fixed_point_rule(schw3, monkeypatch, lam, r0, with_spheres, expected):
     # profile, geodesic and classify decide "held on a photon sphere" by
-    # one rule, also when the sphere scan missed the sphere
-    spheres = schw3_spheres if with_spheres else []
+    # one rule, also when the sphere scan missed the sphere: a fresh
+    # spacetime whose scan finds none
+    st = schw3
+    if not with_spheres:
+        monkeypatch.setattr(surfaces, "find_photon_spheres", lambda st: [])
+        st = build_family("schwarzschild", n=3, m=1)
+        assert st.spheres == ()
     span = (-60.0, 60.0) if not with_spheres else (-10.0, 10.0)
-    held, curve, traj = _verdicts(schw3, lam, r0, spheres, span)
+    held, curve, traj = _verdicts(st, lam, r0, span)
     assert held == [expected] * 3
     if expected:
         for c in (curve, traj):
@@ -232,3 +234,12 @@ def test_profile_and_geodesic_share_the_forbidden_radius_tolerance(schw3):
     with pytest.raises(ForbiddenRadiusError):
         integrate_null_geodesic(
             schw3, ConservedCharges(energy=alpha, angular_momentum=1.0), r0, sign=0)
+
+
+def test_geodesic_start_checks(schw3):
+    # r0 inside the horizon, and sign 0 where (dr/ds)^2 = E^2 - ell^2 f/r0^2 > 0
+    charges = ConservedCharges(energy=0.3, angular_momentum=1.0)
+    with pytest.raises(ForbiddenRadiusError, match="r0 = 1.5 outside radial interval"):
+        integrate_null_geodesic(schw3, charges, 1.5, span=(0.0, 1.0))
+    with pytest.raises(ForbiddenRadiusError, match="sign = 0 is only valid at a turning point"):
+        integrate_null_geodesic(schw3, charges, 6.0, sign=0, span=(0.0, 1.0))

@@ -6,6 +6,7 @@ import pytest
 from photonsurf import (
     DomainError,
     IdentityNotApplicableError,
+    IsotropicForm,
     MinimalSphereError,
     PhotonSurfError,
     PhotonSurfaceSpec,
@@ -77,7 +78,7 @@ def test_warped_curvature_finite_difference_oracle():
 def test_surface_scalar_curvature_on_photon_sphere(schw3):
     spec = PhotonSurfaceSpec(alpha=ALPHA_STAR, r0=3.0, span=(-1.0, 1.0))
     curve = integrate_profile(schw3, spec)
-    rep = surface_scalar_curvature_check(schw3, curve, ALPHA_STAR)
+    rep = surface_scalar_curvature_check(schw3, curve)
     assert rep.expected == pytest.approx(2 / 9, rel=1e-12)
     assert rep.residual < 1e-8
 
@@ -88,7 +89,7 @@ def test_surface_scalar_curvature_ads_includes_lambda():
     alpha = 1.3 * math.sqrt(st.f(r0)) / r0
     spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-0.5, 0.5))
     curve = integrate_profile(st, spec, StepControl(sample_spacing=1e-3))
-    rep = surface_scalar_curvature_check(st, curve, alpha)
+    rep = surface_scalar_curvature_check(st, curve)
     assert not rep.skipped
     assert rep.expected == pytest.approx(6 * alpha ** 2 - 2 * 3 / 100, rel=1e-12)
     assert rep.residual < 1e-5
@@ -98,7 +99,7 @@ def test_surface_scalar_curvature_skipped_for_unknown_lambda():
     st = custom_spacetime(lambda r: 1 - 2 / r, n=3, r_lo=2.0, r_hi=100.0)
     spec = PhotonSurfaceSpec(alpha=0.3, r0=5.0, sign=1, span=(-0.5, 0.5))
     curve = integrate_profile(st, spec)
-    rep = surface_scalar_curvature_check(st, curve, 0.3)
+    rep = surface_scalar_curvature_check(st, curve)
     assert rep.skipped
     assert "Einstein constant" in rep.message
 
@@ -299,3 +300,36 @@ def test_mass_flux_reads_slice_data(schw3):
         expected = 0.5 * space.fprime(r) * r ** (space.n - 1)
         np.testing.assert_array_equal(mass_flux(space, r), expected)
         assert mass_flux(space, 7.0) == 0.5 * space.fprime(7.0) * 7.0 ** (space.n - 1)
+
+
+@pytest.mark.parametrize("hi, samples", [(0.04, 5), (0.05, 6), (0.06, 7), (0.07, 8)])
+def test_surface_scalar_curvature_on_few_samples_uses_plain_differences(schw3, hi, samples):
+    # below 9 samples there is no 2h stencil for Richardson extrapolation:
+    # plain central second differences on every interior sample. Measured
+    # 1.52e-8 to 1.53e-8; with Richardson (9 samples) 2.1e-10
+    curve = integrate_profile(schw3, PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(0.0, hi)))
+    assert len(curve.s) == samples
+    rep = surface_scalar_curvature_check(schw3, curve)
+    s, r = curve.s, curve.r
+    rddot = (r[2:] - 2 * r[1:-1] + r[:-2]) / ((s[2:] - s[1:-1]) * (s[1:-1] - s[:-2]))
+    plain = warped_scalar_curvature(3, r[1:-1], curve.rdot[1:-1], rddot)
+    assert rep.expected == 6 * 0.15 ** 2
+    assert rep.residual == pytest.approx(float(np.max(np.abs(plain - rep.expected))),
+                                         rel=1e-12)
+    assert rep.residual < 3e-8
+
+
+def test_isotropic_surface_residual_checks_its_rows(schw3_iso):
+    for rows in ([[0.0, 3.0, 0.1]], np.zeros((0, 4))):
+        with pytest.raises(DomainError, match="need >= 1 sample row"):
+            isotropic_surface_residual(schw3_iso, rows)
+    # s_lo = 1/2 for Schwarzschild m = 1
+    with pytest.raises(DomainError, match="S = 0.25 outside isotropic interval"):
+        isotropic_surface_residual(schw3_iso, [[0.0, 3.0, 0.1, 0.0], [0.1, 0.25, 0.1, 0.0]])
+
+
+def test_isotropic_profile_samples_need_the_coordinate_map(schw3):
+    iso = IsotropicForm(1.0, 10.0, lambda s: (s, 1.0), lambda s: (2 * s, 2.0))
+    curve = integrate_profile(schw3, PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(0.0, 0.1)))
+    with pytest.raises(DomainError, match="carries no coordinate map s\\(r\\)"):
+        isotropic_profile_samples(iso, curve)

@@ -327,7 +327,7 @@ def _kernel_cases():
         try:
             integrate_profile(st, PhotonSurfaceSpec(
                 0.3568087075647066, 6.856597721117346, sign=-1, span=(-4.0, 4.0)),
-                STEP, spheres)
+                STEP)
         finally:
             surfaces._dopri5 = solve
         return halves
@@ -687,3 +687,12 @@ def test_step_control_fields_must_be_finite_and_positive(field, value):
     # atol = 0 a bare ZeroDivisionError; the CLI's spacing was already finite
     with pytest.raises(ValueError, match=f"{field} = .* is not a finite positive number"):
         StepControl(**{field: value})
+
+
+def test_dopri5_overflow_in_the_first_step_attempt():
+    # y' = 10^(1e7 y) from y = 0: the initial step selection reads it at
+    # y = 0 and 1e-6, then the fourth stage of the first attempt overflows
+    with pytest.raises(StepUnderflowError, match="left the float range at s = 0, "
+                       "before the first accepted step") as info:
+        _dopri5(lambda y: (10.0 ** (1e7 * y),), (0.0,), 1.0, STEP, [])
+    assert info.value.last_state == (0.0, (0.0,))

@@ -29,10 +29,15 @@ from scipy.optimize import brentq
 from photonsurf import (
     ConservedCharges,
     PhotonSurfaceSpec,
+    StepControl,
     build_family,
     integrate_null_geodesic,
     integrate_profile,
+    turning_points,
 )
+from photonsurf.surfaces import _sweep_row
+
+from test_sweep import ALPHA_STAR, sweep_grid
 
 ST = build_family("schwarzschild", m=1)
 
@@ -155,3 +160,41 @@ def test_geodesic_against_quadrature(sign):
     assert len(s[0]) > 700
     assert worst(phi, relative=True) <= 5e-11 and worst(t, relative=True) <= 7e-12
     assert worst(s) <= 8e-11
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_sweep_grid_orbit_cells_against_quadrature(seed):
+    # every cell of the seed's `sweep-grid` run that one orbit solve serves
+    # (``_sweep_row``), about every 100th sample of its window; the critical
+    # row is solved per cell and runs asymptotic to the sphere, so it is not
+    # here. A cell passes r0 outward at s = 0, from the turning point below
+    # it when its component has one, else with r monotone (alpha > alpha*).
+    # t is compared relative to max(1, |t|). Measured over seeds 1-5 (87 and
+    # 288 cells): from a turning point s 3.5e-12 and t 9.4e-13; monotone s
+    # 1.1e-11 and t 2.0e-11 (alpha 0.19, just above alpha*, near the
+    # horizon); the bounds are about twice that
+    bounds = {True: (7e-12, 2e-12), False: (2.5e-11, 4e-11)}
+    alphas, r0s = sweep_grid(seed)
+    cells = 0
+    for alpha in alphas:
+        if alpha == ALPHA_STAR:
+            continue
+        turning = turning_points(ST, alpha)
+        row, _ = _sweep_row(ST, alpha, r0s, (-5.0, 5.0), StepControl(), turning)
+        radial = Radial(alpha ** 2, -1.0, 1)
+        for r0, cell in zip(r0s, row):
+            if cell is None:
+                continue
+            curve = cell[0]
+            below = [r for r in turning if r < r0]
+            tp = radial.turning_point(below[-1] * (1 - 1e-6), below[-1] * (1 + 1e-6)) \
+                if below else None
+            s, (got, want) = samples(radial, (lambda r: alpha * r / f(r),), curve.s,
+                                     curve.r, (curve.t,), 1, r0, tp, every=100)
+            label = f"alpha {alpha!r} r0 {r0!r}"
+            assert len(s[0]) >= 5, label
+            bound_s, bound_t = bounds[tp is not None]
+            assert worst(s) <= bound_s, label
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound_t, label
+            cells += 1
+    assert cells >= 70

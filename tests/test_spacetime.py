@@ -10,6 +10,7 @@ from hypothesis import strategies as st_
 from photonsurf import (
     CompatibilityError,
     DomainError,
+    IsotropicForm,
     InvalidFamilyParamsError,
     UnknownFamilyError,
     build_family,
@@ -299,7 +300,7 @@ def test_conformal_flatness_scan_schwarzschild_empty(schw3_iso):
 
 def test_conformal_flatness_scan_flat_everywhere(minkowski):
     iso = to_isotropic(minkowski, r0=1.0)
-    intervals = conformal_flatness_scan(iso, grid=64)
+    intervals = conformal_flatness_scan(iso)
     assert len(intervals) == 1
 
 
@@ -312,9 +313,9 @@ def test_conformal_flatness_scan_separate_runs():
         return 1 + np.clip(s, 4.0, 7.0), ((s > 4) & (s < 7)).astype(float)
 
     iso = IsotropicForm(1.0, 10.0, lambda s: (1.0, 0.0), lapse)
-    ss = _iso_grid(iso, 64)
+    ss = _iso_grid(iso, 512)
     below, above = ss[ss <= 4], ss[ss >= 7]
-    assert conformal_flatness_scan(iso, grid=64) == [
+    assert conformal_flatness_scan(iso) == [
         (float(below[0]), float(below[-1])), (float(above[0]), float(above[-1]))]
 
 
@@ -488,3 +489,48 @@ def test_negative_r_lo_becomes_zero_in_every_constructor(tmp_path):
                custom_spacetime(lambda r: 1.0 + 0.0 * r, 3, -1.0, 10.0),
                spacetime_from_table(table, r_lo=-1.0, r_hi=10.0)):
         assert (st.r_lo, st.r_hi) == (0.0, 10.0)
+
+
+def test_custom_rejects_n_below_2():
+    with pytest.raises(InvalidFamilyParamsError, match="need n >= 2"):
+        custom_spacetime(lambda r: 1.0, n=1, r_lo=0.0, r_hi=10.0)
+
+
+def test_table_skips_blank_rows_and_needs_four(tmp_path):
+    rows = "r,f\n2,0.5\n\n3,0.6\n4,0.7\n\n5,0.8\n"
+    (tmp_path / "blank.csv").write_text(rows)
+    (tmp_path / "plain.csv").write_text(rows.replace("\n\n", "\n"))
+    blank = spacetime_from_table(tmp_path / "blank.csv")
+    plain = spacetime_from_table(tmp_path / "plain.csv")
+    assert (blank.r_lo, blank.r_hi) == (plain.r_lo, plain.r_hi) == (2.0, 5.0)
+    rs = np.linspace(2.1, 4.9, 9)
+    assert blank.f(rs).tobytes() == plain.f(rs).tobytes()
+    (tmp_path / "three.csv").write_text("r,f\n2,0.5\n3,0.6\n\n4,0.7\n")
+    with pytest.raises(DomainError, match=">= 4 rows"):
+        spacetime_from_table(tmp_path / "three.csv")
+
+
+def test_from_isotropic_rejects_a_decreasing_radius():
+    # psi = s^-2 and Ntilde = -1 satisfy Ntilde = 1 + s psi'/psi exactly, but
+    # r = s psi = 1/s decreases: dr/ds = psi Ntilde < 0
+    iso = IsotropicForm(1.0, 10.0, lambda s: (s ** -2.0, -2.0 * s ** -3.0),
+                        lambda s: (-1.0 + 0.0 * s, 0.0 * s))
+    with pytest.raises(CompatibilityError, match="not strictly increasing"):
+        from_isotropic(iso)
+
+
+@pytest.mark.parametrize("s_lo, s_hi", [(5.0, 5.0), (6.0, 5.0)])
+def test_conformal_flatness_scan_of_an_empty_interval(s_lo, s_hi):
+    iso = IsotropicForm(s_lo, s_hi, lambda s: (1.0, 0.0), lambda s: (1.0, 0.0))
+    assert conformal_flatness_scan(iso) == []
+
+
+def test_schwarzschild_ads_horizon_search_ends():
+    # m = 5e-13, L = 1e150: f(1e-12) = 1 - 1 + 1e-24/1e300 is exactly 0, so
+    # the halving leaves the upper end where f = 0 and the search doubles it
+    st = build_family("schwarzschild-ads", m=1e-12 / 2, L=1e150)
+    assert st.r_lo == pytest.approx(1e-12, rel=1e-15)
+    # L = 1e154: r^2 at the upper end 4 L leaves the float range
+    with pytest.raises(InvalidFamilyParamsError,
+                       match="the horizon radius is outside the float range"):
+        build_family("schwarzschild-ads", m=1, L=1e154)

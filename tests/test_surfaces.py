@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st_
 from scipy.optimize import brentq
 
 from photonsurf import (
+    DomainError,
     ForbiddenRadiusError,
     PhotonSurfaceSpec,
     StepControl,
@@ -167,7 +169,7 @@ def test_classification_kinds(schw3):
 def test_classification_without_spheres(minkowski):
     cls = classify(minkowski, 0.5, 3.0)
     assert cls.kind is SurfaceKind.NO_SPHERE_REFERENCE
-    assert cls.turning_radii == (2.0,)
+    assert turning_points(minkowski, 0.5) == [2.0]
 
 
 def test_classification_regions(schw3):
@@ -202,11 +204,11 @@ def test_minkowski_profiles_match_hyperboloid(minkowski, alpha):
 @settings(max_examples=20, deadline=None)
 @given(alpha=st_.floats(min_value=0.05, max_value=0.8),
        r0=st_.floats(min_value=2.2, max_value=20.0))
-def test_conserved_quantities_hold(schw3, schw3_spheres, alpha, r0):
+def test_conserved_quantities_hold(schw3, alpha, r0):
     if alpha ** 2 * r0 ** 2 < schw3.f(r0) * 1.05:
         return  # forbidden or marginal initial radius
     spec = PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=1, span=(-1.0, 1.0))
-    curve = integrate_profile(schw3, spec, spheres=schw3_spheres)
+    curve = integrate_profile(schw3, spec)
     assert np.max(curve.unit_residual) < 1e-9
     assert np.max(curve.umbilicity_residual(schw3)) < 1e-12
 
@@ -229,7 +231,7 @@ def test_too_few_samples_error_from_every_residual_check(schw3):
     with pytest.raises(TooFewSamplesError, match="fewer than the 5"):
         ode_residuals(schw3, curve)
     with pytest.raises(TooFewSamplesError, match="fewer than the 5"):
-        surface_scalar_curvature_check(schw3, curve, 0.15)
+        surface_scalar_curvature_check(schw3, curve)
 
 
 @pytest.mark.parametrize("m, q", [(60.0, 61.0), (100.0, 101.0), (1.0, 1.05)])
@@ -241,3 +243,40 @@ def test_super_extremal_rn_spheres_above_r_100(m, q):
     expected = [(3 * m - root) / 2, (3 * m + root) / 2]
     r_stars = [sp.r_star for sp in find_photon_spheres(st)]
     np.testing.assert_allclose(r_stars, expected, rtol=1e-12)
+
+
+def test_sphere_scan_beyond_the_float_range_raises_domain_error():
+    # m = 5e153: the array scan brackets r* = 1.5e154, whose r^2 leaves the
+    # float range in the float arithmetic of the root polish; the scan must
+    # say so with a package error and no numpy warning
+    st = build_family("schwarzschild", m=5e153)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scan in (lambda: find_photon_spheres(st), lambda: st.spheres):
+            with pytest.raises(DomainError, match=r"photon sphere scan of "
+                               r"schwarzschild \{'m': 5e\+153\} leaves the float range"):
+                scan()
+
+
+def test_spheres_are_scanned_once_per_spacetime(monkeypatch):
+    from photonsurf import surfaces
+    scans = []
+
+    def counting(st):
+        scans.append(st)
+        return find_photon_spheres(st)
+
+    monkeypatch.setattr(surfaces, "find_photon_spheres", counting)
+    st = build_family("schwarzschild", m=1)
+    assert st.spheres == tuple(find_photon_spheres(st))
+    classify(st, 0.15, 6.0)
+    integrate_profile(st, PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(-1.0, 1.0)))
+    assert st.spheres[0].r_star == pytest.approx(3.0, abs=1e-12)
+    assert scans == [st]
+
+
+def test_sign_zero_off_a_turning_point_is_forbidden(schw3):
+    # alpha^2 r0^2 - f(r0) = 2.57 at r0 = 6: dr/ds cannot start at 0
+    spec = PhotonSurfaceSpec(alpha=0.3, r0=6.0, sign=0, span=(-1.0, 1.0))
+    with pytest.raises(ForbiddenRadiusError, match="sign = 0 is only valid at a turning point"):
+        integrate_profile(schw3, spec)

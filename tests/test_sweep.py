@@ -17,7 +17,6 @@ from photonsurf import (
     StepControl,
     build_family,
     custom_spacetime,
-    find_photon_spheres,
     integrate_profile,
     turning_points,
 )
@@ -71,9 +70,8 @@ def run_profile(tmp_path, name, alpha, r0, spacetime=SCHW, span=SPAN):
     return (out / "profile.csv").read_bytes()
 
 
-def assert_cell_matches_profile(st, spheres, alpha, r0, span, curve):
-    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span),
-                            STEP, spheres)
+def assert_cell_matches_profile(st, alpha, r0, span, curve):
+    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span), STEP)
     label = f"alpha {alpha!r} r0 {r0!r}"
     np.testing.assert_array_equal(curve.s, ref.s, err_msg=label)
     assert (curve.termination, curve.termination_start) == \
@@ -83,28 +81,28 @@ def assert_cell_matches_profile(st, spheres, alpha, r0, span, curve):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_orbit_cells_match_per_cell_profiles(schw3, schw3_spheres, seed):
+def test_orbit_cells_match_per_cell_profiles(schw3, seed):
     alphas, r0s = sweep_grid(seed)
     orbit_cells = 0
     for alpha in alphas:
-        cells, _ = _sweep_row(schw3, alpha, r0s, SPAN, STEP, schw3_spheres,
+        cells, _ = _sweep_row(schw3, alpha, r0s, SPAN, STEP,
                               turning_points(schw3, alpha))
         for r0, cell in zip(r0s, cells):
             if cell is None:
                 continue
             orbit_cells += 1
-            assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, SPAN, cell[0])
+            assert_cell_matches_profile(schw3, alpha, r0, SPAN, cell[0])
     # all but the critical row and the cells in the forbidden band
     assert orbit_cells >= 70
 
 
-def test_half_without_cells_solved_after_the_half_with_them(schw3, schw3_spheres):
+def test_half_without_cells_solved_after_the_half_with_them(schw3):
     # the inner component below the turning point near 2.09: the cells lie
     # on the backward half, and the forward half falls into the horizon;
     # solved after the backward half, it stops a span end past the farthest
     # s0 instead of crawling into the horizon (709 attempts)
     alpha, r0s, span = 0.1, [2.005, 2.01, 2.015], (-1.0, 1.0)
-    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP, schw3_spheres,
+    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP,
                                  turning_points(schw3, alpha))
     assert orbit.kind == "turning-point"
     assert orbit.sol.reasons == {"backward": "boundary", "forward": "span"}
@@ -112,10 +110,10 @@ def test_half_without_cells_solved_after_the_half_with_them(schw3, schw3_spheres
     assert forward.accepted + forward.rejected <= 50
     for r0, cell in zip(r0s, cells):
         assert cell is not None and cell[2] < 0, r0
-        assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, span, cell[0])
+        assert_cell_matches_profile(schw3, alpha, r0, span, cell[0])
 
 
-def test_span_stop_is_exact(schw3, schw3_spheres):
+def test_span_stop_is_exact(schw3):
     # a half that ends "span" ends at its first step end more than the span
     # end past the farthest s0 of its orbit in its direction (s = 0 without
     # cells): the step before it, unless it is the first, ends at or before
@@ -123,7 +121,7 @@ def test_span_stop_is_exact(schw3, schw3_spheres):
     alphas, r0s = sweep_grid(1)
     halves = 0
     for alpha in alphas:
-        cells, orbits = _sweep_row(schw3, alpha, r0s, SPAN, STEP, schw3_spheres,
+        cells, orbits = _sweep_row(schw3, alpha, r0s, SPAN, STEP,
                                    turning_points(schw3, alpha))
         for k, orbit in enumerate(orbits):
             s0s = [cell[2] for cell in cells if cell is not None and cell[1] == k]
@@ -146,20 +144,19 @@ def test_span_stop_is_exact(schw3, schw3_spheres):
     (0.3, [2.5, 2.6], (-1.005, 1.005)),
 ])
 def test_off_grid_span_end_before_the_horizon_keeps_cell_reasons(
-        schw3, schw3_spheres, alpha, r0s, span):
+        schw3, alpha, r0s, span):
     # the backward half runs into the horizon and is cut there; a window
     # whose span end lies between its last sample and the crossing is whole,
     # so the cut must not end the half before that span end
-    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP, schw3_spheres,
+    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP,
                                  turning_points(schw3, alpha))
     assert orbit.sol.reasons["backward"] == "boundary"
     for r0, cell in zip(r0s, cells):
         assert cell is not None, r0
-        assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, span, cell[0])
+        assert_cell_matches_profile(schw3, alpha, r0, span, cell[0])
 
 
-def test_orbit_cells_alone_give_same_bytes_and_save_work(tmp_path, schw3,
-                                                         schw3_spheres):
+def test_orbit_cells_alone_give_same_bytes_and_save_work(tmp_path, schw3):
     alphas, r0s = sweep_grid(1)
     out, manifest = run_sweep(tmp_path, "grid", alphas, r0s)
     cells = manifest["cells"]
@@ -189,8 +186,7 @@ def test_orbit_cells_alone_give_same_bytes_and_save_work(tmp_path, schw3,
     for cell in cells:
         if cell["status"] == "ok":
             curve = integrate_profile(
-                schw3, PhotonSurfaceSpec(cell["alpha"], cell["r0"], span=SPAN),
-                STEP, schw3_spheres)
+                schw3, PhotonSurfaceSpec(cell["alpha"], cell["r0"], span=SPAN), STEP)
             per_cell += sum(h.accepted + h.rejected for h in curve.solve_stats.values())
     assert grid_work <= 0.4 * per_cell, (grid_work, per_cell)
 
@@ -228,13 +224,13 @@ def test_cell_between_two_turning_points_takes_per_cell_path(tmp_path):
     # Reissner-Nordstrom q^2 = 1.1: just above the inner sphere's factor the
     # surface is trapped between two turning radii around that sphere
     st = build_family("reissner-nordstrom", m=1, q=math.sqrt(1.1))
-    inner = find_photon_spheres(st)[0]
+    inner = st.spheres[0]
     alpha = 1.001 * inner.alpha_star
     below, above = (r for r in turning_points(st, alpha)
                     if abs(r - inner.r_star) < 0.1)
     assert below < inner.r_star < above
     cells, orbits = _sweep_row(st, alpha, [inner.r_star], (-1.0, 1.0), STEP,
-                               find_photon_spheres(st), turning_points(st, alpha))
+                               turning_points(st, alpha))
     assert cells == [None] and orbits == []
 
     rn = "[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 1.0488088481701516\n"
@@ -263,29 +259,29 @@ def test_orbit_that_turns_back_at_a_missed_turning_point():
     turning = turning_points(st, alpha)
     assert turning == [pytest.approx(1 / alpha)]  # the bump's pair is missed
     span = (-0.2, 0.2)
-    cells, orbits = _sweep_row(st, alpha, [3.6, 8.0], span, STEP, [], turning)
+    assert st.spheres == ()  # the scan steps over the bump too
+    cells, orbits = _sweep_row(st, alpha, [3.6, 8.0], span, STEP, turning)
     (orbit,) = orbits
     assert orbit.sol.reasons["forward"] == "turned-back"
     # before the bump, the orbit's window matches the cell's own solve
     curve = cells[0][0]
-    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, 3.6, span=span), STEP, [])
+    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, 3.6, span=span), STEP)
     np.testing.assert_array_equal(curve.s, ref.s)
     assert np.max(np.abs(curve.r - ref.r) / ref.r) <= 1e-11
     # beyond it the orbit never arrives: r0 = 8 is solved on its own
     assert cells[1] is None
 
 
-def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch, schw3,
-                                                           schw3_spheres):
+def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch):
     # the inward half stops at r_lo (1 + 1e-9); a cell below that stop lies
     # inside a scan bracket widened to r_lo but is never reached, while one
     # between the stop and the start of the last step, which the stop ends,
     # is served by the orbit
+    st = build_family("schwarzschild", n=3, m=1)  # its scan runs in the wider bracket
     monkeypatch.setattr(ClassSSpacetime, "default_bracket",
                         lambda self: (self.r_lo, 100.0))
     alpha, r0s, span = 0.1, [2.0 * (1 + 1e-10), 2.0000000020005, 2.02], (-1.0, 1.0)
-    cells, orbits = _sweep_row(schw3, alpha, r0s, span, STEP,
-                               schw3_spheres, turning_points(schw3, alpha))
+    cells, orbits = _sweep_row(st, alpha, r0s, span, STEP, turning_points(st, alpha))
     (orbit,) = orbits
     assert orbit.kind == "turning-point"
     assert orbit.sol.reasons["backward"] == "boundary"
@@ -294,20 +290,19 @@ def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch, schw3,
     assert cells[0] is None and cells[2] is not None
     curve, _, s0 = cells[1]
     assert orbit.sol.lo < s0 < orbit.sol.dense[0][0]
-    assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0s[1], span, curve)
+    assert_cell_matches_profile(st, alpha, r0s[1], span, curve)
 
 
-def test_cells_of_a_second_half_that_ends_before_its_last_cell(monkeypatch, schw3,
-                                                               schw3_spheres):
+def test_cells_of_a_second_half_that_ends_before_its_last_cell(monkeypatch):
     # alpha = 0.3 has no turning point: both halves of the orbit through the
     # inflection radius carry cells, the forward one is solved first, and the
     # backward one passes r0 = 2.1, then ends at r_lo (1 + 1e-9) before the
     # cell below that stop; the cell it passed keeps its orbit s0
+    st = build_family("schwarzschild", n=3, m=1)  # its scan runs in the wider bracket
     monkeypatch.setattr(ClassSSpacetime, "default_bracket",
                         lambda self: (self.r_lo, 100.0))
     alpha, r0s, span = 0.3, [2.0 * (1 + 1e-10), 2.1, 5.0], (-1.0, 1.0)
-    cells, orbits = _sweep_row(schw3, alpha, r0s, span, STEP,
-                               schw3_spheres, turning_points(schw3, alpha))
+    cells, orbits = _sweep_row(st, alpha, r0s, span, STEP, turning_points(st, alpha))
     (orbit,) = orbits
     assert orbit.kind == "inflection"
     assert orbit.sol.reasons == {"forward": "span", "backward": "boundary"}
@@ -315,7 +310,7 @@ def test_cells_of_a_second_half_that_ends_before_its_last_cell(monkeypatch, schw
     for r0, cell in zip(r0s[1:], cells[1:]):
         curve, _, s0 = cell
         assert orbit.sol.lo < s0 < orbit.sol.hi
-        assert_cell_matches_profile(schw3, schw3_spheres, alpha, r0, span, curve)
+        assert_cell_matches_profile(st, alpha, r0, span, curve)
 
 
 def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
@@ -326,9 +321,8 @@ def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
     cut = "[spacetime]\nfamily = schwarzschild\nn = 3\nm = 1\nr_lo = 5\n"
     st = build_family("schwarzschild", n=3, m=1, r_lo=5.0)
     alpha, r0s = 0.3, [6.0, 8.0]
-    spheres = find_photon_spheres(st)
-    assert turning_points(st, alpha) == [] and spheres == []
-    assert _sweep_row(st, alpha, r0s, SPAN, STEP, spheres,
+    assert turning_points(st, alpha) == [] and st.spheres == ()
+    assert _sweep_row(st, alpha, r0s, SPAN, STEP,
                       turning_points(st, alpha)) == ([None, None], [])
 
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], r0s, cut)
@@ -368,8 +362,7 @@ def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatc
     # before the window's end s0 + 0.2: the cell is integrated on its own
     st = bump_spacetime()
     alpha, r0, span = 0.3, 4.8, (-0.2, 0.2)
-    cells, orbits = _sweep_row(st, alpha, [r0], span, STEP, [],
-                               turning_points(st, alpha))
+    cells, orbits = _sweep_row(st, alpha, [r0], span, STEP, turning_points(st, alpha))
     (orbit,) = orbits
     assert orbit.sol.reasons["forward"] == "turned-back"
     # s0 on the forward half, where r rises to the bump and turns back above r0
@@ -387,6 +380,6 @@ def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatc
     assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
     assert (out / cell["file"]).read_bytes() == \
         run_profile(tmp_path, "profile", alpha, r0, span=span)
-    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span), STEP, [])
+    ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span), STEP)
     np.testing.assert_array_equal(
         np.loadtxt(out / cell["file"], delimiter=",", skiprows=1)[:, 2], ref.r)
