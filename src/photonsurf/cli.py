@@ -241,6 +241,32 @@ def _profile_table(curve):
         curve.s, curve.t, curve.r, curve.tdot, curve.rdot, curve.unit_residual)
 
 
+def _helper(conn):
+    """Body of a helper process that a sweep forks: write the profile CSV of
+    each (path, curve) that comes on ``conn`` with a memo of its own (a cache:
+    bytes do not depend on the writer) and answer None or the error raised."""
+    memo = {}
+    while True:
+        path, curve = conn.recv()
+        try:
+            _write_csv(path, *_profile_table(curve), memo)
+        except Exception as e:  # raised again in the sweep (_answers)
+            conn.send(e)
+        else:
+            conn.send(None)
+
+
+def _answers(flights, wait=False):
+    """Take the answers that have come on the helper connections that
+    ``flights`` maps to their writes in flight, or with ``wait`` all of
+    them; raise an error that one sent."""
+    for conn in flights:
+        while flights[conn] and (wait or conn.poll()):
+            flights[conn] -= 1
+            if (error := conn.recv()) is not None:
+                raise error
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -381,48 +407,77 @@ def cmd_sweep(args, cp):
     items, outputs = [], []
     orbits = []  # one solve per (alpha, component), shared by its cells
     memo = {}  # CSV texts of this sweep's repeated values (_write_csv)
-    for ia, a in enumerate(alphas):
-        try:
-            turning, reason = turning_points(st, a), None
-        except ValueError as e:  # alpha not positive
-            reason = f"invalid spec: {e}"
-        except _FLOAT_RANGE_ERRORS as e:  # alpha^2 beyond the float range
-            reason = _reason(e)
-        if reason is not None:
-            items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
-                       "reason": reason} for r0 in r0s]
-            continue
-        row, row_orbits = _sweep_row(st, a, r0s, span, step, turning)
-        first = len(orbits)
-        # each orbit's anchor, and the work and stop reason of each half-line
-        orbits += [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
-                    "solve_stats": o.sol.stats, "stop_reasons": o.sol.reasons}
-                   for o in row_orbits]
-        for ir, r0 in enumerate(r0s):
-            item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
-            items.append(item)
-            if row[ir] is not None:
-                curve, k, s0 = row[ir]
-                work = {"orbit": first + k, "s0": s0}
-            else:
-                spec = PhotonSurfaceSpec(alpha=a, r0=r0, span=span)
-                try:
-                    curve = integrate_profile(st, spec, step)
-                except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
-                    item["reason"] = _reason(e)
-                    continue
-                work = {"solve_stats": curve.solve_stats}
-            cls = classify(st, a, r0)
-            name = f"sweep_a{ia}_r{ir}.csv"
-            _write_csv(os.path.join(out, name), *_profile_table(curve), memo)
-            outputs.append(name)
-            item.update(file=name, status="ok", reason=None,
-                        classification=cls.kind.value,
-                        turning_radii=turning,
-                        termination=curve.termination,
-                        termination_start=curve.termination_start,
-                        samples=len(curve.s), **work)
-        del row, row_orbits  # free this row's curves and orbits before the next's
+    # each cell's CSV goes to the forked helper with the fewest in flight, or
+    # is written here when every one has two; one CPU or one cell gets none
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    helpers = min(cpus, len(alphas) * len(r0s)) - 1
+    procs, flights = [], {}  # the helpers, and writes in flight per pipe
+    try:
+        for ia, a in enumerate(alphas):
+            try:
+                turning, reason = turning_points(st, a), None
+            except DomainError as e:  # alpha^2 r^2 beyond the float range
+                reason = f"float range exceeded: {e}"
+            except ValueError as e:  # alpha not positive
+                reason = f"invalid spec: {e}"
+            if reason is not None:
+                items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
+                           "reason": reason} for r0 in r0s]
+                continue
+            row, row_orbits = _sweep_row(st, a, r0s, span, step, turning)
+            first = len(orbits)
+            # each orbit's anchor, and the work and stop reason of each half-line
+            orbits += [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
+                        "solve_stats": o.sol.stats, "stop_reasons": o.sol.reasons}
+                       for o in row_orbits]
+            for ir, r0 in enumerate(r0s):
+                item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
+                items.append(item)
+                if row[ir] is not None:
+                    curve, k, s0 = row[ir]
+                    work = {"orbit": first + k, "s0": s0}
+                else:
+                    spec = PhotonSurfaceSpec(alpha=a, r0=r0, span=span)
+                    try:
+                        curve = integrate_profile(st, spec, step)
+                    except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
+                        item["reason"] = _reason(e)
+                        continue
+                    work = {"solve_stats": curve.solve_stats}
+                cls = classify(st, a, r0)
+                name = f"sweep_a{ia}_r{ir}.csv"
+                path = os.path.join(out, name)
+                if helpers and not procs:  # the first CSV forks the helpers
+                    import multiprocessing
+                    # not "spawn": a fresh interpreter's numpy import alone
+                    # takes longer than a sweep; a helper runs no BLAS code
+                    ctx = multiprocessing.get_context("fork")
+                    for _ in range(helpers):
+                        conn, theirs = ctx.Pipe()
+                        procs.append(ctx.Process(target=_helper, args=(theirs,), daemon=True))
+                        procs[-1].start()
+                        theirs.close()  # only the helper holds it: its death reads as EOF
+                        flights[conn] = 0
+                _answers(flights)
+                conn = min(flights, key=flights.get, default=None)
+                if conn is not None and flights[conn] < 2:
+                    conn.send((path, curve))
+                    flights[conn] += 1
+                else:
+                    _write_csv(path, *_profile_table(curve), memo)
+                outputs.append(name)
+                item.update(file=name, status="ok", reason=None,
+                            classification=cls.kind.value,
+                            turning_radii=turning,
+                            termination=curve.termination,
+                            termination_start=curve.termination_start,
+                            samples=len(curve.s), **work)
+            del row, row_orbits  # free this row's curves and orbits before the next's
+        _answers(flights, wait=True)  # before sweep.gp and the manifest
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
     produced = len(outputs)
 
     if produced == 0:
@@ -578,7 +633,10 @@ def main(argv=None) -> int:
     except SystemExitWith as e:
         print(str(e), file=sys.stderr)
         return e.code
-    except ValueError as e:  # refused by a spec, charge, radius or domain check
+    except DomainError as e:  # outside the radial interval or the float range
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID_SPEC
+    except ValueError as e:  # refused by a spec, charge or radius check
         print(f"invalid spec: {e}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:

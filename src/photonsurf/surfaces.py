@@ -213,6 +213,18 @@ def _scan_roots(g, lo, hi):
             for i in nodes.tolist()]
 
 
+def _scan_bracket(st, g, what, at=""):
+    """``_scan_roots`` of g over the scan bracket of ``st``, with numpy's
+    float warnings kept in; DomainError naming the ``what`` scan of ``st``
+    and the parameter text ``at`` where the scan leaves the float range."""
+    try:
+        with np.errstate(all="ignore"):  # a node where g is not finite has no sign
+            return _scan_roots(g, *st.default_bracket())
+    except OverflowError:
+        raise DomainError(f"the {what} scan of {st.family} {st.params}{at} "
+                          "leaves the float range") from None
+
+
 def find_photon_spheres(st: ClassSSpacetime) -> list[PhotonSphere]:
     """All photon sphere radii in the scan bracket, ascending; ``st.spheres``
     holds them. Raises DomainError where the scan leaves the float range."""
@@ -221,13 +233,9 @@ def find_photon_spheres(st: ClassSSpacetime) -> list[PhotonSphere]:
         fv, dfv = st.metric(r)
         return dfv * r - 2 * fv
 
-    try:
-        with np.errstate(all="ignore"):  # a node where g is not finite has no sign
-            roots = _scan_roots(g, *st.default_bracket())
-        return [PhotonSphere(r, math.sqrt(st.f(r)) / r, abs(g(r))) for r in roots]
-    except OverflowError:
-        raise DomainError(f"the photon sphere scan of {st.family} {st.params} "
-                          "leaves the float range") from None
+    # g was evaluated at each root, so nothing below leaves the float range
+    return [PhotonSphere(r, math.sqrt(st.f(r)) / r, abs(g(r)))
+            for r in _scan_bracket(st, g, "photon sphere")]
 
 
 def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
@@ -238,9 +246,11 @@ def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
 
 
 def turning_points(st: ClassSSpacetime, alpha: float) -> list[float]:
-    """Radii where dr/ds changes sign: roots of alpha^2 r^2 - f(r)."""
+    """Radii where dr/ds changes sign: roots of alpha^2 r^2 - f(r). Raises
+    DomainError where the scan leaves the float range."""
     _check_positive(alpha)
-    return _scan_roots(lambda r: alpha ** 2 * r ** 2 - st.f(r), *st.default_bracket())
+    return _scan_bracket(st, lambda r: alpha ** 2 * r ** 2 - st.f(r),
+                         "turning point", f" at alpha = {alpha!r}")
 
 
 def _sample_grid(span, spacing):

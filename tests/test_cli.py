@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_spheres_beyond_the_float_range_exit_3_naming_the_family(tmp_path, capsy
     assert main(["--config", cfg, "spheres"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("invalid spec: the photon sphere scan of schwarzschild "
+    assert err == ("error: the photon sphere scan of schwarzschild "
                    "{'m': 5e+153} leaves the float range\n")
 
 
@@ -487,6 +488,139 @@ span_hi = 2
             (tmp_path / "small" / in_small).read_bytes()
 
 
+# a grid with a skipped row and cell and eight curves, more than three
+# helpers hold in flight, so that the sweep also writes some CSVs itself
+HELPER_SWEEP = SCHW + """
+[sweep]
+alphas = -1, 0.17320508075389044, 0.21169509870086, 0.3
+r0s = 2.5, 6, 9
+span_lo = -2
+span_hi = 2
+"""
+
+
+def tree(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.fixture
+def helper_runs(monkeypatch, tmp_path):
+    """Run ``main`` as if ``cpus`` CPUs were usable; count the processes it
+    forks and the CSVs it writes itself. A helper's write waits until the
+    sweep has written one itself (10 s at most), so that every helper keeps
+    its first two CSVs in flight."""
+    import multiprocessing
+
+    parent, forks, own = os.getpid(), [], []
+    real_fork, real_write = os.fork, cli._write_csv
+    marker = tmp_path / "sweep-wrote-a-csv"
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    def write_csv(path, *rest):
+        if os.getpid() == parent:
+            own.append(os.path.basename(path))
+            marker.touch()
+        else:
+            deadline = time.monotonic() + 10.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        real_write(path, *rest)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_write_csv", write_csv)
+
+    def run(cpus, argv):
+        forks.clear()
+        own.clear()
+        marker.unlink(missing_ok=True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        try:
+            return main(argv)
+        finally:
+            assert multiprocessing.active_children() == []
+
+    run.forks, run.own = forks, own
+    return run
+
+
+def test_sweep_bytes_do_not_depend_on_the_helper_count(tmp_path, capsys, helper_runs):
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    trees, stdouts, own = [], [], []
+    for cpus, forks in ((1, 0), (4, 3)):
+        out = tmp_path / f"cpus{cpus}"
+        assert helper_runs(cpus, ["--config", cfg, "--out", str(out), "sweep"]) == 0
+        assert len(helper_runs.forks) == forks
+        trees.append(tree(out))
+        stdouts.append(capsys.readouterr().out)
+        own.append(list(helper_runs.own))
+    assert trees[0] == trees[1] and stdouts[0] == stdouts[1]
+    csvs = sorted(name for name in trees[0] if name.endswith(".csv"))
+    assert len(csvs) == 8
+    # one CPU: every CSV written here; four: the first six go to the three
+    # helpers, two each, so the sweep writes the seventh itself (the eighth
+    # goes to whichever is free first)
+    assert own[0] == csvs
+    assert own[1][0] == csvs[6] and set(own[1]) <= set(csvs[6:])
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_helper_write_error_is_raised_by_the_sweep(tmp_path, helper_runs, cpus):
+    # a directory where the first cell's CSV goes: with helpers, a helper
+    # fails to write it, and the sweep raises what it would raise alone
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    out = tmp_path / "sw"
+    (out / "sweep_a1_r1.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        helper_runs(cpus, ["--config", cfg, "--out", str(out), "sweep"])
+    assert len(helper_runs.forks) == cpus - 1
+    assert ("sweep_a1_r1.csv" in helper_runs.own) == (cpus == 1)
+    assert not (out / "sweep_manifest.json").exists()
+    assert not (out / "sweep.gp").exists()
+
+
+def test_helper_that_dies_ends_the_sweep_with_an_error(tmp_path, helper_runs, monkeypatch):
+    # a helper that exits mid-write: the sweep reads EOF, or a reset with a
+    # task still unread, on its pipe rather than waiting for an answer that
+    # cannot come
+    parent, real_write = os.getpid(), cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", lambda path, *rest: real_write(path, *rest)
+                        if os.getpid() == parent else os._exit(1))
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    with pytest.raises((EOFError, ConnectionResetError)):
+        helper_runs(2, ["--config", cfg, "--out", str(tmp_path / "sw"), "sweep"])
+    assert len(helper_runs.forks) == 1
+    assert not (tmp_path / "sw" / "sweep_manifest.json").exists()
+
+
+@pytest.mark.parametrize("body, code", [
+    ("alphas = 0.3\nr0s = 6\n", 0),                 # one cell
+    ("alphas = 0.1\nr0s = 2.5, 2.6\n", 4),          # no curve
+    ("alphas =\nr0s = 2.5, 2.6\n", 4),              # empty grid
+    ("alphas = 0.3, x\nr0s = 6\n", 2),              # config error
+])
+def test_one_cell_and_failed_sweeps_fork_nothing(tmp_path, helper_runs, body, code):
+    cfg = write_config(tmp_path / "c.ini", SCHW + "[sweep]\nspan_lo = -1\nspan_hi = 1\n"
+                       + body)
+    assert helper_runs(4, ["--config", cfg, "--out", str(tmp_path / "sw"), "sweep"]) == code
+    assert helper_runs.forks == []
+
+
+def test_python_m_photonsurf_sweep_writes_the_in_process_bytes(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    src = os.path.dirname(os.path.dirname(photonsurf.__file__))
+    done = subprocess.run([sys.executable, "-m", "photonsurf", "--config", cfg, "--out",
+                           str(tmp_path / "sub"), "sweep"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert main(["--config", cfg, "--out", str(tmp_path / "in"), "sweep"]) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert tree(tmp_path / "sub") == tree(tmp_path / "in")
+
+
 def test_verify_schwarzschild_n5(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.ini",
                        "[spacetime]\nfamily = schwarzschild\nn = 5\nm = 1\n")
@@ -629,12 +763,26 @@ SCIPY_LOADED = ("sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.'))")
 
 
-def test_cli_import_does_not_load_scipy_integrate():
+@pytest.fixture(scope="module")
+def fresh_import():
+    """Modules a fresh interpreter has loaded: scipy's after ``import
+    photonsurf`` and after ``import photonsurf.cli``, then multiprocessing's."""
+    return run_python(
+        f"import sys\nimport photonsurf\nprint({SCIPY_LOADED})\n"
+        f"import photonsurf.cli\nprint({SCIPY_LOADED})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    ).splitlines()
+
+
+def test_cli_import_does_not_load_scipy_integrate(fresh_import):
     # scipy costs most of the import time every CLI call pays; no module of
     # it may load, neither with the package nor with the CLI
-    out = run_python(f"import sys\nimport photonsurf\nprint({SCIPY_LOADED})\n"
-                     f"import photonsurf.cli\nprint({SCIPY_LOADED})\n")
-    assert out.splitlines() == ["[]", "[]"]
+    assert fresh_import[:2] == ["[]", "[]"]
+
+
+def test_cli_import_does_not_load_multiprocessing(fresh_import):
+    # only a sweep that hands CSVs to helper processes imports it
+    assert fresh_import[2] == "[]"
 
 
 def test_cli_commands_load_no_scipy_but_tables_do(tmp_path):

@@ -14,7 +14,10 @@ geodesic a = E^2, b = -ell^2, k = 3. From a turning point r_tp, a root of c,
 the integrals run in x = sqrt(r - r_tp), where G = x^2 p(r) / r^k with the
 quotient p(r) = a r^2 + a r_tp r + a r_tp^2 + b, so no cancellation is
 left; elsewhere they run in y = log(r - 2), which keeps the 1/f of t
-bounded at the horizon. ``scipy.integrate.quad`` evaluates them to about
+bounded at the horizon. On the critical row alpha* = 27^(-1/2), G = (r - 3)^2
+(r + 6) / (27 r) has a double root at the photon sphere, which the surface
+approaches without reaching; there they run in z = log|r - 3|, where both
+integrands are bounded. ``scipy.integrate.quad`` evaluates them to about
 1e-15 (checked against a 30-digit quadrature); each bound below is about
 twice the error measured on its curve.
 """
@@ -198,3 +201,43 @@ def test_sweep_grid_orbit_cells_against_quadrature(seed):
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound_t, label
             cells += 1
     assert cells >= 70
+
+
+@pytest.mark.parametrize("r0, span, bound_r, bound_t", [
+    # measured: r 5.0e-12, t 7.3e-13
+    (6.0, (-5.0, 5.0), 1e-11, 1.5e-12),
+    # down to r = 3.005, where dr/ds is 1.7e-3, so s(r) is off by 5.1e-9
+    # while r(s) is off by 8.6e-12; t 7.3e-13
+    (6.0, (-20.0, 5.0), 1.7e-11, 1.5e-12),
+    # measured: r 1.8e-12, t 7.7e-14
+    (3.5, (-10.0, 5.0), 3.6e-12, 1.5e-13),
+])
+def test_critical_row_against_quadrature(r0, span, bound_r, bound_t):
+    # alpha*: with sign +1, s(r) and t(r) from r0 are integrals in
+    # z = log|r - 3|, on the side of the sphere r0 is on. Where dr/ds is
+    # small, a sample's s(r) error is large and means little, so the test
+    # bounds the errors at the sample's s: in r, |s - s(r)| |dr/ds| to first
+    # order, and in t, t - t(r) - (dt/ds)(s - s(r)), relative to max(1, |t|).
+    # The bounds are about twice the errors measured on every sample
+    alpha = ALPHA_STAR
+    curve = integrate_profile(ST, PhotonSurfaceSpec(alpha=alpha, r0=r0, span=span))
+    assert curve.termination == curve.termination_start == "span"
+    side = math.copysign(1.0, r0 - 3.0)
+
+    def ds_dz(z):
+        r = 3.0 + side * math.exp(z)
+        return side * math.sqrt(27 * r / (r + 6))
+
+    def dt_dz(z):
+        r = 3.0 + side * math.exp(z)
+        return alpha * r / f(r) * ds_dz(z)
+
+    z0 = math.log(abs(r0 - 3.0))
+    s_r, t_r = (np.array([quad(rate, z0, math.log(abs(r - 3.0)), epsabs=0.0,
+                               epsrel=1e-13, limit=200)[0] for r in curve.r.tolist()])
+                for rate in (ds_dz, dt_dz))
+    r = curve.r
+    rdot = np.abs(r - 3.0) * np.sqrt((r + 6) / (27 * r))
+    assert np.max(np.abs(curve.s - s_r) * rdot) <= bound_r
+    t_err = curve.t - t_r - alpha * r / f(r) * (curve.s - s_r)
+    assert np.max(np.abs(t_err) / np.maximum(1.0, np.abs(curve.t))) <= bound_t
