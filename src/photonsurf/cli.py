@@ -59,6 +59,9 @@ EXIT_VERIFY_FAILED = 5
 MAX_SAMPLES = 1e6
 # what plain-float arithmetic raises on radii near the ends of the float range
 _FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
+# fewest samples (cells x span / spacing) of a sweep that forks a helper to
+# write its CSVs: below that, forking and feeding it cost more than it takes
+_HELPER_SAMPLES = 30000
 
 
 def fmt(x) -> str:
@@ -256,15 +259,15 @@ def _helper(conn):
             conn.send(None)
 
 
-def _answers(flights, wait=False):
-    """Take the answers that have come on the helper connections that
-    ``flights`` maps to their writes in flight, or with ``wait`` all of
-    them; raise an error that one sent."""
-    for conn in flights:
-        while flights[conn] and (wait or conn.poll()):
-            flights[conn] -= 1
-            if (error := conn.recv()) is not None:
-                raise error
+def _answers(conn, flights, wait=False):
+    """Take the answers to the ``flights`` writes in flight on ``conn`` that
+    have come, or with ``wait`` all of them, and return how many are left;
+    raise an error that the helper sent."""
+    while flights and (wait or conn.poll()):
+        flights -= 1
+        if (error := conn.recv()) is not None:
+            raise error
+    return flights
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +410,13 @@ def cmd_sweep(args, cp):
     items, outputs = [], []
     orbits = []  # one solve per (alpha, component), shared by its cells
     memo = {}  # CSV texts of this sweep's repeated values (_write_csv)
-    # each cell's CSV goes to the forked helper with the fewest in flight, or
-    # is written here when every one has two; one CPU or one cell gets none
+    # with two CPUs, a large grid's CSVs go to one forked helper while the
+    # sweep solves on; a CSV is written here while the helper has two
+    cells = len(alphas) * len(r0s)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helpers = min(cpus, len(alphas) * len(r0s)) - 1
-    procs, flights = [], {}  # the helpers, and writes in flight per pipe
+    helper = cpus > 1 and cells > 1 and (
+        cells * (span[1] - span[0]) / step.sample_spacing >= _HELPER_SAMPLES)
+    proc, conn, flights = None, None, 0
     try:
         for ia, a in enumerate(alphas):
             try:
@@ -447,22 +452,19 @@ def cmd_sweep(args, cp):
                 cls = classify(st, a, r0)
                 name = f"sweep_a{ia}_r{ir}.csv"
                 path = os.path.join(out, name)
-                if helpers and not procs:  # the first CSV forks the helpers
+                if helper and proc is None:  # the first CSV forks the helper
                     import multiprocessing
                     # not "spawn": a fresh interpreter's numpy import alone
                     # takes longer than a sweep; a helper runs no BLAS code
                     ctx = multiprocessing.get_context("fork")
-                    for _ in range(helpers):
-                        conn, theirs = ctx.Pipe()
-                        procs.append(ctx.Process(target=_helper, args=(theirs,), daemon=True))
-                        procs[-1].start()
-                        theirs.close()  # only the helper holds it: its death reads as EOF
-                        flights[conn] = 0
-                _answers(flights)
-                conn = min(flights, key=flights.get, default=None)
-                if conn is not None and flights[conn] < 2:
+                    conn, theirs = ctx.Pipe()
+                    proc = ctx.Process(target=_helper, args=(theirs,), daemon=True)
+                    proc.start()
+                    theirs.close()  # only the helper holds it: its death reads as EOF
+                flights = _answers(conn, flights)
+                if proc is not None and flights < 2:
                     conn.send((path, curve))
-                    flights[conn] += 1
+                    flights += 1
                 else:
                     _write_csv(path, *_profile_table(curve), memo)
                 outputs.append(name)
@@ -473,9 +475,9 @@ def cmd_sweep(args, cp):
                             termination_start=curve.termination_start,
                             samples=len(curve.s), **work)
             del row, row_orbits  # free this row's curves and orbits before the next's
-        _answers(flights, wait=True)  # before sweep.gp and the manifest
+        _answers(conn, flights, wait=True)  # before sweep.gp and the manifest
     finally:
-        for proc in procs:
+        if proc is not None:
             proc.terminate()
             proc.join()
     produced = len(outputs)

@@ -488,8 +488,8 @@ span_hi = 2
             (tmp_path / "small" / in_small).read_bytes()
 
 
-# a grid with a skipped row and cell and eight curves, more than three
-# helpers hold in flight, so that the sweep also writes some CSVs itself
+# a grid with a skipped row and cell and eight curves, more than the helper
+# holds in flight, so that the sweep also writes some CSVs itself
 HELPER_SWEEP = SCHW + """
 [sweep]
 alphas = -1, 0.17320508075389044, 0.21169509870086, 0.3
@@ -497,6 +497,7 @@ r0s = 2.5, 6, 9
 span_lo = -2
 span_hi = 2
 """
+HELPER_SWEEP_SAMPLES = 4 * 3 * 400  # cells x span / spacing
 
 
 def tree(out):
@@ -505,10 +506,11 @@ def tree(out):
 
 @pytest.fixture
 def helper_runs(monkeypatch, tmp_path):
-    """Run ``main`` as if ``cpus`` CPUs were usable; count the processes it
-    forks and the CSVs it writes itself. A helper's write waits until the
-    sweep has written one itself (10 s at most), so that every helper keeps
-    its first two CSVs in flight."""
+    """Run ``main`` as if ``cpus`` CPUs were usable and a sweep of at least
+    ``fewest`` samples forked a helper (every one by default); count the
+    processes it forks and the CSVs it writes itself. A helper's write waits
+    until the sweep has written one itself (10 s at most), so that the helper
+    keeps its first two CSVs in flight."""
     import multiprocessing
 
     parent, forks, own = os.getpid(), [], []
@@ -532,11 +534,12 @@ def helper_runs(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(cli, "_write_csv", write_csv)
 
-    def run(cpus, argv):
+    def run(cpus, argv, fewest=0):
         forks.clear()
         own.clear()
         marker.unlink(missing_ok=True)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(cli, "_HELPER_SAMPLES", fewest)
         try:
             return main(argv)
         finally:
@@ -546,10 +549,10 @@ def helper_runs(monkeypatch, tmp_path):
     return run
 
 
-def test_sweep_bytes_do_not_depend_on_the_helper_count(tmp_path, capsys, helper_runs):
+def test_sweep_bytes_do_not_depend_on_the_helper(tmp_path, capsys, helper_runs):
     cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
     trees, stdouts, own = [], [], []
-    for cpus, forks in ((1, 0), (4, 3)):
+    for cpus, forks in ((1, 0), (4, 1)):
         out = tmp_path / f"cpus{cpus}"
         assert helper_runs(cpus, ["--config", cfg, "--out", str(out), "sweep"]) == 0
         assert len(helper_runs.forks) == forks
@@ -559,23 +562,35 @@ def test_sweep_bytes_do_not_depend_on_the_helper_count(tmp_path, capsys, helper_
     assert trees[0] == trees[1] and stdouts[0] == stdouts[1]
     csvs = sorted(name for name in trees[0] if name.endswith(".csv"))
     assert len(csvs) == 8
-    # one CPU: every CSV written here; four: the first six go to the three
-    # helpers, two each, so the sweep writes the seventh itself (the eighth
-    # goes to whichever is free first)
+    # one CPU: every CSV written here; four: one helper takes the first two,
+    # so the sweep writes the third itself (the rest go to whichever is free)
     assert own[0] == csvs
-    assert own[1][0] == csvs[6] and set(own[1]) <= set(csvs[6:])
+    assert own[1][0] == csvs[2] and set(own[1]) <= set(csvs[2:])
+
+
+@pytest.mark.parametrize("fewest, forks", [
+    (HELPER_SWEEP_SAMPLES, 1), (HELPER_SWEEP_SAMPLES + 1, 0)])
+def test_only_a_sweep_of_enough_samples_forks(tmp_path, capsys, helper_runs, fewest, forks):
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    assert helper_runs(1, ["--config", cfg, "--out", str(tmp_path / "one"), "sweep"]) == 0
+    alone = capsys.readouterr().out
+    out = tmp_path / "two"
+    assert helper_runs(2, ["--config", cfg, "--out", str(out), "sweep"], fewest) == 0
+    assert len(helper_runs.forks) == forks
+    assert capsys.readouterr().out == alone
+    assert tree(out) == tree(tmp_path / "one")
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_helper_write_error_is_raised_by_the_sweep(tmp_path, helper_runs, cpus):
-    # a directory where the first cell's CSV goes: with helpers, a helper
+    # a directory where the first cell's CSV goes: with a helper, the helper
     # fails to write it, and the sweep raises what it would raise alone
     cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
     out = tmp_path / "sw"
     (out / "sweep_a1_r1.csv").mkdir(parents=True)
     with pytest.raises(IsADirectoryError):
         helper_runs(cpus, ["--config", cfg, "--out", str(out), "sweep"])
-    assert len(helper_runs.forks) == cpus - 1
+    assert len(helper_runs.forks) == (cpus > 1)
     assert ("sweep_a1_r1.csv" in helper_runs.own) == (cpus == 1)
     assert not (out / "sweep_manifest.json").exists()
     assert not (out / "sweep.gp").exists()
@@ -609,7 +624,10 @@ def test_one_cell_and_failed_sweeps_fork_nothing(tmp_path, helper_runs, body, co
 
 
 def test_python_m_photonsurf_sweep_writes_the_in_process_bytes(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    # a span long enough that the sweep forks its helper where two CPUs are
+    half = 2 * math.ceil(cli._HELPER_SAMPLES / HELPER_SWEEP_SAMPLES)
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP.replace(
+        "span_lo = -2\nspan_hi = 2", f"span_lo = -{half}\nspan_hi = {half}"))
     src = os.path.dirname(os.path.dirname(photonsurf.__file__))
     done = subprocess.run([sys.executable, "-m", "photonsurf", "--config", cfg, "--out",
                            str(tmp_path / "sub"), "sweep"],
