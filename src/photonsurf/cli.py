@@ -60,7 +60,8 @@ MAX_SAMPLES = 1e6
 # what plain-float arithmetic raises on radii near the ends of the float range
 _FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
 # fewest samples (cells x span / spacing) of a sweep that forks a helper to
-# write its CSVs: below that, forking and feeding it cost more than it takes
+# write its CSVs: below that, forking and feeding it mostly cost more than
+# it saves (measured in BENCH_21.json, small_sweeps)
 _HELPER_SAMPLES = 30000
 
 
