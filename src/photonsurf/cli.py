@@ -430,7 +430,7 @@ def cmd_sweep(args, cp):
                 items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
                            "reason": reason} for r0 in r0s]
                 continue
-            row, row_orbits = _sweep_row(st, a, r0s, span, step, turning)
+            row, row_orbits = _sweep_row(st, a, r0s, span, step)
             first = len(orbits)
             # each orbit's anchor, and the work and stop reason of each half-line
             orbits += [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,

@@ -30,10 +30,9 @@ from .surfaces import (
     _check_sign,
     _check_span,
     _curve,
-    _fixed_radius,
     _integrate_radial,
+    _radial,
     _sample_grid,
-    _snapped_sphere,
     _start_rate,
     _window,
 )
@@ -105,7 +104,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
 
     ``sign`` is the initial sign of dr/ds; 0 is admitted only on a circular
     orbit or at a turning point.  Data with ell > 0 held on a photon sphere
-    by the profile's rule (``_fixed_radius`` with lambda = E/ell) gives the
+    by the profile's rule (``_Radial.held`` with lambda = E/ell) gives the
     exact circular orbit.  Termination mirrors the profile integrator:
     span end, interval boundary, or photon-sphere asymptote.
     """
@@ -132,7 +131,8 @@ def _null_solution(st, charges, r0, sign, span, step, stops=(None, None)):
     E, ell = charges.energy, charges.angular_momentum
     if not st.contains(r0):
         raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
-    r_fix = _fixed_radius(st, E / ell, r0) if ell > 0 else None
+    radial = _radial(st, E / ell) if ell > 0 else None
+    r_fix = radial.held(r0) if radial else None
     if r_fix is not None:
         return _linear((0.0, r_fix, 0.0, 0.0, 0.0),
                        (E / st.f(r_fix), 0.0, 0.0, ell / r_fix ** 2, ell / r_fix),
@@ -149,8 +149,8 @@ def _null_solution(st, charges, r0, sign, span, step, stops=(None, None)):
         return (E / fv, v, (ell2 / r ** 3) * (fv - 0.5 * r * dfv),
                 ell / r ** 2, ell / r)
 
-    sphere = _snapped_sphere(st.spheres, E / ell) if ell > 0 else None
-    return _integrate_radial(st, rhs, (0.0, r0, v0, 0.0, 0.0), span, step, sphere, stops)
+    return _integrate_radial(st, rhs, (0.0, r0, v0, 0.0, 0.0), span, step,
+                             radial.sphere if radial else None, stops)
 
 
 def generated_surface_profile(traj: NullGeodesicTrajectory,

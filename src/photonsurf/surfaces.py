@@ -14,8 +14,8 @@ at the level of the continuous flow.
 
 from __future__ import annotations
 
-import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -155,6 +155,7 @@ class SurfaceKind(enum.Enum):
     SUBCRITICAL = "Subcritical"
     CRITICAL = "Critical"
     SUPERCRITICAL = "Supercritical"
+    TRAPPED = "Trapped"  # on a component between two turning points
     NO_SPHERE_REFERENCE = "NoSphereReference"
 
 
@@ -163,36 +164,6 @@ class SurfaceClass:
     kind: SurfaceKind
     regions: tuple[str, ...]  # position of r0 relative to each photon sphere
     spheres: tuple[PhotonSphere, ...]
-
-
-def _snapped_sphere(spheres, alpha, r0=None):
-    """The photon sphere whose factor alpha_* matches ``alpha`` within
-    CRITICAL_RTOL and, when ``r0`` is given, whose radius matches ``r0``
-    within 1e-9 relative; None when there is none.
-
-    Data in this band is critical: its surface is asymptotic to the sphere,
-    or is the sphere itself when r0 matches too.
-    """
-    for sp in spheres:
-        if abs(alpha - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star and (
-                r0 is None or abs(r0 - sp.r_star) <= 1e-9 * sp.r_star):
-            return sp
-    return None
-
-
-def _fixed_radius(st, lam, r0):
-    """The radius at which data of factor ``lam`` (alpha, or E/ell) at r0
-    is held on a photon sphere, or None: r0 at an exact fixed point
-    (|lam^2 r0^2 - f| <= 1e-12 max(1, lam^2 r0^2) and |r0 f' - 2 f| <= 1e-9),
-    else r_* of the sphere whose band holds the data (``_snapped_sphere``).
-    The fixed point is unstable: such data cannot be integrated for long.
-    """
-    f0, df0 = st.metric(r0)
-    a2r2 = lam ** 2 * r0 ** 2
-    if abs(a2r2 - f0) <= 1e-12 * max(1.0, a2r2) and abs(df0 * r0 - 2 * f0) <= 1e-9:
-        return r0
-    sp = _snapped_sphere(st.spheres, lam, r0)
-    return None if sp is None else sp.r_star
 
 
 def _scan_roots(g, lo, hi):
@@ -245,12 +216,100 @@ def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
     return fv ** 2 * (a2r2 - fv) / a2r2
 
 
+class _Radial:
+    """The set {lam^2 r^2 >= f} of one factor lam (alpha, or E/ell for a null
+    geodesic) of ``st``: its roots are the turning points, and a curve stays
+    on one component. Each part is derived on first use (``_radial``)."""
+
+    def __init__(self, st, lam):
+        self.st, self.lam = st, lam
+
+    def _g(self, r):
+        return self.lam ** 2 * r ** 2 - self.st.f(r)
+
+    @functools.cached_property
+    def roots(self) -> tuple:
+        """The turning points in the scan bracket, ascending."""
+        return tuple(_scan_bracket(self.st, self._g, "turning point",
+                                   f" at alpha = {self.lam!r}"))
+
+    @functools.cached_property
+    def components(self) -> tuple:
+        """(below, above) per component, ascending: its turning points, None
+        where it runs on to an end of the scan bracket. A stretch between
+        roots is in the set when its geometric middle is."""
+        edges = np.sqrt([self.st.default_bracket()[0], *self.roots,
+                         self.st.default_bracket()[1]])
+        with np.errstate(all="ignore"):
+            inside = (self._g(edges[:-1] * edges[1:]) > 0).tolist()
+        ends = (None, *self.roots, None)
+        return tuple(c for c, keep in zip(zip(ends, ends[1:]), inside) if keep)
+
+    def component(self, r):
+        """The component that holds r in the scan bracket, or None."""
+        lo, hi = self.st.default_bracket()
+        return next(((a, b) for a, b in self.components if lo < r < hi
+                     and (a is None or a <= r) and (b is None or r <= b)), None)
+
+    def anchor(self, below, above):
+        """(radius, kind) of the canonical anchor of the open component
+        (below, above), or None when it has none: its turning point, polished
+        by Newton so that dr/ds = 0 holds there to rounding; else the first
+        root of r'' = 0, that is lam^2 r = f'/2, in the scan bracket; else r_*
+        of the first sphere."""
+        st, a2 = self.st, self.lam ** 2
+        if below is not None or above is not None:
+            def g(r, _):
+                fv, dfv = st.metric(r)
+                return a2 * r ** 2 - fv, 2 * a2 * r - dfv
+
+            r_tp = below if below is not None else above
+            return float(_newton(g, 0.0, r_tp, *st.default_bracket())), "turning-point"
+        roots = _scan_bracket(st, lambda r: a2 * r - 0.5 * st.metric(r)[1],
+                              "inflection", f" at alpha = {self.lam!r}")
+        if roots:
+            return roots[0], "inflection"
+        return (st.spheres[0].r_star, "photon-sphere") if st.spheres else None
+
+    @functools.cached_property
+    def snaps(self) -> tuple:
+        """The photon spheres whose factor alpha_* matches lam within
+        CRITICAL_RTOL. Data in this band is critical: its surface is
+        asymptotic to the first, ``sphere``, or is a sphere itself (``held``)."""
+        return tuple(sp for sp in self.st.spheres
+                     if abs(self.lam - sp.alpha_star) <= CRITICAL_RTOL * sp.alpha_star)
+
+    @property
+    def sphere(self):
+        return self.snaps[0] if self.snaps else None
+
+    def held(self, r0):
+        """The radius at which data at r0 is held on a photon sphere, or None:
+        r0 at an exact fixed point (|lam^2 r0^2 - f| <= 1e-12 max(1, lam^2 r0^2)
+        and |r0 f' - 2 f| <= 1e-9), else r_* of the first of ``snaps`` within
+        1e-9 relative. The fixed point is unstable: such data cannot be
+        integrated for long."""
+        f0, df0 = self.st.metric(r0)
+        a2r2 = self.lam ** 2 * r0 ** 2
+        if abs(a2r2 - f0) <= 1e-12 * max(1.0, a2r2) and abs(df0 * r0 - 2 * f0) <= 1e-9:
+            return r0
+        return next((sp.r_star for sp in self.snaps
+                     if abs(r0 - sp.r_star) <= 1e-9 * sp.r_star), None)
+
+
+def _radial(st, lam):
+    """The ``_Radial`` of factor lam of ``st``, kept on it as ``st.spheres`` is."""
+    radials = st.__dict__.setdefault("_radials", {})
+    if lam not in radials:
+        radials[lam] = _Radial(st, lam)
+    return radials[lam]
+
+
 def turning_points(st: ClassSSpacetime, alpha: float) -> list[float]:
     """Radii where dr/ds changes sign: roots of alpha^2 r^2 - f(r). Raises
     DomainError where the scan leaves the float range."""
     _check_positive(alpha)
-    return _scan_bracket(st, lambda r: alpha ** 2 * r ** 2 - st.f(r),
-                         "turning point", f" at alpha = {alpha!r}")
+    return list(_radial(st, alpha).roots)
 
 
 def _sample_grid(span, spacing):
@@ -302,7 +361,7 @@ def _integrate_radial(st, rhs, y0, span, step, sphere=None,
     ``ode._dopri5``), at the radial interval boundary r_lo (1 + 1e-9) or
     r_hi (1 - 1e-9), or when it comes within ASYMPTOTE_EPS of the photon
     sphere ``sphere`` (None: no such test), the one whose band holds the
-    caller's factor (``_snapped_sphere``). The half-line in direction
+    caller's factor (``_Radial.sphere``). The half-line in direction
     ``first`` is solved first.
 
     ``window`` = (wspan, starts) names the samples the caller will read:
@@ -414,7 +473,7 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
                       step: StepControl = StepControl()) -> ProfileCurve:
     """Integrate the radial profile of one photon surface over its span.
 
-    Data held on a photon sphere (``_fixed_radius``) gives the exact
+    Data held on a photon sphere (``_Radial.held``) gives the exact
     cylinder r = r_*, dt/ds = 1/sqrt(f(r_*)).  Otherwise the regularized
     second-order radial equation is integrated with adaptive Dormand-Prince
     5(4) stepping; the curve terminates at the span end, at the radial
@@ -424,7 +483,8 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
     alpha = spec.alpha
     if not st.contains(spec.r0):
         raise ForbiddenRadiusError(f"r0 = {spec.r0:.6g} outside radial interval")
-    r_fix = _fixed_radius(st, alpha, spec.r0)
+    radial = _radial(st, alpha)
+    r_fix = radial.held(spec.r0)
     if r_fix is not None:
         tdot0 = 1.0 / math.sqrt(st.f(r_fix))
         sol = _linear((spec.t0, r_fix, 0.0), (tdot0, 0.0, 0.0), spec.span)
@@ -433,7 +493,7 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
         v0 = _start_rate(spec.sign, a2r2, st.f(spec.r0), max(1.0, a2r2), (
             "alpha^2 r0^2", "f(r0)", "no real initial dr/ds"))
         sol = _integrate_radial(st, _profile_rhs(st, alpha), (spec.t0, spec.r0, v0),
-                                spec.span, step, _snapped_sphere(st.spheres, alpha))
+                                spec.span, step, radial.sphere)
 
     s, (t, r, v), _ = _window(sol, 0.0, spec.span, step.sample_spacing)
     curve = _curve(st, alpha, s, t, r, v, sol.reasons, sol.stats)
@@ -468,31 +528,6 @@ class _Orbit(NamedTuple):
     anchor: float
     kind: str
     sol: object
-
-
-def _orbit_anchor(st, alpha, below, above):
-    """(radius, kind) of the canonical anchor of the component of
-    {alpha^2 r^2 >= f} between the turning points ``below`` and ``above``
-    (None: open to that side), or None when there is none.
-
-    The anchor is the component's turning point, polished by Newton so that
-    dr/ds = 0 holds there to rounding; else the first root of r'' = 0, that
-    is alpha^2 r = f'/2, in the scan bracket; else r_* of the first sphere.
-    """
-    a2 = alpha ** 2
-    if below is not None or above is not None:
-        def g(r, _):
-            fv, dfv = st.metric(r)
-            return a2 * r ** 2 - fv, 2 * a2 * r - dfv
-
-        r_tp = below if below is not None else above
-        return float(_newton(g, 0.0, r_tp, *st.default_bracket())), "turning-point"
-    roots = _scan_roots(lambda r: a2 * r - 0.5 * st.metric(r)[1], *st.default_bracket())
-    if roots:
-        return roots[0], "inflection"
-    if st.spheres:
-        return st.spheres[0].r_star, "photon-sphere"
-    return None
 
 
 def _orbit_stop(d, cells, extent, monotone, s0s, passed):
@@ -549,13 +584,13 @@ def _orbit_starts(passed, s0s):
         passed.clear()
 
 
-def _sweep_row(st, alpha, r0s, span, step, turning):
+def _sweep_row(st, alpha, r0s, span, step):
     """Sign +1 profiles of the sweep cells (alpha, r0), r0 in ``r0s``, from
     one open-ended solve per orbit.
 
     In a static spacetime every such cell on one component of
     {alpha^2 r^2 >= f} lies on the orbit through the component's anchor
-    (``_orbit_anchor``), shifted in s and t. Its s0 solves r(s0) = r0 on
+    (``_Radial.anchor``), shifted in s and t. Its s0 solves r(s0) = r0 on
     the half where r increases, at the step that passes r0
     (``_orbit_stop``, ``_orbit_starts``); it is sampled at s0 +
     ``_sample_grid`` of its window, with t shifted to t(s0) = 0. The half
@@ -568,40 +603,36 @@ def _sweep_row(st, alpha, r0s, span, step, turning):
 
     Returns (cells, orbits): cells[i] is (curve, orbit index, s0), or None
     for a cell that ``integrate_profile`` must take: a critical row, r0
-    outside the scan bracket of ``turning`` (the row's turning points), a
-    cell that is forbidden, held on a sphere or at a turning point, a
-    component between two turning points, and a cell whose orbit failed
-    or does not reach r0 or cover its window before its stop rule ends it.
+    outside the scan bracket, a cell that is forbidden, held on a sphere or
+    at a turning point, a component between two turning points or without
+    an anchor, and a cell whose orbit failed or does not reach r0 or cover
+    its window before its stop rule ends it.
     """
     cells = [None] * len(r0s)
     orbits = []
-    if _snapped_sphere(st.spheres, alpha) is not None:
+    radial = _radial(st, alpha)
+    if radial.sphere is not None:
         return cells, orbits
-    bracket = st.default_bracket()
     groups = {}
     for i, r0 in enumerate(r0s):
-        try:
-            if not bracket[0] < r0 < bracket[1] or \
-                    _fixed_radius(st, alpha, r0) is not None or \
+        ends = radial.component(r0)
+        try:  # r0 on an open component, not held and not at a turning point
+            if ends is None or None not in ends or radial.held(r0) is not None or \
                     not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
                 continue
         except (OverflowError, ZeroDivisionError):
             continue  # beyond the float range: integrate_profile says why
-        j = bisect.bisect(turning, r0)
-        ends = (turning[j - 1] if j else None,
-                turning[j] if j < len(turning) else None)
-        if None in ends:
-            groups.setdefault(ends, []).append(i)
+        groups.setdefault(ends, []).append(i)
 
     rhs = _profile_rhs(st, alpha)
     for (below, above), members in groups.items():
-        anchor = _orbit_anchor(st, alpha, below, above)
+        anchor = radial.anchor(below, above)
         if anchor is None:
             continue
         r_a, kind = anchor
-        # the halves on which r increases with s: both, without turning point
-        monotone = {-1: kind != "turning-point" or above is not None,
-                    1: kind != "turning-point" or below is not None}
+        # the halves on which r increases with s: neither the forward half
+        # below the turning point ``above`` nor the backward half above ``below``
+        monotone = {-1: below is None, 1: above is None}
         sides = {d: {i: r0s[i] for i in members
                      if monotone[d] and d * (r0s[i] - r_a) > 0} for d in (-1, 1)}
         first = -1 if sides[-1] and not sides[1] else 1
@@ -675,18 +706,22 @@ def ode_residuals(st: ClassSSpacetime, curve: ProfileCurve) -> ResidualReport:
 def classify(st: ClassSSpacetime, alpha: float, r0: float) -> SurfaceClass:
     """Group a surface by its umbilicity factor relative to ``st.spheres``.
 
-    Data held on a photon sphere (``_fixed_radius``) is PhotonSphere, even
-    when the scan missed that sphere.
+    Data held on a photon sphere (``_Radial.held``) is PhotonSphere, even
+    when the scan missed that sphere; data on a component of
+    {alpha^2 r^2 >= f} between two turning points is Trapped.
     """
     _check_positive(alpha)
     spheres = st.spheres
     regions = tuple("below" if r0 < sp.r_star else "above" for sp in spheres)
+    radial = _radial(st, alpha)
 
-    if _fixed_radius(st, alpha, r0) is not None:
+    if radial.held(r0) is not None:
         kind = SurfaceKind.PHOTON_SPHERE
+    elif None not in (radial.component(r0) or (None,)):
+        kind = SurfaceKind.TRAPPED
     elif not spheres:
         kind = SurfaceKind.NO_SPHERE_REFERENCE
-    elif _snapped_sphere(spheres, alpha) is not None:
+    elif radial.sphere is not None:
         kind = SurfaceKind.CRITICAL
     else:
         nearest = min(spheres, key=lambda sp: abs(alpha - sp.alpha_star))

@@ -85,8 +85,7 @@ def test_orbit_cells_match_per_cell_profiles(schw3, seed):
     alphas, r0s = sweep_grid(seed)
     orbit_cells = 0
     for alpha in alphas:
-        cells, _ = _sweep_row(schw3, alpha, r0s, SPAN, STEP,
-                              turning_points(schw3, alpha))
+        cells, _ = _sweep_row(schw3, alpha, r0s, SPAN, STEP)
         for r0, cell in zip(r0s, cells):
             if cell is None:
                 continue
@@ -102,8 +101,7 @@ def test_half_without_cells_solved_after_the_half_with_them(schw3):
     # solved after the backward half, it stops a span end past the farthest
     # s0 instead of crawling into the horizon (709 attempts)
     alpha, r0s, span = 0.1, [2.005, 2.01, 2.015], (-1.0, 1.0)
-    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP,
-                                 turning_points(schw3, alpha))
+    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP)
     assert orbit.kind == "turning-point"
     assert orbit.sol.reasons == {"backward": "boundary", "forward": "span"}
     forward = orbit.sol.stats["forward"]
@@ -121,8 +119,7 @@ def test_span_stop_is_exact(schw3):
     alphas, r0s = sweep_grid(1)
     halves = 0
     for alpha in alphas:
-        cells, orbits = _sweep_row(schw3, alpha, r0s, SPAN, STEP,
-                                   turning_points(schw3, alpha))
+        cells, orbits = _sweep_row(schw3, alpha, r0s, SPAN, STEP)
         for k, orbit in enumerate(orbits):
             s0s = [cell[2] for cell in cells if cell is not None and cell[1] == k]
             T = orbit.sol.dense[0]  # step starts: the last backward step's first
@@ -148,8 +145,7 @@ def test_off_grid_span_end_before_the_horizon_keeps_cell_reasons(
     # the backward half runs into the horizon and is cut there; a window
     # whose span end lies between its last sample and the crossing is whole,
     # so the cut must not end the half before that span end
-    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP,
-                                 turning_points(schw3, alpha))
+    cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP)
     assert orbit.sol.reasons["backward"] == "boundary"
     for r0, cell in zip(r0s, cells):
         assert cell is not None, r0
@@ -229,8 +225,7 @@ def test_cell_between_two_turning_points_takes_per_cell_path(tmp_path):
     below, above = (r for r in turning_points(st, alpha)
                     if abs(r - inner.r_star) < 0.1)
     assert below < inner.r_star < above
-    cells, orbits = _sweep_row(st, alpha, [inner.r_star], (-1.0, 1.0), STEP,
-                               turning_points(st, alpha))
+    cells, orbits = _sweep_row(st, alpha, [inner.r_star], (-1.0, 1.0), STEP)
     assert cells == [None] and orbits == []
 
     rn = "[spacetime]\nfamily = reissner-nordstrom\nm = 1\nq = 1.0488088481701516\n"
@@ -240,6 +235,9 @@ def test_cell_between_two_turning_points_takes_per_cell_path(tmp_path):
     assert "solve_stats" in cell
     assert (out / cell["file"]).read_bytes() == \
         run_profile(tmp_path, "profile", alpha, inner.r_star, rn, (-1.0, 1.0))
+    # classified by its component, not by the nearest alpha_* (Supercritical)
+    assert cell["classification"] == "Trapped"
+    assert "Trapped" in manifest["classification_groups"]
 
 
 def bump_spacetime():
@@ -260,7 +258,7 @@ def test_orbit_that_turns_back_at_a_missed_turning_point():
     assert turning == [pytest.approx(1 / alpha)]  # the bump's pair is missed
     span = (-0.2, 0.2)
     assert st.spheres == ()  # the scan steps over the bump too
-    cells, orbits = _sweep_row(st, alpha, [3.6, 8.0], span, STEP, turning)
+    cells, orbits = _sweep_row(st, alpha, [3.6, 8.0], span, STEP)
     (orbit,) = orbits
     assert orbit.sol.reasons["forward"] == "turned-back"
     # before the bump, the orbit's window matches the cell's own solve
@@ -281,7 +279,7 @@ def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch):
     monkeypatch.setattr(ClassSSpacetime, "default_bracket",
                         lambda self: (self.r_lo, 100.0))
     alpha, r0s, span = 0.1, [2.0 * (1 + 1e-10), 2.0000000020005, 2.02], (-1.0, 1.0)
-    cells, orbits = _sweep_row(st, alpha, r0s, span, STEP, turning_points(st, alpha))
+    cells, orbits = _sweep_row(st, alpha, r0s, span, STEP)
     (orbit,) = orbits
     assert orbit.kind == "turning-point"
     assert orbit.sol.reasons["backward"] == "boundary"
@@ -302,7 +300,7 @@ def test_cells_of_a_second_half_that_ends_before_its_last_cell(monkeypatch):
     monkeypatch.setattr(ClassSSpacetime, "default_bracket",
                         lambda self: (self.r_lo, 100.0))
     alpha, r0s, span = 0.3, [2.0 * (1 + 1e-10), 2.1, 5.0], (-1.0, 1.0)
-    cells, orbits = _sweep_row(st, alpha, r0s, span, STEP, turning_points(st, alpha))
+    cells, orbits = _sweep_row(st, alpha, r0s, span, STEP)
     (orbit,) = orbits
     assert orbit.kind == "inflection"
     assert orbit.sol.reasons == {"forward": "span", "backward": "boundary"}
@@ -322,8 +320,7 @@ def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
     st = build_family("schwarzschild", n=3, m=1, r_lo=5.0)
     alpha, r0s = 0.3, [6.0, 8.0]
     assert turning_points(st, alpha) == [] and st.spheres == ()
-    assert _sweep_row(st, alpha, r0s, SPAN, STEP,
-                      turning_points(st, alpha)) == ([None, None], [])
+    assert _sweep_row(st, alpha, r0s, SPAN, STEP) == ([None, None], [])
 
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], r0s, cut)
     assert manifest["orbits"] == []
@@ -362,7 +359,7 @@ def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatc
     # before the window's end s0 + 0.2: the cell is integrated on its own
     st = bump_spacetime()
     alpha, r0, span = 0.3, 4.8, (-0.2, 0.2)
-    cells, orbits = _sweep_row(st, alpha, [r0], span, STEP, turning_points(st, alpha))
+    cells, orbits = _sweep_row(st, alpha, [r0], span, STEP)
     (orbit,) = orbits
     assert orbit.sol.reasons["forward"] == "turned-back"
     # s0 on the forward half, where r rises to the bump and turns back above r0
