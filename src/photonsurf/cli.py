@@ -61,8 +61,8 @@ MAX_SAMPLES = 1e6
 _FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
 # fewest samples (cells x span / spacing) of a sweep that forks a helper to
 # write its CSVs: below that, forking and feeding it mostly cost more than
-# it saves (measured in BENCH_21.json, small_sweeps)
-_HELPER_SAMPLES = 30000
+# it saves (measured in BENCH_24.json, small_sweeps)
+_HELPER_SAMPLES = 80000
 
 
 def fmt(x) -> str:
@@ -197,45 +197,34 @@ def _write_manifest(out_dir, name, st, payload):
     return path
 
 
-# CSV columns whose values repeat by construction: every cell of a sweep
-# samples a window of one grid, and residuals sit at a few rounding levels
-_MEMO_COLUMNS = frozenset({"s", "unit_residual", "null_residual"})
-_MEMO_CAP = 1 << 16   # most texts one memo holds
 _CSV_BLOCK_ROWS = 4096
 
 
-def _texts(column, memo):
-    """repr of each value of the float array ``column``. With a ``memo``
-    {float64 bits: text}, whose keys keep -0.0, 0.0 and each NaN apart,
-    only values it lacks are formatted, and added while it has room."""
-    if memo is not None:
-        keys = np.asarray(column, dtype=np.float64).view(np.int64).tolist()
-        new = list(set(keys).difference(memo))
-        if len(memo) + len(new) <= _MEMO_CAP:
-            values = np.array(new, dtype=np.int64).view(np.float64).tolist()
-            memo.update(zip(new, map(repr, values)))
-            return list(map(memo.__getitem__, keys))
-    return list(map(repr, column.tolist()))
+def _texts(column):
+    """repr of each value of the non-empty float array ``column``. orjson
+    writes the same shortest round-trip digits at C speed, but in another
+    notation for non-finite values (null), 1e-10 <= |x| < 1e-4 (0.00001 for
+    1e-05) and |x| >= 1e16 (1e16 for 1e+16): those take repr's own text."""
+    import orjson  # here, not at the top: commands that write no CSV skip it
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    size = np.abs(column)
+    band = np.flatnonzero(~(size < 1e16) | ((size >= 1e-10) & (size < 1e-4)))
+    for i, x in zip(band.tolist(), column[band].tolist()):
+        texts[i] = repr(x)
+    return texts
 
 
-def _write_csv(path, header, columns, memo=None):
+def _write_csv(path, header, columns):
     """CSV with the comma-separated ``header`` and one row per entry of the
     equal-length float arrays ``columns``, each value as ``fmt`` writes it
-    (``tolist`` gives Python floats, whose repr is ``fmt``'s).
-
-    Rows are written in blocks of _CSV_BLOCK_ROWS, each assembled column by
-    column. The columns named in _MEMO_COLUMNS take their texts from
-    ``memo`` (``_texts``): one dict that every CSV of a command shares, or a
-    fresh one when it is None, for all but s, which one table never repeats."""
-    named = _MEMO_COLUMNS if memo is not None else _MEMO_COLUMNS - {"s"}
-    memo = {} if memo is None else memo
-    memos = [memo if name in named else None for name in header.split(",")]
+    (``_texts``). Rows are written in blocks of _CSV_BLOCK_ROWS, each
+    assembled column by column."""
     n = min(map(len, columns))
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for i in range(0, n, _CSV_BLOCK_ROWS):
-            texts = [_texts(column[i:i + _CSV_BLOCK_ROWS], m)
-                     for column, m in zip(columns, memos)]
+            texts = [_texts(column[i:i + _CSV_BLOCK_ROWS]) for column in columns]
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
@@ -247,13 +236,12 @@ def _profile_table(curve):
 
 def _helper(conn):
     """Body of a helper process that a sweep forks: write the profile CSV of
-    each (path, curve) that comes on ``conn`` with a memo of its own (a cache:
-    bytes do not depend on the writer) and answer None or the error raised."""
-    memo = {}
+    each (path, curve) that comes on ``conn`` and answer None or the error
+    raised."""
     while True:
         path, curve = conn.recv()
         try:
-            _write_csv(path, *_profile_table(curve), memo)
+            _write_csv(path, *_profile_table(curve))
         except Exception as e:  # raised again in the sweep (_answers)
             conn.send(e)
         else:
@@ -410,7 +398,6 @@ def cmd_sweep(args, cp):
 
     items, outputs = [], []
     orbits = []  # one solve per (alpha, component), shared by its cells
-    memo = {}  # CSV texts of this sweep's repeated values (_write_csv)
     # with two CPUs, a large grid's CSVs go to one forked helper while the
     # sweep solves on; a CSV is written here while the helper has two
     cells = len(alphas) * len(r0s)
@@ -467,7 +454,7 @@ def cmd_sweep(args, cp):
                     conn.send((path, curve))
                     flights += 1
                 else:
-                    _write_csv(path, *_profile_table(curve), memo)
+                    _write_csv(path, *_profile_table(curve))
                 outputs.append(name)
                 item.update(file=name, status="ok", reason=None,
                             classification=cls.kind.value,

@@ -235,55 +235,47 @@ def test_write_csv_matches_per_value_fmt(tmp_path, schw3, monkeypatch):
     curve = photonsurf.integrate_profile(
         schw3, photonsurf.PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(-2.0, 2.0)))
     tables.append(_profile_table(curve))
-    # memoized columns: -0.0 and 0.0 in both orders, NaN, values repeated
-    # within and across tables; one table spans several blocks, one is empty
+    # -0.0 and 0.0 in both orders, NaN, values repeated within and across
+    # tables; one table spans several blocks, one is empty
     tables += [("s,x,unit_residual", (special, special[::-1], special)),
                ("unit_residual,s,null_residual",
                 (signed_zeros, signed_zeros[::-1], signed_zeros * 0.0)),
                ("s,unit_residual", (signed_zeros[::-1], signed_zeros)),
                _profile_table(curve),
                ("s,t,unit_residual", (np.zeros(0),) * 3)]
-    memo = {}
-    memoized_calls, texts = [], cli._texts
-
-    def spy(column, memo):
-        memoized_calls.append(memo is not None)
-        return texts(column, memo)
-
-    monkeypatch.setattr(cli, "_texts", spy)
     for k, (header, columns) in enumerate(tables):
-        _write_csv(tmp_path / f"new{k}.csv", header, columns, memo)
-        # with no memo passed only the residual columns take a fresh one
-        memoized_calls.clear()
-        _write_csv(tmp_path / f"own{k}.csv", header, columns)
-        blocks = -(-len(columns[0]) // 5)
-        assert memoized_calls == blocks * [
-            name in ("unit_residual", "null_residual") for name in header.split(",")]
+        _write_csv(tmp_path / f"new{k}.csv", header, columns)
         _write_csv_reference(tmp_path / f"ref{k}.csv", header, columns)
-        ref = (tmp_path / f"ref{k}.csv").read_bytes()
-        assert (tmp_path / f"new{k}.csv").read_bytes() == ref
-        assert (tmp_path / f"own{k}.csv").read_bytes() == ref
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
     assert (tmp_path / "ref6.csv").read_bytes() == b"s,t,unit_residual\n"
-    # one text per distinct float64 bit pattern of the memoized columns
-    memoized = np.concatenate([column for header, columns in tables
-                               for name, column in zip(header.split(","), columns)
-                               if name in cli._MEMO_COLUMNS])
-    assert sorted(memo) == np.unique(memoized.view(np.int64)).tolist()
-    assert all(text == fmt(np.int64(key).view(np.float64))
-               for key, text in memo.items())
-
-
-def test_write_csv_memo_stays_bounded(tmp_path, monkeypatch):
-    # a memo that would outgrow _MEMO_CAP takes no more texts, and the
-    # bytes do not change
-    monkeypatch.setattr(cli, "_MEMO_CAP", 10)
+    # blocks of 4 rows, the last one short
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
     s = np.arange(-0.25, 3.0, 0.25)
-    memo = {}
-    _write_csv(tmp_path / "new.csv", "s,r", (s, s * s), memo)
+    _write_csv(tmp_path / "new.csv", "s,r", (s, s * s))
     _write_csv_reference(tmp_path / "ref.csv", "s,r", (s, s * s))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert 0 < len(memo) <= 10
+
+
+def test_texts_match_repr():
+    # orjson's digits and notation against repr on over 1e6 values; a
+    # release of orjson that writes other text fails here
+    rng = np.random.default_rng(24)
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 120_000, dtype=np.int64,
+                        endpoint=True).view(np.float64)
+    edges = np.array([1e-10, 1e-4, 1e16] + [10.0 ** e for e in range(-12, 18)])
+    edges = np.concatenate([edges, -edges]).view(np.int64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)],
+        rng.standard_normal(300_000) * 10.0 ** rng.uniform(-20, 20, 300_000),
+        *(rng.integers(-10 ** 9, 10 ** 9, 100_000) / 10.0 ** k for k in range(6)),
+        (edges[:, None] + np.arange(-3, 4)).ravel().view(np.float64),
+        [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+         math.nan, math.inf, -math.inf]])
+    assert values.size > 1_000_000
+    ref = list(map(repr, values.tolist()))
+    assert cli._texts(values) == ref
+    assert cli._texts(values[::-1]) == ref[::-1]
+    assert cli._texts(values[1::7]) == ref[1::7]
 
 
 def _sweep_like_payload(cells):
@@ -784,11 +776,13 @@ SCIPY_LOADED = ("sorted(m for m in sys.modules "
 @pytest.fixture(scope="module")
 def fresh_import():
     """Modules a fresh interpreter has loaded: scipy's after ``import
-    photonsurf`` and after ``import photonsurf.cli``, then multiprocessing's."""
+    photonsurf`` and after ``import photonsurf.cli``, then multiprocessing's
+    and orjson's."""
     return run_python(
         f"import sys\nimport photonsurf\nprint({SCIPY_LOADED})\n"
         f"import photonsurf.cli\nprint({SCIPY_LOADED})\n"
         "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('orjson')))\n"
     ).splitlines()
 
 
@@ -801,6 +795,11 @@ def test_cli_import_does_not_load_scipy_integrate(fresh_import):
 def test_cli_import_does_not_load_multiprocessing(fresh_import):
     # only a sweep that hands CSVs to helper processes imports it
     assert fresh_import[2] == "[]"
+
+
+def test_cli_import_does_not_load_orjson(fresh_import):
+    # only commands that write a CSV import it; spheres and verify write none
+    assert fresh_import[3] == "[]"
 
 
 def test_cli_commands_load_no_scipy_but_tables_do(tmp_path):
