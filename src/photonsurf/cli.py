@@ -60,9 +60,9 @@ MAX_SAMPLES = 1e6
 # what plain-float arithmetic raises on radii near the ends of the float range
 _FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
 # fewest samples (cells x span / spacing) of a sweep that forks a helper to
-# write its CSVs: below that, forking and feeding it mostly cost more than
-# it saves (measured in BENCH_24.json, small_sweeps)
-_HELPER_SAMPLES = 80000
+# run every other row: below that, forking it mostly costs more than it
+# saves (measured in BENCH_25.json, small_sweeps)
+_HELPER_SAMPLES = 6000
 
 
 def fmt(x) -> str:
@@ -234,29 +234,17 @@ def _profile_table(curve):
         curve.s, curve.t, curve.r, curve.tdot, curve.rdot, curve.unit_residual)
 
 
-def _helper(conn):
-    """Body of a helper process that a sweep forks: write the profile CSV of
-    each (path, curve) that comes on ``conn`` and answer None or the error
-    raised."""
-    while True:
-        path, curve = conn.recv()
-        try:
-            _write_csv(path, *_profile_table(curve))
-        except Exception as e:  # raised again in the sweep (_answers)
-            conn.send(e)
-        else:
-            conn.send(None)
-
-
-def _answers(conn, flights, wait=False):
-    """Take the answers to the ``flights`` writes in flight on ``conn`` that
-    have come, or with ``wait`` all of them, and return how many are left;
-    raise an error that the helper sent."""
-    while flights and (wait or conn.poll()):
-        flights -= 1
-        if (error := conn.recv()) is not None:
-            raise error
-    return flights
+def _helper(conn, row, rows):
+    """Body of the helper process a sweep forks: run ``row`` on each index
+    of ``rows`` in order, stopping at the first that raises, and send the
+    list of results on ``conn``, the error last if one was raised."""
+    results = []
+    try:
+        for ia in rows:
+            results.append(row(ia))
+    except Exception as e:  # raised again by the sweep, in row order
+        results.append(e)
+    conn.send(results)
 
 
 # ---------------------------------------------------------------------------
@@ -396,81 +384,93 @@ def cmd_sweep(args, cp):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
-    items, outputs = [], []
-    orbits = []  # one solve per (alpha, component), shared by its cells
-    # with two CPUs, a large grid's CSVs go to one forked helper while the
-    # sweep solves on; a CSV is written here while the helper has two
-    cells = len(alphas) * len(r0s)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helper = cpus > 1 and cells > 1 and (
-        cells * (span[1] - span[0]) / step.sample_spacing >= _HELPER_SAMPLES)
-    proc, conn, flights = None, None, 0
-    try:
-        for ia, a in enumerate(alphas):
-            try:
-                turning, reason = turning_points(st, a), None
-            except DomainError as e:  # alpha^2 r^2 beyond the float range
-                reason = f"float range exceeded: {e}"
-            except ValueError as e:  # alpha not positive
-                reason = f"invalid spec: {e}"
-            if reason is not None:
-                items += [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
-                           "reason": reason} for r0 in r0s]
-                continue
-            row, row_orbits = _sweep_row(st, a, r0s, span, step)
-            first = len(orbits)
-            # each orbit's anchor, and the work and stop reason of each half-line
-            orbits += [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
+    def row(ia):
+        """Manifest items and orbit records of row ``ia``, orbit indices
+        counted within the row; writes the row's CSVs."""
+        a = alphas[ia]
+        try:
+            turning, reason = turning_points(st, a), None
+        except DomainError as e:  # alpha^2 r^2 beyond the float range
+            reason = f"float range exceeded: {e}"
+        except ValueError as e:  # alpha not positive
+            reason = f"invalid spec: {e}"
+        if reason is not None:
+            return [{"alpha": a, "r0": r0, "file": None, "status": "skipped",
+                     "reason": reason} for r0 in r0s], []
+        cells, orbits = _sweep_row(st, a, r0s, span, step)
+        items = []
+        for ir, r0 in enumerate(r0s):
+            item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
+            items.append(item)
+            if cells[ir] is not None:
+                curve, k, s0 = cells[ir]
+                work = {"orbit": k, "s0": s0}
+            else:
+                spec = PhotonSurfaceSpec(alpha=a, r0=r0, span=span)
+                try:
+                    curve = integrate_profile(st, spec, step)
+                except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
+                    item["reason"] = _reason(e)
+                    continue
+                work = {"solve_stats": curve.solve_stats}
+            cls = classify(st, a, r0)
+            name = f"sweep_a{ia}_r{ir}.csv"
+            _write_csv(os.path.join(out, name), *_profile_table(curve))
+            item.update(file=name, status="ok", reason=None,
+                        classification=cls.kind.value,
+                        turning_radii=turning,
+                        termination=curve.termination,
+                        termination_start=curve.termination_start,
+                        samples=len(curve.s), **work)
+        # each orbit's anchor, and the work and stop reason of each half-line
+        return items, [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
                         "solve_stats": o.sol.stats, "stop_reasons": o.sol.reasons}
-                       for o in row_orbits]
-            for ir, r0 in enumerate(r0s):
-                item = {"alpha": a, "r0": r0, "file": None, "status": "skipped"}
-                items.append(item)
-                if row[ir] is not None:
-                    curve, k, s0 = row[ir]
-                    work = {"orbit": first + k, "s0": s0}
-                else:
-                    spec = PhotonSurfaceSpec(alpha=a, r0=r0, span=span)
-                    try:
-                        curve = integrate_profile(st, spec, step)
-                    except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
-                        item["reason"] = _reason(e)
-                        continue
-                    work = {"solve_stats": curve.solve_stats}
-                cls = classify(st, a, r0)
-                name = f"sweep_a{ia}_r{ir}.csv"
-                path = os.path.join(out, name)
-                if helper and proc is None:  # the first CSV forks the helper
-                    import multiprocessing
-                    # not "spawn": a fresh interpreter's numpy import alone
-                    # takes longer than a sweep; a helper runs no BLAS code
-                    ctx = multiprocessing.get_context("fork")
-                    conn, theirs = ctx.Pipe()
-                    proc = ctx.Process(target=_helper, args=(theirs,), daemon=True)
-                    proc.start()
-                    theirs.close()  # only the helper holds it: its death reads as EOF
-                flights = _answers(conn, flights)
-                if proc is not None and flights < 2:
-                    conn.send((path, curve))
-                    flights += 1
-                else:
-                    _write_csv(path, *_profile_table(curve))
-                outputs.append(name)
-                item.update(file=name, status="ok", reason=None,
-                            classification=cls.kind.value,
-                            turning_radii=turning,
-                            termination=curve.termination,
-                            termination_start=curve.termination_start,
-                            samples=len(curve.s), **work)
-            del row, row_orbits  # free this row's curves and orbits before the next's
-        _answers(conn, flights, wait=True)  # before sweep.gp and the manifest
+                       for o in orbits]
+
+    # with two CPUs, a large grid of two rows or more is split by row: a
+    # helper forked before the first row runs the odd rows, the sweep the
+    # even ones. The split depends on the row index alone, so the bytes and
+    # the sweep's own work repeat from run to run.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    helper = cpus > 1 and len(alphas) > 1 and (
+        len(alphas) * len(r0s) * (span[1] - span[0]) / step.sample_spacing >= _HELPER_SAMPLES)
+    proc = None
+    try:
+        if helper:
+            import multiprocessing
+            # not "spawn": a fresh interpreter's numpy import alone takes
+            # longer than a sweep; the row code runs no BLAS code
+            ctx = multiprocessing.get_context("fork")
+            conn, theirs = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_helper, args=(theirs, row, range(1, len(alphas), 2)),
+                               daemon=True)
+            proc.start()
+            theirs.close()  # only the helper holds it: its death reads as EOF
+        own = {}
+        for ia in range(0, len(alphas), 2 if helper else 1):
+            try:
+                own[ia] = row(ia)
+            except Exception as e:  # raised below in row order, as a serial sweep would
+                own[ia] = e
+                break
+        # the helper's CSVs are complete before sweep.gp and the manifest
+        helped = iter(conn.recv() if helper else ())
+        items, orbits = [], []  # one solve per (alpha, component), shared by its cells
+        for ia in range(len(alphas)):
+            result = own[ia] if ia in own else next(helped)
+            if isinstance(result, Exception):
+                raise result
+            for item in result[0]:
+                if "orbit" in item:
+                    item["orbit"] += len(orbits)
+            items += result[0]
+            orbits += result[1]
     finally:
         if proc is not None:
             proc.terminate()
             proc.join()
-    produced = len(outputs)
-
-    if produced == 0:
+    outputs = [item["file"] for item in items if item["status"] == "ok"]
+    if not outputs:
         print("sweep produced no curves", file=sys.stderr)
         return EXIT_EMPTY_SWEEP
 
@@ -494,7 +494,6 @@ def cmd_sweep(args, cp):
     gp_path = os.path.join(out, "sweep.gp")
     with open(gp_path, "w") as fh:
         fh.write("\n".join(gp_lines) + "\n")
-    outputs.append("sweep.gp")
 
     _write_manifest(out, "sweep_manifest.json", st, {
         "operation": "sweep",
@@ -502,9 +501,9 @@ def cmd_sweep(args, cp):
         "classification_groups": groups,
         "orbits": orbits,
         "cells": items,
-        "outputs": outputs,
+        "outputs": outputs + ["sweep.gp"],
     })
-    print(f"sweep: {produced}/{len(items)} cells produced curves; "
+    print(f"sweep: {len(outputs)}/{len(items)} cells produced curves; "
           f"groups: {', '.join(groups)}")
     return EXIT_OK
 

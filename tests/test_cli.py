@@ -17,6 +17,7 @@ from hypothesis import strategies as st_
 import photonsurf
 from photonsurf import cli, ode
 from photonsurf.cli import _profile_table, _write_csv, fmt, main
+from photonsurf.errors import StepBudgetError
 
 
 def write_config(path, text):
@@ -480,8 +481,8 @@ span_hi = 2
             (tmp_path / "small" / in_small).read_bytes()
 
 
-# a grid with a skipped row and cell and eight curves, more than the helper
-# holds in flight, so that the sweep also writes some CSVs itself
+# a grid of four rows, the first skipped, with a skipped cell and eight
+# curves: a helper runs rows 1 and 3 (five curves), the sweep row 2 (three)
 HELPER_SWEEP = SCHW + """
 [sweep]
 alphas = -1, 0.17320508075389044, 0.21169509870086, 0.3
@@ -497,17 +498,14 @@ def tree(out):
 
 
 @pytest.fixture
-def helper_runs(monkeypatch, tmp_path):
+def helper_runs(monkeypatch):
     """Run ``main`` as if ``cpus`` CPUs were usable and a sweep of at least
     ``fewest`` samples forked a helper (every one by default); count the
-    processes it forks and the CSVs it writes itself. A helper's write waits
-    until the sweep has written one itself (10 s at most), so that the helper
-    keeps its first two CSVs in flight."""
+    processes it forks and the CSVs it writes itself."""
     import multiprocessing
 
     parent, forks, own = os.getpid(), [], []
     real_fork, real_write = os.fork, cli._write_csv
-    marker = tmp_path / "sweep-wrote-a-csv"
 
     def fork():
         forks.append(1)
@@ -516,11 +514,6 @@ def helper_runs(monkeypatch, tmp_path):
     def write_csv(path, *rest):
         if os.getpid() == parent:
             own.append(os.path.basename(path))
-            marker.touch()
-        else:
-            deadline = time.monotonic() + 10.0
-            while not marker.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
         real_write(path, *rest)
 
     monkeypatch.setattr(os, "fork", fork)
@@ -529,7 +522,6 @@ def helper_runs(monkeypatch, tmp_path):
     def run(cpus, argv, fewest=0):
         forks.clear()
         own.clear()
-        marker.unlink(missing_ok=True)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(cli, "_HELPER_SAMPLES", fewest)
         try:
@@ -554,10 +546,44 @@ def test_sweep_bytes_do_not_depend_on_the_helper(tmp_path, capsys, helper_runs):
     assert trees[0] == trees[1] and stdouts[0] == stdouts[1]
     csvs = sorted(name for name in trees[0] if name.endswith(".csv"))
     assert len(csvs) == 8
-    # one CPU: every CSV written here; four: one helper takes the first two,
-    # so the sweep writes the third itself (the rest go to whichever is free)
+    # one CPU: every CSV written here; four: the helper writes the odd rows'
     assert own[0] == csvs
-    assert own[1][0] == csvs[2] and set(own[1]) <= set(csvs[2:])
+    assert own[1] == ["sweep_a2_r0.csv", "sweep_a2_r1.csv", "sweep_a2_r2.csv"]
+
+
+def test_a_lagging_helper_moves_no_work_to_the_sweep(tmp_path, helper_runs, monkeypatch):
+    # which process runs a row depends on its index alone: a helper whose CSV
+    # writes lag leaves the sweep the same CSVs, bytes and metric evaluations
+    parent, real_build, real_write = os.getpid(), cli._build_spacetime, cli._write_csv
+    calls, lag = [], []
+
+    def build(cp):
+        st = real_build(cp)
+
+        def evaluate(r, inner=st.metric.evaluate):
+            if os.getpid() == parent:
+                calls.append(np.size(r))
+            return inner(r)
+        return dataclasses.replace(st, metric=dataclasses.replace(st.metric, evaluate=evaluate))
+
+    def write_csv(path, *rest):
+        if os.getpid() != parent:
+            time.sleep(lag[0])
+        real_write(path, *rest)
+
+    monkeypatch.setattr(cli, "_build_spacetime", build)
+    monkeypatch.setattr(cli, "_write_csv", write_csv)
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    runs = []
+    for delay in (0.0, 0.05):
+        lag[:], calls[:] = [delay], []
+        out = tmp_path / f"lag{delay}"
+        assert helper_runs(2, ["--config", cfg, "--out", str(out), "sweep"]) == 0
+        assert len(helper_runs.forks) == 1
+        runs.append((tree(out), list(helper_runs.own), len(calls), sum(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == ["sweep_a2_r0.csv", "sweep_a2_r1.csv", "sweep_a2_r2.csv"]
+    assert runs[0][2] > 0
 
 
 @pytest.mark.parametrize("fewest, forks", [
@@ -575,8 +601,9 @@ def test_only_a_sweep_of_enough_samples_forks(tmp_path, capsys, helper_runs, few
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_helper_write_error_is_raised_by_the_sweep(tmp_path, helper_runs, cpus):
-    # a directory where the first cell's CSV goes: with a helper, the helper
-    # fails to write it, and the sweep raises what it would raise alone
+    # a directory where a CSV of row 1 goes: with a helper, which runs the odd
+    # rows, the helper fails to write it, and the sweep raises what it would
+    # raise alone
     cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
     out = tmp_path / "sw"
     (out / "sweep_a1_r1.csv").mkdir(parents=True)
@@ -588,15 +615,42 @@ def test_helper_write_error_is_raised_by_the_sweep(tmp_path, helper_runs, cpus):
     assert not (out / "sweep.gp").exists()
 
 
+def test_helper_row_error_reaches_main_as_in_a_serial_sweep(tmp_path, capsys, helper_runs,
+                                                           monkeypatch):
+    # solve errors in rows 1 (the helper's) and 2 (the sweep's): main reports
+    # row 1's, with the type, message and exit code of a serial sweep
+    real_classify, real_reason, seen = cli.classify, cli._reason, []
+
+    def classify(st, alpha, r0):
+        if alpha in (0.17320508075389044, 0.21169509870086):
+            raise StepBudgetError(f"step budget spent at alpha {alpha}",
+                                  last_state=(1.5, (r0, alpha)))
+        return real_classify(st, alpha, r0)
+
+    monkeypatch.setattr(cli, "classify", classify)
+    monkeypatch.setattr(cli, "_reason", lambda e: seen.append(e) or real_reason(e))
+    cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
+    runs = []
+    for cpus, forks in ((1, 0), (4, 1)):
+        seen.clear()
+        out = tmp_path / f"cpus{cpus}"
+        code = helper_runs(cpus, ["--config", cfg, "--out", str(out), "sweep"])
+        assert len(helper_runs.forks) == forks
+        assert not (out / "sweep_manifest.json").exists()
+        runs.append((code, capsys.readouterr().err, type(seen[-1]), seen[-1].last_state))
+    a1 = 0.17320508075389044
+    assert runs[0] == runs[1] == (3, f"error: step budget spent at alpha {a1}\n",
+                                  StepBudgetError, (1.5, (6.0, a1)))
+
+
 def test_helper_that_dies_ends_the_sweep_with_an_error(tmp_path, helper_runs, monkeypatch):
-    # a helper that exits mid-write: the sweep reads EOF, or a reset with a
-    # task still unread, on its pipe rather than waiting for an answer that
-    # cannot come
+    # a helper that exits mid-write: the sweep reads EOF on its pipe rather
+    # than waiting for results that cannot come
     parent, real_write = os.getpid(), cli._write_csv
     monkeypatch.setattr(cli, "_write_csv", lambda path, *rest: real_write(path, *rest)
                         if os.getpid() == parent else os._exit(1))
     cfg = write_config(tmp_path / "c.ini", HELPER_SWEEP)
-    with pytest.raises((EOFError, ConnectionResetError)):
+    with pytest.raises(EOFError):
         helper_runs(2, ["--config", cfg, "--out", str(tmp_path / "sw"), "sweep"])
     assert len(helper_runs.forks) == 1
     assert not (tmp_path / "sw" / "sweep_manifest.json").exists()
@@ -604,6 +658,7 @@ def test_helper_that_dies_ends_the_sweep_with_an_error(tmp_path, helper_runs, mo
 
 @pytest.mark.parametrize("body, code", [
     ("alphas = 0.3\nr0s = 6\n", 0),                 # one cell
+    ("alphas = 0.3\nr0s = 6, 9\n", 0),              # one row: nothing to split
     ("alphas = 0.1\nr0s = 2.5, 2.6\n", 4),          # no curve
     ("alphas =\nr0s = 2.5, 2.6\n", 4),              # empty grid
     ("alphas = 0.3, x\nr0s = 6\n", 2),              # config error
