@@ -200,32 +200,37 @@ def _write_manifest(out_dir, name, st, payload):
 _CSV_BLOCK_ROWS = 4096
 
 
-def _texts(column):
-    """repr of each value of the non-empty float array ``column``. orjson
-    writes the same shortest round-trip digits at C speed, but in another
-    notation for non-finite values (null), 1e-10 <= |x| < 1e-4 (0.00001 for
-    1e-05) and |x| >= 1e16 (1e16 for 1e+16): those take repr's own text."""
+def _rows(table):
+    """CSV lines, each ending in a newline, of the non-empty (n, k) float64
+    array ``table``, as bytes: one orjson dump of the flattened block, every
+    k-th comma made a newline. Values whose orjson notation is not repr's
+    (non-finite, 1e-10 <= |x| < 1e-4, |x| >= 1e16) take repr's own text."""
     import orjson  # here, not at the top: commands that write no CSV skip it
-    column = np.ascontiguousarray(column, dtype=np.float64)
-    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    size = np.abs(column)
+    flat, k = table.ravel(), table.shape[1]
+    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    codes = np.frombuffer(text, np.uint8)
+    # value i lies between seps[i] and seps[i + 1]: a bracket, comma or newline
+    seps = np.concatenate(([0], np.flatnonzero(codes == ord(",")), [len(text) - 1]))
+    codes[seps[k::k]] = ord("\n")
+    size = np.abs(flat)
     band = np.flatnonzero(~(size < 1e16) | ((size >= 1e-10) & (size < 1e-4)))
-    for i, x in zip(band.tolist(), column[band].tolist()):
-        texts[i] = repr(x)
-    return texts
+    pieces, at = [], 1  # the opening bracket is cut
+    for lo, hi, x in zip(seps[band].tolist(), seps[band + 1].tolist(), flat[band].tolist()):
+        pieces += (text[at:lo + 1], repr(x).encode())
+        at = hi
+    return b"".join(pieces + [text[at:]])
 
 
 def _write_csv(path, header, columns):
     """CSV with the comma-separated ``header`` and one row per entry of the
     equal-length float arrays ``columns``, each value as ``fmt`` writes it
-    (``_texts``). Rows are written in blocks of _CSV_BLOCK_ROWS, each
-    assembled column by column."""
+    (``_rows``). Rows are written in blocks of _CSV_BLOCK_ROWS."""
     n = min(map(len, columns))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for i in range(0, n, _CSV_BLOCK_ROWS):
-            texts = [_texts(column[i:i + _CSV_BLOCK_ROWS]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            fh.write(_rows(np.stack([column[i:min(n, i + _CSV_BLOCK_ROWS)]
+                                     for column in columns], axis=1, dtype=np.float64)))
 
 
 def _profile_table(curve):

@@ -244,11 +244,25 @@ def test_write_csv_matches_per_value_fmt(tmp_path, schw3, monkeypatch):
                ("s,unit_residual", (signed_zeros[::-1], signed_zeros)),
                _profile_table(curve),
                ("s,t,unit_residual", (np.zeros(0),) * 3)]
+    # one column, where every comma becomes a newline; one row
+    tables += [("s", (special,)), ("s", (np.arange(12) / 7,)),
+               ("a,b,c", tuple(np.array([x]) for x in (0.1, 1e-5, 2.0))),
+               ("a,b", (np.array([0.25]), np.array([-3.0])))]
+    # band rows (NaN, +-inf, 1e-5, 1e16) first and last in a block, between
+    # ordinary rows and just before a block boundary
+    for rows in ([0, 5], [4, 9], [2, 7, 12], [0, 1, 3, 4, 9, 10]):
+        band = np.linspace(0.5, 7.5, 15)
+        band[rows] = np.resize([math.nan, math.inf, -math.inf, 1e-5, 1e16], len(rows))
+        tables.append(("s,x,y", (np.linspace(-1, 1, 15), band, band[::-1] / 3)))
+    # strided columns, as _dense_eval returns the states of a curve
+    states = rng.standard_normal((13, 3)).T
+    tables.append(("a,b,c", tuple(states)))
     for k, (header, columns) in enumerate(tables):
         _write_csv(tmp_path / f"new{k}.csv", header, columns)
         _write_csv_reference(tmp_path / f"ref{k}.csv", header, columns)
         assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
     assert (tmp_path / "ref6.csv").read_bytes() == b"s,t,unit_residual\n"
+    assert (tmp_path / "ref7.csv").read_bytes().count(b"\n") == special.size + 1
     # blocks of 4 rows, the last one short
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
     s = np.arange(-0.25, 3.0, 0.25)
@@ -257,9 +271,10 @@ def test_write_csv_matches_per_value_fmt(tmp_path, schw3, monkeypatch):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_texts_match_repr():
-    # orjson's digits and notation against repr on over 1e6 values; a
-    # release of orjson that writes other text fails here
+def test_rows_match_repr():
+    # orjson's digits and notation against repr on over 1e6 values, as one
+    # column, as a table of 4 columns and as reversed and strided copies of
+    # them; a release of orjson that writes other text fails here
     rng = np.random.default_rng(24)
     bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 120_000, dtype=np.int64,
                         endpoint=True).view(np.float64)
@@ -271,12 +286,28 @@ def test_texts_match_repr():
         *(rng.integers(-10 ** 9, 10 ** 9, 100_000) / 10.0 ** k for k in range(6)),
         (edges[:, None] + np.arange(-3, 4)).ravel().view(np.float64),
         [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
-         math.nan, math.inf, -math.inf]])
-    assert values.size > 1_000_000
-    ref = list(map(repr, values.tolist()))
-    assert cli._texts(values) == ref
-    assert cli._texts(values[::-1]) == ref[::-1]
-    assert cli._texts(values[1::7]) == ref[1::7]
+         math.nan, math.inf, -math.inf, 1e-5, -1e16]])
+    assert values.size > 1_000_000 and values.size % 4 == 0
+    ref = np.array(list(map(repr, values.tolist())), dtype=object)
+    index = np.arange(values.size)
+    for view in (lambda a: a[:, None], lambda a: a.reshape(-1, 4),
+                 lambda a: a.reshape(-1, 4)[::-1, ::-1], lambda a: a[1::7, None]):
+        lines = "\n".join(map(",".join, ref[view(index)].tolist())) + "\n"
+        assert cli._rows(view(values)) == lines.encode()
+
+
+def test_write_csv_memory_stays_per_block(tmp_path):
+    # a block's text and comma index at a time, never the whole file's
+    rng = np.random.default_rng(5)
+    columns = tuple(rng.standard_normal((6, 200_000)) * 10.0 ** rng.integers(-3, 4, (6, 1)))
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", "a,b,c,d,e,f", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.csv").stat().st_size
+    assert size > 20_000_000 and peak < size / 5
 
 
 def _sweep_like_payload(cells):
