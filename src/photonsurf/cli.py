@@ -315,10 +315,8 @@ def cmd_profile(args, cp):
                  "sign": spec.sign, "span": list(spec.span)},
         "classification": cls.kind.value,
         "turning_radii": turning,
-        "termination": curve.termination,
-        "termination_start": curve.termination_start,
         "samples": len(curve.s),
-        "solve_stats": curve.solve_stats,
+        "work": curve.work,
         "residuals": {"tddot": res.tddot_residual, "rddot": res.rddot_residual,
                       "unit": res.unit_residual},
         "outputs": ["profile.csv"],
@@ -331,8 +329,7 @@ def cmd_profile(args, cp):
             spec.r0, spec.sign, curve.t - spec.t0, step)
         payload["oracle_max_deviation"] = float(abs(r_geo - curve.r[covered]).max())
         payload["oracle_compared_samples"] = int(covered.sum())
-        payload["oracle_solve_stats"] = {"solve_stats": sol.stats,
-                                         "stop_reasons": sol.reasons}
+        payload["oracle_work"] = sol.work
     _write_manifest(out, "profile_manifest.json", st, payload)
     print(f"classification: {cls.kind.value}  samples: {len(curve.s)}  "
           f"worst residual: {fmt(res.worst)}")
@@ -362,16 +359,14 @@ def cmd_geodesic(args, cp):
         "lambda": (charges.energy / charges.angular_momentum
                    if charges.angular_momentum > 0 else None),
         "principal": charges.principal,
-        "termination": traj.termination,
-        "termination_start": traj.termination_start,
         "samples": len(traj.s),
-        "solve_stats": traj.solve_stats,
+        "work": traj.work,
         "max_null_residual": float(traj.null_residual.max()),
         "outputs": ["geodesic.csv"],
     }
     _write_manifest(out, "geodesic_manifest.json", st, payload)
-    print(f"termination: {traj.termination}  samples: {len(traj.s)}  "
-          f"max null residual: {fmt(traj.null_residual.max())}")
+    print(f"termination: {traj.work['stop'].get('forward', 'span')}  "
+          f"samples: {len(traj.s)}  max null residual: {fmt(traj.null_residual.max())}")
     return EXIT_OK
 
 
@@ -409,7 +404,7 @@ def cmd_sweep(args, cp):
             items.append(item)
             if cells[ir] is not None:
                 curve, k, s0 = cells[ir]
-                work = {"orbit": k, "s0": s0}
+                item.update(orbit=k, s0=s0)
             else:
                 spec = PhotonSurfaceSpec(alpha=a, r0=r0, span=span)
                 try:
@@ -417,20 +412,15 @@ def cmd_sweep(args, cp):
                 except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
                     item["reason"] = _reason(e)
                     continue
-                work = {"solve_stats": curve.solve_stats}
             cls = classify(st, a, r0)
             name = f"sweep_a{ia}_r{ir}.csv"
             _write_csv(os.path.join(out, name), *_profile_table(curve))
             item.update(file=name, status="ok", reason=None,
                         classification=cls.kind.value,
-                        turning_radii=turning,
-                        termination=curve.termination,
-                        termination_start=curve.termination_start,
-                        samples=len(curve.s), **work)
-        # each orbit's anchor, and the work and stop reason of each half-line
+                        turning_radii=turning, samples=len(curve.s), work=curve.work)
+        # each orbit's anchor and the work record of its solve
         return items, [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
-                        "solve_stats": o.sol.stats, "stop_reasons": o.sol.reasons}
-                       for o in orbits]
+                        "work": o.sol.work} for o in orbits]
 
     # with two CPUs, a large grid of two rows or more is split by row: a
     # helper forked before the first row runs the odd rows, the sweep the
@@ -573,7 +563,7 @@ def cmd_isotropic(args, cp):
         "s_hi": None if math.isinf(iso.s_hi) else iso.s_hi,
         "photon_spheres": sphere_rows,
         "conformally_flat_intervals": [list(iv) for iv in flat],
-        "solve_stats": iso.solve_stats,
+        "work": iso.work,
         "outputs": ["isotropic.csv"],
     })
     print(f"isotropic interval: ({fmt(iso.s_lo)}, "

@@ -65,7 +65,8 @@ class ConservedCharges:
 
 @dataclass
 class NullGeodesicTrajectory:
-    """Affine-parameter samples of one null geodesic plus its charges."""
+    """Affine-parameter samples of one null geodesic plus its charges and
+    the work record of its solve (``ode._Solution.work``)."""
 
     s: np.ndarray
     t: np.ndarray
@@ -74,10 +75,8 @@ class NullGeodesicTrajectory:
     rdot: np.ndarray
     arclength: np.ndarray  # induced profile arclength of the generated surface
     charges: ConservedCharges
-    termination: str = "span"
-    termination_start: str = "span"
+    work: dict
     null_residual: np.ndarray = field(default=None, repr=False)
-    solve_stats: dict = field(default_factory=dict)
     # the ode._Solution the samples were read from
     _dense: object = field(default=None, repr=False)
 
@@ -118,9 +117,7 @@ def integrate_null_geodesic(st: ClassSSpacetime, charges: ConservedCharges,
     residual = np.abs((v ** 2 - (E ** 2 - ell ** 2 * f / r ** 2)) / f)
     return NullGeodesicTrajectory(
         s=s, t=t, r=r, phi=phi, rdot=v, arclength=sigma, charges=charges,
-        termination=sol.reasons.get("forward", "span"),
-        termination_start=sol.reasons.get("backward", "span"),
-        null_residual=residual, solve_stats=sol.stats, _dense=sol)
+        work=sol.work, null_residual=residual, _dense=sol)
 
 
 def _null_solution(st, charges, r0, sign, span, step, stops=(None, None)):
@@ -174,8 +171,8 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
     s = _inverse(sol, 4)(sig)
     t, r, v = _dense_eval(sol.dense, s)[:3]
     # dr/dsigma = (dr/ds) r / ell
-    return _curve(st, alpha, sig, t, r, v * r / ell, {
-        "backward": traj.termination_start, "forward": traj.termination}, {})
+    return _curve(st, alpha, sig, t, r, v * r / ell,
+                  {"stop": traj.work["stop"], "solve_stats": {}})
 
 
 def _radii_at_times(st, charges, r0, sign, t, step):
@@ -194,7 +191,7 @@ def _radii_at_times(st, charges, r0, sign, t, step):
              lambda s, y, taken: "span" if y[0] >= t_last else None)
     span = (-math.inf if t[0] < 0 else 0.0, math.inf if t[-1] > 0 else 0.0)
     sol = _null_solution(st, charges, r0, sign, span, step, stops)
-    if not sol.stats:
+    if not sol.work["solve_stats"]:
         return np.ones(len(t), dtype=bool), np.full(len(t), sol.dense[2][0, 1]), sol
     t_lo, t_hi = sol.end_states()[0]
     covered = (t >= t_lo) & (t <= t_hi)

@@ -313,20 +313,20 @@ def isotropic_profile_samples(iso: IsotropicForm, curve: ProfileCurve) -> np.nda
 # Aggregate verification suite
 # ---------------------------------------------------------------------------
 
-def _check(name, residual, tol, skipped=False, message="", solve_stats=None):
+def _check(name, residual, tol, skipped=False, message="", work=None):
     passed = bool(skipped or (residual is not None and residual <= tol))
     return {"name": name, "residual": residual, "tol": tol,
             "passed": passed, "skipped": skipped, "message": message,
-            "solve_stats": solve_stats or {}}
+            "work": work or {}}
 
 
 def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict]:
     """Run every curvature/isotropic check applicable to a spacetime.
 
     Returns one dict per check with name, residual, tolerance, pass/fail,
-    an optional skip marker and ``solve_stats``: the per-half-line work of
-    the solves the residual reads, keyed "profile" and "isotropic_map"
-    (empty for closed-form and skipped checks).  Checks whose hypotheses the
+    an optional skip marker and ``work``: the work records of the solves the
+    residual reads, keyed "profile" and "isotropic_map" (empty for
+    closed-form and skipped checks).  Checks whose hypotheses the
     family does not satisfy are reported as skipped, not failed.
     """
     checks = []
@@ -354,7 +354,7 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
         checks.append(_check("surface-scalar-curvature", rep.residual,
                              1e-5 * tol_scale,
                              skipped=rep.skipped, message=rep.message,
-                             solve_stats={"profile": curve.solve_stats}))
+                             work={"profile": curve.work}))
 
     # slice identity, constraint constant, mass flux (vacuum only)
     if st.vacuum:
@@ -390,7 +390,7 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
         r_stars = np.array([sp.r_star for sp in st.spheres])
         worst = float(np.max(isotropic_sphere_residual(iso, iso.s_of_r(r_stars))))
         checks.append(_check("isotropic-photon-sphere", worst, 1e-8 * tol_scale,
-                             solve_stats={"isotropic_map": iso.solve_stats}))
+                             work={"isotropic_map": iso.work}))
     else:
         checks.append(_check("isotropic-photon-sphere", None, 1e-8 * tol_scale,
                              skipped=True, message="no photon spheres"))
@@ -398,6 +398,5 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
     checks.append(_check("isotropic-photon-surface",
                          isotropic_surface_residual(iso, rows),
                          1e-5 * tol_scale,
-                         solve_stats={"profile": curve.solve_stats,
-                                      "isotropic_map": iso.solve_stats}))
+                         work={"profile": curve.work, "isotropic_map": iso.work}))
     return checks

@@ -94,19 +94,19 @@ class _HalfLine(NamedTuple):
     dense: tuple
     s_end: float
     reason: str
-    stats: SolveStats
+    cost: SolveStats
 
 
 class _Solution(NamedTuple):
     """Both half-lines of one solve over (lo, hi) around s = 0: one dense
-    output in ascending s, and the stop reason and work of each half-line,
-    keyed "backward"/"forward"."""
+    output in ascending s, and its work record ``work`` = {"stop": {half:
+    reason}, "solve_stats": {half: SolveStats}}, keyed "backward"/"forward"
+    by the half-lines that were solved."""
 
     dense: tuple
     lo: float
     hi: float
-    reasons: dict
-    stats: dict
+    work: dict
 
     def end_states(self):
         """States (n, 2) at lo and hi."""
@@ -308,9 +308,9 @@ def _dopri5(rhs, y0, s_end, step, events, stop=None, reads=None):
             reason = stopped
             break
 
-    stats = SolveStats(len(steps), rejected, 2 + 6 * (len(steps) + rejected))
+    cost = SolveStats(len(steps), rejected, 2 + 6 * (len(steps) + rejected))
     order = slice(None, None, 1 if direction > 0 else -1)
-    return _HalfLine(_dense_arrays(*zip(*steps[order])), t, reason, stats)
+    return _HalfLine(_dense_arrays(*zip(*steps[order])), t, reason, cost)
 
 
 def _resize(h_abs, norm, rejected):
@@ -346,8 +346,9 @@ def _float_range_error(t, y):
 def _quadrature(g, x0, span, step):
     """``_dopri5``'s ``_Solution`` of y = (x, u) for u' = g(x), u(x0) = 0,
     over x - x0 in span = (lo, hi), with g evaluated on arrays of points as
-    the README describes. The stats count the steps of the final grid, the
-    steps split and the points where g was evaluated."""
+    the README describes. Each half-line stops with "span" at its solved end
+    and counts the steps of its final grid, the steps split and the points
+    where g was evaluated."""
     ends = {name: end for name, end in zip(("backward", "forward"), span) if end != 0}
     rejected, evals, todo, halves = dict.fromkeys(ends, 0), {}, {}, {}
     coarse = [end / _PRELIM_STEPS * np.arange(_PRELIM_STEPS + 1) for end in ends.values()]
@@ -516,8 +517,9 @@ def _join(halves):
     dense = tuple(map(np.concatenate, zip(*(halves[name].dense for name in names))))
     lo, hi = (halves[name].s_end if name in halves else 0.0
               for name in ("backward", "forward"))
-    return _Solution(dense, lo, hi, {name: halves[name].reason for name in names},
-                     {name: halves[name].stats for name in names})
+    return _Solution(dense, lo, hi, {
+        "stop": {name: halves[name].reason for name in names},
+        "solve_stats": {name: halves[name].cost for name in names}})
 
 
 def _linear(y0, rates, span):
@@ -527,9 +529,9 @@ def _linear(y0, rates, span):
     Q = np.zeros((1, len(y0), 4))
     Q[0, :, 0] = rates
     dense = (np.zeros(1), np.ones(1), np.array([y0], dtype=float), Q)
-    ends = {"backward": span[0], "forward": span[1]}
-    return _Solution(dense, span[0], span[1], {
-        name: "photon-sphere-snap" for name, end in ends.items() if end != 0}, {})
+    stop = {name: "photon-sphere-snap"
+            for name, end in zip(("backward", "forward"), span) if end != 0}
+    return _Solution(dense, span[0], span[1], {"stop": stop, "solve_stats": {}})
 
 
 def _newton(fn, targets, x0, lo, hi):

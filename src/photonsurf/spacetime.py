@@ -414,9 +414,9 @@ class IsotropicForm:
     values of the same shape; only :func:`custom_spacetime` adapts functions
     that take floats alone. When the form was produced by
     :func:`to_isotropic`, the coordinate maps ``s_of_r``/``r_of_s``, the
-    source spacetime, the work of the map's solve per half-line
-    (``solve_stats``, empty for a form built by hand) and ``psi_lapse``,
-    which gives both pairs from one r(s), are attached.
+    source spacetime, the work record of the map's solve (``work``, with no
+    half-lines for a form built by hand) and ``psi_lapse``, which gives both
+    pairs from one r(s), are attached.
     """
 
     s_lo: float
@@ -426,7 +426,7 @@ class IsotropicForm:
     source: Optional[ClassSSpacetime] = None
     s_of_r: Optional[Callable] = None
     r_of_s: Optional[Callable] = None
-    solve_stats: dict = field(default_factory=dict)
+    work: dict = field(default_factory=lambda: {"stop": {}, "solve_stats": {}})
     psi_lapse: Optional[Callable] = None
 
     def contains(self, s):
@@ -542,7 +542,7 @@ def _isotropic_form(st, r0):
         s_hi = s_hi * math.exp(tail) if tail < 1e-3 else math.inf
     return IsotropicForm(s_lo, s_hi, lambda s: psi_lapse(s)[:2],
                          lambda s: psi_lapse(s)[2:], source=st, s_of_r=s_of_r,
-                         r_of_s=r_of_s, solve_stats=sol.stats, psi_lapse=psi_lapse)
+                         r_of_s=r_of_s, work=sol.work, psi_lapse=psi_lapse)
 
 
 def _iso_grid(iso: IsotropicForm, num: int) -> np.ndarray:

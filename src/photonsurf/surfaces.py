@@ -111,11 +111,8 @@ class PhotonSurfaceSpec:
 
 @dataclass
 class ProfileCurve:
-    """Sampled radial profile (s, t, r, dt/ds, dr/ds) of one surface.
-
-    ``solve_stats`` maps "forward"/"backward" to the work of each integrated
-    half-line; it is empty for the exact photon-sphere cylinder.
-    """
+    """Sampled radial profile (s, t, r, dt/ds, dr/ds) of one surface, with
+    the work record of its solve (``ode._Solution.work``)."""
 
     s: np.ndarray
     t: np.ndarray
@@ -123,10 +120,8 @@ class ProfileCurve:
     tdot: np.ndarray
     rdot: np.ndarray
     alpha: float
-    termination: str = "span"
-    termination_start: str = "span"
+    work: dict
     unit_residual: np.ndarray = field(default=None, repr=False)
-    solve_stats: dict = field(default_factory=dict)
 
     @property
     def monotone_t(self) -> bool:
@@ -143,11 +138,13 @@ def _unit_residual(f, tdot, rdot):
 
 @dataclass(frozen=True)
 class PhotonSphere:
-    """Constant-radius photon surface: root of f'(r) r = 2 f(r)."""
+    """Constant-radius photon surface: root of g = r f'(r) - 2 f(r). It is
+    ``stable`` unless g goes from + to - there (a maximum of f/r^2)."""
 
     r_star: float
     alpha_star: float
     residual: float
+    stable: bool
 
 
 class SurfaceKind(enum.Enum):
@@ -198,15 +195,19 @@ def _scan_bracket(st, g, what, at=""):
 
 def find_photon_spheres(st: ClassSSpacetime) -> list[PhotonSphere]:
     """All photon sphere radii in the scan bracket, ascending; ``st.spheres``
-    holds them. Raises DomainError where the scan leaves the float range."""
+    holds them. A sphere is unstable when g is positive at the scan node
+    below it. Raises DomainError where the scan leaves the float range."""
 
     def g(r):
         fv, dfv = st.metric(r)
         return dfv * r - 2 * fv
 
-    # g was evaluated at each root, so nothing below leaves the float range
-    return [PhotonSphere(r, math.sqrt(st.f(r)) / r, abs(g(r)))
-            for r in _scan_bracket(st, g, "photon sphere")]
+    grid = np.geomspace(*st.default_bracket(), SCAN_GRID)
+    # the scan evaluated g at each root and node; as there, no warning is raised
+    with np.errstate(all="ignore"):
+        return [PhotonSphere(r, math.sqrt(st.f(r)) / r, abs(g(r)),
+                             not g(grid[max(np.searchsorted(grid, r) - 1, 0)]) > 0)
+                for r in _scan_bracket(st, g, "photon sphere")]
 
 
 def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
@@ -496,23 +497,20 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
                                 spec.span, step, radial.sphere)
 
     s, (t, r, v), _ = _window(sol, 0.0, spec.span, step.sample_spacing)
-    curve = _curve(st, alpha, s, t, r, v, sol.reasons, sol.stats)
+    curve = _curve(st, alpha, s, t, r, v, sol.work)
     if r_fix is None:
         return curve
     # the cylinder has unit speed by construction
     return replace(curve, tdot=np.full_like(s, tdot0), unit_residual=np.zeros_like(s))
 
 
-def _curve(st, alpha, s, t, r, v, reasons, stats):
-    """The ProfileCurve of states sampled at s, dt/ds from the conserved
-    alpha and end reasons keyed by half-line name ("span" when absent)."""
+def _curve(st, alpha, s, t, r, v, work):
+    """The ProfileCurve of states sampled at s, with dt/ds from the conserved
+    alpha and the work record ``work``."""
     f = st.f(r)
     tdot = alpha * r / f
-    return ProfileCurve(
-        s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha,
-        termination=reasons.get("forward", "span"),
-        termination_start=reasons.get("backward", "span"),
-        unit_residual=_unit_residual(f, tdot, v), solve_stats=stats)
+    return ProfileCurve(s=s, t=t, r=r, tdot=tdot, rdot=v, alpha=alpha, work=work,
+                        unit_residual=_unit_residual(f, tdot, v))
 
 
 # stop reasons of an orbit half-line: it covered the windows of its cells,
@@ -663,12 +661,15 @@ def _sweep_row(st, alpha, r0s, span, step):
 def _orbit_cell(st, alpha, sol, s0, span, spacing):
     """The profile of the cell at s0 of an orbit solution over its window
     s0 + span, or None when the window passes an end set by the orbit's stop
-    rule ("span" or "turned-back")."""
+    rule ("span" or "turned-back"). Its work record holds no solve: the stop
+    reason of each half of the window, "span" where the orbit does not cut it."""
     s, (t, r, v), cuts = _window(sol, s0, span, spacing)
-    reasons = {name: sol.reasons[name] for name, cut in cuts.items() if cut}
+    reasons = {name: sol.work["stop"][name] for name, cut in cuts.items() if cut}
     if not {_ORBIT_SPAN, _TURNED_BACK}.isdisjoint(reasons.values()):
         return None
-    return _curve(st, alpha, s, t - t[np.searchsorted(s, 0.0)], r, v, reasons, {})
+    stop = {name: reasons.get(name, "span") for name, end in zip(cuts, span) if end != 0}
+    return _curve(st, alpha, s, t - t[np.searchsorted(s, 0.0)], r, v,
+                  {"stop": stop, "solve_stats": {}})
 
 
 @dataclass(frozen=True)
@@ -708,7 +709,10 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float) -> SurfaceClass:
 
     Data held on a photon sphere (``_Radial.held``) is PhotonSphere, even
     when the scan missed that sphere; data on a component of
-    {alpha^2 r^2 >= f} between two turning points is Trapped.
+    {alpha^2 r^2 >= f} between two turning points is Trapped. Off the
+    critical band, a surface is Supercritical when the component that holds
+    r0 holds an unstable sphere too (alpha above its alpha_* and no turning
+    point between r0 and r_*), else Subcritical.
     """
     _check_positive(alpha)
     spheres = st.spheres
@@ -723,12 +727,12 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float) -> SurfaceClass:
         kind = SurfaceKind.NO_SPHERE_REFERENCE
     elif radial.sphere is not None:
         kind = SurfaceKind.CRITICAL
+    elif any(not sp.stable and alpha > sp.alpha_star and not any(
+            min(r0, sp.r_star) < r < max(r0, sp.r_star) for r in radial.roots)
+            for sp in spheres):
+        kind = SurfaceKind.SUPERCRITICAL
     else:
-        nearest = min(spheres, key=lambda sp: abs(alpha - sp.alpha_star))
-        if alpha < nearest.alpha_star:
-            kind = SurfaceKind.SUBCRITICAL
-        else:
-            kind = SurfaceKind.SUPERCRITICAL
+        kind = SurfaceKind.SUBCRITICAL
     return SurfaceClass(kind=kind, regions=regions, spheres=spheres)
 
 

@@ -71,10 +71,9 @@ def test_band_changes_work_never_samples(tmp_path_factory, name, x, excess,
     for band in (surfaces._LOOKAHEAD_BAND, 1e-3, 1e-1):
         on = solve(band)
         assert csv_bytes(tmp_path, on) == csv_bytes(tmp_path, off), band
-        assert (on.termination, on.termination_start, len(on.s)) == \
-            (off.termination, off.termination_start, len(off.s)), band
-        for half, stats in on.solve_stats.items():
-            assert attempts(stats) <= attempts(off.solve_stats[half]), band
+        assert (on.work["stop"], len(on.s)) == (off.work["stop"], len(off.s)), band
+        for half, stats in on.work["solve_stats"].items():
+            assert attempts(stats) <= attempts(off.work["solve_stats"][half]), band
 
 
 def test_horizon_bound_half_line_stops_after_its_last_sample(schw3):
@@ -84,9 +83,9 @@ def test_horizon_bound_half_line_stops_after_its_last_sample(schw3):
     spec = PhotonSurfaceSpec(0.3568087075647066, 6.856597721117346, sign=-1,
                              span=(-4.0, 4.0))
     curve = integrate_profile(schw3, spec, StepControl())
-    assert curve.termination == "boundary"
+    assert curve.work["stop"]["forward"] == "boundary"
     assert 5e-3 < curve.r[-1] - 2 < 5.2e-3
-    assert attempts(curve.solve_stats["forward"]) <= 350
+    assert attempts(curve.work["solve_stats"]["forward"]) <= 350
 
 
 def test_geodesic_band_changes_work_never_samples(schw3):
@@ -100,11 +99,11 @@ def test_geodesic_band_changes_work_never_samples(schw3):
                                            span=(-5.0, 40.0))
 
     on, off = solve(surfaces._LOOKAHEAD_BAND), solve(0.0)
-    assert on.termination == off.termination == "boundary"
+    assert on.work["stop"]["forward"] == off.work["stop"]["forward"] == "boundary"
     for a, b in ((on.s, off.s), (on.t, off.t), (on.r, off.r), (on.phi, off.phi)):
         assert a.tobytes() == b.tobytes()
-    assert attempts(on.solve_stats["forward"]) < \
-        0.5 * attempts(off.solve_stats["forward"])
+    assert attempts(on.work["solve_stats"]["forward"]) < \
+        0.5 * attempts(off.work["solve_stats"]["forward"])
 
 
 def test_sweep_band_changes_orbit_work_never_outputs(tmp_path, monkeypatch):
@@ -112,18 +111,19 @@ def test_sweep_band_changes_orbit_work_never_outputs(tmp_path, monkeypatch):
     out_on, on = run_sweep(tmp_path, "on", alphas, r0s)
     monkeypatch.setattr(surfaces, "_LOOKAHEAD_BAND", 0.0)
     out_off, off = run_sweep(tmp_path, "off", alphas, r0s)
-    assert [o["stop_reasons"] for o in on["orbits"]] == \
-        [o["stop_reasons"] for o in off["orbits"]]
+    assert [o["work"]["stop"] for o in on["orbits"]] == \
+        [o["work"]["stop"] for o in off["orbits"]]
     for a, b in zip(on["cells"], off["cells"]):
-        assert {k: v for k, v in a.items() if k != "solve_stats"} == \
-            {k: v for k, v in b.items() if k != "solve_stats"}
+        # every key but the counters: a cell's work record with its stop alone
+        assert {k: v["stop"] if k == "work" else v for k, v in a.items()} == \
+            {k: v["stop"] if k == "work" else v for k, v in b.items()}
         if a["file"]:
             assert (out_on / a["file"]).read_bytes() == \
                 (out_off / b["file"]).read_bytes()
 
     def orbit_work(manifest):
         return sum(h["accepted"] + h["rejected"] for o in manifest["orbits"]
-                   for h in o["solve_stats"].values())
+                   for h in o["work"]["solve_stats"].values())
 
     assert orbit_work(on) <= 0.7 * orbit_work(off)
 
@@ -150,16 +150,15 @@ def run_oracle(tmp_path, name):
 
 def test_oracle_solve_stats_are_recorded_and_repeat(tmp_path):
     first, second = run_oracle(tmp_path, "a"), run_oracle(tmp_path, "b")
-    stats = first["oracle_solve_stats"]
-    assert stats == second["oracle_solve_stats"]
-    assert set(stats["solve_stats"]) == set(stats["stop_reasons"]) == \
-        {"backward", "forward"}
-    for half in stats["solve_stats"].values():
+    work = first["oracle_work"]
+    assert work == second["oracle_work"]
+    assert set(work["solve_stats"]) == set(work["stop"]) == {"backward", "forward"}
+    for half in work["solve_stats"].values():
         assert set(half) == {"accepted", "rejected", "rhs_evals"}
         assert half["accepted"] > 0
     # the geodesic stops once its t passes the profile's first and last
     # sample times, before it reaches the horizon
-    assert stats["stop_reasons"] == {"backward": "span", "forward": "span"}
+    assert work["stop"] == {"backward": "span", "forward": "span"}
     assert first["oracle_compared_samples"] == first["samples"]
     assert first["oracle_max_deviation"] <= 1e-6
 
@@ -174,4 +173,4 @@ def test_oracle_on_the_photon_sphere_covers_every_sample(tmp_path, schw3):
     manifest = json.loads((out / "profile_manifest.json").read_text())
     assert manifest["oracle_compared_samples"] == manifest["samples"] == 401
     assert manifest["oracle_max_deviation"] == 0.0
-    assert manifest["oracle_solve_stats"]["solve_stats"] == {}
+    assert manifest["oracle_work"]["solve_stats"] == {}

@@ -38,15 +38,15 @@ def test_band_changes_work_never_samples_at_r_hi(tmp_path, alpha, r0, sign):
     on = solve(SDS, spec, surfaces._LOOKAHEAD_BAND)
     off = solve(SDS, spec, 0.0)
     assert csv_bytes(tmp_path, on) == csv_bytes(tmp_path, off)
-    assert (on.termination, on.termination_start, len(on.s)) == \
-        (off.termination, off.termination_start, len(off.s))
-    for half, stats in on.solve_stats.items():
-        assert attempts(stats) <= attempts(off.solve_stats[half]), half
+    assert (on.work["stop"], len(on.s)) == (off.work["stop"], len(off.s))
+    for half, stats in on.work["solve_stats"].items():
+        assert attempts(stats) <= attempts(off.work["solve_stats"][half]), half
     # the half heading out ends at r_hi, and the cut saved work there
     outward = "forward" if sign > 0 else "backward"
-    assert (on.termination if sign > 0 else on.termination_start) == "boundary"
+    assert on.work["stop"][outward] == "boundary"
     assert SDS.r_hi - (on.r[-1] if sign > 0 else on.r[0]) < 0.05 * SDS.r_hi
-    assert attempts(on.solve_stats[outward]) < attempts(off.solve_stats[outward])
+    assert attempts(on.work["solve_stats"][outward]) < \
+        attempts(off.work["solve_stats"][outward])
 
 
 def test_failed_look_ahead_leaves_the_half_line_uncut(tmp_path, schw3, monkeypatch):
@@ -67,6 +67,6 @@ def test_failed_look_ahead_leaves_the_half_line_uncut(tmp_path, schw3, monkeypat
     curve = integrate_profile(schw3, spec, StepControl())
     assert len(failed) == 1
     assert csv_bytes(tmp_path, curve) == csv_bytes(tmp_path, off)
-    assert (curve.termination, curve.termination_start) == \
-        (off.termination, off.termination_start) == ("boundary", "span")
-    assert curve.solve_stats == off.solve_stats
+    assert curve.work["stop"] == off.work["stop"] == {"forward": "boundary",
+                                                      "backward": "span"}
+    assert curve.work["solve_stats"] == off.work["solve_stats"]

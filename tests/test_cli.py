@@ -315,13 +315,15 @@ def _sweep_like_payload(cells):
     items = [{"alpha": 0.05 + i * 1e-4, "r0": 2.2 + i / 3, "status": "ok",
               "file": f"sweep_a{i // 40}_r{i % 40}.csv", "reason": None,
               "classification": "Supercritical", "turning_radii": [2.9 + i / 7],
-              "termination": "span", "termination_start": "boundary",
+              "work": {"stop": {"backward": "boundary", "forward": "span"},
+                       "solve_stats": {}},
               "samples": 1001, "orbit": i // 40, "s0": -1.25 + i / 9}
              for i in range(cells)]
     return {"operation": "sweep", "span": [-5.0, 5.0], "cells": items,
             "outputs": [it["file"] for it in items] + ["sweep.gp"],
-            "orbits": [{"alpha": 0.1, "anchor": 3.0, "solve_stats": {
-                "forward": {"accepted": 100, "rejected": 0, "rhs_evals": 602}}}]}
+            "orbits": [{"alpha": 0.1, "anchor": 3.0, "work": {
+                "stop": {"forward": "span"}, "solve_stats": {
+                    "forward": {"accepted": 100, "rejected": 0, "rhs_evals": 602}}}}]}
 
 
 @pytest.mark.parametrize("cells", [0, 2, 1600])
@@ -369,7 +371,7 @@ span_hi = 5
     manifest = json.loads((out / "geodesic_manifest.json").read_text())
     assert manifest["lambda"] == pytest.approx(0.3)
     for half in ("forward", "backward"):
-        stats = manifest["solve_stats"][half]
+        stats = manifest["work"]["solve_stats"][half]
         assert stats["accepted"] > 0
         assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
     assert manifest["max_null_residual"] < 1e-9
@@ -398,19 +400,20 @@ def test_sweep_groups_and_skips(tmp_path):
     orbits = manifest["orbits"]
     assert orbits
     for orbit in orbits:
-        assert sorted(orbit["solve_stats"]) == ["backward", "forward"]
-        assert all(h["accepted"] > 0 for h in orbit["solve_stats"].values())
+        assert sorted(orbit["work"]["solve_stats"]) == ["backward", "forward"]
+        assert all(h["accepted"] > 0 for h in orbit["work"]["solve_stats"].values())
     for cell in manifest["cells"]:
         if cell["status"] == "ok":
             if cell["classification"] == "PhotonSphere":
-                assert cell["solve_stats"] == {}  # the exact cylinder needs no solve
+                # the exact cylinder needs no solve
+                assert cell["work"]["solve_stats"] == {}
             elif "orbit" in cell:  # a window of a shared orbit solve
-                assert "solve_stats" not in cell
+                assert cell["work"]["solve_stats"] == {}
                 assert 0 <= cell["orbit"] < len(orbits)
                 assert orbits[cell["orbit"]]["alpha"] == cell["alpha"]
                 assert isinstance(cell["s0"], float)
             else:
-                halves = cell["solve_stats"]
+                halves = cell["work"]["solve_stats"]
                 assert sorted(halves) == ["backward", "forward"]
                 assert all(h["accepted"] > 0 for h in halves.values())
             path = out / cell["file"]
@@ -1002,9 +1005,9 @@ def test_profile_past_the_float_range_ends_with_reason(tmp_path, capsys):
                  "profile"]) == 0
     assert "Traceback" not in capsys.readouterr().err
     manifest = json.loads((out / "profile_manifest.json").read_text())
-    assert manifest["termination"] == "float-range"
-    assert manifest["termination_start"] == "span"
-    assert manifest["solve_stats"]["forward"]["accepted"] > 0
+    assert manifest["work"]["stop"]["forward"] == "float-range"
+    assert manifest["work"]["stop"]["backward"] == "span"
+    assert manifest["work"]["solve_stats"]["forward"]["accepted"] > 0
 
 
 def _config_value():
@@ -1167,7 +1170,8 @@ _ODD = st_.sampled_from((None, "", "0", "-1", "nan", "inf", "x", "0.5"))
 def test_section_exit_codes_fuzz(tmp_path, spacetime, section, data):
     # any [profile], [geodesic] or [sweep] section, with numbers of
     # magnitude 1e-6 to 1e6, radii of 3e-300 to 3e300 and at most one odd
-    # value, ends in an exit code of the contract, never in an exception
+    # value, ends in an exit code of the contract, never in an exception;
+    # after exit 0 every work record of its manifest has the one shape
     values = data.draw(st_.fixed_dictionaries(_SECTIONS[section]))
     odd_key = data.draw(st_.sampled_from((None, None, *sorted(values))))
     if odd_key is not None:
@@ -1178,8 +1182,29 @@ def test_section_exit_codes_fuzz(tmp_path, spacetime, section, data):
     cfg = write_config(tmp_path / "fuzz.ini", "\n".join(lines) + "\n")
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        assert main(["--config", cfg, "--out", str(tmp_path / "out"),
-                     section]) in (0, 2, 3, 4, 5)
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), section])
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        manifest = json.loads((tmp_path / "out" / f"{section}_manifest.json").read_text())
+        for work in _work_records(manifest):
+            assert set(work) == {"stop", "solve_stats"}
+            assert set(work["solve_stats"]) <= set(work["stop"]) <= {"backward", "forward"}
+            assert set(work["stop"].values()) <= STOP_REASONS
+
+
+# the stop reasons of the README's table
+STOP_REASONS = {"span", "boundary", "asymptotic-to-photon-sphere", "photon-sphere-snap",
+                "float-range", "turned-back"}
+
+
+def _work_records(node):
+    """The values of every "work" key in a manifest."""
+    if isinstance(node, list):
+        for value in node:
+            yield from _work_records(value)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from [value] if key == "work" else _work_records(value)
 
 
 _SECTION_DATA = {"profile": "alpha = 0.2\nr0 = 6\n",
@@ -1212,9 +1237,9 @@ def test_isotropic_manifest_records_the_map_solve(tmp_path):
     manifest = json.loads((out / "isotropic_manifest.json").read_text())
     direct = photonsurf.to_isotropic(
         photonsurf.build_family("reissner-nordstrom", m=1, q=0.6), r0=4.0)
-    assert manifest["solve_stats"] == {
-        half: dataclasses.asdict(stats) for half, stats in direct.solve_stats.items()}
-    assert manifest["solve_stats"]["forward"]["accepted"] > 0
+    assert manifest["work"] == {"stop": direct.work["stop"], "solve_stats": {
+        half: dataclasses.asdict(stats) for half, stats in direct.work["solve_stats"].items()}}
+    assert manifest["work"]["solve_stats"]["forward"]["accepted"] > 0
 
 
 # the solves whose output each check's residual reads
@@ -1254,14 +1279,14 @@ def test_verify_report_records_the_solves_each_check_reads(tmp_path, monkeypatch
     # each recorded solve, run again directly, does the same work
     direct = {}
     for name, (fn, args, kwargs, result) in solves.items():
-        assert fn(*args, **kwargs).solve_stats == result.solve_stats
-        direct[name] = {half: dataclasses.asdict(stats)
-                        for half, stats in result.solve_stats.items()}
+        assert fn(*args, **kwargs).work == result.work
+        direct[name] = {"stop": result.work["stop"], "solve_stats": {
+            half: dataclasses.asdict(stats)
+            for half, stats in result.work["solve_stats"].items()}}
     for check in report["checks"]:
         names = [] if check["skipped"] else CHECK_SOLVES.get(check["name"], [])
-        assert check["solve_stats"] == {name: direct[name] for name in names}, \
-            check["name"]
-    assert any(check["solve_stats"] for check in report["checks"])
+        assert check["work"] == {name: direct[name] for name in names}, check["name"]
+    assert any(check["work"] for check in report["checks"])
 
 
 def test_oracle_accepts_the_radius_its_profile_accepts(tmp_path, capsys):

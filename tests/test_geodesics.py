@@ -60,7 +60,7 @@ def test_null_constraint_preserved(schw3):
 def test_radial_geodesic(schw3):
     ch = ConservedCharges(energy=1.0, angular_momentum=0.0)
     traj = integrate_null_geodesic(schw3, ch, 4.0, sign=-1, span=(0.0, 10.0))
-    assert traj.termination == "boundary"
+    assert traj.work["stop"]["forward"] == "boundary"
     assert np.all(np.diff(traj.r) < 0)
     assert np.max(np.abs(traj.phi)) == 0.0
 
@@ -75,7 +75,7 @@ def test_forbidden_initial_radius(schw3):
 def test_circular_orbit_snaps(schw3):
     ch = ConservedCharges(energy=ALPHA_STAR, angular_momentum=1.0)
     traj = integrate_null_geodesic(schw3, ch, 3.0, span=(-30.0, 30.0))
-    assert traj.termination == "photon-sphere-snap"
+    assert traj.work["stop"]["forward"] == "photon-sphere-snap"
     assert np.max(np.abs(traj.r - 3.0)) == 0.0
     # affine rates: dt/ds = E/f, dphi/ds = ell/r^2
     f = 1 / 3
@@ -124,7 +124,7 @@ def test_asymptotic_geodesic_terminates(schw3):
     # lambda = E/ell exactly critical but started off the sphere
     ch = ConservedCharges(energy=ALPHA_STAR, angular_momentum=1.0)
     traj = integrate_null_geodesic(schw3, ch, 2.5, sign=1, span=(0.0, 2000.0))
-    assert traj.termination == "asymptotic-to-photon-sphere"
+    assert traj.work["stop"]["forward"] == "asymptotic-to-photon-sphere"
     assert abs(traj.r[-1] - 3.0) < 1e-4
 
 
@@ -137,7 +137,8 @@ def test_generated_surface_from_circular_orbit_samples_its_own_range(schw3):
     assert 0.0 in prof.s
     assert traj.arclength[0] - 1e-12 <= prof.s[0]
     assert prof.s[-1] <= traj.arclength[-1] + 1e-12
-    assert prof.termination_start == traj.termination_start == "photon-sphere-snap"
+    assert prof.work["stop"]["backward"] == traj.work["stop"]["backward"] == \
+        "photon-sphere-snap"
 
 
 def _verdicts(st, lam, r0, span):
@@ -152,7 +153,7 @@ def _verdicts(st, lam, r0, span):
             st, ConservedCharges(energy=lam, angular_momentum=1.0), r0, span=span)
     except ForbiddenRadiusError:
         traj = None
-    held = [c is not None and c.termination == "photon-sphere-snap"
+    held = [c is not None and c.work["stop"]["forward"] == "photon-sphere-snap"
             for c in (curve, traj)]
     held.append(classify(st, lam, r0).kind is SurfaceKind.PHOTON_SPHERE)
     return held, curve, traj
@@ -191,8 +192,9 @@ def test_one_fixed_point_rule(schw3, monkeypatch, lam, r0, with_spheres, expecte
     if expected:
         for c in (curve, traj):
             assert np.all(c.r == c.r[0])
-            assert c.termination == c.termination_start == "photon-sphere-snap"
-            assert c.solve_stats == {}
+            assert c.work["stop"]["forward"] == c.work["stop"]["backward"] == \
+                "photon-sphere-snap"
+            assert c.work["solve_stats"] == {}
         assert curve.r[0] == traj.r[0]
 
 

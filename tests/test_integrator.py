@@ -140,12 +140,12 @@ def test_dopri5_matches_scipy_rk45(name):
         # decisions there follow rounding, so infalling runs get 5 %.
         work_tol = 0.05 if reason == "boundary" else 0.02
         steps = len(sol.t) - 1
-        assert abs(half.stats.accepted - steps) <= work_tol * steps, label
-        assert abs(half.stats.rhs_evals - sol.nfev) <= work_tol * sol.nfev, label
-        assert half.stats.rhs_evals == 2 + 6 * (half.stats.accepted
-                                                + half.stats.rejected), label
+        assert abs(half.cost.accepted - steps) <= work_tol * steps, label
+        assert abs(half.cost.rhs_evals - sol.nfev) <= work_tol * sol.nfev, label
+        assert half.cost.rhs_evals == 2 + 6 * (half.cost.accepted
+                                               + half.cost.rejected), label
         if reason == "boundary":
-            assert half.stats.rejected > 0, label
+            assert half.cost.rejected > 0, label
 
         y_end = _dense_eval(half.dense, np.array([half.s_end]))[:, 0]
         assert np.max(np.abs(y_end[1:3] - sol.y[1:3, -1])) <= 1e-9, label
@@ -166,8 +166,8 @@ def test_dopri5_zero_rhs_initial_step_matches_scipy_rk45():
                     rtol=STEP.rtol, atol=STEP.atol)
     nodes = np.append(half.dense[0], half.s_end)
     np.testing.assert_array_equal(nodes, sol.t)
-    assert half.stats.accepted == len(sol.t) - 1 == 8
-    assert half.stats.rhs_evals == sol.nfev
+    assert half.cost.accepted == len(sol.t) - 1 == 8
+    assert half.cost.rhs_evals == sol.nfev
     assert half.reason == "span"
 
 
@@ -189,10 +189,10 @@ def test_dopri5_step_budget(monkeypatch):
     y0 = (0.0, r0, math.sqrt(alpha ** 2 * r0 ** 2 - st.f(r0)))
     rhs, events = profile_rhs(st, alpha), radial_events(st, alpha, spheres)
     half = _dopri5(rhs, y0, -50.0, STEP, events, reads=RADIAL)
-    assert half.reason == "boundary" and half.stats.rejected > 0
-    attempted = half.stats.accepted + half.stats.rejected
+    assert half.reason == "boundary" and half.cost.rejected > 0
+    attempted = half.cost.accepted + half.cost.rejected
     monkeypatch.setattr(ode, "_STEP_BUDGET", attempted)
-    assert _dopri5(rhs, y0, -50.0, STEP, events, reads=RADIAL).stats == half.stats
+    assert _dopri5(rhs, y0, -50.0, STEP, events, reads=RADIAL).cost == half.cost
     monkeypatch.setattr(ode, "_STEP_BUDGET", attempted - 1)
     with pytest.raises(StepBudgetError) as info:
         _dopri5(rhs, y0, -50.0, STEP, events, reads=RADIAL)
@@ -217,10 +217,10 @@ def test_solve_matches_each_half_line(span):
               if end != 0}
     assert (sol.lo, sol.hi) == (halves["backward"].s_end if span[0] else 0.0,
                                 halves["forward"].s_end if span[1] else 0.0)
-    assert sol.reasons == {name: h.reason for name, h in halves.items()}
-    assert sol.stats == {name: h.stats for name, h in halves.items()}
+    assert sol.work["stop"] == {name: h.reason for name, h in halves.items()}
+    assert sol.work["solve_stats"] == {name: h.cost for name, h in halves.items()}
     if span[0]:
-        assert sol.reasons["backward"] == "boundary"
+        assert sol.work["stop"]["backward"] == "boundary"
 
     grid = _sample_grid((sol.lo, sol.hi), STEP.sample_spacing)
     for name, half in halves.items():
@@ -249,8 +249,8 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
         short, long_ = (open_solve(direction, e) for e in extents)
         assert short.reason == long_.reason == "far"
         assert extents[0] < abs(short.s_end) < extents[1] < abs(long_.s_end)
-        n = short.stats.accepted
-        assert 0 < n < long_.stats.accepted
+        n = short.cost.accepted
+        assert 0 < n < long_.cost.accepted
         rows = slice(None, n) if direction > 0 else slice(-n, None)
         for a, b in zip(short.dense, long_.dense):
             np.testing.assert_array_equal(a, b[rows])
@@ -259,7 +259,7 @@ def test_open_solve_extends_shorter_one_bit_for_bit():
     # inward, a solve runs into the horizon whatever its extent
     first, second = open_solve(-math.inf, 50.0), open_solve(-math.inf, 500.0)
     assert first.reason == second.reason == "boundary"
-    assert first.s_end == second.s_end and first.stats == second.stats
+    assert first.s_end == second.s_end and first.cost == second.cost
 
 
 def _reference_step(rhs, y, k1, h, atol, rtol, reads):
@@ -359,12 +359,12 @@ def test_kernel_matches_reference_stepper_bit_for_bit(monkeypatch, name, n, reas
     for half, ref in zip(halves, reference):
         assert half.dense[2].shape[1] == n
         assert half.reason == ref.reason == reason
-        assert half.stats == ref.stats
+        assert half.cost == ref.cost
         assert half.s_end.hex() == ref.s_end.hex()
         for a, b in zip(half.dense, ref.dense):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     if name == "profile-boundary":
-        assert halves[0].stats.rejected > 0
+        assert halves[0].cost.rejected > 0
 
 
 def test_kernel_matches_reference_stepper_on_blowup(monkeypatch):
@@ -410,10 +410,10 @@ def test_dopri5_float_range_ends_at_last_accepted_step():
 
     half = _dopri5(rhs, (0.0,), 100.0, STEP, [])
     assert half.reason == "float-range"
-    assert half.stats.accepted > 0
+    assert half.cost.accepted > 0
     # the attempt that overflowed is not counted
-    assert half.stats.rhs_evals == 2 + 6 * (half.stats.accepted
-                                            + half.stats.rejected)
+    assert half.cost.rhs_evals == 2 + 6 * (half.cost.accepted
+                                           + half.cost.rejected)
     assert 0 < half.s_end <= 10
     T, H, _, _ = half.dense
     assert half.s_end == pytest.approx(T[-1] + H[-1], rel=1e-15)
@@ -476,7 +476,7 @@ def _newton_true_slope(sol, k, rhs, target):
                                   "isotropic-sads"])
 def test_invert_on_the_step_that_holds_each_target(name):
     sol, k, rhs = _invert_cases()[name]
-    assert set(sol.reasons) == ({name} if name in ("forward", "backward")
+    assert set(sol.work["stop"]) == ({name} if name in ("forward", "backward")
                                 else {"backward", "forward"})
     T, H, Y, Q = sol.dense
     k_lo, k_hi = sol.end_states()[k]
@@ -566,7 +566,7 @@ def test_quadrature_integrates_polynomials_exactly(degree):
 
     x0, span = 0.3, (-1.2, 2.5)
     sol = ode._quadrature(g, x0, span, ISO_STEP)
-    assert set(sol.reasons) == {"backward", "forward"}
+    assert set(sol.work["stop"]) == {"backward", "forward"}
     assert (sol.lo, sol.hi) == span
     T, H, Y, Q = sol.dense
     ulp = np.spacing(np.abs(u(x0 + np.linspace(*span, 1001)) - u(x0)).max())
@@ -594,8 +594,8 @@ def test_quadrature_steps_meet_the_tolerance(name):
            + (ode._E6 + ode._E7) * k6) * H
     scale = step.atol + step.rtol * np.maximum(np.abs(Y[:, 1]), np.abs(u_new))
     assert np.max(np.abs(err) / scale / math.sqrt(2)) < 1
-    assert sum(h.accepted for h in sol.stats.values()) == len(T)
-    assert all(h.rhs_evals > 4 * h.accepted for h in sol.stats.values())
+    assert sum(h.accepted for h in sol.work["solve_stats"].values()) == len(T)
+    assert all(h.rhs_evals > 4 * h.accepted for h in sol.work["solve_stats"].values())
 
 
 @pytest.mark.parametrize("r0", [3.0, 5.0, 8.0])
@@ -614,8 +614,8 @@ def test_quadrature_matches_the_dopri5_map(name, r0):
     x = np.linspace(*span, 20001)
     gap = np.abs(_dense_eval(sol.dense, x)[1] - _dense_eval(ref.dense, x)[1])
     assert gap.max() <= 2e-12
-    for half, stats in sol.stats.items():
-        steps = ref.stats[half].accepted
+    for half, stats in sol.work["solve_stats"].items():
+        steps = ref.work["solve_stats"][half].accepted
         assert abs(stats.accepted - steps) <= max(1, 0.1 * steps), half
 
 
@@ -628,7 +628,8 @@ def test_quadrature_reads_rounding_as_no_error(r0):
     # to 5e-14 (measured: at most 2.8e-14 with r0 from 3 to 8)
     st = build_family("schwarzschild", n=3, m=1)
     iso = to_isotropic(st, r0)
-    assert all(h.accepted <= 7 and h.rejected == 0 for h in iso.solve_stats.values())
+    assert all(h.accepted <= 7 and h.rejected == 0
+               for h in iso.work["solve_stats"].values())
     r = np.geomspace(st.r_lo * (1 + 1e-10), 1e14, 2000)
     np.testing.assert_allclose(iso.s_of_r(r), (np.sqrt(r) + np.sqrt(r - 2)) ** 2 / 4,
                                rtol=5e-14, atol=0)

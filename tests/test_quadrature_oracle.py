@@ -249,7 +249,7 @@ def test_critical_row_against_quadrature(r0, span, bound_r, bound_t):
     # The bounds are about twice the errors measured on every sample
     alpha = ALPHA_STAR
     curve = integrate_profile(ST, PhotonSurfaceSpec(alpha=alpha, r0=r0, span=span))
-    assert curve.termination == curve.termination_start == "span"
+    assert curve.work["stop"] == {"backward": "span", "forward": "span"}
     side = math.copysign(1.0, r0 - 3.0)
 
     def ds_dz(z):

@@ -13,6 +13,7 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from photonsurf import (
@@ -103,6 +104,47 @@ def test_classify_trapped_curve():
     assert low - 1e-9 < curve.r.min() < curve.r.max() < high + 1e-9
     # on the open component above the outer turning point it is not trapped
     assert classify(st, alpha, 3.0).kind is not SurfaceKind.TRAPPED
+
+
+def test_classify_curve_that_turns_back_before_the_unstable_sphere():
+    # r0 = 3 lies on the component above the outer turning point 2.1489,
+    # outside the unstable sphere at 1.7236: the curve turns back before it,
+    # although the nearest alpha_* is the stable inner sphere's
+    st, alpha, _ = rn_trapped()
+    inner, outer = st.spheres
+    assert inner.stable and not outer.stable
+    assert round(outer.r_star, 4) == 1.7236
+    assert classify(st, alpha, 3.0).kind is SurfaceKind.SUBCRITICAL
+    curve = integrate_profile(st, PhotonSurfaceSpec(alpha, 3.0, sign=-1, span=(0.0, 20.0)))
+    assert curve.r.min() == pytest.approx(2.1489, abs=1e-4) and curve.r[-1] > 3.0
+    # above the outer sphere's factor the component holds both spheres
+    assert classify(st, 1.001 * outer.alpha_star, 3.0).kind is SurfaceKind.SUPERCRITICAL
+
+
+@pytest.mark.parametrize("family, params", [
+    ("schwarzschild", dict(n=3, m=1)), ("schwarzschild", dict(n=5, m=1)),
+    ("reissner-nordstrom", dict(m=1, q=0.6)), ("schwarzschild-ads", dict(m=1, L=10)),
+    ("reissner-nordstrom", dict(m=1, q=math.sqrt(1.1))),
+    ("reissner-nordstrom", dict(m=1, q=math.sqrt(1.05)))])
+def test_classify_grid_is_supercritical_above_the_unstable_factor(family, params):
+    # on a 24 x 24 (alpha, r0) grid each spacetime has one unstable sphere,
+    # and a Sub/Supercritical cell is Supercritical exactly when alpha is
+    # above its alpha_*: with one sphere, as the nearest alpha_* rule said;
+    # with two, also between the two alpha_*, where that rule was wrong
+    st = build_family(family, **params)
+    (unstable,) = [sp for sp in st.spheres if not sp.stable]
+    kinds = set()
+    for alpha in np.linspace(0.5, 1.5, 24) * unstable.alpha_star:
+        for r0 in np.geomspace(max(1.02 * st.r_lo, 0.1), 20.0, 24):
+            alpha, r0 = float(alpha), float(r0)
+            if alpha ** 2 * r0 ** 2 < st.f(r0):
+                continue
+            kind = classify(st, alpha, r0).kind
+            if kind in (SurfaceKind.SUBCRITICAL, SurfaceKind.SUPERCRITICAL):
+                kinds.add(kind)
+                assert (kind is SurfaceKind.SUPERCRITICAL) == \
+                    (alpha > unstable.alpha_star), (alpha, r0)
+    assert len(kinds) == 2
 
 
 def test_cut_schwarzschild_row_has_no_anchor():

@@ -415,8 +415,8 @@ def test_sads_horizon_across_hundreds_of_binary_orders():
 
 
 def test_isotropic_form_keeps_the_work_of_its_solve(monkeypatch):
-    # the form carries the per-half-line stats of the map's one solve: the
-    # same as running that solve directly; a form built by hand has none
+    # the form carries the work record of the map's one solve: the same as
+    # running that solve directly; a form built by hand has none
     from photonsurf import IsotropicForm, spacetime
 
     calls = []
@@ -428,11 +428,11 @@ def test_isotropic_form_keeps_the_work_of_its_solve(monkeypatch):
     monkeypatch.setattr(spacetime, "_quadrature", recording)
     iso = to_isotropic(build_family("reissner-nordstrom", m=1, q=0.6), r0=4.0)
     (call,) = calls
-    assert iso.solve_stats == ode._quadrature(*call[0], **call[1]).stats
-    assert sorted(iso.solve_stats) == ["backward", "forward"]
-    assert all(h.accepted > 0 for h in iso.solve_stats.values())
+    assert iso.work == ode._quadrature(*call[0], **call[1]).work
+    assert sorted(iso.work["solve_stats"]) == ["backward", "forward"]
+    assert all(h.accepted > 0 for h in iso.work["solve_stats"].values())
     assert IsotropicForm(1.0, 2.0, lambda s: (1.0, 0.0),
-                         lambda s: (1.0, 0.0)).solve_stats == {}
+                         lambda s: (1.0, 0.0)).work["solve_stats"] == {}
 
 
 # the four spacetimes of the isotropic checks (perfbench verify-iso)
@@ -450,7 +450,7 @@ def test_isotropic_forward_solve_steps_do_not_grow_with_log_r(name, r0):
     # in x = asinh(w/c), du/dx tends to a constant on the way out to
     # ISO_R_CAP r0; in w the same half-line took about 1,550 steps
     iso = to_isotropic(build_family(**ISO_FAMILIES[name]), r0=r0)
-    assert 0 < iso.solve_stats["forward"].accepted <= 400
+    assert 0 < iso.work["solve_stats"]["forward"].accepted <= 400
 
 
 @pytest.mark.parametrize("r0", [3.0, 8.0])

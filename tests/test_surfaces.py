@@ -132,7 +132,7 @@ def test_photon_sphere_constant_curve(schw3):
 def test_critical_curve_asymptotes_to_sphere(schw3):
     spec = PhotonSurfaceSpec(alpha=ALPHA_STAR, r0=2.5, sign=1, span=(0.0, 100.0))
     curve = integrate_profile(schw3, spec)
-    assert curve.termination == "asymptotic-to-photon-sphere"
+    assert curve.work["stop"]["forward"] == "asymptotic-to-photon-sphere"
     assert abs(curve.r[-1] - 3.0) < 1e-4
     assert np.max(np.abs(curve.r - 3.0)) <= 0.5 + 1e-9
 
@@ -148,7 +148,7 @@ def test_subcritical_curve_turns(schw3):
 def test_inward_curve_stops_at_boundary(schw3):
     spec = PhotonSurfaceSpec(alpha=0.25, r0=3.0, sign=-1, span=(0.0, 100.0))
     curve = integrate_profile(schw3, spec)
-    assert curve.termination == "boundary"
+    assert curve.work["stop"]["forward"] == "boundary"
     assert curve.r[-1] < 2.1
 
 

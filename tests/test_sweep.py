@@ -74,8 +74,7 @@ def assert_cell_matches_profile(st, alpha, r0, span, curve):
     ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span), STEP)
     label = f"alpha {alpha!r} r0 {r0!r}"
     np.testing.assert_array_equal(curve.s, ref.s, err_msg=label)
-    assert (curve.termination, curve.termination_start) == \
-        (ref.termination, ref.termination_start), label
+    assert curve.work["stop"] == ref.work["stop"], label
     assert np.max(np.abs(curve.r - ref.r) / ref.r) <= 1e-11, label
     assert curve.t[curve.s == 0] == 0.0, label
 
@@ -103,8 +102,8 @@ def test_half_without_cells_solved_after_the_half_with_them(schw3):
     alpha, r0s, span = 0.1, [2.005, 2.01, 2.015], (-1.0, 1.0)
     cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP)
     assert orbit.kind == "turning-point"
-    assert orbit.sol.reasons == {"backward": "boundary", "forward": "span"}
-    forward = orbit.sol.stats["forward"]
+    assert orbit.sol.work["stop"] == {"backward": "boundary", "forward": "span"}
+    forward = orbit.sol.work["solve_stats"]["forward"]
     assert forward.accepted + forward.rejected <= 50
     for r0, cell in zip(r0s, cells):
         assert cell is not None and cell[2] < 0, r0
@@ -126,7 +125,7 @@ def test_span_stop_is_exact(schw3):
             for name, d, end, extent, previous in (
                     ("backward", -1, orbit.sol.lo, -SPAN[0], T[0]),
                     ("forward", 1, orbit.sol.hi, SPAN[1], T[-1])):
-                if orbit.sol.reasons[name] != "span":
+                if orbit.sol.work["stop"][name] != "span":
                     continue
                 halves += 1
                 far = d * max((d * s0 for s0 in s0s), default=0.0)
@@ -146,7 +145,7 @@ def test_off_grid_span_end_before_the_horizon_keeps_cell_reasons(
     # whose span end lies between its last sample and the crossing is whole,
     # so the cut must not end the half before that span end
     cells, (orbit,) = _sweep_row(schw3, alpha, r0s, span, STEP)
-    assert orbit.sol.reasons["backward"] == "boundary"
+    assert orbit.sol.work["stop"]["backward"] == "boundary"
     for r0, cell in zip(r0s, cells):
         assert cell is not None, r0
         assert_cell_matches_profile(schw3, alpha, r0, span, cell[0])
@@ -176,14 +175,15 @@ def test_orbit_cells_alone_give_same_bytes_and_save_work(tmp_path, schw3):
 
     # work guard: the orbits and per-cell fallbacks of the grid against
     # solving every cell on its own
-    grid_work = sum(attempted(o["solve_stats"]) for o in orbits) + sum(
-        attempted(c["solve_stats"]) for c in cells if "solve_stats" in c)
+    grid_work = sum(attempted(o["work"]["solve_stats"]) for o in orbits) + sum(
+        attempted(c["work"]["solve_stats"]) for c in cells if "work" in c)
     per_cell = 0
     for cell in cells:
         if cell["status"] == "ok":
             curve = integrate_profile(
                 schw3, PhotonSurfaceSpec(cell["alpha"], cell["r0"], span=SPAN), STEP)
-            per_cell += sum(h.accepted + h.rejected for h in curve.solve_stats.values())
+            per_cell += sum(h.accepted + h.rejected
+                            for h in curve.work["solve_stats"].values())
     assert grid_work <= 0.4 * per_cell, (grid_work, per_cell)
 
 
@@ -197,7 +197,7 @@ def test_orbit_cells_alone_give_same_bytes_and_save_work(tmp_path, schw3):
 def test_fallback_cells_match_profile_bytes(tmp_path, alpha, r0, why):
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], [r0])
     (cell,) = manifest["cells"]
-    assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0, why
+    assert "orbit" not in cell and attempted(cell["work"]["solve_stats"]) > 0, why
     assert (out / cell["file"]).read_bytes() == \
         run_profile(tmp_path, "profile", alpha, r0), why
 
@@ -208,7 +208,7 @@ def test_turning_point_cell_takes_per_cell_path(tmp_path):
     flat = "[spacetime]\nfamily = minkowski\n"
     out, manifest = run_sweep(tmp_path, "sweep", [0.5], [2.0, 3.0], flat, (-2.0, 2.0))
     at_turn, on_orbit = manifest["cells"]
-    assert "solve_stats" in at_turn and "orbit" not in at_turn
+    assert at_turn["work"]["solve_stats"] and "orbit" not in at_turn
     assert on_orbit["orbit"] == 0
     assert manifest["orbits"][0]["anchor_kind"] == "turning-point"
     assert manifest["orbits"][0]["anchor_r"] == 2.0
@@ -232,7 +232,7 @@ def test_cell_between_two_turning_points_takes_per_cell_path(tmp_path):
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], [inner.r_star], rn,
                               (-1.0, 1.0))
     (cell,) = manifest["cells"]
-    assert "solve_stats" in cell
+    assert cell["work"]["solve_stats"]
     assert (out / cell["file"]).read_bytes() == \
         run_profile(tmp_path, "profile", alpha, inner.r_star, rn, (-1.0, 1.0))
     # classified by its component, not by the nearest alpha_* (Supercritical)
@@ -260,7 +260,7 @@ def test_orbit_that_turns_back_at_a_missed_turning_point():
     assert st.spheres == ()  # the scan steps over the bump too
     cells, orbits = _sweep_row(st, alpha, [3.6, 8.0], span, STEP)
     (orbit,) = orbits
-    assert orbit.sol.reasons["forward"] == "turned-back"
+    assert orbit.sol.work["stop"]["forward"] == "turned-back"
     # before the bump, the orbit's window matches the cell's own solve
     curve = cells[0][0]
     ref = integrate_profile(st, PhotonSurfaceSpec(alpha, 3.6, span=span), STEP)
@@ -282,7 +282,7 @@ def test_cell_the_orbit_does_not_reach_before_the_boundary(monkeypatch):
     cells, orbits = _sweep_row(st, alpha, r0s, span, STEP)
     (orbit,) = orbits
     assert orbit.kind == "turning-point"
-    assert orbit.sol.reasons["backward"] == "boundary"
+    assert orbit.sol.work["stop"]["backward"] == "boundary"
     r_end, r_last = orbit.sol.end_states()[1, 0], orbit.sol.dense[2][0, 1]
     assert r_end == pytest.approx(2.0 * (1 + 1e-9), rel=1e-15) and r0s[1] < r_last
     assert cells[0] is None and cells[2] is not None
@@ -303,7 +303,7 @@ def test_cells_of_a_second_half_that_ends_before_its_last_cell(monkeypatch):
     cells, orbits = _sweep_row(st, alpha, r0s, span, STEP)
     (orbit,) = orbits
     assert orbit.kind == "inflection"
-    assert orbit.sol.reasons == {"forward": "span", "backward": "boundary"}
+    assert orbit.sol.work["stop"] == {"forward": "span", "backward": "boundary"}
     assert cells[0] is None
     for r0, cell in zip(r0s[1:], cells[1:]):
         curve, _, s0 = cell
@@ -325,7 +325,7 @@ def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], r0s, cut)
     assert manifest["orbits"] == []
     for cell, r0 in zip(manifest["cells"], r0s):
-        assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
+        assert "orbit" not in cell and attempted(cell["work"]["solve_stats"]) > 0
         assert (out / cell["file"]).read_bytes() == \
             run_profile(tmp_path, f"profile{r0}", alpha, r0, cut)
 
@@ -349,7 +349,7 @@ def test_cells_of_a_failed_orbit_take_per_cell_path(tmp_path, monkeypatch):
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], r0s)
     assert failed and manifest["orbits"] == []
     for cell, r0 in zip(manifest["cells"], r0s):
-        assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
+        assert "orbit" not in cell and attempted(cell["work"]["solve_stats"]) > 0
         assert (out / cell["file"]).read_bytes() == \
             run_profile(tmp_path, f"profile{r0}", alpha, r0)
 
@@ -361,7 +361,7 @@ def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatc
     alpha, r0, span = 0.3, 4.8, (-0.2, 0.2)
     cells, orbits = _sweep_row(st, alpha, [r0], span, STEP)
     (orbit,) = orbits
-    assert orbit.sol.reasons["forward"] == "turned-back"
+    assert orbit.sol.work["stop"]["forward"] == "turned-back"
     # s0 on the forward half, where r rises to the bump and turns back above r0
     s0 = _brentq(lambda s: _dense_eval(orbit.sol.dense, [s])[1, 0] - r0,
                  0.0, orbit.sol.hi, 1e-15, 1e-15)
@@ -374,7 +374,7 @@ def test_window_cut_by_turned_back_stop_takes_per_cell_path(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "_build_spacetime", lambda cp: st)
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], [r0], span=span)
     (cell,) = manifest["cells"]
-    assert "orbit" not in cell and attempted(cell["solve_stats"]) > 0
+    assert "orbit" not in cell and attempted(cell["work"]["solve_stats"]) > 0
     assert (out / cell["file"]).read_bytes() == \
         run_profile(tmp_path, "profile", alpha, r0, span=span)
     ref = integrate_profile(st, PhotonSurfaceSpec(alpha, r0, span=span), STEP)
