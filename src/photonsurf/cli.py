@@ -260,16 +260,17 @@ def cmd_spheres(args, cp):
     st = _build_spacetime(cp)
     rows = [{"r_star": sp.r_star, "alpha_star": sp.alpha_star,
              "b_star": critical_impact_parameter(st, sp),
-             "residual": sp.residual} for sp in st.spheres]
+             "residual": sp.residual, "stable": sp.stable} for sp in st.spheres]
     if args.format == "json":
         print(json.dumps({"spacetime": _spacetime_summary(st), "spheres": rows}, **_JSON))
     else:
         if not rows:
             print("no photon spheres")
         else:
-            print("r_star,alpha_star,b_star")
+            print("r_star,alpha_star,b_star,stable")
             for row in rows:
-                print(",".join(fmt(row[k]) for k in ("r_star", "alpha_star", "b_star")))
+                print(",".join(fmt(row[k]) for k in ("r_star", "alpha_star", "b_star"))
+                      + f",{str(row['stable']).lower()}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_manifest(args.out, "spheres_manifest.json", st,
@@ -365,7 +366,8 @@ def cmd_geodesic(args, cp):
         "outputs": ["geodesic.csv"],
     }
     _write_manifest(out, "geodesic_manifest.json", st, payload)
-    print(f"termination: {traj.work['stop'].get('forward', 'span')}  "
+    stop = traj.work["stop"]
+    print(f"termination: {stop.get('forward', stop.get('backward'))}  "
           f"samples: {len(traj.s)}  max null residual: {fmt(traj.null_residual.max())}")
     return EXIT_OK
 

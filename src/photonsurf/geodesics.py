@@ -159,11 +159,8 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
     d(sigma)/ds = ell / r, so the projected curve obeys the photon surface
     system with alpha = E/ell.
     """
-    charges = traj.charges
-    if charges.principal:
-        raise PrincipalNullError("principal null geodesics generate null surfaces")
-    E, ell = charges.energy, charges.angular_momentum
-    alpha = E / ell
+    alpha = umbilicity_from_charges(traj.charges)
+    ell = traj.charges.angular_momentum
 
     # sample only the arclength the trajectory's own samples cover
     sol = traj._dense

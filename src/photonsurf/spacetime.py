@@ -409,36 +409,27 @@ def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
 class IsotropicForm:
     """Conformally flat form -Ntilde^2 dt^2 + psi^2 delta on s in (s_lo, s_hi).
 
-    ``psi`` and ``lapse`` map s to (value, d/ds). Like
-    ``MetricProfile.evaluate`` they take a float or a 1-D array and return
+    ``evaluate`` maps s to (psi, psi', Ntilde, Ntilde'). Like
+    ``MetricProfile.evaluate`` it takes a float or a 1-D array and returns
     values of the same shape; only :func:`custom_spacetime` adapts functions
     that take floats alone. When the form was produced by
     :func:`to_isotropic`, the coordinate maps ``s_of_r``/``r_of_s``, the
-    source spacetime, the work record of the map's solve (``work``, with no
-    half-lines for a form built by hand) and ``psi_lapse``, which gives both
-    pairs from one r(s), are attached.
+    source spacetime and the work record of the map's solve (``work``, with
+    no half-lines for a form built by hand) are attached.
     """
 
     s_lo: float
     s_hi: float
-    psi: Callable[[float], tuple[float, float]]
-    lapse: Callable[[float], tuple[float, float]]
+    evaluate: Callable
     source: Optional[ClassSSpacetime] = None
     s_of_r: Optional[Callable] = None
     r_of_s: Optional[Callable] = None
     work: dict = field(default_factory=lambda: {"stop": {}, "solve_stats": {}})
-    psi_lapse: Optional[Callable] = None
+    psi = lapse = None  # not fields: names perfbench/tracer.py wraps when set
 
     def contains(self, s):
         """Whether s lies in (s_lo, s_hi); a float or a 1-D array."""
         return np.logical_and(self.s_lo < s, s < self.s_hi)
-
-    def evaluate(self, s):
-        """(psi, psi', Ntilde, Ntilde') at s: by ``psi_lapse`` when it is
-        attached, else by ``psi`` and ``lapse``."""
-        if self.psi_lapse is not None:
-            return self.psi_lapse(s)
-        return (*self.psi(s), *self.lapse(s))
 
     def log_derivative_gap(self, s) -> float:
         """Ntilde'/Ntilde - psi'/psi at s; zero signals local conformal flatness."""
@@ -498,12 +489,12 @@ def _isotropic_form(st, r0):
         return np.arcsinh(np.sqrt(r - r_lo) / c)
 
     x_bot, x0, x_top = x_of_r(np.array([r_bot, r0, r_top])).tolist()
-    evaluate = st.metric.evaluate
+    metric = st.metric.evaluate
 
     def du_dx(x):  # du/dw c cosh x, f read above w_reg, at w of the rounded r
         w, du_dw = c * np.sinh(x), np.full(x.shape, limit)
         r = r_lo + w[w > w_reg] ** 2
-        du_dw[w > w_reg] = 2 * np.sqrt(r - r_lo) / (r * np.sqrt(evaluate(r)[0]))
+        du_dw[w > w_reg] = 2 * np.sqrt(r - r_lo) / (r * np.sqrt(metric(r)[0]))
         return c * np.cosh(x) * du_dw
 
     sol = _quadrature(du_dx, x0, (x_bot - x0, x_top - x0), _ISO_STEP)
@@ -527,7 +518,7 @@ def _isotropic_form(st, r0):
         return r_lo + w * w
 
     @_radiuswise
-    def psi_lapse(s):
+    def evaluate(s):  # psi, psi', Ntilde, Ntilde' from one r(s)
         r = r_of_s(s)
         fv, dfv = st.metric(r)
         lapse = np.sqrt(fv)
@@ -540,9 +531,8 @@ def _isotropic_form(st, r0):
         f_top, df_top = st.metric(r_top)
         tail = 2 * math.sqrt(f_top) / (r_top * df_top) if df_top > 0 else math.inf
         s_hi = s_hi * math.exp(tail) if tail < 1e-3 else math.inf
-    return IsotropicForm(s_lo, s_hi, lambda s: psi_lapse(s)[:2],
-                         lambda s: psi_lapse(s)[2:], source=st, s_of_r=s_of_r,
-                         r_of_s=r_of_s, work=sol.work, psi_lapse=psi_lapse)
+    return IsotropicForm(s_lo, s_hi, evaluate, source=st, s_of_r=s_of_r,
+                         r_of_s=r_of_s, work=sol.work)
 
 
 def _iso_grid(iso: IsotropicForm, num: int) -> np.ndarray:
@@ -579,7 +569,7 @@ def from_isotropic(iso: IsotropicForm) -> ClassSSpacetime:
         raise CompatibilityError("r(s) = s psi(s) is not strictly increasing")
 
     def radius(s, _):  # r = s psi(s) and dr/ds
-        p, dp = iso.psi(s)
+        p, dp = iso.evaluate(s)[:2]
         return s * p, p + s * dp
 
     def evaluate(r):

@@ -165,7 +165,8 @@ class SurfaceClass:
 
 def _scan_roots(g, lo, hi):
     """Bracketed roots of g on a log-spaced grid of SCAN_GRID points,
-    refined by ``_brentq``.
+    refined by ``_brentq``, as (root, g at the last node below it, or at
+    the first node when none is) pairs.
 
     g is evaluated on the whole grid in one call, then on scalars by
     ``_brentq``: a node where g is 0 is a root, else one whose value and the
@@ -176,9 +177,10 @@ def _scan_roots(g, lo, hi):
     zero, a, b = vals == 0.0, vals[:-1], vals[1:]
     change = (a < 0) & (b > 0) | (a > 0) & (b < 0)
     nodes = np.flatnonzero(zero | np.append(change, False))
-    return [float(rs[i]) if zero[i] else
-            _brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16)
-            for i in nodes.tolist()]
+    roots = [float(rs[i]) if zero[i] else
+             _brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16)
+             for i in nodes.tolist()]
+    return list(zip(roots, vals[np.maximum(np.searchsorted(rs, roots) - 1, 0)].tolist()))
 
 
 def _scan_bracket(st, g, what, at=""):
@@ -202,12 +204,8 @@ def find_photon_spheres(st: ClassSSpacetime) -> list[PhotonSphere]:
         fv, dfv = st.metric(r)
         return dfv * r - 2 * fv
 
-    grid = np.geomspace(*st.default_bracket(), SCAN_GRID)
-    # the scan evaluated g at each root and node; as there, no warning is raised
-    with np.errstate(all="ignore"):
-        return [PhotonSphere(r, math.sqrt(st.f(r)) / r, abs(g(r)),
-                             not g(grid[max(np.searchsorted(grid, r) - 1, 0)]) > 0)
-                for r in _scan_bracket(st, g, "photon sphere")]
+    return [PhotonSphere(r, math.sqrt(st.f(r)) / r, abs(g(r)), not below > 0)
+            for r, below in _scan_bracket(st, g, "photon sphere")]
 
 
 def profile_slope_squared(st: ClassSSpacetime, alpha: float, r: float) -> float:
@@ -231,8 +229,8 @@ class _Radial:
     @functools.cached_property
     def roots(self) -> tuple:
         """The turning points in the scan bracket, ascending."""
-        return tuple(_scan_bracket(self.st, self._g, "turning point",
-                                   f" at alpha = {self.lam!r}"))
+        return tuple(r for r, _ in _scan_bracket(self.st, self._g, "turning point",
+                                                 f" at alpha = {self.lam!r}"))
 
     @functools.cached_property
     def components(self) -> tuple:
@@ -247,10 +245,11 @@ class _Radial:
         return tuple(c for c, keep in zip(zip(ends, ends[1:]), inside) if keep)
 
     def component(self, r):
-        """The component that holds r in the scan bracket, or None."""
-        lo, hi = self.st.default_bracket()
-        return next(((a, b) for a, b in self.components if lo < r < hi
-                     and (a is None or a <= r) and (b is None or r <= b)), None)
+        """The component that holds r, or None. One that runs on to an end of
+        the scan bracket holds the radii past that end too: the scan has no
+        roots there."""
+        return next(((a, b) for a, b in self.components
+                     if (a is None or a <= r) and (b is None or r <= b)), None)
 
     def anchor(self, below, above):
         """(radius, kind) of the canonical anchor of the open component
@@ -269,7 +268,7 @@ class _Radial:
         roots = _scan_bracket(st, lambda r: a2 * r - 0.5 * st.metric(r)[1],
                               "inflection", f" at alpha = {self.lam!r}")
         if roots:
-            return roots[0], "inflection"
+            return roots[0][0], "inflection"
         return (st.spheres[0].r_star, "photon-sphere") if st.spheres else None
 
     @functools.cached_property
@@ -611,12 +610,12 @@ def _sweep_row(st, alpha, r0s, span, step):
     radial = _radial(st, alpha)
     if radial.sphere is not None:
         return cells, orbits
-    groups = {}
+    groups, (lo, hi) = {}, st.default_bracket()
     for i, r0 in enumerate(r0s):
         ends = radial.component(r0)
-        try:  # r0 on an open component, not held and not at a turning point
-            if ends is None or None not in ends or radial.held(r0) is not None or \
-                    not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
+        try:  # r0 in the bracket on an open component, not held, not at a turning point
+            if not lo < r0 < hi or ends is None or None not in ends or \
+                    radial.held(r0) is not None or not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
                 continue
         except (OverflowError, ZeroDivisionError):
             continue  # beyond the float range: integrate_profile says why
@@ -711,8 +710,8 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float) -> SurfaceClass:
     when the scan missed that sphere; data on a component of
     {alpha^2 r^2 >= f} between two turning points is Trapped. Off the
     critical band, a surface is Supercritical when the component that holds
-    r0 holds an unstable sphere too (alpha above its alpha_* and no turning
-    point between r0 and r_*), else Subcritical.
+    r0 holds an unstable sphere too (which needs alpha above its alpha_*),
+    else Subcritical.
     """
     _check_positive(alpha)
     spheres = st.spheres
@@ -721,15 +720,14 @@ def classify(st: ClassSSpacetime, alpha: float, r0: float) -> SurfaceClass:
 
     if radial.held(r0) is not None:
         kind = SurfaceKind.PHOTON_SPHERE
-    elif None not in (radial.component(r0) or (None,)):
+    elif None not in ((ends := radial.component(r0)) or (None,)):
         kind = SurfaceKind.TRAPPED
     elif not spheres:
         kind = SurfaceKind.NO_SPHERE_REFERENCE
     elif radial.sphere is not None:
         kind = SurfaceKind.CRITICAL
-    elif any(not sp.stable and alpha > sp.alpha_star and not any(
-            min(r0, sp.r_star) < r < max(r0, sp.r_star) for r in radial.roots)
-            for sp in spheres):
+    elif ends is not None and any(not sp.stable and radial.component(sp.r_star) == ends
+                                  for sp in spheres):
         kind = SurfaceKind.SUPERCRITICAL
     else:
         kind = SurfaceKind.SUBCRITICAL

@@ -194,8 +194,7 @@ def test_criterion_7_slice_identities():
 def test_criterion_8_isotropic_consistency(schw3, schw3_iso):
     with report("criterion 8 (isotropic form consistency)"):
         for s in (0.75, 1.0, 1.5, 3.0, 12.0):
-            p, _ = schw3_iso.psi(s)
-            nn, _ = schw3_iso.lapse(s)
+            p, _, nn, _ = schw3_iso.evaluate(s)
             phi = (1 + 1 / (2 * s)) ** 2
             ntil = (1 - 1 / (2 * s)) / (1 + 1 / (2 * s))
             assert abs(p - phi) < 1e-8

@@ -41,6 +41,35 @@ def test_spheres_schwarzschild(tmp_path, capsys):
     assert "5.1961524" in out
 
 
+RN_Q2_11 = f"""
+[spacetime]
+family = reissner-nordstrom
+m = 1
+q = {math.sqrt(1.1)!r}
+"""
+
+
+@pytest.mark.parametrize("config, expected", [
+    (SCHW, [(3.0, False)]),
+    (RN_Q2_11, [(1.27639, True), (1.72361, False)])], ids=["schwarzschild", "rn-q2-1.1"])
+def test_spheres_report_stability(tmp_path, capsys, config, expected):
+    # RN m = 1 has spheres at r_* = (3 -+ sqrt(9 - 8 q^2))/2; at q^2 = 1.1 the
+    # inner one is a minimum of f/r^2 (stable), the outer one a maximum
+    cfg = write_config(tmp_path / "c.ini", config)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "spheres"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "r_star,alpha_star,b_star,stable"
+    assert [(float(x.split(",")[0]), x.split(",")[-1]) for x in lines[1:]] == \
+        [(pytest.approx(r, abs=1e-5), str(stable).lower()) for r, stable in expected]
+    assert main(["--config", cfg, "--out", str(out), "--format", "json", "spheres"]) == 0
+    rows = json.loads(capsys.readouterr().out)["spheres"]
+    manifest = json.loads((out / "spheres_manifest.json").read_text())["spheres"]
+    for got in (rows, manifest):
+        assert [(row["r_star"], row["stable"]) for row in got] == \
+            [(pytest.approx(r, abs=1e-5), stable) for r, stable in expected]
+
+
 def test_spheres_minkowski(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.ini", "[spacetime]\nfamily = minkowski\n")
     assert main(["--config", cfg, "spheres"]) == 0
@@ -375,6 +404,25 @@ span_hi = 5
         assert stats["accepted"] > 0
         assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
     assert manifest["max_null_residual"] < 1e-9
+
+
+def test_geodesic_line_names_the_backward_stop_of_a_span_ending_at_0(tmp_path, capsys):
+    # only the backward half is solved; it runs into the horizon, and the
+    # printed reason is the one its work record holds
+    cfg = write_config(tmp_path / "c.ini", SCHW + """
+[geodesic]
+energy = 0.4
+ell = 1
+r0 = 6
+sign = 1
+span_lo = -40
+span_hi = 0
+""")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "geodesic"]) == 0
+    manifest = json.loads((out / "geodesic_manifest.json").read_text())
+    assert manifest["work"]["stop"] == {"backward": "boundary"}
+    assert capsys.readouterr().out.startswith("termination: boundary  samples: ")
 
 
 SWEEP = SCHW + """

@@ -329,7 +329,7 @@ def test_isotropic_surface_residual_checks_its_rows(schw3_iso):
 
 
 def test_isotropic_profile_samples_need_the_coordinate_map(schw3):
-    iso = IsotropicForm(1.0, 10.0, lambda s: (s, 1.0), lambda s: (2 * s, 2.0))
+    iso = IsotropicForm(1.0, 10.0, lambda s: (s, 1.0, 2 * s, 2.0))
     curve = integrate_profile(schw3, PhotonSurfaceSpec(alpha=0.15, r0=6.0, span=(0.0, 0.1)))
     with pytest.raises(DomainError, match="carries no coordinate map s\\(r\\)"):
         isotropic_profile_samples(iso, curve)

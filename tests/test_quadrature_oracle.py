@@ -10,11 +10,14 @@ and a null geodesic of charges E, ell has
 
 In Schwarzschild (m = 1) both G are c(r) / r^k with the cubic
 c(r) = a r^3 + b r - 2 b: a profile has a = alpha^2, b = -1, k = 1, a
-geodesic a = E^2, b = -ell^2, k = 3. From a turning point r_tp, a root of c,
-the integrals run in x = sqrt(r - r_tp), where G = x^2 p(r) / r^k with the
-quotient p(r) = a r^2 + a r_tp r + a r_tp^2 + b, so no cancellation is
-left; elsewhere they run in y = log(r - 2), which keeps the 1/f of t
-bounded at the horizon. On the critical row alpha* = 27^(-1/2), G = (r - 3)^2
+geodesic a = E^2, b = -ell^2, k = 3. A Schwarzschild-AdS (m = 1) profile has
+the same cubic with a = alpha^2 - L^-2, and a Reissner-Nordstrom (m = 1)
+profile the quartic c(r) = alpha^2 r^4 - r^2 + 2 r - q^2 with k = 2. From a
+turning point r_tp, a root of c, the integrals run in x = sqrt(r - r_tp),
+where G = x^2 p(r) / r^k with the quotient p(r) = c(r) / (r - r_tp) (for
+the cubic a r^2 + a r_tp r + a r_tp^2 + b), so no cancellation is left;
+elsewhere they run in y = log(r - r_H), which keeps the 1/f of t bounded at
+the horizon r_H. On the critical row alpha* = 27^(-1/2), G = (r - 3)^2
 (r + 6) / (27 r) has a double root at the photon sphere, which the surface
 approaches without reaching; there they run in z = log|r - 3|, where both
 integrands are bounded. ``scipy.integrate.quad`` evaluates them to about
@@ -49,39 +52,55 @@ def f(r):
     return 1 - 2 / r
 
 
-class Radial:
-    """(dr/ds)^2 = G(r) = (a r^3 + b r - 2 b) / r^k and its quadratures."""
+def horner(coeffs, r):
+    """The polynomial of ``coeffs`` (highest power first) at r."""
+    value = 0.0
+    for c in coeffs:
+        value = value * r + c
+    return value
 
-    def __init__(self, a, b, k):
-        self.a, self.b, self.k = a, b, k
+
+class Radial:
+    """(dr/ds)^2 = G(r) = c(r) / r^k, c the polynomial of ``coeffs`` (highest
+    power first), and its quadratures; r_h is the horizon, a simple zero of f."""
+
+    def __init__(self, coeffs, k, r_h=2.0):
+        self.c, self.k, self.r_h = tuple(coeffs), k, r_h
 
     def G(self, r):
-        return (self.a * r ** 3 + self.b * r - 2 * self.b) / r ** self.k
+        return horner(self.c, r) / r ** self.k
 
     def turning_point(self, lo, hi):
-        return brentq(lambda r: self.a * r ** 3 + self.b * r - 2 * self.b, lo, hi,
+        return brentq(lambda r: horner(self.c, r), lo, hi,
                       xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
     def integral(self, rate, r, tp=None, start=None):
         """int rate / sqrt(G) dr from the turning point tp, or from start,
         to r."""
         if tp is not None:
-            a, b, k = self.a, self.b, self.k
+            # c(q) = (q - tp) p(q): p by synthetic division, with no cancellation
+            p = [self.c[0]]
+            for c in self.c[1:-1]:
+                p.append(c + tp * p[-1])
 
             def fn(x):
                 q = tp + x * x
-                return 2 * rate(q) / math.sqrt((a * q * q + a * tp * q + a * tp * tp + b)
-                                               / q ** k)
+                return 2 * rate(q) / math.sqrt(horner(p, q) / q ** self.k)
 
             return quad(fn, 0.0, math.sqrt(r - tp), epsabs=0.0, epsrel=1e-13,
                         limit=200)[0]
 
         def fn(y):
-            q = 2 + math.exp(y)
-            return rate(q) * (q - 2) / math.sqrt(self.G(q))
+            q = self.r_h + math.exp(y)
+            return rate(q) * (q - self.r_h) / math.sqrt(self.G(q))
 
-        return quad(fn, math.log(start - 2), math.log(r - 2), epsabs=0.0,
+        return quad(fn, math.log(start - self.r_h), math.log(r - self.r_h), epsabs=0.0,
                     epsrel=1e-13, limit=200)[0]
+
+
+def cubic(a, b, k, r_h=2.0):
+    """The Radial of c(r) = a r^3 + b r - 2 b."""
+    return Radial((a, 0.0, b, -2 * b), k, r_h)
 
 
 def samples(radial, rates, s, r, qs, sign0, r0, tp=None, every=5):
@@ -118,7 +137,7 @@ def test_criterion_4_profile_against_quadrature():
     # backward; the bounds are about twice that
     alpha, r0 = 0.15, 6.0
     curve = integrate_profile(ST, PhotonSurfaceSpec(alpha=alpha, r0=r0, span=(-5.0, 5.0)))
-    radial = Radial(alpha ** 2, -1.0, 1)
+    radial = cubic(alpha ** 2, -1.0, 1)
     rate_t = (lambda r: alpha * r / f(r),)
     fwd, bwd = curve.s >= 0, curve.s <= 0
     s, t = samples(radial, rate_t, curve.s[fwd], curve.r[fwd], (curve.t[fwd],), 1, r0)
@@ -140,7 +159,7 @@ def test_seed_3_sweep_cell_against_quadrature():
     curve = integrate_profile(ST, PhotonSurfaceSpec(alpha=alpha, r0=r0, span=(-5.0, 5.0)))
     assert curve.unit_residual.max() > 1e-7 and curve.r.min() - 2 < 1e-5
     bwd = curve.s < 0
-    s, t = samples(Radial(alpha ** 2, -1.0, 1), (lambda r: alpha * r / f(r),),
+    s, t = samples(cubic(alpha ** 2, -1.0, 1), (lambda r: alpha * r / f(r),),
                    curve.s[bwd], curve.r[bwd], (curve.t[bwd],), 1, r0, every=1)
     assert len(s[0]) > 400
     assert worst(s) <= 1.1e-12 and worst(t, relative=True) <= 1.6e-11
@@ -155,7 +174,7 @@ def test_geodesic_against_quadrature(sign):
     E, ell, r0 = 1.0, 6.0, 10.0
     traj = integrate_null_geodesic(ST, ConservedCharges(E, ell), r0, sign=sign,
                                    span=(0.0, 40.0))
-    radial = Radial(E ** 2, -ell ** 2, 3)
+    radial = cubic(E ** 2, -ell ** 2, 3)
     tp = None if sign > 0 else radial.turning_point(3.0, r0)
     # from the first sample after s = 0, where phi and t are 0
     s, phi, t = samples(radial, (lambda r: ell / r ** 2, lambda r: E / f(r)), traj.s[1:],
@@ -163,6 +182,44 @@ def test_geodesic_against_quadrature(sign):
     assert len(s[0]) > 700
     assert worst(phi, relative=True) <= 5e-11 and worst(t, relative=True) <= 7e-12
     assert worst(s) <= 8e-11
+
+
+@pytest.mark.parametrize("family, params, factor, bound_s, bound_t", [
+    # measured: s 4.5e-12, t 8.9e-13
+    ("reissner-nordstrom", dict(m=1, q=0.6), 0.8, 9e-12, 1.8e-12),
+    # measured: s 1.7e-12, t 9.8e-12
+    ("reissner-nordstrom", dict(m=1, q=0.6), 1.2, 3.5e-12, 2e-11),
+    # measured: s 3.5e-12, t 1.8e-12
+    ("schwarzschild-ads", dict(m=1, L=10.0), 0.8, 7e-12, 3.6e-12),
+    # measured: s 2.3e-12, t 8.4e-12
+    ("schwarzschild-ads", dict(m=1, L=10.0), 1.2, 4.5e-12, 1.7e-11),
+], ids=["rn-q0.6-below", "rn-q0.6-above", "sads-L10-below", "sads-L10-above"])
+def test_rn_and_sads_profiles_against_quadrature(family, params, factor, bound_s, bound_t):
+    # alpha = factor alpha*, r0 6, span (-10, 5): r rises monotonically
+    # forward; backward it turns at the turning point below r0 when alpha is
+    # below alpha*, and else falls into the horizon, where the half ends. t
+    # is compared relative to max(1, |t|); the bounds, over both halves, are
+    # about twice the errors measured
+    st = build_family(family, **params)
+    alpha = factor * st.spheres[0].alpha_star
+    if family == "reissner-nordstrom":
+        radial = Radial((alpha ** 2, 0.0, -1.0, 2.0, -params["q"] ** 2), 2, st.r_lo)
+    else:
+        radial = cubic(alpha ** 2 - params["L"] ** -2, -1.0, 1, st.r_lo)
+    curve = integrate_profile(st, PhotonSurfaceSpec(alpha=alpha, r0=6.0, span=(-10.0, 5.0)))
+    turning = turning_points(st, alpha)
+    assert curve.work["stop"] == {
+        "backward": "span" if factor < 1 else "boundary", "forward": "span"}
+    assert len(turning) == (2 if factor < 1 else 0)
+    for d, half in ((1, curve.s >= 0), (-1, curve.s <= 0)):
+        tp = radial.turning_point(turning[-1] * (1 - 1e-6), turning[-1] * (1 + 1e-6)) \
+            if d < 0 and turning else None
+        s, (got, want) = samples(radial, (lambda r: alpha * r / st.f(r),), curve.s[half],
+                                 curve.r[half], (curve.t[half],), 1, 6.0, tp)
+        assert len(s[0]) > 100
+        assert worst(s) <= bound_s, d
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound_t, d
+    assert curve.r.min() < (tp + 1e-6 if factor < 1 else st.r_lo * (1 + 1e-2))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -184,7 +241,7 @@ def test_sweep_grid_orbit_cells_against_quadrature(seed):
             continue
         turning = turning_points(ST, alpha)
         row, _ = _sweep_row(ST, alpha, r0s, (-5.0, 5.0), StepControl())
-        radial = Radial(alpha ** 2, -1.0, 1)
+        radial = cubic(alpha ** 2, -1.0, 1)
         for r0, cell in zip(r0s, row):
             if cell is None:
                 continue
@@ -214,7 +271,7 @@ def test_sweep_grid_turning_points_against_quadrature(seed):
     alphas, r0s = sweep_grid(seed)
     roots = anchors = 0
     for alpha in alphas:
-        radial = Radial(alpha ** 2, -1.0, 1)
+        radial = cubic(alpha ** 2, -1.0, 1)
 
         def root(r):
             return radial.turning_point(r * (1 - 1e-6), r * (1 + 1e-6))

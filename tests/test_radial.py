@@ -147,6 +147,48 @@ def test_classify_grid_is_supercritical_above_the_unstable_factor(family, params
     assert len(kinds) == 2
 
 
+@pytest.mark.parametrize("family, params", [
+    ("schwarzschild", dict(n=3, m=1)), ("schwarzschild", dict(n=5, m=1)),
+    ("reissner-nordstrom", dict(m=1, q=0.6)),
+    ("reissner-nordstrom", dict(m=1, q=math.sqrt(1.1))),
+    ("reissner-nordstrom", dict(m=1, q=math.sqrt(1.05))),
+    ("schwarzschild-ads", dict(m=1, L=10)), ("minkowski", {})])
+def test_stability_and_classes_match_the_rules_they_replace(family, params):
+    # each sphere's stability is g = r f' - 2 f at the scan node below it,
+    # evaluated on a grid built again; a Sub/Supercritical cell is
+    # Supercritical when some unstable sphere has alpha above its alpha_*
+    # and no turning point lies strictly between r0 and r_*. The 70 x 70
+    # (alpha, r0) grid runs from 0.5 to 1.5 times the alpha_* range, and its
+    # r0 past the scan bracket's upper end (100) and just above r_lo too
+    st = build_family(family, **params)
+    grid = np.geomspace(*st.default_bracket(), surfaces.SCAN_GRID)
+
+    def g(r):
+        fv, dfv = st.metric(r)
+        return dfv * r - 2 * fv
+
+    with np.errstate(all="ignore"):
+        assert [sp.stable for sp in st.spheres] == [
+            not g(grid[max(np.searchsorted(grid, sp.r_star) - 1, 0)]) > 0
+            for sp in st.spheres]
+    a_stars = [sp.alpha_star for sp in st.spheres] or [1.0]
+    r_bot = max(1.02 * st.r_lo, 0.1)
+    r0s = [*np.geomspace(r_bot, 20.0, 70).tolist(), 150.0, 1e3, st.r_lo + 1e-7 * r_bot]
+    sub_super = {SurfaceKind.SUBCRITICAL, SurfaceKind.SUPERCRITICAL}
+    compared = 0
+    for alpha in np.linspace(0.5 * min(a_stars), 1.5 * max(a_stars), 70).tolist():
+        roots = turning_points(st, alpha)
+        for r0 in r0s:
+            kind = classify(st, alpha, r0).kind
+            if kind in sub_super:
+                compared += 1
+                old = any(not sp.stable and alpha > sp.alpha_star and not any(
+                    min(r0, sp.r_star) < r < max(r0, sp.r_star) for r in roots)
+                    for sp in st.spheres)
+                assert (kind is SurfaceKind.SUPERCRITICAL) == old, (alpha, r0)
+    assert compared > 1000 if st.spheres else compared == 0  # Minkowski: no reference
+
+
 def test_cut_schwarzschild_row_has_no_anchor():
     # r_lo = 5, alpha = 0.3: the set is the whole interval, the root of
     # alpha^2 r = f'/2 (near 2.23) lies below r_lo and the sphere r = 3

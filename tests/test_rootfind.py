@@ -143,7 +143,8 @@ def test_errors_match_scipy(monkeypatch):
 
 
 def _scan_roots_loop(g, lo, hi, brentq):
-    """``surfaces._scan_roots`` as a loop over the pairs of grid values."""
+    """``surfaces._scan_roots`` as a loop over the pairs of grid values: each
+    root with g at the last node below it, or at the first node."""
     rs = np.geomspace(lo, hi, SCAN_GRID)
     vals = g(rs)
     roots = []
@@ -155,7 +156,8 @@ def _scan_roots_loop(g, lo, hi, brentq):
             roots.append(brentq(g, rs[i], rs[i + 1], PHOTON_SPHERE_XTOL, 8.9e-16))
     if vals[-1] == 0.0:
         roots.append(float(rs[-1]))
-    return roots
+    return [(r, float(vals[max((j for j in range(len(rs)) if rs[j] < r), default=0)]))
+            for r in roots]
 
 
 def test_scan_roots_matches_the_loop_over_pairs(monkeypatch):
@@ -193,9 +195,11 @@ def test_scan_roots_matches_the_loop_over_pairs(monkeypatch):
         for log in calls.values():
             log.clear()
         with np.errstate(all="ignore"):
-            roots = _scan_roots(g, lo, hi)
+            pairs = _scan_roots(g, lo, hi)
             reference = _scan_roots_loop(g, lo, hi, recorder("loop"))
-        assert [x.hex() for x in roots] == [x.hex() for x in reference], name
+        roots = [r for r, _ in pairs]
+        assert [(r.hex(), v.hex()) for r, v in pairs] == \
+            [(r.hex(), v.hex()) for r, v in reference], name
         assert calls["array"] == calls["loop"], name
         if name == "poly":
             assert len(calls["array"]) == len(mids) + 2
@@ -203,7 +207,7 @@ def test_scan_roots_matches_the_loop_over_pairs(monkeypatch):
         if name == "nan":  # the root 30 at the edge of the NaN stretch is lost
             assert len(roots) == len(nodes) + len(mids) + 1 and 30.0 not in roots
         if name in ("tiny", "huge"):  # products that under- or overflow
-            assert [x.hex() for x in roots] == [x.hex() for x in _scan_roots(np.sin, lo, hi)]
+            assert [x.hex() for x in roots] == [x.hex() for x, _ in _scan_roots(np.sin, lo, hi)]
             assert len(roots) == 15, name
 
 

@@ -192,8 +192,7 @@ def test_isotropic_beyond_the_float_range_raises_domain_error():
 def test_isotropic_schwarzschild_closed_form(schw3_iso):
     # phi_m = (1 + m/(2s))^2 and Ntilde = (1 - m/2s)/(1 + m/2s) at n = 3
     for s in (0.7, 1.0, 2.0, 5.0, 20.0):
-        p, dp = schw3_iso.psi(s)
-        nn, dnn = schw3_iso.lapse(s)
+        p, dp, nn, dnn = schw3_iso.evaluate(s)
         phi = (1 + 1 / (2 * s)) ** 2
         ntil = (1 - 1 / (2 * s)) / (1 + 1 / (2 * s))
         assert p == pytest.approx(phi, abs=1e-8)
@@ -229,11 +228,11 @@ def test_isotropic_round_trip(schw3, schw3_iso):
 def test_from_isotropic_evaluates_arrays_in_one_pass(schw3_iso):
     calls = []
 
-    def psi(s):
+    def evaluate(s):
         calls.append(np.size(s))
-        return schw3_iso.psi(s)
+        return schw3_iso.evaluate(s)
 
-    back = from_isotropic(dataclasses.replace(schw3_iso, psi=psi))
+    back = from_isotropic(dataclasses.replace(schw3_iso, evaluate=evaluate))
     counts = {}
     for n in (2, 200):
         rs = np.geomspace(2.5, 40.0, n)
@@ -250,8 +249,7 @@ def test_from_isotropic_incompatible_data():
     from photonsurf import IsotropicForm
     iso = IsotropicForm(
         s_lo=1.0, s_hi=10.0,
-        psi=lambda s: (1.0, 0.0),
-        lapse=lambda s: (2.0, 0.0))  # Ntilde != 1 + s psi'/psi
+        evaluate=lambda s: (1.0, 0.0, 2.0, 0.0))  # Ntilde != 1 + s psi'/psi
     with pytest.raises(CompatibilityError) as exc:
         from_isotropic(iso)
     assert exc.value.worst_residual == pytest.approx(1.0, abs=1e-12)
@@ -282,16 +280,19 @@ def test_isotropic_evaluate_matches_psi_and_lapse(family, params):
     for s in (ss, float(ss[100])):
         both = iso.evaluate(s)
         assert len(both) == 4
-        for separate in ((*psi(s), *lapse(s)), (*iso.psi(s), *iso.lapse(s))):
-            for a, b in zip(both, separate):
-                assert np.shape(a) == np.shape(s)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for a, b in zip(both, (*psi(s), *lapse(s))):
+            assert np.shape(a) == np.shape(s)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_isotropic_evaluate_of_a_form_built_by_hand():
+    # the one function a form is built from is its evaluator, and the checks
+    # read it: log_derivative_gap = N'/N - psi'/psi
     from photonsurf import IsotropicForm
-    iso = IsotropicForm(1.0, 10.0, lambda s: (s, 1.0), lambda s: (2 * s, 2.0))
+    iso = IsotropicForm(1.0, 10.0, lambda s: (s, 1.0, 2 * s, 2.0))
     assert iso.evaluate(3.0) == (3.0, 1.0, 6.0, 2.0)
+    assert iso.log_derivative_gap(3.0) == 2.0 / 6.0 - 1.0 / 3.0
+    assert iso.source is None and iso.s_of_r is None and iso.r_of_s is None
 
 
 def test_conformal_flatness_scan_schwarzschild_empty(schw3_iso):
@@ -309,10 +310,10 @@ def test_conformal_flatness_scan_separate_runs():
     from photonsurf import IsotropicForm
     from photonsurf.spacetime import _iso_grid
 
-    def lapse(s):
-        return 1 + np.clip(s, 4.0, 7.0), ((s > 4) & (s < 7)).astype(float)
+    def evaluate(s):
+        return 1.0, 0.0, 1 + np.clip(s, 4.0, 7.0), ((s > 4) & (s < 7)).astype(float)
 
-    iso = IsotropicForm(1.0, 10.0, lambda s: (1.0, 0.0), lapse)
+    iso = IsotropicForm(1.0, 10.0, evaluate)
     ss = _iso_grid(iso, 512)
     below, above = ss[ss <= 4], ss[ss >= 7]
     assert conformal_flatness_scan(iso) == [
@@ -364,8 +365,7 @@ def test_isotropic_maps_accept_arrays(params, r0):
         iso.s_of_r(np.geomspace(iso.source.r_lo * (1 + 1e-6), 1e3, 500))])
     rs = iso.r_of_s(ss)
     assert rs.shape == ss.shape
-    for fn, x in ((iso.psi, ss), (iso.lapse, ss), (iso.s_of_r, rs),
-                  (iso.r_of_s, ss)):
+    for fn, x in ((iso.evaluate, ss), (iso.s_of_r, rs), (iso.r_of_s, ss)):
         scalar = np.array([fn(float(v)) for v in x])
         np.testing.assert_array_equal(np.array(fn(x)), scalar.T)
 
@@ -374,8 +374,8 @@ def test_isotropic_maps_reject_queries_outside_solved_range(schw3_iso):
     sads = to_isotropic(build_family("schwarzschild-ads", m=1, L=10.0), r0=5.0)
     bad = [(schw3_iso.s_of_r, 1.5), (schw3_iso.s_of_r, math.nan),
            (schw3_iso.r_of_s, 0.4), (schw3_iso.r_of_s, 1e30),
-           (schw3_iso.psi, np.array([1.0, 0.25])), (schw3_iso.lapse, -1.0),
-           (sads.r_of_s, 1.01 * sads.s_hi), (sads.psi, 1.01 * sads.s_hi)]
+           (schw3_iso.evaluate, np.array([1.0, 0.25])), (schw3_iso.evaluate, -1.0),
+           (sads.r_of_s, 1.01 * sads.s_hi), (sads.evaluate, 1.01 * sads.s_hi)]
     for fn, x in bad:
         with pytest.raises(DomainError):
             fn(x)
@@ -386,7 +386,7 @@ def test_isotropic_minkowski_is_identity(minkowski):
     assert iso.s_lo == 0.0 and math.isinf(iso.s_hi)
     rs = np.array([1e-3, 0.5, 1.0, 7.0, 1e4])
     np.testing.assert_allclose(iso.s_of_r(rs), rs, rtol=1e-11)
-    np.testing.assert_allclose(iso.psi(rs)[0], 1.0, rtol=1e-11)
+    np.testing.assert_allclose(iso.evaluate(rs)[0], 1.0, rtol=1e-11)
 
 
 @pytest.mark.parametrize("q", [0.6, 0.999999])
@@ -431,8 +431,36 @@ def test_isotropic_form_keeps_the_work_of_its_solve(monkeypatch):
     assert iso.work == ode._quadrature(*call[0], **call[1]).work
     assert sorted(iso.work["solve_stats"]) == ["backward", "forward"]
     assert all(h.accepted > 0 for h in iso.work["solve_stats"].values())
-    assert IsotropicForm(1.0, 2.0, lambda s: (1.0, 0.0),
-                         lambda s: (1.0, 0.0)).work["solve_stats"] == {}
+    assert IsotropicForm(1.0, 2.0, lambda s: (1.0, 0.0, 1.0, 0.0)
+                         ).work["solve_stats"] == {}
+
+
+def test_isotropic_form_runs_under_the_benchmark_tracer():
+    # perfbench/tracer.py wraps to_isotropic, then every map of the returned
+    # form that it names (psi, lapse, s_of_r, r_of_s) and that is not None:
+    # here s_of_r and r_of_s. The traced form gives the untraced one's bits
+    import importlib.util
+    from pathlib import Path
+
+    from photonsurf import spacetime
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    st = build_family("schwarzschild", m=1)
+    plain = to_isotropic(st, 4.0)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        traced = spacetime.to_isotropic(st, 4.0)
+    finally:
+        tracer.uninstall()
+    ss, rs = np.geomspace(0.6, 50.0, 7), np.geomspace(2.5, 50.0, 7)
+    assert [fn.__qualname__.startswith("Tracer.") for fn in (
+        traced.s_of_r, traced.r_of_s, traced.evaluate)] == [True, True, False]
+    for a, b in zip((*traced.evaluate(ss), traced.r_of_s(ss), traced.s_of_r(rs)),
+                    (*plain.evaluate(ss), plain.r_of_s(ss), plain.s_of_r(rs))):
+        assert a.tobytes() == b.tobytes()
 
 
 # the four spacetimes of the isotropic checks (perfbench verify-iso)
@@ -513,15 +541,15 @@ def test_table_skips_blank_rows_and_needs_four(tmp_path):
 def test_from_isotropic_rejects_a_decreasing_radius():
     # psi = s^-2 and Ntilde = -1 satisfy Ntilde = 1 + s psi'/psi exactly, but
     # r = s psi = 1/s decreases: dr/ds = psi Ntilde < 0
-    iso = IsotropicForm(1.0, 10.0, lambda s: (s ** -2.0, -2.0 * s ** -3.0),
-                        lambda s: (-1.0 + 0.0 * s, 0.0 * s))
+    iso = IsotropicForm(1.0, 10.0, lambda s: (s ** -2.0, -2.0 * s ** -3.0,
+                                              -1.0 + 0.0 * s, 0.0 * s))
     with pytest.raises(CompatibilityError, match="not strictly increasing"):
         from_isotropic(iso)
 
 
 @pytest.mark.parametrize("s_lo, s_hi", [(5.0, 5.0), (6.0, 5.0)])
 def test_conformal_flatness_scan_of_an_empty_interval(s_lo, s_hi):
-    iso = IsotropicForm(s_lo, s_hi, lambda s: (1.0, 0.0), lambda s: (1.0, 0.0))
+    iso = IsotropicForm(s_lo, s_hi, lambda s: (1.0, 0.0, 1.0, 0.0))
     assert conformal_flatness_scan(iso) == []
 
 
