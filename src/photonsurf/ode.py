@@ -159,7 +159,11 @@ def _dense_at(dense, i, s):
 
 
 def _rms(xs, scale):
-    return math.sqrt(sum((x / sc) ** 2 for x, sc in zip(xs, scale))) / len(xs) ** 0.5
+    # left to right on every Python, as the step kernel's norm
+    total = 0.0
+    for x, sc in zip(xs, scale):
+        total += (x / sc) ** 2
+    return math.sqrt(total) / len(xs) ** 0.5
 
 
 # One step attempt from (s, y) with step h: the stages k2-k7 (k1 is the
@@ -170,6 +174,9 @@ def _rms(xs, scale):
 # each copy followed by ", ", and each tableau name as its float literal, so
 # every component keeps the arithmetic of RK45's per-component formulas in
 # the same order ("w if w > v else v" on |y| and |y_new| is max's rule).
+# Each <+...> is written out as <...> is, its copies joined by " + ", so the
+# squares of the norm add left to right on every Python (sum() compensates
+# float additions since Python 3.12).
 _STEP_TEMPLATE = """\
 def step(rhs, y, k1, h, atol, rtol):
     <v> = y
@@ -185,7 +192,7 @@ def step(rhs, y, k1, h, atol, rtol):
     <x> = <(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * p + _E7 * q) * h>
     <v><w> = <abs(v)><abs(w)>
     error_norm = math.sqrt(
-        sum((<(x / (atol + (w if w > v else v) * rtol)) ** 2>))) / {n} ** 0.5
+        <+(x / (atol + (w if w > v else v) * rtol)) ** 2>) / {n} ** 0.5
     return y_new, k7, (<a><c><d><e><p><q>), error_norm
 """
 _KERNELS = {}
@@ -196,10 +203,12 @@ def _kernel(n, reads):
     ``reads``, compiled on first use and cached in ``_KERNELS``."""
     if (n, reads) not in _KERNELS:
         def unroll(match):
-            return "".join(re.sub(r"\b([vabcdepqwx])\b", rf"\g<1>{i}", match[2])
-                           + ", " for i in (reads if match[1] else range(n)))
+            copies = [re.sub(r"\b([vabcdepqwx])\b", rf"\g<1>{i}", match[2])
+                      for i in (reads if match[1] == "*" else range(n))]
+            return " + ".join(copies) if match[1] == "+" else "".join(
+                copy + ", " for copy in copies)
 
-        source = re.sub(r"<(\*?)((?: > |[^<>])*)>", unroll, _STEP_TEMPLATE.format(n=n))
+        source = re.sub(r"<([*+]?)((?: > |[^<>])*)>", unroll, _STEP_TEMPLATE.format(n=n))
         source = re.sub(r"\b_[ABE]\d+\b", lambda m: repr(globals()[m[0]]), source)
         namespace = {}
         exec(compile(source, f"<dopri5 step {n} {reads}>", "exec"), globals(), namespace)

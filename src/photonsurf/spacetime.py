@@ -194,9 +194,15 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             raise InvalidFamilyParamsError(
                 f"r_lo = {lo:.6g} below horizon radius {rm:.6g}")
         p = n - 2
-
-        def evaluate(r, m=m, p=p):
-            return 1 - 2 * m / r ** p, 2 * p * m / r ** (p + 1)
+        # constants folded when built, every operation in its order: the
+        # bits of 1 - 2 m / r^p and 2 p m / r^(p + 1), with r^1 = r
+        m2, pm2, p1 = 2 * m, 2 * p * m, p + 1
+        if p == 1:
+            def evaluate(r):
+                return 1 - m2 / r, pm2 / r ** 2
+        else:
+            def evaluate(r):
+                return 1 - m2 / r ** p, pm2 / r ** p1
 
         metric = MetricProfile(evaluate)
         params = {"m": m}
@@ -208,28 +214,29 @@ def build_family(family: str, n: int = 3, m: float | None = None,
                 "reissner-nordstrom built-in is n = 3 only; use a custom profile")
         m, q = float(m), float(q)
         try:
-            m2, q2 = m ** 2, q ** 2
+            m_sq, q_sq = m ** 2, q ** 2
         except OverflowError:
             raise InvalidFamilyParamsError(
                 f"reissner-nordstrom: m^2 or q^2 of m = {m!r}, q = {q!r} is outside "
                 "the float range") from None
-        if q2 > m2:
+        m2, q_sq2 = 2 * m, 2 * q_sq
+        if q_sq > m_sq:
             flags = ("super-extremal",)
             rplus = 0.0
 
-            def fval(r, m=m, q=q):
-                return 1 - 2 * m / r + q ** 2 / r ** 2
+            def fval(r):
+                return 1 - m2 / r + q_sq / r ** 2
         else:
-            root = math.sqrt(m2 - q2)
-            rplus = m + root
+            root = math.sqrt(m_sq - q_sq)
+            rplus, rminus = m + root, m - root
 
-            def fval(r, rp=rplus, rm=m - root):
+            def fval(r):
                 # factored, f keeps its relative precision next to r_+
-                return (r - rp) * (r - rm) / r ** 2
+                return (r - rplus) * (r - rminus) / r ** 2
         lo = rplus if r_lo is None else float(r_lo)
 
-        def evaluate(r, m=m, q=q):
-            return fval(r), 2 * m / r ** 2 - 2 * q ** 2 / r ** 3
+        def evaluate(r):
+            return fval(r), m2 / r ** 2 - q_sq2 / r ** 3
 
         metric = MetricProfile(evaluate)
         params = {"m": m, "q": q}
@@ -246,11 +253,13 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             raise InvalidFamilyParamsError(
                 f"schwarzschild-ads: L^2 = {L2!r} is outside the normal float range")
 
-        def fval(r, m=m, L2=L2, p=p):
-            return 1 - 2 * m / r ** p + r ** 2 / L2
+        m2, pm2, p1 = 2 * m, 2 * p * m, p + 1
 
-        def evaluate(r, m=m, L2=L2, p=p):
-            return fval(r), 2 * p * m / r ** (p + 1) + 2 * r / L2
+        def fval(r):
+            return 1 - m2 / r ** p + r ** 2 / L2
+
+        def evaluate(r):
+            return fval(r), pm2 / r ** p1 + 2 * r / L2
 
         if m > 0:
             # f is increasing from -inf with a single positive root r_H; if

@@ -5,6 +5,7 @@ same tableau, step controller and event rule, so dense output, step counts
 and event locations must agree up to rounding.
 """
 
+import builtins
 import functools
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from photonsurf import (
+    ConservedCharges,
     MetricProfile,
     PhotonSurfaceSpec,
     StepControl,
@@ -35,6 +37,7 @@ from photonsurf.ode import (
     _E1, _E3, _E4, _E5, _E6, _E7,
     _dense_eval, _dopri5, _rms,
 )
+from photonsurf.geodesics import _radii_at_times
 from photonsurf.surfaces import ASYMPTOTE_EPS, _sample_grid
 
 from test_spacetime import ISO_FAMILIES
@@ -400,6 +403,54 @@ def test_kernel_compiled_once_per_state_size(monkeypatch):
          "print(o._KERNELS)"], env=dict(os.environ, PYTHONPATH=src),
         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "{}"
+
+
+_builtin_sum = builtins.sum
+
+
+def neumaier_sum(iterable, start=0):
+    """``sum`` by the rule of Python 3.12 and later: float terms are added with
+    Neumaier's compensation, and the compensation is added once at the end."""
+    terms = list(iterable)
+    if not any(isinstance(x, float) for x in terms) or not all(
+            isinstance(x, (int, float)) for x in (start, *terms)):
+        return _builtin_sum(terms, start)
+    total, compensation = float(start), 0.0
+    for x in map(float, terms):
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_outputs_do_not_depend_on_the_float_sum_of_python(monkeypatch):
+    # the step kernel's error norm and the initial step's RMS norms add
+    # left to right, so a solve has the same bits whether the float sum of
+    # the Python running it compensates (3.12 and later) or not: five
+    # Schwarzschild profiles and the oracle geodesic of the last
+    alpha, r0 = 0.4567, 7.925
+    specs = [PhotonSurfaceSpec(0.3, 6.0, sign=1, span=(-4.0, 4.0)),
+             PhotonSurfaceSpec(0.15, 6.0, sign=1, span=(-4.0, 4.0)),
+             PhotonSurfaceSpec(0.25, 4.0, sign=1, span=(-4.0, 4.0)),
+             PhotonSurfaceSpec(0.2, 9.0, sign=-1, span=(-4.0, 4.0)),
+             PhotonSurfaceSpec(alpha, r0, sign=-1, span=(-4.0, 4.0))]
+    st = build_family("schwarzschild", m=1)
+
+    def solve():
+        curves = [integrate_profile(st, spec, STEP) for spec in specs]
+        covered, r, _ = _radii_at_times(st, ConservedCharges(alpha, 1.0), r0, -1,
+                                        curves[-1].t, STEP)
+        return [a for c in curves for a in (c.s, c.t, c.r, c.rdot)] + [covered, r]
+
+    plain = solve()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    monkeypatch.setattr(ode, "_KERNELS", {})
+    # compensated: added left to right, ten 0.1 make 0.9999999999999999
+    assert sum([0.1] * 10) == 1.0
+    compensated = solve()
+    assert len(plain) == len(compensated) == 22
+    for a, b in zip(plain, compensated):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_dopri5_float_range_ends_at_last_accepted_step():

@@ -41,6 +41,7 @@ from photonsurf import (
     integrate_profile,
     turning_points,
 )
+from photonsurf.geodesics import _radii_at_times
 from photonsurf.surfaces import _radial, _sweep_row
 
 from test_sweep import ALPHA_STAR, sweep_grid
@@ -182,6 +183,70 @@ def test_geodesic_against_quadrature(sign):
     assert len(s[0]) > 700
     assert worst(phi, relative=True) <= 5e-11 and worst(t, relative=True) <= 7e-12
     assert worst(s) <= 8e-11
+
+
+@pytest.mark.parametrize("family, params, sign, bound_phi, bound_t, bound_s", [
+    # measured: phi 2.6e-11 and t 3.4e-12 relative, s 3.7e-11
+    ("reissner-nordstrom", dict(m=1, q=0.6), 1, 5.2e-11, 7e-12, 7.5e-11),
+    # measured: phi 7.2e-12 and t 2.8e-12 relative, s 4.0e-11
+    ("reissner-nordstrom", dict(m=1, q=0.6), -1, 1.5e-11, 5.6e-12, 8e-11),
+    # measured: phi 1.5e-11 and t 9.4e-12 relative, s 4.7e-11
+    ("schwarzschild-ads", dict(m=1, L=10.0), 1, 3e-11, 1.9e-11, 9.5e-11),
+    # measured: phi 2.5e-12 and t 1.6e-12 relative, s 4.3e-11
+    ("schwarzschild-ads", dict(m=1, L=10.0), -1, 5e-12, 3.2e-12, 8.6e-11),
+], ids=["rn-q0.6-out", "rn-q0.6-in", "sads-L10-out", "sads-L10-in"])
+def test_rn_and_sads_geodesics_against_quadrature(family, params, sign, bound_phi,
+                                                  bound_t, bound_s):
+    # E = 1, ell = 6, r0 = 10 over affine parameter 0-40, as the
+    # Schwarzschild geodesic above: outward, or inward through the periapsis
+    # and out again. With f = 1 - 2/r + q^2/r^2, G = E^2 - ell^2 f / r^2 is
+    # the quartic E^2 r^4 - ell^2 r^2 + 2 ell^2 r - ell^2 q^2 over r^4; with
+    # f = 1 - 2/r + r^2/L^2 it is the cubic of a = E^2 - ell^2/L^2, b = -ell^2
+    # over r^3. The bounds are about twice the errors measured
+    E, ell, r0 = 1.0, 6.0, 10.0
+    st = build_family(family, **params)
+    if family == "reissner-nordstrom":
+        radial = Radial((E ** 2, 0.0, -ell ** 2, 2 * ell ** 2, -ell ** 2 * params["q"] ** 2),
+                        4, st.r_lo)
+    else:
+        radial = cubic(E ** 2 - ell ** 2 / params["L"] ** 2, -ell ** 2, 3, st.r_lo)
+    traj = integrate_null_geodesic(st, ConservedCharges(E, ell), r0, sign=sign,
+                                   span=(0.0, 40.0))
+    assert traj.work["stop"] == {"forward": "span"}
+    tp = None if sign > 0 else radial.turning_point(3.0, r0)
+    s, phi, t = samples(radial, (lambda r: ell / r ** 2, lambda r: E / st.f(r)), traj.s[1:],
+                        traj.r[1:], (traj.phi[1:], traj.t[1:]), sign, r0, tp)
+    assert len(s[0]) > 700
+    assert worst(phi, relative=True) <= bound_phi and worst(t, relative=True) <= bound_t
+    assert worst(s) <= bound_s
+    if tp is not None:
+        assert tp < traj.r.min() < tp + 1e-6
+
+
+def test_oracle_geodesic_into_the_horizon_against_quadrature():
+    # the open-ended geodesic that `profile --oracle` compares with the
+    # profile (E = alpha, ell = 1), at the profile's times: alpha 0.4567 >
+    # alpha*, r0 7.925, sign -1, span +-4. The profile runs into the horizon
+    # and ends at the boundary; the geodesic follows it down to r - 2 = 3.3e-4,
+    # where t = int E dr / (f sqrt(G)) grows like -2 log(r - 2). r at each
+    # time is compared through t(r) by a quadrature in log(r - 2): to first
+    # order its error is |t - t(r)| dr/dt, dr/dt = f sqrt(G) / E. Measured:
+    # r 2.9e-11, t 1.1e-11 relative to max(1, |t|); the bounds are about
+    # twice that
+    alpha, r0, sign = 0.4567, 7.925, -1
+    curve = integrate_profile(ST, PhotonSurfaceSpec(alpha=alpha, r0=r0, sign=sign,
+                                                    span=(-4.0, 4.0)))
+    assert curve.work["stop"] == {"backward": "span", "forward": "boundary"}
+    covered, r, sol = _radii_at_times(ST, ConservedCharges(alpha, 1.0), r0, sign,
+                                      curve.t, StepControl())
+    assert covered.all() and sol.work["stop"] == {"backward": "span", "forward": "span"}
+    assert r.min() - 2 < 1e-3
+    radial = cubic(alpha ** 2, -1.0, 3)
+    want = np.array([sign * radial.integral(lambda q: alpha / f(q), q, None, r0)
+                     for q in r.tolist()])
+    dr_dt = f(r) * np.sqrt(radial.G(r)) / alpha
+    assert np.max(np.abs(curve.t - want) * dr_dt) <= 6e-11
+    assert np.max(np.abs(curve.t - want) / np.maximum(1.0, np.abs(want))) <= 2.2e-11
 
 
 @pytest.mark.parametrize("family, params, factor, bound_s, bound_t", [

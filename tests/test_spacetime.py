@@ -142,6 +142,69 @@ def test_metric_profiles_accept_arrays(tmp_path):
         np.testing.assert_allclose(df, scalar[1], rtol=1e-12, atol=1e-15)
 
 
+def textbook_profile(family, n=3, m=None, q=None, L=None):
+    """(f, f') of a built-in family as its textbook formula, every constant
+    worked out again at each call."""
+    p = n - 2
+    if family == "minkowski":
+        return lambda r: (1.0 + 0.0 * r, 0.0 * r)
+    if family == "schwarzschild":
+        return lambda r: (1 - 2 * m / r ** p, 2 * p * m / r ** (p + 1))
+    if family == "schwarzschild-ads":
+        return lambda r: (1 - 2 * m / r ** p + r ** 2 / L ** 2,
+                          2 * p * m / r ** (p + 1) + 2 * r / L ** 2)
+
+    def f(r):
+        if q ** 2 > m ** 2:
+            return 1 - 2 * m / r + q ** 2 / r ** 2
+        root = math.sqrt(m ** 2 - q ** 2)
+        return (r - (m + root)) * (r - (m - root)) / r ** 2
+
+    return lambda r: (f(r), 2 * m / r ** 2 - 2 * q ** 2 / r ** 3)
+
+
+def profile_outcome(evaluate, r):
+    """The bytes of (f, f') at r, or the type of the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            f, df = evaluate(r)
+    except (ZeroDivisionError, OverflowError) as e:
+        return type(e)
+    return np.asarray(f, dtype=float).tobytes(), np.asarray(df, dtype=float).tobytes()
+
+
+FAMILY_PARAMS = [("minkowski", 3, {})] + [
+    (family, n, params)
+    for n in (3, 4, 5, 6)
+    for family, params in [("schwarzschild", dict(m=1.0)), ("schwarzschild", dict(m=0.37)),
+                           ("schwarzschild", dict(m=1e300)), ("schwarzschild", dict(m=-0.5)),
+                           ("schwarzschild-ads", dict(m=1.0, L=10.0)),
+                           ("schwarzschild-ads", dict(m=0.3, L=2.5))]
+] + [("reissner-nordstrom", 3, dict(m=m, q=q))
+     for m, q in [(1.0, 0.6), (1.0, 0.999999), (1.0, 1.1 ** 0.5), (3.7, 2.0), (1.0, 1.5)]]
+
+
+@pytest.mark.parametrize("family, n, params", FAMILY_PARAMS,
+                         ids=[f"{f}-n{n}-{p}" for f, n, p in FAMILY_PARAMS])
+def test_built_in_profiles_equal_their_textbook_formulas_bit_for_bit(family, n, params):
+    # the built-in profiles fold their constants when built; on floats and on
+    # arrays they give the bits of the formulas written out, and raise the
+    # same exceptions: ZeroDivisionError at r = 0 and OverflowError where a
+    # power of r leaves the float range
+    st = build_family(family, n=n, **params)
+    reference = textbook_profile(family, n, **params)
+    rng = np.random.default_rng(n)
+    scale = max(1.0, st.r_lo)
+    radii = np.concatenate((scale * 10 ** rng.uniform(-4, 4, 2000), -10 ** rng.uniform(-4, 4, 200),
+                            [0.0, -0.0, 1e155, 1e200, 1e308, math.inf, -math.inf, math.nan]))
+    for r in radii.tolist():
+        assert profile_outcome(st.metric.evaluate, r) == profile_outcome(reference, r), r
+    assert profile_outcome(st.metric.evaluate, radii) == profile_outcome(reference, radii)
+    for r, error in ((0.0, ZeroDivisionError), (1e200, OverflowError)):
+        if family != "minkowski":
+            assert profile_outcome(st.metric.evaluate, r) is error
+
+
 def test_math_module_profile_integrates(schw3):
     from photonsurf import PhotonSurfaceSpec, integrate_profile
     # Schwarzschild written with scalar-only math functions: the profile is
