@@ -28,6 +28,7 @@ from .errors import (
     InvalidFamilyParamsError,
     PhotonSurfError,
     UnknownFamilyError,
+    _FLOAT_RANGE_ERRORS,
 )
 from .geodesics import (
     ConservedCharges,
@@ -57,8 +58,6 @@ EXIT_EMPTY_SWEEP = 4
 EXIT_VERIFY_FAILED = 5
 # most output samples one curve may ask for: span length / spacing
 MAX_SAMPLES = 1e6
-# what plain-float arithmetic raises on radii near the ends of the float range
-_FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
 # fewest samples (cells x span / spacing) of a sweep that forks a helper to
 # run every other row: below that, forking it mostly costs more than it
 # saves (measured in BENCH_25.json, small_sweeps)
@@ -239,17 +238,16 @@ def _profile_table(curve):
         curve.s, curve.t, curve.r, curve.tdot, curve.rdot, curve.unit_residual)
 
 
-def _helper(conn, row, rows):
-    """Body of the helper process a sweep forks: run ``row`` on each index
-    of ``rows`` in order, stopping at the first that raises, and send the
-    list of results on ``conn``, the error last if one was raised."""
+def _run_rows(row, rows):
+    """``row`` of each index of ``rows`` in order, stopping at the first
+    that raises: the list of results, the error last if one was raised."""
     results = []
     try:
         for ia in rows:
             results.append(row(ia))
     except Exception as e:  # raised again by the sweep, in row order
         results.append(e)
-    conn.send(results)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +418,10 @@ def cmd_sweep(args, cp):
             item.update(file=name, status="ok", reason=None,
                         classification=cls.kind.value,
                         turning_radii=turning, samples=len(curve.s), work=curve.work)
-        # each orbit's anchor and the work record of its solve
+        # each orbit's anchor and the work record of its solve, or its error
         return items, [{"alpha": o.alpha, "anchor_r": o.anchor, "anchor_kind": o.kind,
-                        "work": o.sol.work} for o in orbits]
+                        **({"error": str(o.sol)} if isinstance(o.sol, Exception)
+                           else {"work": o.sol.work})} for o in orbits]
 
     # with two CPUs, a large grid of two rows or more is split by row: a
     # helper forked before the first row runs the odd rows, the sweep the
@@ -431,6 +430,7 @@ def cmd_sweep(args, cp):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     helper = cpus > 1 and len(alphas) > 1 and (
         len(alphas) * len(r0s) * (span[1] - span[0]) / step.sample_spacing >= _HELPER_SAMPLES)
+    stride = 2 if helper else 1
     proc = None
     try:
         if helper:
@@ -439,22 +439,16 @@ def cmd_sweep(args, cp):
             # longer than a sweep; the row code runs no BLAS code
             ctx = multiprocessing.get_context("fork")
             conn, theirs = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_helper, args=(theirs, row, range(1, len(alphas), 2)),
-                               daemon=True)
+            proc = ctx.Process(target=lambda: theirs.send(
+                _run_rows(row, range(1, len(alphas), 2))), daemon=True)
             proc.start()
             theirs.close()  # only the helper holds it: its death reads as EOF
-        own = {}
-        for ia in range(0, len(alphas), 2 if helper else 1):
-            try:
-                own[ia] = row(ia)
-            except Exception as e:  # raised below in row order, as a serial sweep would
-                own[ia] = e
-                break
+        results = [_run_rows(row, range(0, len(alphas), stride))]
         # the helper's CSVs are complete before sweep.gp and the manifest
-        helped = iter(conn.recv() if helper else ())
+        results += [conn.recv()] if helper else []
         items, orbits = [], []  # one solve per (alpha, component), shared by its cells
         for ia in range(len(alphas)):
-            result = own[ia] if ia in own else next(helped)
+            result = results[ia % stride][ia // stride]
             if isinstance(result, Exception):
                 raise result
             for item in result[0]:

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# what plain-float arithmetic raises on radii near the ends of the float range
+_FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)
+
 
 class PhotonSurfError(Exception):
     """Base class for all package-specific errors."""

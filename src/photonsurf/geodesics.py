@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ForbiddenRadiusError, PrincipalNullError
+from .errors import PrincipalNullError
 from .ode import _dense_eval, _inverse, _linear
 from .spacetime import ClassSSpacetime
 from .surfaces import (
@@ -27,6 +27,7 @@ from .surfaces import (
     ProfileCurve,
     StepControl,
     _check_positive,
+    _check_r0,
     _check_sign,
     _check_span,
     _curve,
@@ -126,8 +127,7 @@ def _null_solution(st, charges, r0, sign, span, step, stops=(None, None)):
     ``_integrate_radial`` with ``stops``, or, for data held on a photon
     sphere, the exact circular orbit over span."""
     E, ell = charges.energy, charges.angular_momentum
-    if not st.contains(r0):
-        raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
+    _check_r0(st, r0)
     radial = _radial(st, E / ell) if ell > 0 else None
     r_fix = radial.held(r0) if radial else None
     if r_fix is not None:

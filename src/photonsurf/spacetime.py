@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     InvalidFamilyParamsError,
     UnknownFamilyError,
+    _FLOAT_RANGE_ERRORS,
 )
 from .ode import StepControl, _brentq, _dense_eval, _inverse, _newton, _quadrature
 
@@ -98,7 +99,7 @@ class ClassSSpacetime:
 
     @property
     def vacuum(self) -> bool:
-        return self.family in ("minkowski", "schwarzschild")
+        return self.einstein_constant == 0.0
 
     @property
     def einstein_constant(self) -> Optional[float]:
@@ -141,10 +142,11 @@ def _interval(r_lo, r_hi) -> tuple[float, float]:
 
 def _spacetime(n, r_lo, r_hi, metric, *args) -> ClassSSpacetime:
     """ClassSSpacetime(n, r_lo, r_hi, metric, *args) on ``_interval(r_lo,
-    r_hi)``, once f > 0 holds on 256 log-spaced points of its scan bracket."""
+    r_hi)``, once f > 0 holds on 256 log-spaced points of its scan bracket,
+    and at r_lo (1 + 1e-12) when r_lo > 0."""
     st = ClassSSpacetime(n, *_interval(r_lo, r_hi), metric, *args)
-    lo, hi = st.default_bracket()
-    rs = np.geomspace(lo, hi, 256)
+    rs = np.concatenate(([st.r_lo * (1 + 1e-12)] if st.r_lo > 0 else [],
+                         np.geomspace(*st.default_bracket(), 256)))
     with np.errstate(all="ignore"):  # f' is not read; a NaN f fails below
         fs = st.f(rs)
     if not np.all(fs > 0):  # NaN fails too, and argmin finds it first
@@ -181,7 +183,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
     params: dict = {}
 
     if family == "minkowski":
-        lo = 0.0 if r_lo is None else float(r_lo)
+        lo, power = 0.0 if r_lo is None else float(r_lo), 0
         # 0 * r keeps the shape of array arguments
         metric = MetricProfile(lambda r: (1.0 + 0.0 * r, 0.0 * r))
     elif family == "schwarzschild":
@@ -190,19 +192,16 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         m = float(m)
         rm = (2 * m) ** (1 / (n - 2)) if m > 0 else 0.0
         lo = rm if r_lo is None else float(r_lo)
-        if m > 0 and lo < rm * (1 - 1e-12):
-            raise InvalidFamilyParamsError(
-                f"r_lo = {lo:.6g} below horizon radius {rm:.6g}")
         p = n - 2
         # constants folded when built, every operation in its order: the
         # bits of 1 - 2 m / r^p and 2 p m / r^(p + 1), with r^1 = r
-        m2, pm2, p1 = 2 * m, 2 * p * m, p + 1
+        m2, pm2, power = 2 * m, 2 * p * m, p + 1
         if p == 1:
             def evaluate(r):
                 return 1 - m2 / r, pm2 / r ** 2
         else:
             def evaluate(r):
-                return 1 - m2 / r ** p, pm2 / r ** p1
+                return 1 - m2 / r ** p, pm2 / r ** power
 
         metric = MetricProfile(evaluate)
         params = {"m": m}
@@ -233,7 +232,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             def fval(r):
                 # factored, f keeps its relative precision next to r_+
                 return (r - rplus) * (r - rminus) / r ** 2
-        lo = rplus if r_lo is None else float(r_lo)
+        lo, power = rplus if r_lo is None else float(r_lo), 3
 
         def evaluate(r):
             return fval(r), m2 / r ** 2 - q_sq2 / r ** 3
@@ -253,13 +252,13 @@ def build_family(family: str, n: int = 3, m: float | None = None,
             raise InvalidFamilyParamsError(
                 f"schwarzschild-ads: L^2 = {L2!r} is outside the normal float range")
 
-        m2, pm2, p1 = 2 * m, 2 * p * m, p + 1
+        m2, pm2, power = 2 * m, 2 * p * m, p + 1
 
         def fval(r):
             return 1 - m2 / r ** p + r ** 2 / L2
 
         def evaluate(r):
-            return fval(r), pm2 / r ** p1 + 2 * r / L2
+            return fval(r), pm2 / r ** power + 2 * r / L2
 
         if m > 0:
             # f is increasing from -inf with a single positive root r_H; if
@@ -270,7 +269,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
                     lo_end, hi_end, xtol = lo_end / 2, lo_end, 0.0
                 while fval(hi_end) <= 0:
                     hi_end *= 2
-            except (OverflowError, ZeroDivisionError):  # r ** p out of range
+            except _FLOAT_RANGE_ERRORS:  # r ** p out of range
                 hi_end = math.inf
             if not sys.float_info.min <= lo_end < hi_end < math.inf:
                 raise InvalidFamilyParamsError(
@@ -291,11 +290,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         params = {"m": m, "L": L}
     else:
         raise UnknownFamilyError(f"unknown family {family!r}")
-    # f' divides by the highest power of r it uses, which must stay a
-    # normal float at the inner end of the interval (the horizon unless
-    # r_lo is given)
-    power = {"schwarzschild": n - 1, "schwarzschild-ads": n - 1,
-             "reissner-nordstrom": 3}.get(family)
+    # r^power, the divisor of f', must stay a normal float at r_lo (the horizon by default)
     if power and 0 < lo < 1 and lo ** power < sys.float_info.min:
         raise InvalidFamilyParamsError(
             f"{family}: r^{power} at r_lo = {lo!r} is below the normal float range")

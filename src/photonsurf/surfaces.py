@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ForbiddenRadiusError, StepUnderflowError, \
-    TooFewSamplesError
+    TooFewSamplesError, _FLOAT_RANGE_ERRORS
 from .ode import (
     SolveStats,
     StepControl,
@@ -84,6 +84,12 @@ def _check_positive(value, name="umbilicity factor alpha", zero=False) -> None:
     """Raise ValueError unless value > 0 (value >= 0 with ``zero``); NaN fails."""
     if not (value >= 0 if zero else value > 0):
         raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'}")
+
+
+def _check_r0(st, r0) -> None:
+    """Raise ForbiddenRadiusError unless r0 lies in (r_lo, r_hi)."""
+    if not st.contains(r0):
+        raise ForbiddenRadiusError(f"r0 = {r0:.6g} outside radial interval")
 
 
 def _check_samples(s, what="the curve") -> None:
@@ -481,8 +487,7 @@ def integrate_profile(st: ClassSSpacetime, spec: PhotonSurfaceSpec,
     (|r - r_*| and |dr/ds| jointly below ASYMPTOTE_EPS).
     """
     alpha = spec.alpha
-    if not st.contains(spec.r0):
-        raise ForbiddenRadiusError(f"r0 = {spec.r0:.6g} outside radial interval")
+    _check_r0(st, spec.r0)
     radial = _radial(st, alpha)
     r_fix = radial.held(spec.r0)
     if r_fix is not None:
@@ -519,7 +524,7 @@ _ORBIT_SPAN, _TURNED_BACK = "span", "turned-back"
 
 class _Orbit(NamedTuple):
     """One open-ended solve through the sweep cells of one (alpha, component):
-    the anchor radius, its kind and the ``ode._Solution``."""
+    the anchor radius, its kind and the ``ode._Solution`` or, failed, its error."""
 
     alpha: float
     anchor: float
@@ -617,7 +622,7 @@ def _sweep_row(st, alpha, r0s, span, step):
             if not lo < r0 < hi or ends is None or None not in ends or \
                     radial.held(r0) is not None or not alpha ** 2 * r0 ** 2 - st.f(r0) > 0:
                 continue
-        except (OverflowError, ZeroDivisionError):
+        except _FLOAT_RANGE_ERRORS:
             continue  # beyond the float range: integrate_profile says why
         groups.setdefault(ends, []).append(i)
 
@@ -646,7 +651,8 @@ def _sweep_row(st, alpha, r0s, span, step):
         try:
             sol = _integrate_radial(st, rhs, y0, (-math.inf, math.inf), step,
                                     stops=stops, window=(span, starts), first=first)
-        except StepUnderflowError:
+        except StepUnderflowError as e:
+            orbits.append(_Orbit(alpha, r_a, kind, e))
             continue
         _orbit_starts(passed, s0s)  # the cells of a half that ended early
         orbits.append(_Orbit(alpha, r_a, kind, sol))

@@ -19,6 +19,8 @@ from photonsurf import cli, ode
 from photonsurf.cli import _profile_table, _write_csv, fmt, main
 from photonsurf.errors import StepBudgetError
 
+from test_spacetime import horizon_table
+
 
 def write_config(path, text):
     path.write_text(text)
@@ -840,6 +842,23 @@ def test_isotropic_beyond_the_float_range_exits_3(tmp_path, capsys):
     with np.errstate(over="ignore"):
         assert main(["--config", cfg, "--out", str(tmp_path / "iso"), "isotropic"]) == 3
     assert "r0 = 3e+300 leaves the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "isotropic"])
+@pytest.mark.parametrize("kind", ["rn", "table"])
+def test_r_lo_just_inside_a_horizon_exits_2(tmp_path, capsys, command, kind):
+    # RN (m 1, q 0.6) at r_lo = r_+ (1 - 1e-7), where f = -8.9e-8, and a
+    # Schwarzschild table whose first row lies 1e-7 inside r = 2: each
+    # interval holds a zero of f, a config error, so no solve starts
+    if kind == "rn":
+        r_lo = photonsurf.build_family("reissner-nordstrom", m=1, q=0.6).r_lo * (1 - 1e-7)
+        spacetime = f"family = reissner-nordstrom\nm = 1\nq = 0.6\nr_lo = {r_lo!r}\n"
+    else:
+        spacetime = f"family = custom\ntable = {horizon_table(tmp_path / 'f.csv')}\n"
+    cfg = write_config(tmp_path / "c.ini", "[spacetime]\n" + spacetime)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not > 0" in err and "Traceback" not in err
 
 
 def test_spheres_out_creates_directory(tmp_path):

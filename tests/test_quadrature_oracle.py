@@ -12,7 +12,9 @@ In Schwarzschild (m = 1) both G are c(r) / r^k with the cubic
 c(r) = a r^3 + b r - 2 b: a profile has a = alpha^2, b = -1, k = 1, a
 geodesic a = E^2, b = -ell^2, k = 3. A Schwarzschild-AdS (m = 1) profile has
 the same cubic with a = alpha^2 - L^-2, and a Reissner-Nordstrom (m = 1)
-profile the quartic c(r) = alpha^2 r^4 - r^2 + 2 r - q^2 with k = 2. From a
+profile the quartic c(r) = alpha^2 r^4 - r^2 + 2 r - q^2 with k = 2, and a
+Schwarzschild profile in n >= 4 dimensions (f = 1 - 2/r^p, p = n - 2) the
+polynomial c(r) = alpha^2 r^(p+2) - r^p + 2 with k = p. From a
 turning point r_tp, a root of c, the integrals run in x = sqrt(r - r_tp),
 where G = x^2 p(r) / r^k with the quotient p(r) = c(r) / (r - r_tp) (for
 the cubic a r^2 + a r_tp r + a r_tp^2 + b), so no cancellation is left;
@@ -285,6 +287,45 @@ def test_rn_and_sads_profiles_against_quadrature(family, params, factor, bound_s
         assert worst(s) <= bound_s, d
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound_t, d
     assert curve.r.min() < (tp + 1e-6 if factor < 1 else st.r_lo * (1 + 1e-2))
+
+
+@pytest.mark.parametrize("n, factor, bound_s, bound_t", [
+    # measured: s 3.3e-12, t 6.6e-13
+    (4, 0.8, 6.6e-12, 1.3e-12),
+    # measured: s 1.3e-12, t 9.2e-12
+    (4, 1.2, 2.6e-12, 1.8e-11),
+    # measured: s 3.5e-12, t 6.0e-13
+    (5, 0.8, 7e-12, 1.2e-12),
+    # measured: s 1.2e-12, t 5.2e-12
+    (5, 1.2, 2.4e-12, 1e-11),
+], ids=["n4-below", "n4-above", "n5-below", "n5-above"])
+def test_higher_dimensional_schwarzschild_profiles_against_quadrature(n, factor, bound_s,
+                                                                       bound_t):
+    # Schwarzschild (m = 1) in n = 4 and 5, as the RN and SAdS profiles
+    # above: alpha = factor alpha*, r0 6, span (-10, 5). Below alpha* the
+    # backward half passes the outer turning point; above it, it runs into
+    # the horizon r_H = 2^(1/p) and ends there. t is compared relative to
+    # max(1, |t|); the bounds, over both halves, are about twice the errors
+    # measured
+    p = n - 2
+    st = build_family("schwarzschild", n=n, m=1)
+    alpha = factor * st.spheres[0].alpha_star
+    radial = Radial((alpha ** 2, 0.0, -1.0) + (0.0,) * (p - 1) + (2.0,), p, 2 ** (1 / p))
+    curve = integrate_profile(st, PhotonSurfaceSpec(alpha=alpha, r0=6.0, span=(-10.0, 5.0)))
+    turning = turning_points(st, alpha)
+    assert curve.work["stop"] == {
+        "backward": "span" if factor < 1 else "boundary", "forward": "span"}
+    assert len(turning) == (2 if factor < 1 else 0)
+    for d, half in ((1, curve.s >= 0), (-1, curve.s <= 0)):
+        tp = radial.turning_point(turning[-1] * (1 - 1e-6), turning[-1] * (1 + 1e-6)) \
+            if d < 0 and turning else None
+        s, (got, want) = samples(radial, (lambda r: alpha * r / (1 - 2 / r ** p),),
+                                 curve.s[half], curve.r[half], (curve.t[half],), 1, 6.0, tp)
+        assert len(s[0]) > 70
+        assert worst(s) <= bound_s, d
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound_t, d
+    # the nearest sample to the turning point or the horizon, relative
+    assert curve.r.min() < (tp * (1 + 1e-6) if factor < 1 else 2 ** (1 / p) * (1 + 1e-2))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -573,6 +573,41 @@ def test_every_constructor_rejects_a_bad_interval(tmp_path, r_lo, r_hi):
         spacetime_from_table(table, r_lo=r_lo, r_hi=r_hi)
 
 
+def horizon_table(path):
+    """A Schwarzschild (m = 1) table of 400 rows: the first lies 1e-7 inside
+    r = 2, the rest at 2 + 1e-12 ... 50 spaced in log(r - 2), so that the
+    monotone interpolant is positive just above r = 2."""
+    rs = np.concatenate(([2 * (1 - 1e-7)], 2 + np.geomspace(1e-12, 48, 399)))
+    path.write_text("r,f\n" + "".join(f"{r!r},{1 - 2 / r!r}\n" for r in rs.tolist()))
+    return path
+
+
+@pytest.mark.parametrize("build, r_h", [
+    (lambda r_lo, _: build_family("reissner-nordstrom", m=1, q=0.6, r_lo=r_lo),
+     build_family("reissner-nordstrom", m=1, q=0.6).r_lo),
+    (lambda r_lo, _: build_family("schwarzschild-ads", m=1, L=10.0, r_lo=r_lo),
+     build_family("schwarzschild-ads", m=1, L=10.0).r_lo),
+    (lambda r_lo, _: build_family("schwarzschild", n=3, m=1, r_lo=r_lo), 2.0),
+    (lambda r_lo, _: build_family("schwarzschild", n=5, m=1, r_lo=r_lo),
+     build_family("schwarzschild", n=5, m=1).r_lo),
+    (lambda r_lo, _: custom_spacetime(lambda r: 1 - 2 / r, 3, r_lo, math.inf), 2.0),
+    (lambda r_lo, path: spacetime_from_table(horizon_table(path), r_lo=r_lo), 2.0),
+], ids=["rn", "sads", "schwarzschild-n3", "schwarzschild-n5", "custom", "table"])
+def test_every_constructor_refuses_r_lo_just_inside_a_horizon(tmp_path, build, r_h):
+    # the scan of f > 0 starts at r_lo (1 + 1e-6), so a zero of f between
+    # r_lo and there is seen only by the read of f at r_lo (1 + 1e-12)
+    path = tmp_path / "f.csv"
+    for r_lo in (r_h, r_h * (1 - 1e-13)):
+        assert build(r_lo, path).r_lo == r_lo
+    with pytest.raises(InvalidFamilyParamsError, match="not > 0"):
+        build(r_h * (1 - 1e-7), path)
+
+
+def test_table_whose_first_row_lies_inside_the_horizon_is_refused(tmp_path):
+    with pytest.raises(InvalidFamilyParamsError, match="not > 0"):
+        spacetime_from_table(horizon_table(tmp_path / "f.csv"))
+
+
 def test_negative_r_lo_becomes_zero_in_every_constructor(tmp_path):
     table = tmp_path / "f.csv"
     table.write_text("r,f\n" + "".join(f"{r},1.0\n" for r in range(0, 12)))

@@ -332,10 +332,12 @@ def test_row_without_orbit_anchor_takes_per_cell_path(tmp_path):
 
 def test_cells_of_a_failed_orbit_take_per_cell_path(tmp_path, monkeypatch):
     # the open-ended orbit solve of the row raises StepUnderflowError: its
-    # cells are integrated on their own, and the manifest names no orbit
+    # cells are integrated on their own, and the manifest lists the orbit
+    # with its anchor and error and no work record
     alpha, r0s = 0.3, [3.5, 6.0, 9.0]
     _, manifest = run_sweep(tmp_path, "orbit", [alpha], r0s)
     assert [cell["orbit"] for cell in manifest["cells"]] == [0, 0, 0]
+    (solved,) = manifest["orbits"]
 
     integrate_radial, failed = surfaces._integrate_radial, []
 
@@ -347,7 +349,10 @@ def test_cells_of_a_failed_orbit_take_per_cell_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(surfaces, "_integrate_radial", failing)
     out, manifest = run_sweep(tmp_path, "sweep", [alpha], r0s)
-    assert failed and manifest["orbits"] == []
+    assert failed
+    (orbit,) = manifest["orbits"]
+    assert orbit == {"alpha": alpha, "anchor_r": solved["anchor_r"],
+                     "anchor_kind": solved["anchor_kind"], "error": "step-size underflow"}
     for cell, r0 in zip(manifest["cells"], r0s):
         assert "orbit" not in cell and attempted(cell["work"]["solve_stats"]) > 0
         assert (out / cell["file"]).read_bytes() == \
