@@ -238,6 +238,13 @@ def _profile_table(curve):
         curve.s, curve.t, curve.r, curve.tdot, curve.rdot, curve.unit_residual)
 
 
+def _out_dir(args):
+    """The output directory, made if it is missing: --out, else the working one."""
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    return out
+
+
 def _run_rows(row, rows):
     """``row`` of each index of ``rows`` in order, stopping at the first
     that raises: the list of results, the error last if one was raised."""
@@ -270,8 +277,7 @@ def cmd_spheres(args, cp):
                 print(",".join(fmt(row[k]) for k in ("r_star", "alpha_star", "b_star"))
                       + f",{str(row['stable']).lower()}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_manifest(args.out, "spheres_manifest.json", st,
+        _write_manifest(_out_dir(args), "spheres_manifest.json", st,
                         {"operation": "spheres", "spheres": rows, "outputs": []})
     return EXIT_OK
 
@@ -285,7 +291,8 @@ def _profile_spec(cp):
 
 def _step_control(cp, section, span):
     try:
-        step = StepControl(sample_spacing=_sec_float(cp[section], "spacing", 1e-2))
+        step = StepControl(sample_spacing=_sec_float(cp[section], "spacing",
+                                                        StepControl.sample_spacing))
     except ValueError as e:
         raise SystemExitWith(EXIT_CONFIG, f"[{section}] {e}")
     samples = (span[1] - span[0]) / step.sample_spacing
@@ -305,8 +312,7 @@ def cmd_profile(args, cp):
     turning = turning_points(st, spec.alpha)
     res = ode_residuals(st, curve)
 
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "profile.csv"), *_profile_table(curve))
     payload = {
         "operation": "profile",
@@ -348,8 +354,7 @@ def cmd_geodesic(args, cp):
     step = _step_control(cp, "geodesic", span)
     traj = integrate_null_geodesic(st, charges, r0, sign=sign, span=span, step=step)
 
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "geodesic.csv"), "s,t,r,phi,null_residual",
                (traj.s, traj.t, traj.r, traj.phi, traj.null_residual))
     payload = {
@@ -381,8 +386,7 @@ def cmd_sweep(args, cp):
     span = _sec_span(sec)
     step = _step_control(cp, "sweep", span)
 
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
 
     def row(ia):
         """Manifest items and orbit records of row ``ia``, orbit indices
@@ -460,27 +464,19 @@ def cmd_sweep(args, cp):
         if proc is not None:
             proc.terminate()
             proc.join()
-    outputs = [item["file"] for item in items if item["status"] == "ok"]
-    if not outputs:
+    written = [item for item in items if item["status"] == "ok"]
+    if not written:
         print("sweep produced no curves", file=sys.stderr)
         return EXIT_EMPTY_SWEEP
 
     # grouping is by umbilicity factor: the cylinder is the critical
     # group's distinguished member, not a group of its own
-    def group_of(kind):
-        return "Critical" if kind in ("PhotonSphere", "Critical") else kind
-
-    groups = sorted({group_of(it["classification"]) for it in items
-                     if it["status"] == "ok"})
+    groups = sorted({"Critical" if it["classification"] == "PhotonSphere"
+                     else it["classification"] for it in written})
     gp_lines = ["set datafile separator ','",
                 "set xlabel 't'", "set ylabel 'r'", "set key outside"]
-    plot_parts = []
-    for it in items:
-        if it["status"] != "ok":
-            continue
-        title = f"{it['classification']} a={fmt(it['alpha'])} r0={fmt(it['r0'])}"
-        plot_parts.append(
-            f"'{it['file']}' using 2:3 with lines title '{title}'")
+    plot_parts = [f"'{it['file']}' using 2:3 with lines title '{it['classification']} "
+                  f"a={fmt(it['alpha'])} r0={fmt(it['r0'])}'" for it in written]
     gp_lines.append("plot \\\n  " + ", \\\n  ".join(plot_parts))
     gp_path = os.path.join(out, "sweep.gp")
     with open(gp_path, "w") as fh:
@@ -492,9 +488,9 @@ def cmd_sweep(args, cp):
         "classification_groups": groups,
         "orbits": orbits,
         "cells": items,
-        "outputs": outputs + ["sweep.gp"],
+        "outputs": [it["file"] for it in written] + ["sweep.gp"],
     })
-    print(f"sweep: {len(outputs)}/{len(items)} cells produced curves; "
+    print(f"sweep: {len(written)}/{len(items)} cells produced curves; "
           f"groups: {', '.join(groups)}")
     return EXIT_OK
 
@@ -506,8 +502,7 @@ def cmd_verify(args, cp):
               "checks": checks,
               "passed": all(c["passed"] for c in checks)}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_manifest(args.out, "verify_report.json", st, report)
+        _write_manifest(_out_dir(args), "verify_report.json", st, report)
     if args.format == "json":
         print(json.dumps(report, **_JSON))
     else:
@@ -540,8 +535,7 @@ def cmd_isotropic(args, cp):
     ss = _iso_grid(iso, int(samples))
     p, dp, nn, dnn = iso.evaluate(ss)
 
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "isotropic.csv"),
                "s,r,psi,dpsi_ds,N,dN_ds,log_gap",
                (ss, ss * p, p, dp, nn, dnn, dnn / nn - dp / p))
@@ -622,7 +616,3 @@ def main(argv=None) -> int:
     except (PhotonSurfError, *_FLOAT_RANGE_ERRORS) as e:
         print(f"error: {_reason(e)}", file=sys.stderr)
         return EXIT_INVALID_SPEC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -153,7 +153,7 @@ def _null_solution(st, charges, r0, sign, span, step, stops=(None, None)):
 def generated_surface_profile(traj: NullGeodesicTrajectory,
                               st: ClassSSpacetime) -> ProfileCurve:
     """Project a trajectory in ``st`` to the unit-speed radial profile of its
-    surface, sampled every 1e-2 of its arclength.
+    surface, sampled every ``StepControl.sample_spacing`` of its arclength.
 
     Requires ell > 0.  The induced profile arclength satisfies
     d(sigma)/ds = ell / r, so the projected curve obeys the photon surface
@@ -164,7 +164,7 @@ def generated_surface_profile(traj: NullGeodesicTrajectory,
 
     # sample only the arclength the trajectory's own samples cover
     sol = traj._dense
-    sig = _sample_grid((traj.arclength[0], traj.arclength[-1]), 1e-2)
+    sig = _sample_grid((traj.arclength[0], traj.arclength[-1]), StepControl.sample_spacing)
     s = _inverse(sol, 4)(sig)
     t, r, v = _dense_eval(sol.dense, s)[:3]
     # dr/dsigma = (dr/ds) r / ell

@@ -377,12 +377,10 @@ def verification_suite(st: ClassSSpacetime, tol_scale: float = 1.0) -> list[dict
 
     # isotropic rewrites need a radius chart extending to large r
     if math.isfinite(st.r_hi):
-        checks.append(_check(
-            "isotropic-photon-sphere", None, 1e-8 * tol_scale, skipped=True,
-            message="finite radial interval: no asymptotic calibration"))
-        checks.append(_check(
-            "isotropic-photon-surface", None, 1e-5 * tol_scale, skipped=True,
-            message="finite radial interval: no asymptotic calibration"))
+        for name, tol in (("isotropic-photon-sphere", 1e-8),
+                          ("isotropic-photon-surface", 1e-5)):
+            checks.append(_check(name, None, tol * tol_scale, skipped=True,
+                                 message="finite radial interval: no asymptotic calibration"))
         return checks
 
     iso = to_isotropic(st, r0=probe)

@@ -7,10 +7,10 @@ profiles, and the conversion between area-radius and isotropic form.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
@@ -140,13 +140,15 @@ def _interval(r_lo, r_hi) -> tuple[float, float]:
     return r_lo, r_hi
 
 
-def _spacetime(n, r_lo, r_hi, metric, *args) -> ClassSSpacetime:
+def _spacetime(n, r_lo, r_hi, metric, *args, zeros=()) -> ClassSSpacetime:
     """ClassSSpacetime(n, r_lo, r_hi, metric, *args) on ``_interval(r_lo,
     r_hi)``, once f > 0 holds on 256 log-spaced points of its scan bracket,
-    and at r_lo (1 + 1e-12) when r_lo > 0."""
+    at r_lo (1 + 1e-12) when r_lo > 0, and at the given ``zeros`` of f
+    clipped to the range of those points, which can step over a zero."""
     st = ClassSSpacetime(n, *_interval(r_lo, r_hi), metric, *args)
     rs = np.concatenate(([st.r_lo * (1 + 1e-12)] if st.r_lo > 0 else [],
                          np.geomspace(*st.default_bracket(), 256)))
+    rs = np.concatenate((rs, np.clip(zeros, rs[0], rs[-1])))
     with np.errstate(all="ignore"):  # f' is not read; a NaN f fails below
         fs = st.f(rs)
     if not np.all(fs > 0):  # NaN fails too, and argmin finds it first
@@ -181,6 +183,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
     r_hi = math.inf if r_hi is None else r_hi
     flags: tuple = ()
     params: dict = {}
+    zeros: tuple = ()  # of f, read by _spacetime
 
     if family == "minkowski":
         lo, power = 0.0 if r_lo is None else float(r_lo), 0
@@ -228,6 +231,8 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         else:
             root = math.sqrt(m_sq - q_sq)
             rplus, rminus = m + root, m - root
+            # f <= 0 on [r_-, r_+], a band the scan's points can step over
+            zeros = (rminus, rplus)
 
             def fval(r):
                 # factored, f keeps its relative precision next to r_+
@@ -295,7 +300,7 @@ def build_family(family: str, n: int = 3, m: float | None = None,
         raise InvalidFamilyParamsError(
             f"{family}: r^{power} at r_lo = {lo!r} is below the normal float range")
 
-    return _spacetime(n, lo, r_hi, metric, family, params, flags)
+    return _spacetime(n, lo, r_hi, metric, family, params, flags, zeros=zeros)
 
 
 def custom_spacetime(f, n: int, r_lo: float, r_hi: float,
@@ -377,27 +382,20 @@ def spacetime_from_table(path, n: int = 3, r_lo: float | None = None,
     # imported here: scipy.interpolate takes over 0.5 s, and only tables need it
     from scipy.interpolate import PchipInterpolator
 
-    rs, fs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [c.strip() for c in header[:2]] != ["r", "f"]:
-            raise DomainError(f"profile table must have header 'r,f', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                r, f = map(float, row[:2])
-            except ValueError:
-                r = f = math.nan
-            if not (math.isfinite(r) and math.isfinite(f)):
-                raise DomainError(f"profile table line {reader.line_num}: {row} "
-                                  "is not two finite numbers r, f")
-            rs.append(r)
-            fs.append(f)
-    rs, fs = np.asarray(rs), np.asarray(fs)
-    if len(rs) < 4 or np.any(np.diff(rs) <= 0):
-        raise DomainError("profile table needs >= 4 rows with strictly increasing r")
+    with open(path) as fh:
+        header = [c.strip() for c in fh.readline().split(",")]
+        if header[:2] != ["r", "f"]:
+            raise DomainError(f"profile table {path} must have header 'r,f', got {header}")
+        try:
+            with warnings.catch_warnings():  # a table of no rows is refused below
+                warnings.simplefilter("ignore")
+                rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
+        except ValueError as e:
+            raise DomainError(f"profile table {path}: {e}") from None
+    rs, fs = rows.T
+    if len(rs) < 4 or not (np.all(np.isfinite(rows)) and np.all(np.diff(rs) > 0)):
+        raise DomainError(f"profile table {path} needs >= 4 rows of finite numbers r, f "
+                          "with strictly increasing r")
     interp = PchipInterpolator(rs, fs)
     dinterp = interp.derivative()
     metric = MetricProfile(lambda r: (interp(r), dinterp(r)))

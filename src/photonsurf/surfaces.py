@@ -411,11 +411,10 @@ def _integrate_radial(st, rhs, y0, span, step, sphere=None,
                 return reason
             if reads is None:
                 r, dr = y[1], d * y[2]  # dr: the rate of r along the half-line
-                if r - r_lo > band_lo and not r_hi - r <= band_hi < math.inf:
-                    return None  # outside both bands
-                near_lo = dr < 0 and r - r_lo <= band_lo
-                near_hi = dr > 0 and r_hi - r <= band_hi < math.inf
-                starts = starts_of(d) if near_lo or near_hi else None
+                if not (dr < 0 and r - r_lo <= band_lo
+                        or dr > 0 and r_hi - r <= band_hi < math.inf):
+                    return None  # not in a band, heading to its end
+                starts = starts_of(d)
                 if starts is None:
                     return None
                 # the farthest sample of any window

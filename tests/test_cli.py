@@ -845,20 +845,31 @@ def test_isotropic_beyond_the_float_range_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "isotropic"])
-@pytest.mark.parametrize("kind", ["rn", "table"])
+@pytest.mark.parametrize("kind", ["rn", "extremal-rn", "table"])
 def test_r_lo_just_inside_a_horizon_exits_2(tmp_path, capsys, command, kind):
-    # RN (m 1, q 0.6) at r_lo = r_+ (1 - 1e-7), where f = -8.9e-8, and a
+    # RN (m 1, q 0.6) at r_lo = r_+ (1 - 1e-7), where f = -8.9e-8, extremal
+    # RN (m = q = 1) at r_lo = 1 - 1e-7, below its double zero r = 1, and a
     # Schwarzschild table whose first row lies 1e-7 inside r = 2: each
     # interval holds a zero of f, a config error, so no solve starts
     if kind == "rn":
         r_lo = photonsurf.build_family("reissner-nordstrom", m=1, q=0.6).r_lo * (1 - 1e-7)
         spacetime = f"family = reissner-nordstrom\nm = 1\nq = 0.6\nr_lo = {r_lo!r}\n"
+    elif kind == "extremal-rn":
+        spacetime = f"family = reissner-nordstrom\nm = 1\nq = 1\nr_lo = {1 - 1e-7!r}\n"
     else:
         spacetime = f"family = custom\ntable = {horizon_table(tmp_path / 'f.csv')}\n"
     cfg = write_config(tmp_path / "c.ini", "[spacetime]\n" + spacetime)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "not > 0" in err and "Traceback" not in err
+
+
+def test_table_row_that_is_not_a_number_exits_2_naming_the_file(tmp_path, capsys):
+    table = tmp_path / "prof.csv"
+    table.write_text("r,f\n2,0.5\n3,0.6\n4,0.7\n5,0.8\n6,abc\n")
+    cfg = write_config(tmp_path / "c.ini", f"[spacetime]\nfamily = custom\ntable = {table}\n")
+    assert main(["--config", cfg, "spheres"]) == 2
+    assert capsys.readouterr().err.startswith(f"profile table {table}: ")
 
 
 def test_spheres_out_creates_directory(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -626,14 +627,78 @@ def test_table_skips_blank_rows_and_needs_four(tmp_path):
     rows = "r,f\n2,0.5\n\n3,0.6\n4,0.7\n\n5,0.8\n"
     (tmp_path / "blank.csv").write_text(rows)
     (tmp_path / "plain.csv").write_text(rows.replace("\n\n", "\n"))
+    # a third column, here not a number in one row, is not read
+    (tmp_path / "wide.csv").write_text("r,f,g\n2,0.5,1\n3,0.6,x\n\n4,0.7,\n5,0.8,2,3\n")
     blank = spacetime_from_table(tmp_path / "blank.csv")
     plain = spacetime_from_table(tmp_path / "plain.csv")
+    wide = spacetime_from_table(tmp_path / "wide.csv")
     assert (blank.r_lo, blank.r_hi) == (plain.r_lo, plain.r_hi) == (2.0, 5.0)
+    assert (wide.r_lo, wide.r_hi) == (2.0, 5.0)
     rs = np.linspace(2.1, 4.9, 9)
-    assert blank.f(rs).tobytes() == plain.f(rs).tobytes()
+    assert blank.f(rs).tobytes() == plain.f(rs).tobytes() == wide.f(rs).tobytes()
     (tmp_path / "three.csv").write_text("r,f\n2,0.5\n3,0.6\n\n4,0.7\n")
     with pytest.raises(DomainError, match=">= 4 rows"):
         spacetime_from_table(tmp_path / "three.csv")
+
+
+def test_table_values_load_as_float_parses_their_text(tmp_path, monkeypatch):
+    # 10^4 random finite doubles of every exponent, subnormals included,
+    # written as repr writes them: the rows the interpolant is given are
+    # float() of each field, bit for bit
+    import scipy.interpolate
+
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, size=(2, 9000), dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2 ** 52, size=(2, 1000), dtype=np.uint64).view(np.float64)
+    values = np.concatenate([bits, subnormal * rng.choice([-1.0, 1.0], (2, 1000))], axis=1)
+    rs = np.unique(np.abs(values[0][np.isfinite(values[0])]))
+    fs = rng.permutation(values[1][np.isfinite(values[1])])[:len(rs)]
+    text = [(repr(r), repr(f)) for r, f in zip(rs.tolist(), fs.tolist())]
+    assert sum(0 < r < 2.3e-308 for r in rs.tolist()) > 100
+    assert sum(0 < abs(f) < 2.3e-308 for f in fs.tolist()) > 100
+    path = tmp_path / "f.csv"
+    path.write_text("r,f\n" + "".join(f"{r},{f}\n" for r, f in text))
+    seen = []
+
+    class Read(Exception):
+        pass
+
+    def interpolant(x, y):
+        seen.append((x, y))
+        raise Read  # the table is read; nothing more is needed
+
+    monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", interpolant)
+    with pytest.raises(Read):
+        spacetime_from_table(path)
+    (x, y), = seen
+    assert x.tobytes() == np.array([float(r) for r, _ in text]).tobytes()
+    assert y.tobytes() == np.array([float(f) for _, f in text]).tobytes()
+
+
+@pytest.mark.parametrize("row", ["6,abc", "6", "6,", "x,1"])
+def test_a_table_row_that_is_not_two_numbers_is_refused_naming_the_file(tmp_path, row):
+    path = tmp_path / "f.csv"
+    path.write_text(f"r,f\n2,0.5\n3,0.6\n4,0.7\n5,0.8\n{row}\n")
+    with pytest.raises(DomainError, match=f"profile table {re.escape(str(path))}: "):
+        spacetime_from_table(path)
+
+
+@pytest.mark.parametrize("q, r_lo", [(1.0, 0.5), (1.0, 1 - 1e-7),
+                                     (0.99999, 0.5), (0.9999999, 0.5)])
+def test_rn_refuses_an_interval_holding_a_zero_the_scan_steps_over(q, r_lo):
+    # f = (r - r_+)(r - r_-)/r^2 is 0 at the double zero r_+ = r_- = m of q = m
+    # and at most 2e-5 below 0 between r_- and r_+ for the others, a band
+    # that no point of the 256-point scan lands in
+    with pytest.raises(InvalidFamilyParamsError, match="not > 0"):
+        build_family("reissner-nordstrom", m=1, q=q, r_lo=r_lo)
+
+
+def test_rn_keeps_its_horizon_default_and_an_interval_inside_r_minus():
+    assert build_family("reissner-nordstrom", m=1, q=1).r_lo == 1.0
+    assert build_family("reissner-nordstrom", m=1, q=0.6).r_lo == 1.8
+    # f > 0 on (0, r_-): an interval below the inner zero is taken
+    st = build_family("reissner-nordstrom", m=1, q=1, r_lo=0.5, r_hi=0.99)
+    assert (st.r_lo, st.r_hi) == (0.5, 0.99)
 
 
 def test_from_isotropic_rejects_a_decreasing_radius():
